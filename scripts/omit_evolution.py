@@ -12,8 +12,14 @@ import csv
 import numpy as np
 
 from emcavity.constants import TWO_PI
-from emcavity.linear_response import omit_reflection
+from emcavity.linear_response import mechanical_self_energy, reflection
 from emcavity.params import CavityParams, MechParams
+
+
+def red_sideband_magnitude(w, cavity, mech, g):
+    """|R| of the OMIT response with the pump detuned by Omega_m."""
+    sigma = mechanical_self_energy(w, g, mech.gamma, mech.omega_m)
+    return abs(reflection(w, mech.omega_m, cavity.kappa_in, cavity.kappa_ex, self_energy=sigma))
 
 
 def main():
@@ -40,10 +46,8 @@ def main():
         writer.writerow(["n_bar", "g_hz", "center_mag", "side_mag", "feature"])
         for n in n_bar:
             g = g0 * np.sqrt(n)
-            center = abs(omit_reflection(mech.omega_m, cavity, mech, g, mech.omega_m))
-            side = abs(
-                omit_reflection(mech.omega_m + 5 * mech.gamma, cavity, mech, g, mech.omega_m)
-            )
+            center = red_sideband_magnitude(mech.omega_m, cavity, mech, g)
+            side = red_sideband_magnitude(mech.omega_m + 5 * mech.gamma, cavity, mech, g)
             writer.writerow(
                 [f"{n:.6e}", f"{g / TWO_PI:.6e}", f"{center:.8f}", f"{side:.8f}",
                  "peak" if center > side else "dip"]

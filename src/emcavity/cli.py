@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -18,12 +17,11 @@ import click
 import numpy as np
 
 from . import __version__
-from .config import Background, ConfigError, load_config
+from .config import Background, load_config
 from .constants import TWO_PI
-from .core import intracavity_photon_number, enhanced_coupling, thermal_occupation
-from .errors import BracketError, DataError, DomainError, NumericalError
+from .core import thermal_occupation
+from .errors import BracketError, ConfigError, DataError, DomainError, NumericalError
 from .fitting import (
-    ComplexTrace,
     OmitModelParams,
     ReflectionModelParams,
     fit_omit,
@@ -33,7 +31,13 @@ from .fitting import (
     save_trace,
     synthesize_trace,
 )
-from .linear_response import SpectrumRequest, optomechanical_damping, spectrum
+from .linear_response import (
+    SpectrumRequest,
+    mechanical_self_energy,
+    optomechanical_damping,
+    reflection,
+    spectrum,
+)
 from .tripartite import critical_coupling as _critical_coupling
 from .tripartite import sweep as _sweep
 from . import device as dev
@@ -76,21 +80,9 @@ def _enhanced_g(params) -> float:
 
 @click.group()
 @click.version_option(version=__version__, prog_name="emcavity")
-@click.option(
-    "--threads",
-    type=int,
-    default=None,
-    envvar="EMCAVITY_THREADS",
-    help="Cap internal parallelism (evaluation is currently sequential).",
-)
-@click.pass_context
-def cli(ctx, threads):
+def cli():
     """Cavity-electromechanics toolkit: spectra, entanglement, fitting,
     device integrals."""
-    ctx.ensure_object(dict)
-    if threads is not None and threads < 1:
-        raise click.UsageError("--threads must be >= 1")
-    ctx.obj["threads"] = threads
 
 
 @cli.command()
@@ -131,7 +123,7 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
         )
     else:
         request = SpectrumRequest(omega_grid=omega, cavity=cavity)
-    spec = spectrum(request, model=model)
+    spec = spectrum(request)
     _write_spectrum_csv(out_path, f_grid, spec.values)
     _write_manifest(out_path, config_path, None, [out_path])
     click.echo(f"wrote {out_path}", err=True)
@@ -157,11 +149,9 @@ def omit(config_path, f_hz):
     cavity = _require(params, "cavity")
     mech = _require(params, "mech")
     pump = _require(params, "pump")
-    from .linear_response import omit_reflection
-
-    r = omit_reflection(
-        TWO_PI * f_hz - pump.omega_p, cavity, mech, _enhanced_g(params), pump.detuning(cavity)
-    )
+    w = TWO_PI * f_hz - pump.omega_p
+    sigma = mechanical_self_energy(w, _enhanced_g(params), mech.gamma, mech.omega_m)
+    r = reflection(w, pump.detuning(cavity), cavity.kappa_in, cavity.kappa_ex, self_energy=sigma)
     click.echo(
         f"re={_fmt(r.real)} im={_fmt(r.imag)} "
         f"mag_db={_fmt(20 * np.log10(abs(r)))} phase_rad={_fmt(np.angle(r))}"
@@ -458,7 +448,7 @@ def device_g0(volume_path, surface_paths, lumped_path, f_m_hz, voltage_v):
 def main(argv=None) -> int:
     """Dispatch with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False, obj={})
+        cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
     except click.ClickException as exc:

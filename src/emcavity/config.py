@@ -8,9 +8,11 @@ offending field path; missing optional blocks are defaulted with a warning.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .constants import TWO_PI
+from .errors import ConfigError
 from .params import (
     CavityParams,
     CouplingParams,
@@ -19,10 +21,6 @@ from .params import (
     PumpParams,
     TripartiteParams,
 )
-
-
-class ConfigError(Exception):
-    """Schema violation; message carries the field path."""
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,18 @@ _SCHEMA = {
 _OCC_KEYS = {"n_a_in", "n_a_ex", "n_b_in", "n_c_in", "n_c_ex"}
 
 
-def _number(block: dict, block_name: str, key: str, minimum=None, strict=False):
+def _number(block: dict, block_name: str, key: str, minimum=None, strict=False, default=None):
     if key not in block:
+        if default is not None:
+            return default
         raise ConfigError(f"{block_name}.{key}: missing required field")
     val = block[key]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"{block_name}.{key}: expected a number, got {val!r}")
     val = float(val)
+    # Python's json accepts NaN and Infinity
+    if not math.isfinite(val):
+        raise ConfigError(f"{block_name}.{key}: expected a finite number, got {val!r}")
     if minimum is not None:
         if strict and val <= minimum:
             raise ConfigError(f"{block_name}.{key}: must be > {minimum}, got {val}")
@@ -138,12 +141,10 @@ def parse_config(data: dict) -> SystemParams:
         b = data["background"]
         _check_keys(b, "background")
         out.background = Background(
-            amplitude=_number(b, "background", "amplitude", 0.0, strict=True)
-            if "amplitude" in b
-            else 1.0,
-            tau=float(b.get("tau_s", 0.0)),
-            phi=float(b.get("phi_rad", 0.0)),
-            delta=TWO_PI * float(b.get("delta_hz", 0.0)),
+            amplitude=_number(b, "background", "amplitude", 0.0, strict=True, default=1.0),
+            tau=_number(b, "background", "tau_s", default=0.0),
+            phi=_number(b, "background", "phi_rad", default=0.0),
+            delta=TWO_PI * _number(b, "background", "delta_hz", default=0.0),
         )
     if "tripartite" in data:
         b = data["tripartite"]
@@ -156,7 +157,9 @@ def parse_config(data: dict) -> SystemParams:
             unknown = set(ob) - _OCC_KEYS
             if unknown:
                 raise ConfigError(f"tripartite.occupations.{sorted(unknown)[0]}: unknown key")
-            occ = Occupations(**{k: float(ob.get(k, 0.0)) for k in _OCC_KEYS})
+            occ = Occupations(
+                **{k: _number(ob, "tripartite.occupations", k, 0.0, default=0.0) for k in _OCC_KEYS}
+            )
         out.tripartite = TripartiteParams(
             delta_a=TWO_PI * _number(b, "tripartite", "delta_a_hz"),
             delta_c=TWO_PI * _number(b, "tripartite", "delta_c_hz"),

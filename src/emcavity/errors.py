@@ -10,7 +10,11 @@ class DomainError(EmcavityError, ValueError):
 
 
 class DataError(EmcavityError):
-    """Malformed or unusable input data (files, traces, configs)."""
+    """Malformed or unusable input data (files, traces)."""
+
+
+class ConfigError(EmcavityError):
+    """Config schema violation; the message carries the field path."""
 
 
 class GuessError(DataError):

@@ -2,25 +2,25 @@
 
 The extended one-sided-cavity model
 
-    R(w) = A exp(-i(w tau + phi)) *
-           ( -(-i(w - w_c) + (k_in - k_ex)/2 + i delta)
-             / (-i(w - w_c) + (k_in + k_ex)/2) )
+    R(w) = A exp(-i(w tau + phi)) r0(w; center=w_c, k_in, k_ex, tilt=delta)
 
-is fitted to the real and imaginary parts of the data jointly, by damped
-Gauss-Newton with Levenberg-style damping.  Damping rates are optimized in
-log space to keep them positive.  The OMIT model reuses the same prefactor
-and tilt around the mechanical self-energy term.
+wraps the reflection kernel r0 of linear_response in a background
+prefactor.  It is fitted to the real and imaginary parts of the data
+jointly, by damped Gauss-Newton with Levenberg-style damping.  Damping
+rates are optimized in log space to keep them positive.  The OMIT model
+reuses the same prefactor and tilt and adds the mechanical self-energy to
+the kernel.  Both analytic Jacobians come from the kernel's partials.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DomainError, GuessError
-from .params import CavityParams, MechParams
+from .linear_response import mechanical_self_energy, reflection, reflection_partials
 
 
 @dataclass(frozen=True)
@@ -87,30 +87,29 @@ class FitResult:
     message: str = ""
 
 
+def _background(w, p: ReflectionModelParams):
+    """Background prefactor A exp(-i(w tau + phi))."""
+    return p.amplitude * np.exp(-1j * (w * p.tau + p.phi))
+
+
 def reflection_model(omega, p: ReflectionModelParams):
     """Evaluate the extended reflection model at angular frequency omega."""
     w = np.asarray(omega)
-    num = -1j * (w - p.omega_c) + (p.kappa_in - p.kappa_ex) / 2.0 + 1j * p.delta
-    den = -1j * (w - p.omega_c) + (p.kappa_in + p.kappa_ex) / 2.0
-    return p.amplitude * np.exp(-1j * (w * p.tau + p.phi)) * (-num / den)
+    return _background(w, p) * reflection(w, p.omega_c, p.kappa_in, p.kappa_ex, p.delta)
 
 
 def _reflection_jacobian(omega, p: ReflectionModelParams):
     """Analytic complex derivatives of the model w.r.t.
-    (A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta)."""
+    (log A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta)."""
     w = np.asarray(omega)
-    num = -1j * (w - p.omega_c) + (p.kappa_in - p.kappa_ex) / 2.0 + 1j * p.delta
-    den = -1j * (w - p.omega_c) + (p.kappa_in + p.kappa_ex) / 2.0
-    pre = p.amplitude * np.exp(-1j * (w * p.tau + p.phi))
-    r = pre * (-num / den)
-    d_a = r  # log-space: d/d(log A) = R
-    d_tau = -1j * w * r
-    d_phi = -1j * r
-    d_wc = pre * (-1j) * (den - num) / den**2
-    d_kin = pre * (-(den - num)) / (2.0 * den**2) * p.kappa_in  # log-space
-    d_kex = pre * (den + num) / (2.0 * den**2) * p.kappa_ex  # log-space
-    d_delta = pre * (-1j) / den
-    return np.stack([d_a, d_tau, d_phi, d_wc, d_kin, d_kex, d_delta], axis=-1)
+    pre = _background(w, p)
+    r0, (d_wc, d_kin, d_kex, d_delta, _) = reflection_partials(
+        w, p.omega_c, p.kappa_in, p.kappa_ex, p.delta
+    )
+    r = pre * r0
+    cols = [r, -1j * w * r, -1j * r, pre * d_wc]
+    cols += [pre * d_kin * p.kappa_in, pre * d_kex * p.kappa_ex, pre * d_delta]
+    return np.stack(cols, axis=-1)
 
 
 def _pack(p: ReflectionModelParams) -> np.ndarray:
@@ -351,12 +350,26 @@ def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams):
     sits at the detuning, the mechanical feature at Omega.
     """
     w = np.asarray(omega)
-    self_energy = p.g * p.g / (-1j * (w - p.omega_m) + p.gamma / 2.0)
-    d = -1j * (w - p.detuning)
-    num = d + (cavity.kappa_in - cavity.kappa_ex) / 2.0 + 1j * cavity.delta + self_energy
-    den = d + (cavity.kappa_in + cavity.kappa_ex) / 2.0 + self_energy
-    pre = cavity.amplitude * np.exp(-1j * (w * cavity.tau + cavity.phi))
-    return pre * (-num / den)
+    sigma = mechanical_self_energy(w, p.g, p.gamma, p.omega_m)
+    r0 = reflection(w, p.detuning, cavity.kappa_in, cavity.kappa_ex, cavity.delta, sigma)
+    return _background(w, cavity) * r0
+
+
+def _omit_jacobian(omega, cavity: ReflectionModelParams, p: OmitModelParams):
+    """Analytic complex derivatives of omit_model w.r.t.
+    (g, gamma, omega_m, detuning)."""
+    w = np.asarray(omega)
+    # at unit coupling the self-energy is the mechanical susceptibility chi,
+    # and Sigma = g^2 chi stays differentiable through g = 0
+    chi = mechanical_self_energy(w, 1.0, p.gamma, p.omega_m)
+    g2chi2 = p.g * p.g * chi * chi
+    pre = _background(w, cavity)
+    _, (d_center, _, _, _, d_sigma) = reflection_partials(
+        w, p.detuning, cavity.kappa_in, cavity.kappa_ex, cavity.delta, p.g * p.g * chi
+    )
+    d_sigma = pre * d_sigma
+    cols = [d_sigma * (2.0 * p.g * chi), d_sigma * (-0.5 * g2chi2), d_sigma * (-1j * g2chi2)]
+    return np.stack(cols + [pre * d_center], axis=-1)
 
 
 _OMIT_NAMES = ("g", "gamma", "omega_m")
@@ -371,8 +384,7 @@ def fit_omit(
     """Fit {g, gamma, Omega} (optionally Delta) with cavity parameters fixed.
 
     Follows the two-stage workflow: the cavity background is established by
-    fit_reflection first and held fixed here.  The Jacobian is central
-    finite differences.
+    fit_reflection first and held fixed here.
     """
     w = trace.omega
     data = np.concatenate([trace.re, trace.im])
@@ -388,19 +400,11 @@ def fit_omit(
         model = omit_model(w, cavity, unpack(theta))
         return np.concatenate([model.real, model.imag]) - data
 
-    theta0 = np.array([getattr(guess, n) for n in names], dtype=float)
-    scales = np.maximum(np.abs(theta0), [max(abs(guess.g), guess.gamma, 1.0)] * len(names))
-
     def jacobian(theta):
-        cols = []
-        for i in range(len(theta)):
-            h = 1e-7 * scales[i]
-            tp, tm = theta.copy(), theta.copy()
-            tp[i] += h
-            tm[i] -= h
-            cols.append((residual(tp) - residual(tm)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        Jc = _omit_jacobian(w, cavity, unpack(theta))[:, : len(names)]
+        return np.concatenate([Jc.real, Jc.imag], axis=0)
 
+    theta0 = np.array([getattr(guess, n) for n in names], dtype=float)
     theta, rnorm, iters, converged, rankdef, message = _levenberg_marquardt(
         residual, jacobian, theta0
     )
@@ -497,8 +501,3 @@ def synthesize_trace(
         )
         noisy = clean + noise
     return ComplexTrace(f_hz=f_hz, re=noisy.real, im=noisy.imag, meta=meta)
-
-
-def cavity_params_from_fit(p: ReflectionModelParams) -> CavityParams:
-    """Extract the bare cavity parameters from a reflection fit."""
-    return CavityParams(omega_c=p.omega_c, kappa_in=p.kappa_in, kappa_ex=p.kappa_ex)

@@ -1,5 +1,5 @@
 """Frequency-domain observables of a single cavity + mechanical mode:
-bare reflection, OMIT reflection, susceptibilities, optomechanical damping.
+bare and OMIT reflection from one kernel, optomechanical damping.
 
 All formulas are complex throughout; magnitude/phase belong to the
 presentation layer.  Frequencies are angular (rad/s).
@@ -15,68 +15,44 @@ from .errors import DomainError
 from .params import CavityParams, MechParams
 
 
-@dataclass(frozen=True)
-class Susceptibility:
-    """Lorentzian susceptibility 1/(-i(w - center) + halfwidth).
+def mechanical_self_energy(omega, g: float, gamma: float, omega_m: float):
+    """Self-energy of a mechanical mode coupled at enhanced rate g:
+    Sigma = g^2 / (-i(w - Omega_m) + gamma/2)."""
+    return g * g / (-1j * (np.asarray(omega) - omega_m) + gamma / 2.0)
 
-    kind is one of 'cavity', 'cavity_conjugate', 'mechanical',
-    'mechanical_conjugate'; conjugate kinds carry a negated center so that
-    chi_conj(w) == conj(chi(-w)).
+
+def _reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy):
+    d = -1j * (np.asarray(omega) - center)
+    num = d + (kappa_in - kappa_ex) / 2.0 + 1j * tilt + self_energy
+    den = d + (kappa_in + kappa_ex) / 2.0 + self_energy
+    return -num / den, den
+
+
+def reflection(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.0):
+    """Reflection r0 of a one-sided cavity, the kernel of every spectrum
+    and fit model:
+
+    r0 = -(d + (k_in - k_ex)/2 + i tilt + Sigma) / (d + (k_in + k_ex)/2 + Sigma),
+    d = -i(w - center).
+
+    The bare cavity has Sigma = 0 and center = omega_c.  OMIT adds
+    mechanical_self_energy and is written in the frame rotating at the
+    pump, where the cavity sits at the detuning Delta; valid physics
+    assumes a red-detuned pump in the resolved sideband.
     """
-
-    kind: str
-    center: float
-    halfwidth: float
-
-    _KINDS = ("cavity", "cavity_conjugate", "mechanical", "mechanical_conjugate")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown susceptibility kind: {self.kind!r}")
-        if self.halfwidth < 0:
-            raise DomainError("halfwidth must be non-negative")
-
-    def __call__(self, omega):
-        return 1.0 / (-1j * (np.asarray(omega) - self.center) + self.halfwidth)
-
-    def conjugate_pair(self) -> "Susceptibility":
-        base = self.kind.removesuffix("_conjugate")
-        kind = base if self.kind.endswith("_conjugate") else base + "_conjugate"
-        return Susceptibility(kind=kind, center=-self.center, halfwidth=self.halfwidth)
+    return _reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy)[0]
 
 
-def bare_reflection(omega, cavity: CavityParams):
-    """Reflection of a one-sided cavity.
+def reflection_partials(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.0):
+    """r0 and its partial derivatives with respect to (center, kappa_in,
+    kappa_ex, tilt, Sigma), all built from r0 and the denominator D:
 
-    R = -(-i(w - w_c) + (k_in - k_ex)/2) / (-i(w - w_c) + (k_in + k_ex)/2)
+    dr0/dcenter = -i(1 + r0)/D,   dr0/dk_in = -(1 + r0)/(2D),
+    dr0/dk_ex = (1 - r0)/(2D),    dr0/dtilt = -i/D,   dr0/dSigma = -(1 + r0)/D.
     """
-    if cavity.kappa == 0:
-        raise DomainError("kappa_in + kappa_ex must be positive (pole)")
-    d = -1j * (np.asarray(omega) - cavity.omega_c)
-    num = d + (cavity.kappa_in - cavity.kappa_ex) / 2.0
-    den = d + cavity.kappa / 2.0
-    return -num / den
-
-
-def omit_reflection(omega, cavity: CavityParams, mech: MechParams, g: float, detuning: float):
-    """Reflection with a mechanical oscillator coupled at enhanced rate g.
-
-    Written in the frame rotating at the pump: the cavity response is
-    centered at the detuning Delta.  Valid physics assumes a red-detuned
-    pump in the resolved sideband; the formula itself is evaluated as given
-    (see sideband_resolution for a diagnostic).
-    """
-    w = np.asarray(omega)
-    self_energy = g * g / (-1j * (w - mech.omega_m) + mech.gamma / 2.0)
-    d = -1j * (w - detuning)
-    num = d + (cavity.kappa_in - cavity.kappa_ex) / 2.0 + self_energy
-    den = d + cavity.kappa / 2.0 + self_energy
-    return -num / den
-
-
-def sideband_resolution(omega_m: float, kappa: float) -> float:
-    """Diagnostic ratio 4*Omega/kappa; >> 1 means resolved sideband."""
-    return 4.0 * omega_m / kappa
+    r0, den = _reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy)
+    a = (1.0 + r0) / den
+    return r0, (-1j * a, -0.5 * a, (1.0 - r0) / (2.0 * den), -1j / den, -a)
 
 
 def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
@@ -126,16 +102,17 @@ class ComplexSpectrum:
             raise DomainError("spectrum values must be finite")
 
 
-def spectrum(request: SpectrumRequest, model: str = "bare") -> ComplexSpectrum:
-    """Vectorized reflection over the request grid; model 'bare' or 'omit'."""
-    if model == "bare":
-        values = bare_reflection(request.omega_grid, request.cavity)
-    elif model == "omit":
-        if request.mech is None:
-            raise DomainError("omit model needs mechanical parameters")
-        values = omit_reflection(
-            request.omega_grid, request.cavity, request.mech, request.g, request.detuning
-        )
+def spectrum(request: SpectrumRequest) -> ComplexSpectrum:
+    """Vectorized reflection over the request grid: OMIT at the detuning
+    when the request carries mechanical parameters, the bare cavity at
+    omega_c otherwise."""
+    w, cavity, mech = request.omega_grid, request.cavity, request.mech
+    if mech is None:
+        if cavity.kappa == 0:
+            raise DomainError("kappa_in + kappa_ex must be positive (pole)")
+        center, self_energy = cavity.omega_c, 0.0
     else:
-        raise ValueError(f"unknown spectrum model: {model!r}")
-    return ComplexSpectrum(omega_grid=request.omega_grid, values=np.asarray(values))
+        center = request.detuning
+        self_energy = mechanical_self_energy(w, request.g, mech.gamma, mech.omega_m)
+    values = reflection(w, center, cavity.kappa_in, cavity.kappa_ex, self_energy=self_energy)
+    return ComplexSpectrum(omega_grid=w, values=np.asarray(values))

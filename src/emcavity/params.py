@@ -102,8 +102,8 @@ class Occupations:
 
     def __post_init__(self):
         for name in ("n_a_in", "n_a_ex", "n_b_in", "n_c_in", "n_c_ex"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and non-negative")
 
     def as_tuple(self):
         return (self.n_a_in, self.n_a_ex, self.n_b_in, self.n_c_in, self.n_c_ex)
@@ -126,9 +126,12 @@ class TripartiteParams:
     occupations: Occupations = field(default_factory=Occupations)
 
     def __post_init__(self):
+        for name in ("delta_a", "delta_c", "omega_m", "g_b", "g_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         for name in ("kappa_a_in", "kappa_a_ex", "kappa_c_in", "kappa_c_ex", "gamma"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and non-negative")
 
     @property
     def kappa_a(self) -> float:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BracketError, DomainError, NearPoleError, NumericalError
 from .params import TripartiteParams
@@ -31,9 +30,6 @@ from .params import TripartiteParams
 _U = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
 _R2 = np.kron(np.eye(2), _U)
 _R5 = np.kron(np.eye(5), _U)
-
-# 4x4 symplectic form for two modes in (X1, Y1, X2, Y2) ordering
-OMEGA_SYMPLECTIC = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def drift_matrix(p: TripartiteParams) -> np.ndarray:
@@ -107,50 +103,21 @@ def stability(p: TripartiteParams) -> tuple[bool, float]:
     return is_stable(drift_matrix(p), scale=p.kappa_a or None)
 
 
-def mean_dynamics_decay_oracle(A: np.ndarray, initial, horizon: float) -> bool:
-    """Integrate the noise-free mean dynamics and test norm decay.
-
-    Returns True when ||eta(horizon)|| < 1e-3 ||eta(0)||.  Test oracle for
-    is_stable only; not part of any production path.
-    """
-    y0 = np.asarray(initial, dtype=complex)
-    A = np.asarray(A, dtype=complex)
-    sol = solve_ivp(
-        lambda t, y: A @ y,
-        (0.0, horizon),
-        y0,
-        method="DOP853",
-        rtol=1e-8,
-        atol=1e-10 * np.linalg.norm(y0),
-    )
-    if not sol.success:
-        raise NumericalError(f"ODE integration failed: {sol.message}")
-    return np.linalg.norm(sol.y[:, -1]) < 1e-3 * np.linalg.norm(y0)
-
-
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """4x10 scattering at a single frequency, outputs (a_out, a_out+, c_out, c_out+)."""
-
-    omega: float
-    entries: np.ndarray
-
-
-def scattering(omega: float, p: TripartiteParams) -> ScatteringMatrix:
-    """S(w) = C (-i w I - A)^{-1} B - D via column-wise linear solves."""
+def scattering(omega: float, p: TripartiteParams) -> np.ndarray:
+    """4x10 scattering S(w) = C (-i w I - A)^{-1} B - D via column-wise
+    linear solves; outputs (a_out, a_out+, c_out, c_out+)."""
     A = drift_matrix(p)
     M = -1j * omega * np.eye(6) - A
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e12:
         raise NearPoleError(omega, cond)
     X = np.linalg.solve(M, input_matrix(p).astype(complex))
-    S = output_matrix(p) @ X - feedthrough_matrix()
-    return ScatteringMatrix(omega=omega, entries=S)
+    return output_matrix(p) @ X - feedthrough_matrix()
 
 
-def quadrature_scattering(s: ScatteringMatrix) -> np.ndarray:
+def quadrature_scattering(s: np.ndarray) -> np.ndarray:
     """S_q = R2 S R5^{-1} mapping input quadratures to output quadratures."""
-    return _R2 @ s.entries @ _R5.conj().T
+    return _R2 @ s @ _R5.conj().T
 
 
 def noise_matrix(p: TripartiteParams) -> np.ndarray:
@@ -167,6 +134,8 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         V = np.asarray(self.entries, dtype=float)
+        if not np.isfinite(V).all():
+            raise NumericalError("covariance has non-finite entries")
         scale = max(np.max(np.abs(V)), 1.0)
         if np.max(np.abs(V - V.T)) > 1e-10 * scale:
             raise NumericalError("covariance not symmetric")
@@ -185,23 +154,11 @@ class CovarianceMatrix:
         return self.entries[:2, 2:]
 
 
-def output_covariance(
-    omega: float, p: TripartiteParams, literal_transpose: bool = False
-) -> CovarianceMatrix:
-    """Output-quadrature covariance V at frequency w.
-
-    The default Hermitian evaluation Re[S_q N S_q^dagger] is real and
-    symmetric at every frequency; literal_transpose=True instead returns
-    the real part of S_q N S_q^T, which coincides with the default wherever
-    that product is real.
-    """
+def output_covariance(omega: float, p: TripartiteParams) -> CovarianceMatrix:
+    """Output-quadrature covariance V = Re[S_q N S_q^dagger] at frequency w,
+    real and symmetric at every frequency."""
     sq = quadrature_scattering(scattering(omega, p))
-    N = noise_matrix(p)
-    if literal_transpose:
-        V = sq @ N @ sq.T
-    else:
-        V = sq @ N @ sq.conj().T
-    V = np.real(V)
+    V = np.real(sq @ noise_matrix(p) @ sq.conj().T)
     V = 0.5 * (V + V.T)
     return CovarianceMatrix(entries=V)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from emcavity.constants import TWO_PI
+from emcavity.errors import NumericalError
 from emcavity.params import CavityParams, Occupations, TripartiteParams
 
 
@@ -54,3 +56,24 @@ def random_tripartite(rng: np.random.Generator, g_b_max_hz=5e6) -> TripartitePar
             n_c_ex=rng.uniform(0.0, 2.0),
         ),
     )
+
+
+def mean_dynamics_decay_oracle(A: np.ndarray, initial, horizon: float) -> bool:
+    """Integrate the noise-free mean dynamics and test norm decay.
+
+    Returns True when ||eta(horizon)|| < 1e-3 ||eta(0)||.  Test oracle for
+    is_stable only; not part of any production path.
+    """
+    y0 = np.asarray(initial, dtype=complex)
+    A = np.asarray(A, dtype=complex)
+    sol = solve_ivp(
+        lambda t, y: A @ y,
+        (0.0, horizon),
+        y0,
+        method="DOP853",
+        rtol=1e-8,
+        atol=1e-10 * np.linalg.norm(y0),
+    )
+    if not sol.success:
+        raise NumericalError(f"ODE integration failed: {sol.message}")
+    return np.linalg.norm(sol.y[:, -1]) < 1e-3 * np.linalg.norm(y0)

@@ -174,6 +174,30 @@ class TestTripartite:
         assert len(rows) == 1 + 12
         assert rows[0].startswith("g_b_hz,g_c_hz,")
 
+    def test_non_finite_config_is_config_error(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity; a NaN occupation used to
+        # write zeta_minus=nan, log_negativity=0 ("not entangled") and exit 0
+        reference = json.loads(Path(REFERENCE_CONFIG).read_text())
+        cases = [
+            ("tripartite", "tripartite.occupations.n_b_in",
+             {"occupations": {"n_b_in": float("nan")}}),
+            ("tripartite", "tripartite.g_c_hz", {"g_c_hz": float("inf")}),
+            ("synth", "background.delta_hz", {"delta_hz": float("nan")}),
+            ("synth", "background.tau_s", {"tau_s": True}),
+            ("synth", "background.phi_rad", {"phi_rad": "x"}),
+        ]
+        for command, field, bad in cases:
+            config = tmp_path / "bad.json"
+            if command == "tripartite":
+                config.write_text(json.dumps({"tripartite": {**reference["tripartite"], **bad}}))
+                args = ["tripartite", "sweep", "--axis", "g_b_hz=0:4e6:3"]
+            else:
+                config.write_text(json.dumps({**CAVITY_CONFIG, "background": bad}))
+                args = ["synth", "--points", "11"]
+            args += ["--config", str(config), "--out", str(tmp_path / "x.csv")]
+            assert run(args) == 1, field
+            assert f"config error: {field}: " in capsys.readouterr().err, field
+
     def test_critical_coupling(self, capsys):
         code = run(
             [
@@ -323,6 +347,6 @@ class TestTopLevel:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 1
 
-    def test_threads_validation(self):
-        assert run(["--threads", "0", "thermal", "--f-hz", "1e9", "--t-k", "1.0"]) == 1
-        assert run(["--threads", "2", "thermal", "--f-hz", "1e9", "--t-k", "1.0"]) == 0
+    def test_threads_option_removed(self):
+        # the global --threads option did nothing and is gone: a usage error
+        assert run(["--threads", "2", "thermal", "--f-hz", "1e9", "--t-k", "1.0"]) == 1

@@ -14,6 +14,23 @@ GOOD = {
     "pump": {"f_p_hz": 10.28784e9, "power_w": 1e-12},
     "coupling": {"g0_hz": 100.0, "n_cavity": 1e6},
 }
+# GOOD plus the optional blocks, each with every field given
+VALID = {
+    **GOOD,
+    "background": {"amplitude": 0.2, "tau_s": 6.0e-8, "phi_rad": 0.8, "delta_hz": 0.0},
+    "tripartite": {
+        "delta_a_hz": -4e6,
+        "delta_c_hz": -4e6,
+        "f_m_hz": 4e6,
+        "g_b_hz": 2.78e6,
+        "g_c_hz": 6.43e6,
+        "kappa_a_in_hz": 0.8e6,
+        "kappa_a_ex_hz": 1.2e6,
+        "kappa_c_in_hz": 0.8e6,
+        "kappa_c_ex_hz": 1.2e6,
+        "gamma_hz": 100.0,
+    },
+}
 
 
 def test_units_normalized_to_angular():
@@ -47,9 +64,24 @@ def test_missing_required_field():
 
 
 def test_non_numeric_value_rejected():
-    bad = {"cavity": {**GOOD["cavity"], "f_c_hz": "ten"}}
-    with pytest.raises(ConfigError, match=r"cavity\.f_c_hz"):
-        parse_config(bad)
+    # Python's json reads NaN and Infinity, so they reach the schema
+    cases = [
+        ("cavity", "f_c_hz", "ten"),
+        ("cavity", "f_c_hz", float("nan")),
+        ("tripartite", "g_c_hz", float("inf")),
+        ("tripartite", "delta_a_hz", -float("inf")),
+        ("background", "delta_hz", float("nan")),
+        ("background", "tau_s", True),
+        ("background", "phi_rad", "x"),
+    ]
+    for block, key, value in cases:
+        bad = {block: {**VALID[block], key: value}}
+        with pytest.raises(ConfigError, match=rf"{block}\.{key}: "):
+            parse_config(bad)
+    for value in (float("nan"), float("inf"), "12.5", False):
+        bad = {"tripartite": {**VALID["tripartite"], "occupations": {"n_b_in": value}}}
+        with pytest.raises(ConfigError, match=r"tripartite\.occupations\.n_b_in: "):
+            parse_config(bad)
 
 
 def test_negative_rate_rejected():
@@ -59,21 +91,7 @@ def test_negative_rate_rejected():
 
 
 def test_tripartite_occupations():
-    data = {
-        "tripartite": {
-            "delta_a_hz": -4e6,
-            "delta_c_hz": -4e6,
-            "f_m_hz": 4e6,
-            "g_b_hz": 2.78e6,
-            "g_c_hz": 6.43e6,
-            "kappa_a_in_hz": 0.8e6,
-            "kappa_a_ex_hz": 1.2e6,
-            "kappa_c_in_hz": 0.8e6,
-            "kappa_c_ex_hz": 1.2e6,
-            "gamma_hz": 100.0,
-            "occupations": {"n_b_in": 12.5},
-        }
-    }
+    data = {"tripartite": {**VALID["tripartite"], "occupations": {"n_b_in": 12.5}}}
     p = parse_config(data).tripartite
     assert p.occupations.n_b_in == 12.5
     assert p.occupations.n_a_in == 0.0
@@ -98,4 +116,7 @@ def test_load_config_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
+        load_config(bad)
+    bad.write_text('{"cavity": {"f_c_hz": NaN, "kappa_in_hz": 1e5, "kappa_ex_hz": 1e5}}')
+    with pytest.raises(ConfigError, match=r"cavity\.f_c_hz: "):
         load_config(bad)

@@ -13,8 +13,8 @@ from emcavity.fitting import (
     ComplexTrace,
     OmitModelParams,
     ReflectionModelParams,
+    _omit_jacobian,
     _reflection_jacobian,
-    cavity_params_from_fit,
     fit_omit,
     fit_reflection,
     initial_guess,
@@ -83,17 +83,35 @@ class TestModel:
             "delta": 10.0,  # model is linear in delta; large step beats roundoff
         }
         logged = {"amplitude", "kappa_in", "kappa_ex"}
-        for k, name in enumerate(PARAM_NAMES):
-            h = steps[name]
+        # (name, analytic column, model, params, step)
+        cases = [
+            (name, J[:, k], lambda p: reflection_model(w, p), DEVICE, steps[name])
+            for k, name in enumerate(PARAM_NAMES)
+        ]
+        # OMIT columns on the grid dense across the mechanical feature;
+        # omega_m and detuning steps are in rad/s against values ~ 2.5e7
+        w_omit = omit_grid() * TWO_PI
+        J_omit = _omit_jacobian(w_omit, OMIT_CAVITY, OMIT_TRUE)
+        omit_steps = {
+            "g": 1e-5 * OMIT_TRUE.g,
+            "gamma": 1e-5 * OMIT_TRUE.gamma,
+            "omega_m": 3e-2,
+            "detuning": 1.0,
+        }
+        cases += [
+            (name, J_omit[:, k], lambda p: omit_model(w_omit, OMIT_CAVITY, p), OMIT_TRUE, h)
+            for k, (name, h) in enumerate(omit_steps.items())
+        ]
+        for name, column, model, p, h in cases:
             if name in logged:
-                hi = replace(DEVICE, **{name: getattr(DEVICE, name) * np.exp(h)})
-                lo = replace(DEVICE, **{name: getattr(DEVICE, name) * np.exp(-h)})
+                hi = replace(p, **{name: getattr(p, name) * np.exp(h)})
+                lo = replace(p, **{name: getattr(p, name) * np.exp(-h)})
             else:
-                hi = replace(DEVICE, **{name: getattr(DEVICE, name) + h})
-                lo = replace(DEVICE, **{name: getattr(DEVICE, name) - h})
-            fd = (reflection_model(w, hi) - reflection_model(w, lo)) / (2.0 * h)
+                hi = replace(p, **{name: getattr(p, name) + h})
+                lo = replace(p, **{name: getattr(p, name) - h})
+            fd = (model(hi) - model(lo)) / (2.0 * h)
             scale = np.max(np.abs(fd)) or 1.0
-            assert np.max(np.abs(J[:, k] - fd)) < 1e-6 * scale, name
+            assert np.max(np.abs(column - fd)) < 1e-6 * scale, name
 
 
 class TestInitialGuess:
@@ -163,12 +181,6 @@ class TestReflectionFit:
         res = fit_reflection(trace)
         assert rel_err(res.params.omega_c, shifted.omega_c) < 1e-9
         assert rel_err(res.params.kappa_ex, DEVICE.kappa_ex) < 1e-6
-
-    def test_cavity_params_extraction(self):
-        res = fit_reflection(device_trace())
-        cav = cavity_params_from_fit(res.params)
-        assert cav.omega_c == res.params.omega_c
-        assert cav.kappa == res.params.kappa_in + res.params.kappa_ex
 
 
 OMIT_CAVITY = ReflectionModelParams(

@@ -10,11 +10,9 @@ from emcavity.errors import DomainError
 from emcavity.linear_response import (
     ComplexSpectrum,
     SpectrumRequest,
-    Susceptibility,
-    bare_reflection,
-    omit_reflection,
+    mechanical_self_energy,
     optomechanical_damping,
-    sideband_resolution,
+    reflection,
     spectrum,
 )
 from emcavity.params import CavityParams, MechParams
@@ -31,43 +29,27 @@ def make_cavity(kappa_in_hz=0.41e6, kappa_ex_hz=1.45e6, f_c_hz=10.29184e9):
 MECH = MechParams(omega_m=TWO_PI * 4e6, gamma=TWO_PI * 100.0, m_eff=2.0e-15)
 
 
-class TestSusceptibility:
-    def test_lorentzian_value(self):
-        chi = Susceptibility(kind="cavity", center=TWO_PI * 1e6, halfwidth=TWO_PI * 0.5e6)
-        w = TWO_PI * 1.2e6
-        assert chi(w) == pytest.approx(
-            1.0 / (-1j * (w - TWO_PI * 1e6) + TWO_PI * 0.5e6), rel=1e-12
-        )
-
-    def test_conjugate_pair_identity(self):
-        chi = Susceptibility(kind="mechanical", center=TWO_PI * 4e6, halfwidth=TWO_PI * 50.0)
-        chi_c = chi.conjugate_pair()
-        assert chi_c.kind == "mechanical_conjugate"
-        w = np.linspace(-TWO_PI * 8e6, TWO_PI * 8e6, 41)
-        assert np.allclose(chi_c(w), np.conj(chi(-w)), rtol=1e-12)
-        # involution
-        assert chi_c.conjugate_pair() == chi
-
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            Susceptibility(kind="thermal", center=0.0, halfwidth=1.0)
+def omit(w, cav, g):
+    """OMIT kernel with the pump on the red sideband: the cavity sits at Omega_m."""
+    sigma = mechanical_self_energy(w, g, MECH.gamma, MECH.omega_m)
+    return reflection(w, MECH.omega_m, cav.kappa_in, cav.kappa_ex, self_energy=sigma)
 
 
 class TestBareReflection:
     def test_on_resonance_value(self):
         cav = make_cavity()
-        r = bare_reflection(cav.omega_c, cav)
+        r = reflection(cav.omega_c, cav.omega_c, cav.kappa_in, cav.kappa_ex)
         expected = -(cav.kappa_in - cav.kappa_ex) / cav.kappa
         assert r == pytest.approx(expected, rel=1e-12)
 
     def test_far_detuned_is_full_reflection(self):
         cav = make_cavity()
-        r = bare_reflection(cav.omega_c + 1e4 * cav.kappa, cav)
+        r = reflection(cav.omega_c + 1e4 * cav.kappa, cav.omega_c, cav.kappa_in, cav.kappa_ex)
         assert abs(r) == pytest.approx(1.0, abs=1e-6)
 
     def test_critical_coupling_gives_zero(self):
         cav = make_cavity(kappa_in_hz=1.0e6, kappa_ex_hz=1.0e6)
-        assert abs(bare_reflection(cav.omega_c, cav)) < 1e-15
+        assert abs(reflection(cav.omega_c, cav.omega_c, cav.kappa_in, cav.kappa_ex)) < 1e-15
 
     @given(
         kin=st.floats(1e4, 1e7),
@@ -78,10 +60,10 @@ class TestBareReflection:
     def test_passive_and_symmetric(self, kin, kex, off):
         cav = make_cavity(kappa_in_hz=kin, kappa_ex_hz=kex)
         w = cav.omega_c + off * 1e5
-        r = bare_reflection(w, cav)
+        r = reflection(w, cav.omega_c, cav.kappa_in, cav.kappa_ex)
         # passive one-port: never gains, and |R| is even in the detuning
         assert abs(r) <= 1.0 + 1e-12
-        r_mirror = bare_reflection(2.0 * cav.omega_c - w, cav)
+        r_mirror = reflection(2.0 * cav.omega_c - w, cav.omega_c, cav.kappa_in, cav.kappa_ex)
         assert abs(r_mirror) == pytest.approx(abs(r), rel=1e-10)
 
 
@@ -89,9 +71,9 @@ class TestOmit:
     def test_reduces_to_bare_at_zero_coupling(self):
         cav = make_cavity()
         w = np.linspace(-TWO_PI * 6e6, TWO_PI * 6e6, 101) + MECH.omega_m
-        bare_cav = CavityParams(omega_c=MECH.omega_m, kappa_in=cav.kappa_in, kappa_ex=cav.kappa_ex)
-        r_omit = omit_reflection(w, cav, MECH, g=0.0, detuning=MECH.omega_m)
-        assert np.allclose(r_omit, bare_reflection(w, bare_cav), rtol=1e-12)
+        r_omit = omit(w, cav, 0.0)
+        r_bare = reflection(w, MECH.omega_m, cav.kappa_in, cav.kappa_ex)
+        assert np.allclose(r_omit, r_bare, rtol=1e-12)
 
     def test_feature_dip_to_peak_evolution(self):
         # overcoupled cavity, pump on the red sideband: the narrow feature at
@@ -106,8 +88,8 @@ class TestOmit:
         mags = []
         contrast = []
         for g in g_min * np.logspace(0, 2, 13):  # 4 decades in photon number
-            center = abs(omit_reflection(w_probe, cav, MECH, g, MECH.omega_m))
-            side = abs(omit_reflection(w_side, cav, MECH, g, MECH.omega_m))
+            center = abs(omit(w_probe, cav, g))
+            side = abs(omit(w_side, cav, g))
             mags.append(center)
             contrast.append(center - side)
         assert all(b >= a - 1e-12 for a, b in zip(mags, mags[1:]))
@@ -116,11 +98,18 @@ class TestOmit:
     def test_strong_coupling_restores_full_reflection(self):
         cav = make_cavity(kappa_in_hz=0.4e6, kappa_ex_hz=1.6e6)
         g = TWO_PI * 1e6  # C >> 1
-        r = omit_reflection(MECH.omega_m, cav, MECH, g, MECH.omega_m)
+        r = omit(MECH.omega_m, cav, g)
         assert abs(r) == pytest.approx(1.0, abs=1e-3)
 
-    def test_sideband_resolution_value(self):
-        assert sideband_resolution(TWO_PI * 4e6, TWO_PI * 0.4e6) == pytest.approx(40.0)
+    def test_self_energy_resonance_and_symmetry(self):
+        # on resonance Sigma is the real induced loss 2 g^2 / gamma; it is
+        # conjugate-symmetric about Omega_m
+        g, x = TWO_PI * 2e3, TWO_PI * np.linspace(1.0, 300.0, 7)
+        sigma = mechanical_self_energy(MECH.omega_m, g, MECH.gamma, MECH.omega_m)
+        assert sigma == pytest.approx(2.0 * g * g / MECH.gamma, rel=1e-12)
+        above = mechanical_self_energy(MECH.omega_m + x, g, MECH.gamma, MECH.omega_m)
+        below = mechanical_self_energy(MECH.omega_m - x, g, MECH.gamma, MECH.omega_m)
+        assert np.allclose(below, np.conj(above), rtol=1e-9)
 
 
 class TestDamping:
@@ -159,10 +148,11 @@ class TestSpectrum:
         grid = cav.omega_c + np.linspace(-5, 5, 101) * cav.kappa
         spec = spectrum(SpectrumRequest(omega_grid=grid, cavity=cav))
         assert isinstance(spec, ComplexSpectrum)
-        assert np.allclose(spec.values, bare_reflection(grid, cav), rtol=1e-14)
+        bare = reflection(grid, cav.omega_c, cav.kappa_in, cav.kappa_ex)
+        assert np.allclose(spec.values, bare, rtol=1e-14)
 
-    def test_omit_requires_mech(self):
+    def test_omit_selected_by_mech(self):
         cav = make_cavity()
-        req = SpectrumRequest(omega_grid=np.array([1.0, 2.0]), cavity=cav)
-        with pytest.raises(DomainError):
-            spectrum(req, model="omit")
+        g, grid = TWO_PI * 2e3, MECH.omega_m + np.linspace(-5, 5, 101) * MECH.gamma
+        req = SpectrumRequest(omega_grid=grid, cavity=cav, mech=MECH, g=g, detuning=MECH.omega_m)
+        assert np.array_equal(spectrum(req).values, omit(grid, cav, g))
