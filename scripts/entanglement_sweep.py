@@ -3,7 +3,7 @@
 
 Loads the bundled reference configuration, sweeps g_b from zero through
 the instability threshold, and reports log-negativity plus the stability
-boundary found by bisection.
+boundary found by root finding.
 """
 
 import argparse
@@ -29,28 +29,25 @@ def main():
 
     p = load_config(args.config).tripartite
     grid = TWO_PI * np.linspace(0.0, args.g_b_max_hz, args.points)
-    rows = sweep(p, {"g_b": grid}, omega=0.0)
+    res = sweep(p, {"g_b": grid}, omega=0.0)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["g_b_hz", "stable", "zeta_minus", "log_negativity"])
-        for overrides, res in rows:
+        for g, stable, zeta, en in zip(res["g_b"], res["stable"], res["zeta_minus"], res["log_negativity"]):
             writer.writerow(
                 [
-                    f"{overrides['g_b'] / TWO_PI:.6e}",
-                    res.stable,
-                    "" if res.zeta_minus is None else f"{res.zeta_minus:.8f}",
-                    "" if res.log_negativity is None else f"{res.log_negativity:.8f}",
+                    f"{g / TWO_PI:.6e}",
+                    bool(stable),
+                    "" if np.isnan(zeta) else f"{zeta:.8f}",
+                    "" if np.isnan(en) else f"{en:.8f}",
                 ]
             )
 
-    best = max(
-        (r for _, r in rows if r.log_negativity is not None),
-        key=lambda r: r.log_negativity,
-    )
+    best = np.nanmax(res["log_negativity"])
     g_crit = critical_coupling(p, "g_b", (0.0, TWO_PI * args.g_b_max_hz))
     print(f"wrote {args.out}")
-    print(f"peak log-negativity: {best.log_negativity:.4f}")
+    print(f"peak log-negativity: {best:.4f}")
     print(f"stability boundary: g_b/2pi = {g_crit / TWO_PI:.4e} Hz")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -211,21 +212,17 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
         if name2 in axes:
             raise click.UsageError("axis2 must differ from axis")
         axes[name2] = grid2
-    axes_rad = {k: TWO_PI * v for k, v in axes.items()}
-    rows = _sweep(p, axes_rad, omega=TWO_PI * omega_hz)
+    res = _sweep(p, {k: TWO_PI * v for k, v in axes.items()}, omega=TWO_PI * omega_hz)
+    floats = [*(res[n] / TWO_PI for n in axes), res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"]]
+    # zeta- and E_N are NaN, written blank, where unstable or failed
+    cells = [["" if math.isnan(x) else _FMT % x for x in col.tolist()] for col in floats]
+    cells.insert(len(axes), ["true" if s else "false" for s in res["stable"].tolist()])
     with open(out_path, "w", newline="") as fh:
-        names = list(axes)
-        fh.write(",".join(f"{n}_hz" for n in names))
+        fh.write(",".join(f"{n}_hz" for n in axes))
         fh.write(",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
-        for overrides, res in rows:
-            vals = [_fmt(overrides[n] / TWO_PI) for n in names]
-            vals.append("true" if res.stable else "false")
-            vals.append(_fmt(res.max_re_eigenvalue / TWO_PI))
-            vals.append("" if res.zeta_minus is None else _fmt(res.zeta_minus))
-            vals.append("" if res.log_negativity is None else _fmt(res.log_negativity))
-            fh.write(",".join(vals) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     _write_manifest(out_path, config_path, None, [out_path])
-    click.echo(f"wrote {out_path} ({len(rows)} rows)", err=True)
+    click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)
 
 
 @tripartite.command("critical")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from emcavity.constants import TWO_PI
-from emcavity.errors import NumericalError
+from emcavity.errors import NearPoleError
 from emcavity.params import CavityParams, Occupations, TripartiteParams
 
 
@@ -59,21 +59,86 @@ def random_tripartite(rng: np.random.Generator, g_b_max_hz=5e6) -> TripartitePar
 
 
 def mean_dynamics_decay_oracle(A: np.ndarray, initial, horizon: float) -> bool:
-    """Integrate the noise-free mean dynamics and test norm decay.
+    """Propagate the noise-free mean dynamics and test norm decay.
 
-    Returns True when ||eta(horizon)|| < 1e-3 ||eta(0)||.  Test oracle for
-    is_stable only; not part of any production path.
+    Returns True when ||eta(horizon)|| < 1e-3 ||eta(0)||, with the exact
+    propagator eta(T) = expm(A T) eta(0).  Pade scaling and squaring does
+    not use the eigendecomposition, so this stays independent of the
+    spectrum is_stable reads.  Test oracle only; not part of any production
+    path.
     """
     y0 = np.asarray(initial, dtype=complex)
-    A = np.asarray(A, dtype=complex)
-    sol = solve_ivp(
-        lambda t, y: A @ y,
-        (0.0, horizon),
-        y0,
-        method="DOP853",
-        rtol=1e-8,
-        atol=1e-10 * np.linalg.norm(y0),
+    y = expm(np.asarray(A, dtype=complex) * horizon) @ y0
+    return np.linalg.norm(y) < 1e-3 * np.linalg.norm(y0)
+
+
+# Ladder-basis reference for the batched tripartite engine: the scalar,
+# per-point formula it replaced, written against the physics and not the
+# package.  Stability from the complex (a, a+, b, b+, c, c+) drift
+# spectrum, the resolvent solved in that basis and rotated to quadratures.
+_U = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
+_R2 = np.kron(np.eye(2), _U)
+_R5 = np.kron(np.eye(5), _U)
+
+
+def quadrature_scattering(s: np.ndarray) -> np.ndarray:
+    """S_q = R2 S R5^{-1} mapping input quadratures to output quadratures."""
+    return _R2 @ s @ _R5.conj().T
+
+
+def reference_point(omega: float, p: TripartiteParams):
+    """(stable, max_re, zeta-, E_N, error) of one point; zeta- and E_N are
+    None when unstable or failed, error is the reason a stable point failed."""
+    da, dc, om, gb, gc = p.delta_a, p.delta_c, p.omega_m, p.g_b, p.g_c
+    ka2, kc2, g2 = p.kappa_a / 2.0, p.kappa_c / 2.0, p.gamma / 2.0
+    A = np.array(
+        [
+            [-1j * da - ka2, 0, -1j * gb, -1j * gb, -1j * gc, 0],
+            [0, 1j * da - ka2, 1j * gb, 1j * gb, 0, 1j * gc],
+            [-1j * gb, -1j * gb, -1j * om - g2, 0, 0, 0],
+            [1j * gb, 1j * gb, 0, 1j * om - g2, 0, 0],
+            [-1j * gc, 0, 0, 0, -1j * dc - kc2, 0],
+            [0, 1j * gc, 0, 0, 0, 1j * dc - kc2],
+        ],
+        dtype=complex,
     )
-    if not sol.success:
-        raise NumericalError(f"ODE integration failed: {sol.message}")
-    return np.linalg.norm(sol.y[:, -1]) < 1e-3 * np.linalg.norm(y0)
+    max_re = float(np.max(np.linalg.eigvals(A).real))
+    if not max_re < -1e-12 * (p.kappa_a or float(np.max(np.abs(np.diag(A))))):
+        return False, max_re, None, None, None
+    M = -1j * omega * np.eye(6) - A
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > 1e12:
+        return True, max_re, None, None, str(NearPoleError(omega, cond))
+    B = np.zeros((6, 10))
+    B[0, 0] = B[1, 1] = np.sqrt(p.kappa_a_in)
+    B[0, 2] = B[1, 3] = np.sqrt(p.kappa_a_ex)
+    B[2, 4] = B[3, 5] = np.sqrt(p.gamma)
+    B[4, 6] = B[5, 7] = np.sqrt(p.kappa_c_in)
+    B[4, 8] = B[5, 9] = np.sqrt(p.kappa_c_ex)
+    C = np.zeros((4, 6))
+    C[0, 0] = C[1, 1] = np.sqrt(p.kappa_a_ex)
+    C[2, 4] = C[3, 5] = np.sqrt(p.kappa_c_ex)
+    D = np.zeros((4, 10))
+    D[0, 2] = D[1, 3] = D[2, 8] = D[3, 9] = 1.0
+    sq = quadrature_scattering(C @ np.linalg.solve(M, B.astype(complex)) - D)
+    noise = np.kron(np.diag(np.asarray(p.occupations.as_tuple()) + 0.5), np.eye(2))
+    V = np.real(sq @ noise @ sq.conj().T)
+    V = 0.5 * (V + V.T)
+    if not np.isfinite(V).all():
+        return True, max_re, None, None, "covariance has non-finite entries"
+    det_v = float(np.linalg.det(V))
+    sigma = (
+        float(np.linalg.det(V[:2, :2]))
+        + float(np.linalg.det(V[2:, 2:]))
+        - 2.0 * float(np.linalg.det(V[:2, 2:]))
+    )
+    disc = sigma * sigma - 4.0 * det_v
+    if disc < -1e-9 * sigma * sigma:
+        return True, max_re, None, None, f"covariance not physical: Sigma^2 - 4 det V = {disc:.3e} < 0"
+    inner = (sigma - np.sqrt(max(disc, 0.0))) / 2.0
+    if inner < -1e-9 * abs(sigma):
+        return True, max_re, None, None, "covariance not physical: negative symplectic square"
+    zeta = float(np.sqrt(max(inner, 0.0)))
+    if zeta <= 0:
+        return True, max_re, None, None, "degenerate covariance: zeta- = 0"
+    return True, max_re, zeta, max(0.0, float(-np.log(2.0 * zeta))), None

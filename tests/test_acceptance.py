@@ -166,7 +166,7 @@ def test_criterion_07_stability_dual_check():
             p = random_tripartite(rng)
             ok, max_re = stability(p)
             if abs(max_re) < 1e-12 * p.kappa_a:
-                continue  # marginal: the ODE verdict is ill-posed here
+                continue  # marginal: the decay verdict is ill-posed here
             horizon = 10.0 / abs(max_re)
             y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             assert mean_dynamics_decay_oracle(drift_matrix(p), y0, horizon) == ok
@@ -181,10 +181,8 @@ def test_criterion_08_qualitative_reproduction():
         assert p.delta_c == pytest.approx(-p.omega_m)
         assert p.g_c == pytest.approx(TWO_PI * 6.43e6)
         g_grid = TWO_PI * np.linspace(0.0, 5e6, 51)
-        rows = sweep(p, {"g_b": g_grid}, omega=0.0)
-        en = np.array(
-            [r.log_negativity if r.stable else np.nan for _, r in rows]
-        )
+        res = sweep(p, {"g_b": g_grid}, omega=0.0)
+        en = np.where(res["stable"], res["log_negativity"], np.nan)
         assert en[0] <= 1e-8  # no entanglement without the mechanical link
         assert np.nanmax(en) > 0.1  # entangled window at intermediate g_b
         assert np.isnan(en[-1])  # strong coupling drives instability

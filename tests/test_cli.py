@@ -2,14 +2,18 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from emcavity.cli import main
+from emcavity.config import load_config
 from emcavity.constants import TWO_PI
 from emcavity.core import thermal_occupation
+
+from conftest import reference_point
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "tripartite_sec63.json")
 
@@ -148,6 +152,28 @@ class TestTripartite:
         assert rows[-1]["stable"] == "false" and rows[-1]["zeta_minus"] == ""
         mid = [float(r["log_negativity"]) for r in rows if r["stable"] == "true"][1:]
         assert max(mid) > 0.1
+
+    def test_sweep_at_nonzero_frequency(self, tmp_path):
+        # the benchmark sweeps only at w = 0: the probe frequency must reach
+        # the covariance and leave the stability columns alone
+        p = load_config(REFERENCE_CONFIG).tripartite
+        rows = {}
+        for f_hz in ("0", "3e5"):
+            out = tmp_path / f"w{f_hz}.csv"
+            args = ["--axis", "g_b_hz=0:4e6:9", "--omega-hz", f_hz, "--out", str(out)]
+            assert run(["tripartite", "sweep", "--config", REFERENCE_CONFIG] + args) == 0
+            with open(out) as fh:
+                rows[f_hz] = list(csv.DictReader(fh))
+        for g_b, r0, r in zip(TWO_PI * np.linspace(0.0, 4e6, 9), rows["0"], rows["3e5"]):
+            assert (r["stable"], r["max_re_eig_hz"]) == (r0["stable"], r0["max_re_eig_hz"])
+            stable, _, zeta, en, _ = reference_point(TWO_PI * 3e5, replace(p, g_b=float(g_b)))
+            assert r["stable"] == ("true" if stable else "false")
+            if zeta is None:
+                assert r["zeta_minus"] == r["log_negativity"] == ""
+            else:
+                assert float(r["zeta_minus"]) == pytest.approx(zeta, rel=1e-12, abs=0.0)
+                assert float(r["log_negativity"]) == pytest.approx(en, rel=1e-12, abs=0.0)
+        assert any(r["zeta_minus"] != r0["zeta_minus"] for r0, r in zip(rows["0"], rows["3e5"]))
 
     def test_sweep_axis_parsing_errors(self, tmp_path):
         base = [

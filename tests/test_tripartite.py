@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emcavity.constants import TWO_PI
@@ -13,7 +13,9 @@ from emcavity.linear_response import reflection
 from emcavity.params import Occupations, TripartiteParams
 from emcavity.tripartite import (
     CovarianceMatrix,
+    _covariances,
     critical_coupling,
+    drift_matrices,
     drift_matrix,
     evaluate_point,
     feedthrough_matrix,
@@ -23,14 +25,13 @@ from emcavity.tripartite import (
     noise_matrix,
     output_covariance,
     output_matrix,
-    quadrature_scattering,
     scattering,
     stability,
     sweep,
     symplectic_eigenvalue_min,
 )
 
-from conftest import mean_dynamics_decay_oracle, random_tripartite
+from conftest import mean_dynamics_decay_oracle, quadrature_scattering, random_tripartite, reference_point
 
 # 4x4 symplectic form for two modes in (X1, Y1, X2, Y2) ordering
 OMEGA_SYMPLECTIC = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -129,6 +130,14 @@ class TestStability:
             verdicts.add(ok)
         assert len(verdicts) == 2
 
+    def test_margin_unit_is_kappa_a(self, reference_tripartite):
+        # uncoupled mechanics decaying at gamma/2 = 0.5e-12 kappa_a lies in
+        # the marginal band, in the scalar and the batched path alike
+        p = replace(reference_tripartite, g_b=0.0, gamma=1e-12 * reference_tripartite.kappa_a)
+        ok, max_re = stability(p)
+        assert not ok and max_re == pytest.approx(-0.5e-12 * p.kappa_a, rel=1e-2)
+        assert not sweep(p, {"g_b": np.array([0.0])})["stable"][0]
+
     def test_marginal_counts_as_unstable(self):
         A = np.diag([0.0, -1.0])
         ok, _ = is_stable(A, scale=1.0)
@@ -173,6 +182,30 @@ class TestScattering:
         V = sq @ N @ sq.conj().T
         assert np.max(np.abs(V.imag)) < 1e-10 * np.max(np.abs(V.real))
 
+    def test_exact_pole_fails_only_its_row(self, reference_tripartite):
+        # undamped, uncoupled mechanics: at w = -Omega the g_b = 0 resolvent
+        # is exactly singular, and must not fail the rest of the stack
+        p = replace(reference_tripartite, gamma=0.0)
+        g_b = TWO_PI * np.array([0.0, 1e6, 2e6])
+        w = -p.omega_m
+        V, poles = _covariances(w, p, drift_matrices(p, {"g_b": g_b}))
+        assert list(poles) == [0] and isinstance(poles[0], NearPoleError)
+        for i in (1, 2):
+            single = output_covariance(w, replace(p, g_b=float(g_b[i]))).entries
+            assert np.allclose(V[i], single, rtol=1e-12, atol=0.0)
+
+    def test_near_pole_point_fails_alone_in_sweep(self, reference_tripartite):
+        # a barely damped, uncoupled mechanical mode is stable but probed at
+        # its pole; the coupled points around it are ordinary
+        p = replace(reference_tripartite, gamma=TWO_PI * 1e-5)
+        w = -p.omega_m
+        res = sweep(p, {"g_b": TWO_PI * np.array([0.0, 0.5e6, 1e6, 2e6])}, omega=w)
+        assert res["stable"].all()
+        assert res["error"][0].startswith("resolvent nearly singular")
+        assert np.isnan(res["zeta_minus"][0]) and np.isnan(res["log_negativity"][0])
+        assert all(e is None for e in res["error"][1:])
+        assert np.isfinite(res["zeta_minus"][1:]).all()
+
     def test_matrix_shapes(self, reference_tripartite):
         p = reference_tripartite
         assert input_matrix(p).shape == (6, 10)
@@ -210,6 +243,16 @@ class TestCovariance:
             with pytest.raises(NumericalError):
                 CovarianceMatrix(entries=bad)
 
+    @given(seed=st.integers(0, 2**32 - 1), w_hz=st.floats(-5e6, 5e6))
+    @settings(max_examples=50, deadline=None)
+    def test_uncertainty_relation(self, seed, w_hz):
+        # V + i Omega / 2 >= 0 at every stable point and probe frequency
+        p = random_tripartite(np.random.default_rng(seed))
+        assume(stability(p)[0])
+        V = output_covariance(TWO_PI * w_hz, p).entries
+        lowest = np.linalg.eigvalsh(V + 0.5j * OMEGA_SYMPLECTIC)[0]
+        assert lowest >= -1e-10 * np.max(np.abs(V))
+
 
 class TestSymplecticEigenvalue:
     def test_golden_zeta(self, reference_tripartite):
@@ -228,6 +271,22 @@ class TestSymplecticEigenvalue:
         assert zeta == pytest.approx(0.5 * np.exp(-2.0 * r), rel=1e-9)
         assert log_negativity(v) == pytest.approx(2.0 * r, rel=1e-9)
         assert log_negativity(v, base="2") == pytest.approx(2.0 * r / np.log(2.0), rel=1e-9)
+
+    def test_unphysical_covariance_reasons(self):
+        sigma2_below_4det = [
+            [-1.0, 0.5, 0.0, 0.5],
+            [0.5, 2.0, 1.5, 1.5],
+            [0.0, 1.5, 2.0, 1.0],
+            [0.5, 1.5, 1.0, -1.0],
+        ]
+        cases = [
+            (sigma2_below_4det, r"Sigma\^2 - 4 det V = -5\.188e\+00 < 0"),
+            (np.diag([1.0, 1.0, 1.0, -1.0]), "negative symplectic square"),
+            (np.zeros((4, 4)), "degenerate covariance: zeta- = 0"),
+        ]
+        for V, reason in cases:
+            with pytest.raises(NumericalError, match=reason):
+                symplectic_eigenvalue_min(CovarianceMatrix(entries=np.array(V)))
 
     def test_closed_form_matches_eigenvalue_oracle(self):
         rng = np.random.default_rng(3)
@@ -292,11 +351,42 @@ class TestEntanglementWorkflow:
     def test_sweep_order_and_length(self, reference_tripartite):
         gb = TWO_PI * np.array([0.0, 1e6, 2e6])
         gc = TWO_PI * np.array([5e6, 6.43e6])
-        rows = sweep(reference_tripartite, {"g_b": gb, "g_c": gc}, omega=0.0)
+        res = sweep(reference_tripartite, {"g_b": gb, "g_c": gc}, omega=0.0)
+        rows = [{"g_b": b, "g_c": c} for b, c in zip(res["g_b"].tolist(), res["g_c"].tolist())]
         assert len(rows) == 6
-        assert rows[0][0] == {"g_b": 0.0, "g_c": float(gc[0])}
-        assert rows[1][0] == {"g_b": 0.0, "g_c": float(gc[1])}
-        assert rows[-1][0] == {"g_b": float(gb[2]), "g_c": float(gc[1])}
+        assert rows[0] == {"g_b": 0.0, "g_c": float(gc[0])}
+        assert rows[1] == {"g_b": 0.0, "g_c": float(gc[1])}
+        assert rows[-1] == {"g_b": float(gb[2]), "g_c": float(gc[1])}
+
+    @pytest.mark.parametrize("omega", [0.0, TWO_PI * 0.3e6])
+    @pytest.mark.parametrize("thermal", [False, True])
+    @pytest.mark.parametrize("axes", [("g_b", "g_c"), ("delta_a", "delta_c")])
+    def test_sweep_matches_ladder_reference(self, reference_tripartite, axes, thermal, omega):
+        p = reference_tripartite
+        if thermal:
+            p = replace(p, occupations=Occupations(0.2, 0.1, 80.0, 0.3, 0.05))
+        grids = {
+            "g_b": TWO_PI * np.linspace(0.0, 6e6, 13),
+            "g_c": TWO_PI * np.linspace(0.0, 10e6, 14),
+            "delta_a": TWO_PI * np.linspace(-12e6, 4e6, 13),
+            "delta_c": TWO_PI * np.linspace(-12e6, 4e6, 14),
+        }
+        res = sweep(p, {a: grids[a] for a in axes}, omega=omega)
+        assert len(res["stable"]) == 13 * 14
+        verdicts = set()
+        for i in range(13 * 14):
+            point = replace(p, **{a: float(res[a][i]) for a in axes})
+            stable, max_re, zeta, en, error = reference_point(omega, point)
+            verdicts.add(stable)
+            assert res["stable"][i] == stable
+            assert abs(res["max_re"][i] - max_re) <= 1e-12 * p.kappa_a
+            assert res["error"][i] == error
+            if zeta is None:
+                assert np.isnan(res["zeta_minus"][i]) and np.isnan(res["log_negativity"][i])
+            else:
+                assert res["zeta_minus"][i] == pytest.approx(zeta, rel=1e-12, abs=0.0)
+                assert res["log_negativity"][i] == pytest.approx(en, rel=1e-12, abs=0.0)
+        assert verdicts == {True, False}
 
     def test_sweep_rejects_unknown_axis(self, reference_tripartite):
         with pytest.raises(ValueError):
