@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import Background, load_config
 from .constants import TWO_PI
-from .core import thermal_occupation
+from .core import thermal_occupation, zero_point_fluctuation
 from .errors import BracketError, ConfigError, DataError, DomainError, NumericalError
 from .fitting import (
     OmitModelParams,
@@ -131,14 +131,12 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
 
 
 def _write_spectrum_csv(path, f_hz, values):
+    with np.errstate(divide="ignore"):
+        mag_db = 20.0 * np.log10(np.abs(values))
+    table = np.stack([f_hz, values.real, values.imag, mag_db, np.angle(values)], axis=1)
     with open(path, "w", newline="") as fh:
         fh.write("f_hz,re,im,mag_db,phase_rad\n")
-        mag = np.abs(values)
-        with np.errstate(divide="ignore"):
-            mag_db = 20.0 * np.log10(mag)
-        phase = np.angle(values)
-        for f, v, m, p in zip(f_hz, values, mag_db, phase):
-            fh.write(f"{_fmt(f)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(m)},{_fmt(p)}\n")
+        fh.write((",".join([_FMT] * 5) + "\n") * len(table) % tuple(table.ravel().tolist()))
 
 
 @cli.command()
@@ -423,8 +421,6 @@ def device_g0(volume_path, surface_paths, lumped_path, f_m_hz, voltage_v):
     vol = dev.load_volume_csv(volume_path)
     surfaces = [dev.load_surface_csv(p) for p in surface_paths]
     lumped = dev.load_lumped_json(lumped_path)
-    from .core import zero_point_fluctuation
-
     m_eff = dev.effective_mass(vol)
     c_m = dev.capacitance_from_energy(vol, voltage_v)
     eta = dev.participation_ratio(c_m, lumped.stray_capacitance)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,32 +179,62 @@ _SURFACE_COLS = [
 ]
 
 
-def _read_csv(path, columns):
+def read_table(path, columns=None) -> np.ndarray:
+    """Parse a numeric CSV body in bulk into an (n, k) float array.
+
+    With `columns` (sample sets) the stripped header must equal it and rows
+    hold exactly that many cells; without (traces) any header passes and
+    the first three cells of each row are read and must be finite.  Blank
+    rows are skipped; a bad row raises DataError("path:line: ...").
+    """
+    ncols = len(columns) if columns else 3
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != columns:
+            header = next(csv.reader(fh), None)
+            if columns and (header is None or [c.strip() for c in header] != columns):
                 raise DataError(f"{path}: expected header {','.join(columns)}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(columns):
-                    raise DataError(f"{path}:{lineno}: expected {len(columns)} columns")
-                try:
-                    rows.append([float(c) for c in row])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            try:
+                with warnings.catch_warnings():  # a header-only file is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"',
+                                     usecols=None if columns else (0, 1, 2))
+                ok = arr.shape[1] == ncols if columns else np.isfinite(arr).all()
+            except ValueError:
+                ok = False
+            if not ok:  # name the first bad row, or read the rows loadtxt refuses
+                fh.seek(0)
+                arr = _parse_rows(path, csv.reader(fh), ncols, exact=bool(columns))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if not len(arr):
         raise DataError(f"{path}: no data rows")
+    return arr
+
+
+def _parse_rows(path, reader, ncols, exact):
+    """Row-by-row csv.reader + float parse that raises at the first bad row."""
+    next(reader)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != ncols and (exact or len(row) < ncols):
+            got = "" if exact else f", got {len(row)}"
+            raise DataError(f"{path}:{lineno}: expected {ncols} columns{got}")
+        try:
+            values = [float(c) for c in row[:ncols]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if not (exact or np.isfinite(values).all()):
+            raise DataError(f"{path}:{lineno}: non-finite sample")
+        rows.append(values)
     return np.asarray(rows)
 
 
 def load_volume_csv(path) -> VolumeSampleSet:
-    arr = _read_csv(path, _VOLUME_COLS)
+    arr = read_table(path, _VOLUME_COLS)
     return VolumeSampleSet(
         position=arr[:, 0:3],
         weight=arr[:, 3],
@@ -215,7 +246,7 @@ def load_volume_csv(path) -> VolumeSampleSet:
 
 
 def load_surface_csv(path) -> SurfaceSampleSet:
-    arr = _read_csv(path, _SURFACE_COLS)
+    arr = read_table(path, _SURFACE_COLS)
     return SurfaceSampleSet(
         position=arr[:, 0:3],
         area=arr[:, 3],

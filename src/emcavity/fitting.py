@@ -14,11 +14,11 @@ the kernel.  Both analytic Jacobians come from the kernel's partials.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .device import read_table
 from .errors import DataError, DomainError, GuessError
 from .linear_response import mechanical_self_energy, reflection, reflection_partials
 
@@ -429,49 +429,22 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
     (f_hz, mag_db, phase_rad)."""
     if fmt not in ("re_im", "db_phase"):
         raise ValueError(f"unknown trace format: {fmt!r}")
-    rows = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) < 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-                try:
-                    f, a, b = float(row[0]), float(row[1]), float(row[2])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-                if not (np.isfinite(f) and np.isfinite(a) and np.isfinite(b)):
-                    raise DataError(f"{path}:{lineno}: non-finite sample")
-                rows.append((f, a, b))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    arr = np.asarray(rows)
-    f = arr[:, 0]
+    f, re, im = read_table(path).T
     if not np.all(np.diff(f) > 0):
         bad = int(np.argmax(np.diff(f) <= 0)) + 2
         raise DataError(f"{path}: frequency not strictly increasing near line {bad + 1}")
-    if fmt == "re_im":
-        re, im = arr[:, 1], arr[:, 2]
-    else:
-        c = 10.0 ** (arr[:, 1] / 20.0) * np.exp(1j * arr[:, 2])
+    if fmt == "db_phase":
+        c = 10.0 ** (re / 20.0) * np.exp(1j * im)
         re, im = c.real, c.imag
     return ComplexTrace(f_hz=f, re=re, im=im, meta=f"{path} ({fmt})")
 
 
 def save_trace(trace: ComplexTrace, path) -> None:
-    """Write a trace as re_im CSV with full-precision columns."""
+    """Write a trace as re_im CSV: repr (round-trip) cells, CRLF line ends."""
+    cells = np.stack([trace.f_hz, trace.re, trace.im], axis=1).ravel().tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["f_hz", "re", "im"])
-        for f, a, b in zip(trace.f_hz, trace.re, trace.im):
-            writer.writerow([repr(float(f)), repr(float(a)), repr(float(b))])
+        fh.write("f_hz,re,im\r\n")
+        fh.write("%r,%r,%r\r\n" * len(trace.f_hz) % tuple(cells))
 
 
 def synthesize_trace(

@@ -1,14 +1,17 @@
 """End-to-end CLI: exit codes, file outputs, manifests, determinism."""
 
 import csv
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from emcavity.cli import main
+from emcavity.cli import _write_spectrum_csv, main
 from emcavity.config import load_config
 from emcavity.constants import TWO_PI
 from emcavity.core import thermal_occupation
@@ -376,3 +379,57 @@ class TestTopLevel:
     def test_threads_option_removed(self):
         # the global --threads option did nothing and is gone: a usage error
         assert run(["--threads", "2", "thermal", "--f-hz", "1e9", "--t-k", "1.0"]) == 1
+
+
+# sha256 of the data files written for CAVITY_CONFIG.  Traces are repr
+# cells with CRLF line ends (the csv-module default), spectra "%.17e" cells
+# with LF; any change to a writer or to the numbers shows here.
+GOLDEN = {
+    "synth": (
+        ["synth", "--snr-db", "40", "--seed", "7", "--points", "201"],
+        b"f_hz,re,im\r\n",
+        "66a7e175b902558731d0b7ae65c7cd2df1a9b4747e76ca4d88cf5a9e229201f7",
+    ),
+    "reflect": (
+        ["reflect", "--f-start-hz", "10.27184e9", "--f-stop-hz", "10.31184e9", "--points", "101"],
+        b"f_hz,re,im,mag_db,phase_rad\n",
+        "30c0aded7b091e9ea2df14dddec12e5a947b8408f9d0ce4ab2f88f6b2117c65c",
+    ),
+    "reflect_omit": (
+        ["reflect", "--model", "omit", "--f-start-hz", "10.29183e9", "--f-stop-hz", "10.29185e9",
+         "--points", "101"],
+        b"f_hz,re,im,mag_db,phase_rad\n",
+        "579f8c169de6297848bd64600f4406ea81713f4a5f54466d68e7629179aaa8a9",
+    ),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_output_bytes(self, config_file, tmp_path, name):
+        (command, *args), header, digest = GOLDEN[name]
+        out = tmp_path / f"{name}.csv"
+        assert run([command, "--config", config_file, *args, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.startswith(header)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @given(
+        parts=st.lists(
+            st.tuples(*[st.floats(-1e300, 1e300, allow_nan=False)] * 3), min_size=1, max_size=20
+        )
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_spectrum_cells_parse_back_bit_exact(self, tmp_path, parts):
+        f, re, im = (np.array(col) for col in zip(*parts))
+        values = re + 1j * im
+        path = tmp_path / "spec.csv"
+        _write_spectrum_csv(path, f, values)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["f_hz", "re", "im", "mag_db", "phase_rad"]
+        back = np.array([[float(c) for c in row] for row in rows[1:]])
+        with np.errstate(divide="ignore"):
+            mag_db = 20.0 * np.log10(np.abs(values))
+        want = np.stack([f, re, im, mag_db, np.angle(values)], axis=1)
+        assert back.tobytes() == want.tobytes()

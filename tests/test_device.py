@@ -1,7 +1,11 @@
 """Design integrals: effective mass, capacitance, moving-boundary coupling."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emcavity.constants import EPSILON_0, TWO_PI
 from emcavity.device import (
@@ -21,6 +25,8 @@ from emcavity.device import (
     participation_ratio,
 )
 from emcavity.errors import DataError, DomainError
+
+from conftest import reference_table
 
 
 def rigid_block(n=100, rho=2329.0, volume=1e-15):
@@ -266,3 +272,117 @@ class TestLoaders:
         path.write_text('{"inductance_h": 2e-9}')
         with pytest.raises(DataError):
             load_lumped_json(path)
+
+
+VOLUME_HEADER = "x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m"
+ROW_A = ",".join(["1.5"] * 12)
+ROW_B = "0.1,0.2,0.3,1e-18,11.7,1e5,2e5,3e5,2329,1e-9,2e-9,3e-9"
+
+
+def volume_array(v: VolumeSampleSet) -> np.ndarray:
+    """The loaded set back in file column order."""
+    return np.hstack(
+        [v.position, v.weight[:, None], v.eps_rel[:, None], v.e_field, v.rho[:, None], v.q]
+    )
+
+
+class TestLoaderDiagnostics:
+    """Every accepted file and every message is pinned: bad rows name
+    `path:line` (header = line 1), blank rows are skipped."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (f"{ROW_A}\n1.0,bad\n", "{path}:3: expected 12 columns"),
+            (f"{ROW_A}\n{ROW_A},7\n", "{path}:3: expected 12 columns"),
+            # every row short by one cell: consistent widths, still refused
+            ("1,2,3,4,5,6,7,8,9,10,11\n" * 2, "{path}:2: expected 12 columns"),
+            (f"{ROW_A},\n", "{path}:2: expected 12 columns"),
+            (f"{ROW_A}\n{ROW_B}\n1,2,3,4,5,6,7,8,9,x,11,12\n",
+             "{path}:4: could not convert string to float: 'x'"),
+            (f"{ROW_A}\n# comment\n{ROW_B}\n", "{path}:3: expected 12 columns"),
+            (f"{ROW_A}\n\n  \n1,2\n", "{path}:5: expected 12 columns"),
+            ("", "{path}: no data rows"),
+            ("\n\n", "{path}: no data rows"),
+            ("  \n", "{path}: no data rows"),
+        ],
+    )
+    def test_volume_errors(self, tmp_path, body, message):
+        path = tmp_path / "vol.csv"
+        path.write_text(f"{VOLUME_HEADER}\n{body}", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a header-only file warns nothing
+            with pytest.raises(DataError) as info:
+                load_volume_csv(path)
+        assert type(info.value) is DataError
+        assert str(info.value) == message.format(path=path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "vol.csv"
+        path.write_text("")
+        with pytest.raises(DataError) as info:
+            load_volume_csv(path)
+        assert str(info.value) == f"{path}: expected header {VOLUME_HEADER}"
+
+    def test_surface_short_row(self, tmp_path):
+        path = tmp_path / "surf.csv"
+        header = (
+            "x_m,y_m,z_m,a_m2,nx,ny,nz,qx_m,qy_m,qz_m,"
+            "ex_vpm,ey_vpm,ez_vpm,dx_cpm2,dy_cpm2,dz_cpm2,eps1_rel,eps2_rel"
+        )
+        path.write_text(f"{header}\n{','.join(['1'] * 18)}\n{','.join(['1'] * 17)}\n")
+        with pytest.raises(DataError) as info:
+            load_surface_csv(path)
+        assert str(info.value) == f"{path}:3: expected 18 columns"
+
+    def test_non_finite_cell_fails_in_the_sample_set(self, tmp_path):
+        path = tmp_path / "vol.csv"
+        path.write_text(f"{VOLUME_HEADER}\n{ROW_A}\n1,2,3,4,5,6,7,8,9,nan,11,12\n")
+        with pytest.raises(DomainError, match="^bad q array in volume sample set$"):
+            load_volume_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"{VOLUME_HEADER}\n{ROW_A}\n   \n{ROW_B}\n",  # whitespace-only line
+            f"{VOLUME_HEADER}\n{ROW_A}\n\n{ROW_B}\n\n\n",  # blank lines
+            f"{VOLUME_HEADER}\n{ROW_A}\n{',' * 11}\n{ROW_B}\n",  # empty-cell row
+            f"{VOLUME_HEADER}\r\n{ROW_A}\r\n{ROW_B}\r\n",  # CRLF
+            f"{VOLUME_HEADER}\n{ROW_A}\n{ROW_B}",  # no final newline
+            f"{VOLUME_HEADER}\n\"1.5\",{ROW_A[4:]}\n{ROW_B}\n",  # quoted number
+            f"{VOLUME_HEADER}\n{ROW_A.replace(',', ' , ')}\n{ROW_B}\n",  # padded cells
+            f"{VOLUME_HEADER}\n{ROW_A.replace('1.5', '1_5e-1')}\n{ROW_B}\n",  # float() syntax
+            f" {VOLUME_HEADER.replace(',', ' , ')}\n{ROW_A}\n{ROW_B}\n",  # padded header
+        ],
+    )
+    def test_accepted_variants(self, tmp_path, text):
+        path = tmp_path / "vol.csv"
+        path.write_text(text, newline="")
+        want = reference_table(path)
+        assert want.shape == (2, 12)
+        assert volume_array(load_volume_csv(path)).tobytes() == want.tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CELL_STYLES = st.sampled_from(["{!r}", "{:.17e}", "{:.6g}", " {!r} ", '"{!r}"'])
+
+
+@st.composite
+def volume_csv_text(draw):
+    """A volume CSV with random finite cells (positive weights), cell
+    styles, blank and whitespace-only lines and line ends."""
+    lines = [VOLUME_HEADER]
+    for _ in range(draw(st.integers(1, 12))):
+        cells = [draw(FINITE) for _ in range(12)]
+        cells[3] = draw(st.floats(min_value=5e-324, allow_infinity=False))
+        lines.append(",".join(draw(CELL_STYLES).format(c) for c in cells))
+        lines += draw(st.lists(st.sampled_from(["", "  "]), max_size=1))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@given(text=volume_csv_text())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_volume_loader_matches_reference_parser(tmp_path, text):
+    path = tmp_path / "vol.csv"
+    path.write_text(text, newline="")
+    assert volume_array(load_volume_csv(path)).tobytes() == reference_table(path).tobytes()

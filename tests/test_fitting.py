@@ -1,10 +1,11 @@
 """Complex S11 fitting: model, Jacobian, initial guess, LM round trips."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from emcavity.constants import TWO_PI
@@ -24,6 +25,8 @@ from emcavity.fitting import (
     save_trace,
     synthesize_trace,
 )
+
+from conftest import reference_table
 
 # reference device working point used throughout
 DEVICE = ReflectionModelParams(
@@ -313,3 +316,111 @@ class TestTraceIO:
         rms = np.sqrt(np.mean(np.abs(clean.values) ** 2))
         measured = np.sqrt(np.mean(np.abs(resid) ** 2)) / rms
         assert measured == pytest.approx(10 ** (-snr / 20.0), rel=0.2)
+
+
+TRACE_ROWS = [f"{i}.0,0.{i + 1},0.2" for i in range(8)]
+
+
+def trace_text(rows, header="f_hz,re,im", eol="\n"):
+    return eol.join([header, *rows]) + eol
+
+
+def replaced(i, *new):
+    """TRACE_ROWS with row i (file line i + 2) replaced by `new` lines."""
+    return TRACE_ROWS[:i] + list(new) + TRACE_ROWS[i + 1 :]
+
+
+class TestTraceDiagnostics:
+    """Every accepted trace and every message is pinned: the first bad row
+    (header = line 1) is named, whatever is wrong with it."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (trace_text(replaced(3, "3.5,0.1")), "{path}:5: expected 3 columns, got 2"),
+            (trace_text(replaced(3, "3.0,oops,0.2")),
+             "{path}:5: could not convert string to float: 'oops'"),
+            (trace_text(replaced(4, "4.0,nan,0.2")), "{path}:6: non-finite sample"),
+            (trace_text(replaced(4, "4.0,0.1,NaN")), "{path}:6: non-finite sample"),
+            (trace_text(replaced(5, "5.0,inf,0.2")), "{path}:7: non-finite sample"),
+            (trace_text(replaced(7, "-Infinity,0.1,0.2")), "{path}:9: non-finite sample"),
+            (trace_text(replaced(2, "2.0,0.1,nan", "3.0,x,0")), "{path}:4: non-finite sample"),
+            (trace_text(replaced(2, "2.0,x,0", "3.0,0.1,nan")),
+             "{path}:4: could not convert string to float: 'x'"),
+            (trace_text(replaced(2, "", "  ", "2.5,0.1,nan")), "{path}:6: non-finite sample"),
+            (trace_text(replaced(4, "# note", TRACE_ROWS[4])), "{path}:6: expected 3 columns, got 1"),
+            (trace_text(replaced(4, "2.0,0.1,0.2")),
+             "{path}: frequency not strictly increasing near line 6"),
+            ("f_hz,re,im\n", "{path}: no data rows"),
+            ("f_hz,re,im\n\n\n", "{path}: no data rows"),
+            ("", "{path}: empty file"),
+        ],
+    )
+    def test_errors(self, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a header-only file warns nothing
+            with pytest.raises(DataError) as info:
+                load_trace(path)
+        assert type(info.value) is DataError
+        assert str(info.value) == message.format(path=path)
+
+    def test_db_phase_non_finite(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        rows = [f"{i}.0,-{i}.5,0.{i}" for i in range(9)] + ["10,nan,0"]
+        path.write_text(trace_text(rows, "f_hz,mag_db,phase_rad"))
+        with pytest.raises(DataError) as info:
+            load_trace(path, fmt="db_phase")
+        assert str(info.value) == f"{path}:11: non-finite sample"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            trace_text(replaced(3, "3.0,0.4,0.2,9,9")),  # long row
+            trace_text(replaced(4, "   ", TRACE_ROWS[4])),  # whitespace-only line
+            trace_text(replaced(4, "", TRACE_ROWS[4])),  # blank line
+            trace_text(replaced(4, '"4.0","0.5",0.2')),  # quoted numbers
+            trace_text(TRACE_ROWS, eol="\r\n"),  # CRLF
+            trace_text([r + ",abc" for r in TRACE_ROWS], "f_hz,re,im,note"),  # fourth column
+            trace_text([r + (",1,2" if i % 2 else "") for i, r in enumerate(TRACE_ROWS)]),
+            # a quoted fourth cell spanning two lines is one row, as csv reads it
+            trace_text(replaced(3, '3.0,0.1,0.2,"x', '3.5,0.1,0.2,"')),
+            trace_text([r + ',"a,b"' for r in TRACE_ROWS]),
+            trace_text(TRACE_ROWS, header='"f\nhz";anything'),  # any header
+            trace_text([" " + r.replace(",", " , ") + " " for r in TRACE_ROWS]),
+            trace_text([r.replace(".0", "_0") for r in TRACE_ROWS]),  # float() syntax
+        ],
+    )
+    def test_accepted_variants(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text, newline="")
+        back = load_trace(path)
+        got = np.stack([back.f_hz, back.re, back.im], axis=1)
+        want = reference_table(path, ncols=3)
+        assert want.shape == (8, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+            1.7976931348623157e308]
+
+
+@st.composite
+def trace_columns(draw):
+    """Strictly increasing frequencies and arbitrary finite samples."""
+    f = np.sort(np.array(draw(st.lists(FINITE, min_size=7, max_size=30, unique=True))))
+    re, im = (np.array(draw(st.lists(FINITE, min_size=len(f), max_size=len(f)))) for _ in "ri")
+    return f, re, im
+
+
+@given(cols=trace_columns())
+@example(cols=(np.array(sorted(EXTREMES[1:])), np.array(EXTREMES[:7]), np.array(EXTREMES[1:])))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_save_load_trace_bit_exact(tmp_path, cols):
+    path = tmp_path / "trace.csv"
+    save_trace(ComplexTrace(*cols), path)
+    back = load_trace(path)
+    for want, got in zip(cols, (back.f_hz, back.re, back.im)):
+        assert got.tobytes() == want.tobytes()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emcavity.constants import TWO_PI
@@ -156,3 +156,24 @@ class TestSpectrum:
         g, grid = TWO_PI * 2e3, MECH.omega_m + np.linspace(-5, 5, 101) * MECH.gamma
         req = SpectrumRequest(omega_grid=grid, cavity=cav, mech=MECH, g=g, detuning=MECH.omega_m)
         assert np.array_equal(spectrum(req).values, omit(grid, cav, g))
+
+
+RATE = st.one_of(st.just(0.0), st.floats(1.0, TWO_PI * 1e8))
+FREQ = st.floats(-TWO_PI * 2e10, TWO_PI * 2e10)
+
+
+class TestPassivity:
+    @given(
+        w=FREQ, center=FREQ, k_in=RATE, k_ex=RATE,
+        g=st.floats(0.0, TWO_PI * 1e7), gamma=st.floats(1.0, TWO_PI * 1e6), omega_m=FREQ,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reflection_never_exceeds_unity(self, w, center, k_in, k_ex, g, gamma, omega_m):
+        """|r0| <= 1 with tilt 0: Re D = (k_in + k_ex)/2 + Re Sigma bounds
+        |Re N| = |(k_in - k_ex)/2 + Re Sigma| whenever Re Sigma >= 0, which
+        the mechanical self-energy guarantees for gamma > 0."""
+        assume(k_in + k_ex > 0)
+        assert abs(reflection(w, center, k_in, k_ex)) <= 1.0 + 1e-12
+        sigma = mechanical_self_energy(w, g, gamma, omega_m)
+        assert sigma.real >= 0.0
+        assert abs(reflection(w, center, k_in, k_ex, self_energy=sigma)) <= 1.0 + 1e-12
