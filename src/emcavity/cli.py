@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .config import Background, load_config
+from .config import OMIT_FIT, REFLECTION_FIT, Background, load_config, parse_block, to_record
 from .constants import TWO_PI
 from .core import thermal_occupation, zero_point_fluctuation
 from .errors import BracketError, ConfigError, DataError, DomainError, NumericalError
@@ -32,13 +32,7 @@ from .fitting import (
     save_trace,
     synthesize_trace,
 )
-from .linear_response import (
-    SpectrumRequest,
-    mechanical_self_energy,
-    optomechanical_damping,
-    reflection,
-    spectrum,
-)
+from .linear_response import mechanical_self_energy, optomechanical_damping, reflection, spectrum
 from .tripartite import critical_coupling as _critical_coupling
 from .tripartite import sweep as _sweep
 from . import device as dev
@@ -72,11 +66,6 @@ def _require(params, block: str):
     if value is None:
         raise ConfigError(f"{block}: block required by this subcommand")
     return value
-
-
-def _enhanced_g(params) -> float:
-    coupling = _require(params, "coupling")
-    return coupling.g
 
 
 @click.group()
@@ -117,15 +106,11 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
     if model == "omit":
         mech = _require(params, "mech")
         pump = _require(params, "pump")
-        g = _enhanced_g(params)
-        detuning = pump.detuning(cavity)
-        request = SpectrumRequest(
-            omega_grid=omega - pump.omega_p, cavity=cavity, mech=mech, g=g, detuning=detuning
-        )
+        g = _require(params, "coupling").g
+        values = spectrum(omega - pump.omega_p, cavity, mech, g, pump.detuning(cavity))
     else:
-        request = SpectrumRequest(omega_grid=omega, cavity=cavity)
-    spec = spectrum(request)
-    _write_spectrum_csv(out_path, f_grid, spec.values)
+        values = spectrum(omega, cavity)
+    _write_spectrum_csv(out_path, f_grid, values)
     _write_manifest(out_path, config_path, None, [out_path])
     click.echo(f"wrote {out_path}", err=True)
 
@@ -149,7 +134,7 @@ def omit(config_path, f_hz):
     mech = _require(params, "mech")
     pump = _require(params, "pump")
     w = TWO_PI * f_hz - pump.omega_p
-    sigma = mechanical_self_energy(w, _enhanced_g(params), mech.gamma, mech.omega_m)
+    sigma = mechanical_self_energy(w, _require(params, "coupling").g, mech.gamma, mech.omega_m)
     r = reflection(w, pump.detuning(cavity), cavity.kappa_in, cavity.kappa_ex, self_energy=sigma)
     click.echo(
         f"re={_fmt(r.real)} im={_fmt(r.imag)} "
@@ -165,7 +150,7 @@ def damping(config_path, detuning_hz):
     params = load_config(config_path)
     cavity = _require(params, "cavity")
     mech = _require(params, "mech")
-    g = _enhanced_g(params)
+    g = _require(params, "coupling").g
     rate = optomechanical_damping(TWO_PI * detuning_hz, g, cavity.kappa, mech.omega_m)
     click.echo(_fmt(rate / TWO_PI))
 
@@ -244,36 +229,23 @@ def fit():
     """Nonlinear least-squares fits of reflection traces."""
 
 
-def _fit_json(result, extra=None):
-    p = result.params
-    doc = {"params": {}, "residual_norm": result.residual_norm}
-    if isinstance(p, ReflectionModelParams):
-        doc["params"] = {
-            "amplitude": p.amplitude,
-            "tau_s": p.tau,
-            "phi_rad": p.phi,
-            "f_c_hz": p.omega_c / TWO_PI,
-            "kappa_in_hz": p.kappa_in / TWO_PI,
-            "kappa_ex_hz": p.kappa_ex / TWO_PI,
-            "delta_hz": p.delta / TWO_PI,
-        }
-    else:
-        doc["params"] = {
-            "g_hz": p.g / TWO_PI,
-            "gamma_hz": p.gamma / TWO_PI,
-            "f_m_hz": p.omega_m / TWO_PI,
-            "detuning_hz": p.detuning / TWO_PI,
-        }
-    doc["convergence"] = {
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "rank_deficient": result.rank_deficient,
-        "message": result.message,
+def _write_fit(result, record, out_path):
+    doc = {
+        "params": to_record(record, result.params),
+        "residual_norm": result.residual_norm,
+        "convergence": {
+            "converged": result.converged,
+            "iterations": result.iterations,
+            "rank_deficient": result.rank_deficient,
+            "message": result.message,
+        },
+        "param_uncertainties": result.param_uncertainties,
     }
-    doc["param_uncertainties"] = result.param_uncertainties
-    if extra:
-        doc.update(extra)
-    return doc
+    with open(out_path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    _write_manifest(out_path, None, None, [out_path])
+    click.echo(f"wrote {out_path}", err=True)
 
 
 @fit.command("reflect")
@@ -284,13 +256,7 @@ def _fit_json(result, extra=None):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def fit_reflect_cmd(in_path, fmt, out_path):
     """Fit the extended one-sided-cavity model to a complex trace."""
-    trace = load_trace(in_path, fmt)
-    result = fit_reflection(trace)
-    with open(out_path, "w") as fh:
-        json.dump(_fit_json(result), fh, indent=2)
-        fh.write("\n")
-    _write_manifest(out_path, None, None, [out_path])
-    click.echo(f"wrote {out_path}", err=True)
+    _write_fit(fit_reflection(load_trace(in_path, fmt)), REFLECTION_FIT, out_path)
 
 
 @fit.command("omit")
@@ -313,17 +279,8 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
     trace = load_trace(in_path, fmt)
     try:
         with open(cavity_path) as fh:
-            cav_doc = json.load(fh)["params"]
-        cavity = ReflectionModelParams(
-            amplitude=cav_doc["amplitude"],
-            tau=cav_doc["tau_s"],
-            phi=cav_doc["phi_rad"],
-            omega_c=TWO_PI * cav_doc["f_c_hz"],
-            kappa_in=TWO_PI * cav_doc["kappa_in_hz"],
-            kappa_ex=TWO_PI * cav_doc["kappa_ex_hz"],
-            delta=TWO_PI * cav_doc["delta_hz"],
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            cavity = parse_block(REFLECTION_FIT, json.load(fh)["params"], "params")
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"cannot read cavity fit {cavity_path}: {exc}") from exc
     if detuning_hz is None:
         detuning_hz = f_m_hz
@@ -333,12 +290,7 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
         omega_m=TWO_PI * f_m_hz,
         detuning=TWO_PI * detuning_hz,
     )
-    result = fit_omit(trace, cavity, guess, fit_detuning=fit_detuning)
-    with open(out_path, "w") as fh:
-        json.dump(_fit_json(result), fh, indent=2)
-        fh.write("\n")
-    _write_manifest(out_path, None, None, [out_path])
-    click.echo(f"wrote {out_path}", err=True)
+    _write_fit(fit_omit(trace, cavity, guess, fit_detuning=fit_detuning), OMIT_FIT, out_path)
 
 
 @cli.command()

@@ -1,18 +1,22 @@
-"""JSON system configs: schema validation and Hz -> rad/s normalization.
+"""External JSON records: system configs and fit results.
 
 External interfaces use ordinary frequency (Hz) with keys suffixed `_hz`;
-everything internal is angular (rad/s).  Unknown keys are rejected with the
-offending field path; missing optional blocks are defaulted with a warning.
+everything internal is angular (rad/s).  Each record is declared once, as a
+table from JSON key to dataclass field, and read by `parse_block` and
+written by `to_record` through it.  Unknown keys, missing required keys and
+values that are not finite numbers within their bounds are rejected with
+the offending field path.  A config may leave out any block.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, fields
 
 from .constants import TWO_PI
 from .errors import ConfigError
+from .fitting import OmitModelParams, ReflectionModelParams
 from .params import (
     CavityParams,
     CouplingParams,
@@ -43,137 +47,122 @@ class SystemParams:
     coupling: CouplingParams | None = None
     background: Background | None = None
     tripartite: TripartiteParams | None = None
-    warnings: list = field(default_factory=list)
 
 
-_SCHEMA = {
-    "cavity": {"f_c_hz", "kappa_in_hz", "kappa_ex_hz"},
-    "mech": {"f_m_hz", "gamma_hz", "m_eff_kg"},
-    "pump": {"f_p_hz", "power_w"},
-    "coupling": {"g0_hz", "n_cavity"},
-    "background": {"amplitude", "tau_s", "phi_rad", "delta_hz"},
-    "tripartite": {
-        "delta_a_hz",
-        "delta_c_hz",
-        "f_m_hz",
-        "g_b_hz",
-        "g_c_hz",
-        "kappa_a_in_hz",
-        "kappa_a_ex_hz",
-        "kappa_c_in_hz",
-        "kappa_c_ex_hz",
-        "gamma_hz",
-        "occupations",
-    },
+# A record is (dataclass, {JSON key: (field, value in Hz scaled by 2 pi,
+# bound against 0)}); keys are written in table order.  A field is required
+# unless the dataclass gives it a default.  A nested record takes the place
+# of the Hz flag.
+OCCUPATIONS = (
+    Occupations, {k: (k, False, ">=") for k in ("n_a_in", "n_a_ex", "n_b_in", "n_c_in", "n_c_ex")}
+)
+BLOCKS = {
+    "cavity": (CavityParams, {
+        "f_c_hz": ("omega_c", True, ">"),
+        "kappa_in_hz": ("kappa_in", True, ">="),
+        "kappa_ex_hz": ("kappa_ex", True, ">="),
+    }),
+    "mech": (MechParams, {
+        "f_m_hz": ("omega_m", True, ">"),
+        "gamma_hz": ("gamma", True, ">="),
+        "m_eff_kg": ("m_eff", False, ">"),
+    }),
+    "pump": (PumpParams, {
+        "f_p_hz": ("omega_p", True, ">"),
+        "power_w": ("power", False, ">="),
+    }),
+    "coupling": (CouplingParams, {
+        "g0_hz": ("g0", True, None),
+        "n_cavity": ("n_cavity", False, ">="),
+    }),
+    "background": (Background, {
+        "amplitude": ("amplitude", False, ">"),
+        "tau_s": ("tau", False, None),
+        "phi_rad": ("phi", False, None),
+        "delta_hz": ("delta", True, None),
+    }),
+    "tripartite": (TripartiteParams, {
+        "delta_a_hz": ("delta_a", True, None),
+        "delta_c_hz": ("delta_c", True, None),
+        "f_m_hz": ("omega_m", True, ">"),
+        "g_b_hz": ("g_b", True, None),
+        "g_c_hz": ("g_c", True, None),
+        "kappa_a_in_hz": ("kappa_a_in", True, ">="),
+        "kappa_a_ex_hz": ("kappa_a_ex", True, ">="),
+        "kappa_c_in_hz": ("kappa_c_in", True, ">="),
+        "kappa_c_ex_hz": ("kappa_c_ex", True, ">="),
+        "gamma_hz": ("gamma", True, ">="),
+        "occupations": ("occupations", OCCUPATIONS, None),
+    }),
 }
-_OCC_KEYS = {"n_a_in", "n_a_ex", "n_b_in", "n_c_in", "n_c_ex"}
+# the `params` object of the `fit reflect` and `fit omit` JSON
+REFLECTION_FIT = (ReflectionModelParams, {
+    "amplitude": ("amplitude", False, ">"),
+    "tau_s": ("tau", False, None),
+    "phi_rad": ("phi", False, None),
+    "f_c_hz": ("omega_c", True, None),
+    "kappa_in_hz": ("kappa_in", True, ">="),
+    "kappa_ex_hz": ("kappa_ex", True, ">="),
+    "delta_hz": ("delta", True, None),
+})
+OMIT_FIT = (OmitModelParams, {
+    "g_hz": ("g", True, None),
+    "gamma_hz": ("gamma", True, None),
+    "f_m_hz": ("omega_m", True, None),
+    "detuning_hz": ("detuning", True, None),
+})
 
 
-def _number(block: dict, block_name: str, key: str, minimum=None, strict=False, default=None):
-    if key not in block:
-        if default is not None:
-            return default
-        raise ConfigError(f"{block_name}.{key}: missing required field")
-    val = block[key]
+def _number(val, path: str, bound):
     if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{block_name}.{key}: expected a number, got {val!r}")
+        raise ConfigError(f"{path}: expected a number, got {val!r}")
+    # Python's json reads NaN, Infinity and integers past the float range
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
     val = float(val)
-    # Python's json accepts NaN and Infinity
-    if not math.isfinite(val):
-        raise ConfigError(f"{block_name}.{key}: expected a finite number, got {val!r}")
-    if minimum is not None:
-        if strict and val <= minimum:
-            raise ConfigError(f"{block_name}.{key}: must be > {minimum}, got {val}")
-        if not strict and val < minimum:
-            raise ConfigError(f"{block_name}.{key}: must be >= {minimum}, got {val}")
+    if bound == ">" and val <= 0.0 or bound == ">=" and val < 0.0:
+        raise ConfigError(f"{path}: must be {bound} 0.0, got {val}")
     return val
 
 
-def _check_keys(block: dict, name: str):
-    if not isinstance(block, dict):
+def parse_block(record, data, name: str):
+    """Check a JSON object against a record table and build its dataclass."""
+    cls, table = record
+    if not isinstance(data, dict):
         raise ConfigError(f"{name}: expected an object")
-    unknown = set(block) - _SCHEMA[name]
+    unknown = set(data) - set(table)
     if unknown:
         raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    for key, (fld, _, _) in table.items():
+        if key not in data and fld in required:
+            raise ConfigError(f"{name}.{key}: missing required field")
+    values = {}
+    for key, (fld, hz, bound) in table.items():
+        if key not in data:
+            continue
+        if isinstance(hz, tuple):
+            values[fld] = parse_block(hz, data[key], f"{name}.{key}")
+        else:
+            val = _number(data[key], f"{name}.{key}", bound)
+            values[fld] = TWO_PI * val if hz else val
+    return cls(**values)
+
+
+def to_record(record, obj) -> dict:
+    """The JSON object of a flat record's dataclass, in table order."""
+    return {key: getattr(obj, fld) / TWO_PI if hz else getattr(obj, fld)
+            for key, (fld, hz, _) in record[1].items()}
 
 
 def parse_config(data: dict) -> SystemParams:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
-    unknown = set(data) - set(_SCHEMA)
+    unknown = set(data) - set(BLOCKS)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level block")
-    out = SystemParams()
-    for name in _SCHEMA:
-        if name not in data:
-            out.warnings.append(f"block '{name}' missing; left unset")
-    if "cavity" in data:
-        b = data["cavity"]
-        _check_keys(b, "cavity")
-        out.cavity = CavityParams(
-            omega_c=TWO_PI * _number(b, "cavity", "f_c_hz", 0.0, strict=True),
-            kappa_in=TWO_PI * _number(b, "cavity", "kappa_in_hz", 0.0),
-            kappa_ex=TWO_PI * _number(b, "cavity", "kappa_ex_hz", 0.0),
-        )
-    if "mech" in data:
-        b = data["mech"]
-        _check_keys(b, "mech")
-        out.mech = MechParams(
-            omega_m=TWO_PI * _number(b, "mech", "f_m_hz", 0.0, strict=True),
-            gamma=TWO_PI * _number(b, "mech", "gamma_hz", 0.0),
-            m_eff=_number(b, "mech", "m_eff_kg", 0.0, strict=True),
-        )
-    if "pump" in data:
-        b = data["pump"]
-        _check_keys(b, "pump")
-        out.pump = PumpParams(
-            omega_p=TWO_PI * _number(b, "pump", "f_p_hz", 0.0, strict=True),
-            power=_number(b, "pump", "power_w", 0.0),
-        )
-    if "coupling" in data:
-        b = data["coupling"]
-        _check_keys(b, "coupling")
-        out.coupling = CouplingParams(
-            g0=TWO_PI * _number(b, "coupling", "g0_hz"),
-            n_cavity=_number(b, "coupling", "n_cavity", 0.0),
-        )
-    if "background" in data:
-        b = data["background"]
-        _check_keys(b, "background")
-        out.background = Background(
-            amplitude=_number(b, "background", "amplitude", 0.0, strict=True, default=1.0),
-            tau=_number(b, "background", "tau_s", default=0.0),
-            phi=_number(b, "background", "phi_rad", default=0.0),
-            delta=TWO_PI * _number(b, "background", "delta_hz", default=0.0),
-        )
-    if "tripartite" in data:
-        b = data["tripartite"]
-        _check_keys(b, "tripartite")
-        occ = Occupations()
-        if "occupations" in b:
-            ob = b["occupations"]
-            if not isinstance(ob, dict):
-                raise ConfigError("tripartite.occupations: expected an object")
-            unknown = set(ob) - _OCC_KEYS
-            if unknown:
-                raise ConfigError(f"tripartite.occupations.{sorted(unknown)[0]}: unknown key")
-            occ = Occupations(
-                **{k: _number(ob, "tripartite.occupations", k, 0.0, default=0.0) for k in _OCC_KEYS}
-            )
-        out.tripartite = TripartiteParams(
-            delta_a=TWO_PI * _number(b, "tripartite", "delta_a_hz"),
-            delta_c=TWO_PI * _number(b, "tripartite", "delta_c_hz"),
-            omega_m=TWO_PI * _number(b, "tripartite", "f_m_hz", 0.0, strict=True),
-            g_b=TWO_PI * _number(b, "tripartite", "g_b_hz"),
-            g_c=TWO_PI * _number(b, "tripartite", "g_c_hz"),
-            kappa_a_in=TWO_PI * _number(b, "tripartite", "kappa_a_in_hz", 0.0),
-            kappa_a_ex=TWO_PI * _number(b, "tripartite", "kappa_a_ex_hz", 0.0),
-            kappa_c_in=TWO_PI * _number(b, "tripartite", "kappa_c_in_hz", 0.0),
-            kappa_c_ex=TWO_PI * _number(b, "tripartite", "kappa_c_ex_hz", 0.0),
-            gamma=TWO_PI * _number(b, "tripartite", "gamma_hz", 0.0),
-            occupations=occ,
-        )
-    return out
+    return SystemParams(**{name: parse_block(record, data[name], name)
+                           for name, record in BLOCKS.items() if name in data})
 
 
 def load_config(path) -> SystemParams:

@@ -161,13 +161,6 @@ def coupling_rate_moving_boundary(
     return -x_zpf * eta * (omega_c / 2.0) * fractional_capacitance_derivative(surfaces, volume)
 
 
-def dwda_lumped(eta: float, omega_c: float, c_m: float, dc_da: float) -> float:
-    """Lumped-circuit route: d omega_c / d alpha = -(omega_c/2) eta (1/C_m) dC_m/dalpha."""
-    if c_m <= 0:
-        raise DomainError("C_m must be positive")
-    return -(omega_c / 2.0) * eta * dc_da / c_m
-
-
 _VOLUME_COLS = [
     "x_m", "y_m", "z_m", "w_m3", "eps_rel",
     "ex_vpm", "ey_vpm", "ez_vpm", "rho_kgpm3", "qx_m", "qy_m", "qz_m",
@@ -213,13 +206,21 @@ def read_table(path, columns=None) -> np.ndarray:
     return arr
 
 
+def data_rows(reader):
+    """(file line, cells) of each row after the header that is not blank:
+    the rows read_table keeps.  A row's line is the one it starts on."""
+    next(reader, None)
+    start = reader.line_num + 1
+    for row in reader:
+        if any(c.strip() for c in row):
+            yield start, row
+        start = reader.line_num + 1
+
+
 def _parse_rows(path, reader, ncols, exact):
     """Row-by-row csv.reader + float parse that raises at the first bad row."""
-    next(reader)
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in data_rows(reader):
         if len(row) != ncols and (exact or len(row) < ncols):
             got = "" if exact else f", got {len(row)}"
             raise DataError(f"{path}:{lineno}: expected {ncols} columns{got}")

@@ -14,11 +14,12 @@ the kernel.  Both analytic Jacobians come from the kernel's partials.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import read_table
+from .device import data_rows, read_table
 from .errors import DataError, DomainError, GuessError
 from .linear_response import mechanical_self_energy, reflection, reflection_partials
 
@@ -30,7 +31,6 @@ class ComplexTrace:
     f_hz: np.ndarray
     re: np.ndarray
     im: np.ndarray
-    meta: str = ""
 
     def __post_init__(self):
         f = np.asarray(self.f_hz, dtype=float)
@@ -138,29 +138,27 @@ def _unpack(theta: np.ndarray) -> ReflectionModelParams:
     )
 
 
-def _levenberg_marquardt(
-    residual_fn,
-    jacobian_fn,
-    theta0: np.ndarray,
-    max_iter: int = 500,
-    xtol: float = 1e-10,
-    lam0: float = 1e-3,
-):
+_MAX_ITER = 500
+_XTOL = 1e-10
+_LAM0 = 1e-3
+
+
+def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
     """Damped Gauss-Newton on real residuals.
 
-    Damping lambda scales diag(J^T J); x10 on rejected steps, /10 on
-    accepted ones.  Convergence when the scaled relative step drops below
-    xtol or the gradient norm below 1e-12 * residual norm.
+    Damping lambda starts at _LAM0 and scales diag(J^T J); x10 on rejected
+    steps, /10 on accepted ones.  Convergence when the scaled relative step
+    drops below _XTOL or the gradient norm below 1e-12 * residual norm.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r = residual_fn(theta)
     cost = float(r @ r)
-    lam = lam0
+    lam = _LAM0
     rank_deficient = False
     converged = False
     message = "max iterations reached"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         J = jacobian_fn(theta)
         g = J.T @ r
         if np.linalg.norm(g) <= 1e-12 * max(np.sqrt(cost), 1e-300):
@@ -192,7 +190,7 @@ def _levenberg_marquardt(
         theta = theta + step
         r, cost = r_new, cost_new
         lam = max(lam / 10.0, 1e-15)
-        if rel_step < xtol:
+        if rel_step < _XTOL:
             converged, message = True, "relative step below tolerance"
             break
     return theta, np.sqrt(cost), it, converged, rank_deficient, message
@@ -431,12 +429,14 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
         raise ValueError(f"unknown trace format: {fmt!r}")
     f, re, im = read_table(path).T
     if not np.all(np.diff(f) > 0):
-        bad = int(np.argmax(np.diff(f) <= 0)) + 2
-        raise DataError(f"{path}: frequency not strictly increasing near line {bad + 1}")
+        bad = int(np.argmax(np.diff(f) <= 0)) + 1
+        with open(path, newline="") as fh:
+            line = [n for n, _ in data_rows(csv.reader(fh))][bad]
+        raise DataError(f"{path}: frequency not strictly increasing near line {line}")
     if fmt == "db_phase":
         c = 10.0 ** (re / 20.0) * np.exp(1j * im)
         re, im = c.real, c.imag
-    return ComplexTrace(f_hz=f, re=re, im=im, meta=f"{path} ({fmt})")
+    return ComplexTrace(f_hz=f, re=re, im=im)
 
 
 def save_trace(trace: ComplexTrace, path) -> None:
@@ -452,7 +452,6 @@ def synthesize_trace(
     f_hz: np.ndarray,
     snr_db: float | None = None,
     seed: int | None = None,
-    meta: str = "synthetic",
 ) -> ComplexTrace:
     """Evaluate model_fn(omega) on the grid and add complex Gaussian noise.
 
@@ -473,4 +472,4 @@ def synthesize_trace(
             sigma / np.sqrt(2.0)
         )
         noisy = clean + noise
-    return ComplexTrace(f_hz=f_hz, re=noisy.real, im=noisy.imag, meta=meta)
+    return ComplexTrace(f_hz=f_hz, re=noisy.real, im=noisy.imag)

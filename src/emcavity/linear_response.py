@@ -7,8 +7,6 @@ presentation layer.  Frequencies are angular (rad/s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -71,48 +69,22 @@ def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
     )
 
 
-@dataclass(frozen=True)
-class SpectrumRequest:
-    """A frequency grid plus the system it probes."""
-
-    omega_grid: np.ndarray
-    cavity: CavityParams
-    mech: MechParams | None = None
-    g: float = 0.0
-    detuning: float = 0.0
-
-    def __post_init__(self):
-        grid = np.asarray(self.omega_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise DomainError("omega_grid must be 1-D with at least 2 points")
-        if not np.all(np.diff(grid) > 0):
-            raise DomainError("omega_grid must be strictly increasing")
-        object.__setattr__(self, "omega_grid", grid)
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    omega_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.omega_grid) != len(self.values):
-            raise DomainError("grid and values must have equal length")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("spectrum values must be finite")
-
-
-def spectrum(request: SpectrumRequest) -> ComplexSpectrum:
-    """Vectorized reflection over the request grid: OMIT at the detuning
-    when the request carries mechanical parameters, the bare cavity at
-    omega_c otherwise."""
-    w, cavity, mech = request.omega_grid, request.cavity, request.mech
+def spectrum(omega, cavity: CavityParams, mech: MechParams | None = None, g=0.0, detuning=0.0):
+    """Complex reflection over a strictly increasing grid: OMIT at the
+    detuning, with enhanced coupling g, when mechanical parameters are
+    given; the bare cavity at omega_c otherwise."""
+    w = np.asarray(omega, dtype=float)
+    if w.ndim != 1 or w.size < 2:
+        raise DomainError("omega_grid must be 1-D with at least 2 points")
+    if not np.all(np.diff(w) > 0):
+        raise DomainError("omega_grid must be strictly increasing")
     if mech is None:
         if cavity.kappa == 0:
             raise DomainError("kappa_in + kappa_ex must be positive (pole)")
         center, self_energy = cavity.omega_c, 0.0
     else:
-        center = request.detuning
-        self_energy = mechanical_self_energy(w, request.g, mech.gamma, mech.omega_m)
+        center, self_energy = detuning, mechanical_self_energy(w, g, mech.gamma, mech.omega_m)
     values = reflection(w, center, cavity.kappa_in, cavity.kappa_ex, self_energy=self_energy)
-    return ComplexSpectrum(omega_grid=w, values=np.asarray(values))
+    if not np.all(np.isfinite(values)):
+        raise DomainError("spectrum values must be finite")
+    return values

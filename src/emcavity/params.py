@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import HBAR
 from .errors import DomainError
 
 
@@ -39,7 +38,6 @@ class MechParams:
     omega_m: float  # rad/s
     gamma: float  # rad/s
     m_eff: float  # kg
-    x_zpf: float | None = None  # m; derived from m_eff and omega_m if omitted
 
     def __post_init__(self):
         if self.omega_m <= 0:
@@ -48,14 +46,6 @@ class MechParams:
             raise DomainError("gamma must be non-negative")
         if self.m_eff <= 0:
             raise DomainError("m_eff must be positive")
-        derived = math.sqrt(HBAR / (2.0 * self.m_eff * self.omega_m))
-        if self.x_zpf is None:
-            object.__setattr__(self, "x_zpf", derived)
-        elif abs(self.x_zpf - derived) > 1e-9 * derived:
-            raise DomainError(
-                f"supplied x_zpf={self.x_zpf:.6e} inconsistent with "
-                f"sqrt(hbar/(2 m_eff omega_m))={derived:.6e}"
-            )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ from emcavity.cli import _write_spectrum_csv, main
 from emcavity.config import load_config
 from emcavity.constants import TWO_PI
 from emcavity.core import thermal_occupation
+from emcavity.fitting import (
+    OmitModelParams,
+    ReflectionModelParams,
+    omit_model,
+    save_trace,
+    synthesize_trace,
+)
 
 from conftest import reference_point
 
@@ -422,7 +429,8 @@ class TestGoldenOutputs:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_spectrum_cells_parse_back_bit_exact(self, tmp_path, parts):
         f, re, im = (np.array(col) for col in zip(*parts))
-        values = re + 1j * im
+        values = np.array(re, dtype=complex)
+        values.imag = im  # re + 1j * im would turn an imaginary -0.0 into +0.0
         path = tmp_path / "spec.csv"
         _write_spectrum_csv(path, f, values)
         with open(path, newline="") as fh:
@@ -433,3 +441,86 @@ class TestGoldenOutputs:
             mag_db = 20.0 * np.log10(np.abs(values))
         want = np.stack([f, re, im, mag_db, np.angle(values)], axis=1)
         assert back.tobytes() == want.tobytes()
+
+
+# sha256 of the fit JSON written by the round trip below: CAVITY_CONFIG's
+# noiseless trace through `fit reflect`, then a rotating-frame OMIT trace
+# through `fit omit --cavity` with that fit.  Pins the numbers, the record
+# keys and their order.  The trace is noiseless because a noisy fit's phase
+# offset, correlated with the cable delay at 10 GHz, is off by ~0.5 rad in
+# the rotating frame.
+FIT_GOLDEN = {
+    "reflect": "cb8ed5aee98fc08d99a99f9e8f1e11cf89b21dba62211fd3949a0c4ed50f8df8",
+    "omit": "f57beef6903825f7707ed47503eda6c621b7fd30ec568d6acbea22ab8ec2ab83",
+}
+OMIT_ARGS = ["--f-m-hz", "4.00002e6", "--g-hz", "1.5e3", "--gamma-hz", "130", "--fit-detuning"]
+
+
+@pytest.fixture
+def fit_inputs(config_file, tmp_path):
+    """(fit reflect JSON, OMIT trace in the frame rotating at the pump)."""
+    trace, cavity, omit = (tmp_path / n for n in ("trace.csv", "cavity.json", "omit.csv"))
+    args = ["--points", "201", "--out", str(trace)]
+    assert run(["synth", "--config", config_file, *args]) == 0
+    assert run(["fit", "reflect", "--in", str(trace), "--out", str(cavity)]) == 0
+    c, bg = CAVITY_CONFIG["cavity"], CAVITY_CONFIG["background"]
+    truth = ReflectionModelParams(
+        amplitude=bg["amplitude"], tau=bg["tau_s"], phi=bg["phi_rad"],
+        omega_c=TWO_PI * c["f_c_hz"], kappa_in=TWO_PI * c["kappa_in_hz"],
+        kappa_ex=TWO_PI * c["kappa_ex_hz"], delta=0.0,
+    )
+    mech = OmitModelParams(
+        g=TWO_PI * 2e3, gamma=TWO_PI * 100.0, omega_m=TWO_PI * 4e6, detuning=TWO_PI * 4e6
+    )
+    f = np.unique(np.concatenate([
+        4e6 + np.linspace(-20.0, 20.0, 201) * 100.0, 4e6 + np.linspace(-3.0, 3.0, 61) * 1.86e6,
+    ]))
+    save_trace(synthesize_trace(lambda w: omit_model(w, truth, mech), f, snr_db=40.0, seed=7), omit)
+    return cavity, omit
+
+
+def fit_omit_args(omit, cavity, out):
+    return ["fit", "omit", "--in", str(omit), "--cavity", str(cavity), *OMIT_ARGS, "--out", str(out)]
+
+
+class TestFitRecords:
+    def test_round_trip_bytes(self, fit_inputs, tmp_path):
+        cavity, omit = fit_inputs
+        out = tmp_path / "omit.json"
+        assert run(fit_omit_args(omit, cavity, out)) == 0
+        assert list(json.loads(cavity.read_text())["params"]) == [
+            "amplitude", "tau_s", "phi_rad", "f_c_hz", "kappa_in_hz", "kappa_ex_hz", "delta_hz",
+        ]
+        assert list(json.loads(out.read_text())["params"]) == [
+            "g_hz", "gamma_hz", "f_m_hz", "detuning_hz",
+        ]
+        for name, path in (("reflect", cavity), ("omit", out)):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == FIT_GOLDEN[name], name
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: {**p, "kappa_in_hz": float("nan")},
+             "params.kappa_in_hz: expected a finite number, got nan"),
+            (lambda p: {**p, "amplitude": float("nan")},
+             "params.amplitude: expected a finite number, got nan"),
+            (lambda p: {**p, "f_c_hz": float("inf")}, "params.f_c_hz: expected a finite number, got inf"),
+            (lambda p: {**p, "kappa_ex_hz": True}, "params.kappa_ex_hz: expected a number, got True"),
+            (lambda p: {**p, "phi_rad": "0.8"}, "params.phi_rad: expected a number, got '0.8'"),
+            (lambda p: {k: v for k, v in p.items() if k != "delta_hz"},
+             "params.delta_hz: missing required field"),
+            (lambda p: {**p, "q_factor": 1e5}, "params.q_factor: unknown key"),
+            (lambda p: {**p, "amplitude": 0.0}, "params.amplitude: must be > 0.0, got 0.0"),
+            (lambda p: {**p, "amplitude": -0.2}, "params.amplitude: must be > 0.0, got -0.2"),
+            (lambda p: {**p, "kappa_in_hz": -1.0}, "params.kappa_in_hz: must be >= 0.0, got -1.0"),
+            (lambda p: [p], "params: expected an object"),
+        ],
+    )
+    def test_bad_cavity_record_is_data_error(self, fit_inputs, tmp_path, capsys, edit, message):
+        cavity, omit = fit_inputs
+        doc = json.loads(cavity.read_text())
+        doc["params"] = edit(doc["params"])
+        cavity.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(fit_omit_args(omit, cavity, tmp_path / "omit.json")) == 2
+        assert capsys.readouterr().err == f"data error: cannot read cavity fit {cavity}: {message}\n"

@@ -14,7 +14,6 @@ from emcavity.device import (
     VolumeSampleSet,
     capacitance_from_energy,
     coupling_rate_moving_boundary,
-    dwda_lumped,
     effective_mass,
     fractional_capacitance_derivative,
     lc_frequency,
@@ -81,6 +80,13 @@ def parallel_plate(gap=100e-9, area=1e-8, volts=1.0, n=50, q_amp=1e-9):
         eps2_rel=np.array([1.0]),
     )
     return vol, surf
+
+
+def dwda_lumped(eta: float, omega_c: float, c_m: float, dc_da: float) -> float:
+    """Lumped-circuit route: d omega_c / d alpha = -(omega_c/2) eta (1/C_m) dC_m/dalpha."""
+    if c_m <= 0:
+        raise DomainError("C_m must be positive")
+    return -(omega_c / 2.0) * eta * dc_da / c_m
 
 
 class TestEffectiveMass:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from emcavity.constants import TWO_PI
 from emcavity.errors import DomainError
 from emcavity.linear_response import (
-    ComplexSpectrum,
-    SpectrumRequest,
     mechanical_self_energy,
     optomechanical_damping,
     reflection,
@@ -137,25 +135,31 @@ class TestDamping:
 
 class TestSpectrum:
     def test_grid_validation(self):
-        cav = make_cavity()
-        with pytest.raises(DomainError):
-            SpectrumRequest(omega_grid=np.array([2.0, 1.0, 3.0]), cavity=cav)
-        with pytest.raises(DomainError):
-            SpectrumRequest(omega_grid=np.array([1.0]), cavity=cav)
+        cases = [
+            ([2.0, 1.0, 3.0], make_cavity(), "omega_grid must be strictly increasing"),
+            ([1.0, 1.0], make_cavity(), "omega_grid must be strictly increasing"),
+            ([1.0], make_cavity(), "omega_grid must be 1-D with at least 2 points"),
+            ([[1.0, 2.0]], make_cavity(), "omega_grid must be 1-D with at least 2 points"),
+            ([1.0, 2.0], make_cavity(0.0, 0.0), "kappa_in + kappa_ex must be positive (pole)"),
+            ([1.0, np.inf], make_cavity(), "spectrum values must be finite"),
+        ]
+        for grid, cavity, message in cases:
+            with pytest.raises(DomainError) as info, np.errstate(invalid="ignore"):
+                spectrum(np.array(grid), cavity)
+            assert str(info.value) == message
 
     def test_bare_matches_pointwise(self):
         cav = make_cavity()
         grid = cav.omega_c + np.linspace(-5, 5, 101) * cav.kappa
-        spec = spectrum(SpectrumRequest(omega_grid=grid, cavity=cav))
-        assert isinstance(spec, ComplexSpectrum)
+        spec = spectrum(grid, cav)
+        assert isinstance(spec, np.ndarray) and spec.dtype == complex
         bare = reflection(grid, cav.omega_c, cav.kappa_in, cav.kappa_ex)
-        assert np.allclose(spec.values, bare, rtol=1e-14)
+        assert np.allclose(spec, bare, rtol=1e-14)
 
     def test_omit_selected_by_mech(self):
         cav = make_cavity()
         g, grid = TWO_PI * 2e3, MECH.omega_m + np.linspace(-5, 5, 101) * MECH.gamma
-        req = SpectrumRequest(omega_grid=grid, cavity=cav, mech=MECH, g=g, detuning=MECH.omega_m)
-        assert np.array_equal(spectrum(req).values, omit(grid, cav, g))
+        assert np.array_equal(spectrum(grid, cav, MECH, g, MECH.omega_m), omit(grid, cav, g))
 
 
 RATE = st.one_of(st.just(0.0), st.floats(1.0, TWO_PI * 1e8))
