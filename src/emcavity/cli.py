@@ -13,12 +13,13 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import click
 import numpy as np
 
 from . import __version__
-from .config import OMIT_FIT, REFLECTION_FIT, Background, load_config, parse_block, to_record
+from .config import LUMPED, OMIT_FIT, REFLECTION_FIT, Background, load_config, parse_block, to_record
 from .constants import TWO_PI
 from .core import thermal_occupation, zero_point_fluctuation
 from .errors import BracketError, ConfigError, DataError, DomainError, NumericalError
@@ -229,6 +230,17 @@ def fit():
     """Nonlinear least-squares fits of reflection traces."""
 
 
+def _read_record(path, what: str, record, name: str, key: str | None = None):
+    """Read a record table's object from a JSON file, the whole file or its
+    `key` member; any failure is a data error naming the file and field."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        return parse_block(record, data if key is None else data[key], name)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _write_fit(result, record, out_path):
     doc = {
         "params": to_record(record, result.params),
@@ -277,11 +289,7 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
     The trace frequency column is the probe-pump detuning (rotating frame).
     """
     trace = load_trace(in_path, fmt)
-    try:
-        with open(cavity_path) as fh:
-            cavity = parse_block(REFLECTION_FIT, json.load(fh)["params"], "params")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
-        raise DataError(f"cannot read cavity fit {cavity_path}: {exc}") from exc
+    cavity = _read_record(cavity_path, "cavity fit", REFLECTION_FIT, "params", key="params")
     if detuning_hz is None:
         detuning_hz = f_m_hz
     guess = OmitModelParams(
@@ -317,13 +325,7 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
         f_start_hz = f_c - span if f_start_hz is None else f_start_hz
         f_stop_hz = f_c + span if f_stop_hz is None else f_stop_hz
     model = ReflectionModelParams(
-        amplitude=bg.amplitude,
-        tau=bg.tau,
-        phi=bg.phi,
-        omega_c=cavity.omega_c,
-        kappa_in=cavity.kappa_in,
-        kappa_ex=cavity.kappa_ex,
-        delta=bg.delta,
+        **asdict(bg), omega_c=cavity.omega_c, kappa_in=cavity.kappa_in, kappa_ex=cavity.kappa_ex
     )
     trace = synthesize_trace(
         lambda w: reflection_model(w, model),
@@ -372,7 +374,7 @@ def device_g0(volume_path, surface_paths, lumped_path, f_m_hz, voltage_v):
     """
     vol = dev.load_volume_csv(volume_path)
     surfaces = [dev.load_surface_csv(p) for p in surface_paths]
-    lumped = dev.load_lumped_json(lumped_path)
+    lumped = _read_record(lumped_path, "lumped circuit", LUMPED, "lumped")
     m_eff = dev.effective_mass(vol)
     c_m = dev.capacitance_from_energy(vol, voltage_v)
     eta = dev.participation_ratio(c_m, lumped.stray_capacitance)

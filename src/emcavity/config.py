@@ -1,4 +1,4 @@
-"""External JSON records: system configs and fit results.
+"""External JSON records: system configs, fit results and lumped circuits.
 
 External interfaces use ordinary frequency (Hz) with keys suffixed `_hz`;
 everything internal is angular (rad/s).  Each record is declared once, as a
@@ -15,6 +15,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 
 from .constants import TWO_PI
+from .device import ResonatorLumped
 from .errors import ConfigError
 from .fitting import OmitModelParams, ReflectionModelParams
 from .params import (
@@ -110,6 +111,11 @@ OMIT_FIT = (OmitModelParams, {
     "gamma_hz": ("gamma", True, None),
     "f_m_hz": ("omega_m", True, None),
     "detuning_hz": ("detuning", True, None),
+})
+# the `device g0 --lumped` circuit
+LUMPED = (ResonatorLumped, {
+    "inductance_h": ("inductance", False, ">"),
+    "stray_capacitance_f": ("stray_capacitance", False, ">="),
 })
 
 

@@ -8,7 +8,6 @@ permittivity-difference terms of the moving-boundary integral stay finite.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -259,17 +258,3 @@ def load_surface_csv(path) -> SurfaceSampleSet:
         eps2_rel=arr[:, 17],
     )
 
-
-def load_lumped_json(path) -> ResonatorLumped:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        return ResonatorLumped(
-            inductance=float(data["inductance_h"]),
-            stray_capacitance=float(data["stray_capacitance_f"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: expected keys inductance_h, stray_capacitance_f") from exc

@@ -15,7 +15,7 @@ the kernel.  Both analytic Jacobians come from the kernel's partials.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,16 +57,22 @@ class ComplexTrace:
         return self.re + 1j * self.im
 
 
+# How the fit moves a parameter: _LOG fits log(x), which keeps it positive;
+# _ANGLE is reported at its principal value; an unmarked field is linear.
+_LOG = {"fit": "log"}
+_ANGLE = {"fit": "angle"}
+
+
 @dataclass(frozen=True)
 class ReflectionModelParams:
     """Parameters of the extended reflection model."""
 
-    amplitude: float  # A, dimensionless
+    amplitude: float = field(metadata=_LOG)  # A, dimensionless
     tau: float  # s, cable delay
-    phi: float  # rad, constant phase
+    phi: float = field(metadata=_ANGLE)  # rad, constant phase
     omega_c: float  # rad/s
-    kappa_in: float  # rad/s
-    kappa_ex: float  # rad/s
+    kappa_in: float = field(metadata=_LOG)  # rad/s
+    kappa_ex: float = field(metadata=_LOG)  # rad/s
     delta: float  # rad/s, baseline tilt
 
     def __post_init__(self):
@@ -82,9 +88,9 @@ class FitResult:
     residual_norm: float
     iterations: int
     converged: bool
-    param_uncertainties: dict = field(default_factory=dict)
-    rank_deficient: bool = False
-    message: str = ""
+    param_uncertainties: dict
+    rank_deficient: bool
+    message: str
 
 
 def _background(w, p: ReflectionModelParams):
@@ -99,8 +105,8 @@ def reflection_model(omega, p: ReflectionModelParams):
 
 
 def _reflection_jacobian(omega, p: ReflectionModelParams):
-    """Analytic complex derivatives of the model w.r.t.
-    (log A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta)."""
+    """Analytic complex derivatives of the model w.r.t. the fitted fields in
+    order: (log A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta)."""
     w = np.asarray(omega)
     pre = _background(w, p)
     r0, (d_wc, d_kin, d_kex, d_delta, _) = reflection_partials(
@@ -110,32 +116,6 @@ def _reflection_jacobian(omega, p: ReflectionModelParams):
     cols = [r, -1j * w * r, -1j * r, pre * d_wc]
     cols += [pre * d_kin * p.kappa_in, pre * d_kex * p.kappa_ex, pre * d_delta]
     return np.stack(cols, axis=-1)
-
-
-def _pack(p: ReflectionModelParams) -> np.ndarray:
-    return np.array(
-        [
-            np.log(p.amplitude),
-            p.tau,
-            p.phi,
-            p.omega_c,
-            np.log(p.kappa_in),
-            np.log(p.kappa_ex),
-            p.delta,
-        ]
-    )
-
-
-def _unpack(theta: np.ndarray) -> ReflectionModelParams:
-    return ReflectionModelParams(
-        amplitude=float(np.exp(theta[0])),
-        tau=float(theta[1]),
-        phi=float(theta[2]),
-        omega_c=float(theta[3]),
-        kappa_in=float(np.exp(theta[4])),
-        kappa_ex=float(np.exp(theta[5])),
-        delta=float(theta[6]),
-    )
 
 
 _MAX_ITER = 500
@@ -216,6 +196,47 @@ def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
     }
 
 
+def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
+    """Fit the fields `names` of the dataclass `start` to the real and
+    imaginary parts of the trace; every other field keeps its start value.
+
+    model(w, p) is the complex model and jacobian(w, p) its derivatives with
+    respect to the fitted coordinates, one column per name in order; later
+    columns are dropped.  Each field's metadata gives its coordinate.
+    """
+    w = trace.omega
+    data = np.concatenate([trace.re, trace.im])
+    meta = {f.name: f.metadata.get("fit") for f in fields(start)}
+    kind = [meta[n] for n in names]
+
+    def params(theta):
+        return replace(start, **{
+            n: float(np.exp(t) if k == "log" else t) for n, k, t in zip(names, kind, theta)
+        })
+
+    def residual(theta):
+        m = model(w, params(theta))
+        return np.concatenate([m.real, m.imag]) - data
+
+    def jac(theta):
+        Jc = jacobian(w, params(theta))[:, : len(names)]
+        return np.concatenate([Jc.real, Jc.imag], axis=0)
+
+    start_values = [getattr(start, n) for n in names]
+    theta0 = [np.log(v) if k == "log" else v for k, v in zip(kind, start_values)]
+    theta, rnorm, iters, converged, rankdef, message = _levenberg_marquardt(residual, jac, theta0)
+    # an angle is only defined modulo 2 pi; wrap it before the final J and sigma
+    for i, k in enumerate(kind):
+        if k == "angle":
+            theta[i] = np.angle(np.exp(1j * theta[i]))
+    p = params(theta)
+    sig = _uncertainties(jac(theta), residual(theta), names)
+    for n, k in zip(names, kind):
+        if k == "log":  # chain rule back from the log coordinate
+            sig[n] *= getattr(p, n)
+    return FitResult(p, rnorm, iters, converged, sig, rankdef, message)
+
+
 def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     """Heuristic starting point for fit_reflection.
 
@@ -290,45 +311,12 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     )
 
 
-_REFLECTION_NAMES = ("amplitude", "tau", "phi", "omega_c", "kappa_in", "kappa_ex", "delta")
-
-
 def fit_reflection(trace: ComplexTrace, guess: ReflectionModelParams | None = None) -> FitResult:
     """Fit the extended reflection model to the real and imaginary parts."""
     if guess is None:
         guess = initial_guess(trace)
-    w = trace.omega
-    data = np.concatenate([trace.re, trace.im])
-
-    def residual(theta):
-        model = reflection_model(w, _unpack(theta))
-        return np.concatenate([model.real, model.imag]) - data
-
-    def jacobian(theta):
-        Jc = _reflection_jacobian(w, _unpack(theta))
-        return np.concatenate([Jc.real, Jc.imag], axis=0)
-
-    theta, rnorm, iters, converged, rankdef, message = _levenberg_marquardt(
-        residual, jacobian, _pack(guess)
-    )
-    # phi is only defined modulo 2 pi; report the principal value
-    theta[2] = float(np.angle(np.exp(1j * theta[2])))
-    p = _unpack(theta)
-    J = jacobian(theta)
-    sig = _uncertainties(J, residual(theta), _REFLECTION_NAMES)
-    # undo the log-parameterization for the reported sigmas
-    sig["amplitude"] *= p.amplitude
-    sig["kappa_in"] *= p.kappa_in
-    sig["kappa_ex"] *= p.kappa_ex
-    return FitResult(
-        params=p,
-        residual_norm=rnorm,
-        iterations=iters,
-        converged=converged,
-        param_uncertainties=sig,
-        rank_deficient=rankdef,
-        message=message,
-    )
+    names = [f.name for f in fields(guess)]
+    return _fit(trace, reflection_model, _reflection_jacobian, guess, names)
 
 
 @dataclass(frozen=True)
@@ -370,9 +358,6 @@ def _omit_jacobian(omega, cavity: ReflectionModelParams, p: OmitModelParams):
     return np.stack(cols + [pre * d_center], axis=-1)
 
 
-_OMIT_NAMES = ("g", "gamma", "omega_m")
-
-
 def fit_omit(
     trace: ComplexTrace,
     cavity: ReflectionModelParams,
@@ -384,42 +369,14 @@ def fit_omit(
     Follows the two-stage workflow: the cavity background is established by
     fit_reflection first and held fixed here.
     """
-    w = trace.omega
-    data = np.concatenate([trace.re, trace.im])
-    names = _OMIT_NAMES + (("detuning",) if fit_detuning else ())
-
-    def unpack(theta):
-        kw = dict(zip(names, (float(t) for t in theta)))
-        if not fit_detuning:
-            kw["detuning"] = guess.detuning
-        return OmitModelParams(**kw)
-
-    def residual(theta):
-        model = omit_model(w, cavity, unpack(theta))
-        return np.concatenate([model.real, model.imag]) - data
-
-    def jacobian(theta):
-        Jc = _omit_jacobian(w, cavity, unpack(theta))[:, : len(names)]
-        return np.concatenate([Jc.real, Jc.imag], axis=0)
-
-    theta0 = np.array([getattr(guess, n) for n in names], dtype=float)
-    theta, rnorm, iters, converged, rankdef, message = _levenberg_marquardt(
-        residual, jacobian, theta0
-    )
-    p = unpack(theta)
-    sig = _uncertainties(jacobian(theta), residual(theta), names)
+    names = ("g", "gamma", "omega_m") + (("detuning",) if fit_detuning else ())
+    res = _fit(trace, lambda w, p: omit_model(w, cavity, p),
+               lambda w, p: _omit_jacobian(w, cavity, p), guess, names)
     # the model depends on g only through g^2, so near g = 0 the
     # identifiable quantity is g^2; report its uncertainty too
-    sig["g_squared"] = 2.0 * abs(p.g) * sig["g"]
-    return FitResult(
-        params=p,
-        residual_norm=rnorm,
-        iterations=iters,
-        converged=converged,
-        param_uncertainties=sig,
-        rank_deficient=rankdef,
-        message=message,
-    )
+    sig = res.param_uncertainties
+    sig["g_squared"] = 2.0 * abs(res.params.g) * sig["g"]
+    return res
 
 
 def load_trace(path, fmt: str = "re_im") -> ComplexTrace:

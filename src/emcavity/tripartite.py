@@ -207,12 +207,9 @@ def _log_negativity(zeta):
     return np.maximum(-np.log(2.0 * zeta), 0.0)
 
 
-def log_negativity(v: CovarianceMatrix, base: str = "e") -> float:
-    """E_N = max(0, -log 2 zeta-); natural log by default, base-2 by flag."""
-    if base not in ("e", "2"):
-        raise ValueError(f"unknown log base: {base!r}")
-    en = float(_log_negativity(symplectic_eigenvalue_min(v)))
-    return en / np.log(2.0) if base == "2" else en
+def log_negativity(v: CovarianceMatrix) -> float:
+    """E_N = max(0, -ln 2 zeta-), natural log."""
+    return float(_log_negativity(symplectic_eigenvalue_min(v)))
 
 
 @dataclass(frozen=True)

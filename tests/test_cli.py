@@ -371,6 +371,45 @@ class TestDevice:
         )
         assert doc["g0_hz"] * TWO_PI == pytest.approx(expected, rel=1e-6)
 
+    def g0(self, device_files, lumped):
+        vol, surf, _ = device_files
+        return run(["device", "g0", "--volume", str(vol), "--surface", str(surf),
+                    "--lumped", str(lumped), "--f-m-hz", "4e6"])
+
+    def test_lumped_record(self, device_files, tmp_path, capsys):
+        lumped = tmp_path / "lc.json"
+        lumped.write_text('{"inductance_h": 2e-9, "stray_capacitance_f": 1.097e-14}')
+        assert self.g0(device_files, lumped) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["f_c_hz"] == 1.0 / np.sqrt(2e-9 * (1.097e-14 + doc["c_m_f"])) / TWO_PI
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"inductance_h": NaN, "stray_capacitance_f": 1e-14}',
+             "lumped.inductance_h: expected a finite number, got nan"),
+            ('{"inductance_h": true, "stray_capacitance_f": 1e-14}',
+             "lumped.inductance_h: expected a number, got True"),
+            ('{"inductance_h": "2e-9", "stray_capacitance_f": 1e-14}',
+             "lumped.inductance_h: expected a number, got '2e-9'"),
+            ('{"inductance_h": 2e-9, "stray_capacitance_f": 1e-14, "r_ohm": 0.1}',
+             "lumped.r_ohm: unknown key"),
+            ('{"inductance_h": 2e-9}', "lumped.stray_capacitance_f: missing required field"),
+            ('{"inductance_h": 0, "stray_capacitance_f": 1e-14}',
+             "lumped.inductance_h: must be > 0.0, got 0.0"),
+            ('{"inductance_h": 2e-9, "stray_capacitance_f": -1e-15}',
+             "lumped.stray_capacitance_f: must be >= 0.0, got -1e-15"),
+            ('[2e-9, 1e-14]', "lumped: expected an object"),
+        ],
+        ids=["nan", "bool", "string", "unknown_key", "missing_key", "zero", "negative", "array"],
+    )
+    def test_bad_lumped_record_is_data_error(self, device_files, tmp_path, capsys, text, message):
+        lumped = tmp_path / "lc.json"
+        lumped.write_text(text)
+        capsys.readouterr()
+        assert self.g0(device_files, lumped) == 2
+        assert capsys.readouterr().err == f"data error: cannot read lumped circuit {lumped}: {message}\n"
+
     def test_device_missing_file_is_data_error(self, tmp_path):
         assert run(["device", "meff", "--volume", str(tmp_path / "no.csv")]) == 2
 
@@ -445,15 +484,16 @@ class TestGoldenOutputs:
 
 # sha256 of the fit JSON written by the round trip below: CAVITY_CONFIG's
 # noiseless trace through `fit reflect`, then a rotating-frame OMIT trace
-# through `fit omit --cavity` with that fit.  Pins the numbers, the record
-# keys and their order.  The trace is noiseless because a noisy fit's phase
-# offset, correlated with the cable delay at 10 GHz, is off by ~0.5 rad in
-# the rotating frame.
+# through `fit omit --cavity` with that fit, with and without
+# `--fit-detuning`.  Pins the numbers, the record keys and their order.
+# The trace is noiseless because a noisy fit's phase offset, correlated
+# with the cable delay at 10 GHz, is off by ~0.5 rad in the rotating frame.
 FIT_GOLDEN = {
     "reflect": "cb8ed5aee98fc08d99a99f9e8f1e11cf89b21dba62211fd3949a0c4ed50f8df8",
     "omit": "f57beef6903825f7707ed47503eda6c621b7fd30ec568d6acbea22ab8ec2ab83",
+    "omit_fixed_detuning": "858fc837f519a71d98ce48a759091aa8fdc1d2fabc13dd69d2e09af948d5509d",
 }
-OMIT_ARGS = ["--f-m-hz", "4.00002e6", "--g-hz", "1.5e3", "--gamma-hz", "130", "--fit-detuning"]
+OMIT_ARGS = ["--f-m-hz", "4.00002e6", "--g-hz", "1.5e3", "--gamma-hz", "130"]
 
 
 @pytest.fixture
@@ -479,15 +519,16 @@ def fit_inputs(config_file, tmp_path):
     return cavity, omit
 
 
-def fit_omit_args(omit, cavity, out):
-    return ["fit", "omit", "--in", str(omit), "--cavity", str(cavity), *OMIT_ARGS, "--out", str(out)]
+def fit_omit_args(omit, cavity, out, *extra):
+    return ["fit", "omit", "--in", str(omit), "--cavity", str(cavity), *OMIT_ARGS, *extra,
+            "--out", str(out)]
 
 
 class TestFitRecords:
     def test_round_trip_bytes(self, fit_inputs, tmp_path):
         cavity, omit = fit_inputs
         out = tmp_path / "omit.json"
-        assert run(fit_omit_args(omit, cavity, out)) == 0
+        assert run(fit_omit_args(omit, cavity, out, "--fit-detuning")) == 0
         assert list(json.loads(cavity.read_text())["params"]) == [
             "amplitude", "tau_s", "phi_rad", "f_c_hz", "kappa_in_hz", "kappa_ex_hz", "delta_hz",
         ]
@@ -496,6 +537,15 @@ class TestFitRecords:
         ]
         for name, path in (("reflect", cavity), ("omit", out)):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == FIT_GOLDEN[name], name
+
+    def test_fixed_detuning_bytes(self, fit_inputs, tmp_path):
+        # without --fit-detuning the detuning stays at its guess, f_m_hz
+        cavity, omit = fit_inputs
+        out = tmp_path / "omit.json"
+        assert run(fit_omit_args(omit, cavity, out)) == 0
+        assert json.loads(out.read_text())["params"]["detuning_hz"] == TWO_PI * 4.00002e6 / TWO_PI
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == FIT_GOLDEN["omit_fixed_detuning"]
 
     @pytest.mark.parametrize(
         "edit, message",

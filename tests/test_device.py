@@ -17,7 +17,6 @@ from emcavity.device import (
     effective_mass,
     fractional_capacitance_derivative,
     lc_frequency,
-    load_lumped_json,
     load_surface_csv,
     load_volume_csv,
     max_displacement,
@@ -265,19 +264,6 @@ class TestLoaders:
         path.write_text(header + "\n" + good + "\n" + "1.0,bad" + "\n")
         with pytest.raises(DataError, match=":3"):
             load_volume_csv(path)
-
-    def test_lumped_json(self, tmp_path):
-        path = tmp_path / "lumped.json"
-        path.write_text('{"inductance_h": 2e-9, "stray_capacitance_f": 1.097e-14}')
-        r = load_lumped_json(path)
-        assert r.inductance == 2e-9
-        assert r.stray_capacitance == 1.097e-14
-
-    def test_lumped_json_missing_key(self, tmp_path):
-        path = tmp_path / "lumped.json"
-        path.write_text('{"inductance_h": 2e-9}')
-        with pytest.raises(DataError):
-            load_lumped_json(path)
 
 
 VOLUME_HEADER = "x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m"

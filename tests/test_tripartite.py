@@ -270,7 +270,6 @@ class TestSymplecticEigenvalue:
         zeta = symplectic_eigenvalue_min(v)
         assert zeta == pytest.approx(0.5 * np.exp(-2.0 * r), rel=1e-9)
         assert log_negativity(v) == pytest.approx(2.0 * r, rel=1e-9)
-        assert log_negativity(v, base="2") == pytest.approx(2.0 * r / np.log(2.0), rel=1e-9)
 
     def test_unphysical_covariance_reasons(self):
         sigma2_below_4det = [
