@@ -251,10 +251,13 @@ def _write_fit(result, record, out_path):
             "rank_deficient": result.rank_deficient,
             "message": result.message,
         },
-        "param_uncertainties": result.param_uncertainties,
+        "param_uncertainties": {
+            name: sigma if np.isfinite(sigma) else None
+            for name, sigma in result.param_uncertainties.items()
+        },
     }
     with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
     _write_manifest(out_path, None, None, [out_path])
     click.echo(f"wrote {out_path}", err=True)

@@ -6,10 +6,14 @@ The extended one-sided-cavity model
 
 wraps the reflection kernel r0 of linear_response in a background
 prefactor.  It is fitted to the real and imaginary parts of the data
-jointly, by damped Gauss-Newton with Levenberg-style damping.  Damping
-rates are optimized in log space to keep them positive.  The OMIT model
-reuses the same prefactor and tilt and adds the mechanical self-energy to
-the kernel.  Both analytic Jacobians come from the kernel's partials.
+jointly, by damped Gauss-Newton with Levenberg-style damping, from the
+closed-form circle-fit start of initial_guess.  Damping rates are fitted
+in log space to keep them positive.  A trial step with invalid parameters
+or a non-finite residual is rejected; a fit whose log-fitted rate
+underflowed to 0, or whose sigma is 0 or not finite, is not converged.
+The OMIT model reuses the same prefactor and tilt and adds the mechanical
+self-energy to the kernel.  Both analytic Jacobians come from the
+kernel's partials.
 """
 
 from __future__ import annotations
@@ -181,19 +185,17 @@ def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
 
     Columns are rescaled to unit norm before the SVD so that wildly
     different parameter magnitudes (rad/s vs dimensionless) do not poison
-    the pseudo-inverse.
+    the pseudo-inverse; directions below 1e-12 of the largest singular
+    value are dropped.
     """
     m, n = J.shape
-    dof = max(m - n, 1)
-    s2 = float(r @ r) / dof
+    s2 = float(r @ r) / max(m - n, 1)
     scale = np.linalg.norm(J, axis=0)
     scale[scale == 0] = 1.0
-    u, sv, vt = np.linalg.svd(J / scale, full_matrices=False)
-    inv2 = np.where(sv > 1e-12 * sv[0], 1.0 / np.maximum(sv, 1e-300) ** 2, 0.0)
-    cov = (vt.T * inv2) @ vt * s2
-    return {
-        name: float(np.sqrt(max(cov[i, i], 0.0)) / scale[i]) for i, name in enumerate(names)
-    }
+    _, sv, vt = np.linalg.svd(J / scale, full_matrices=False)
+    inv2 = np.divide(1.0, sv * sv, out=np.zeros_like(sv), where=sv > 1e-12 * sv[0])
+    var = np.einsum("ki,k,ki->i", vt, inv2, vt) * s2
+    return {name: float(np.sqrt(v) / c) for name, v, c in zip(names, var, scale)}
 
 
 def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
@@ -215,7 +217,10 @@ def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
         })
 
     def residual(theta):
-        m = model(w, params(theta))
+        try:
+            m = model(w, params(theta))
+        except DomainError:  # e.g. exp(log A) underflowed: reject the step
+            return np.full(data.shape, np.inf)
         return np.concatenate([m.real, m.imag]) - data
 
     def jac(theta):
@@ -224,89 +229,78 @@ def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
 
     start_values = [getattr(start, n) for n in names]
     theta0 = [np.log(v) if k == "log" else v for k, v in zip(kind, start_values)]
-    theta, rnorm, iters, converged, rankdef, message = _levenberg_marquardt(residual, jac, theta0)
-    # an angle is only defined modulo 2 pi; wrap it before the final J and sigma
-    for i, k in enumerate(kind):
-        if k == "angle":
-            theta[i] = np.angle(np.exp(1j * theta[i]))
-    p = params(theta)
-    sig = _uncertainties(jac(theta), residual(theta), names)
-    for n, k in zip(names, kind):
-        if k == "log":  # chain rule back from the log coordinate
-            sig[n] *= getattr(p, n)
+    # trial steps and a degenerate end point may overflow: a non-finite
+    # residual rejects a step, a non-finite sigma fails the check below
+    with np.errstate(all="ignore"):
+        theta, rnorm, iters, converged, rankdef, message = _levenberg_marquardt(residual, jac, theta0)
+        # an angle is only defined modulo 2 pi; wrap it before the final J and sigma
+        for i, k in enumerate(kind):
+            if k == "angle":
+                theta[i] = np.angle(np.exp(1j * theta[i]))
+        p = params(theta)
+        sig = _uncertainties(jac(theta), residual(theta), names)
+        for n, k in zip(names, kind):
+            if k == "log":  # chain rule back from the log coordinate
+                sig[n] *= getattr(p, n)
+    # a rate at its floor or a flat direction is no minimum to report
+    floor = [n for n, k in zip(names, kind) if k == "log" and getattr(p, n) < np.finfo(float).tiny]
+    flat = [n for n in names if not 0 < sig[n] < np.inf]
+    faults = [f"{', '.join(floor)} underflowed to 0"] if floor else []
+    faults += [f"sigma of {', '.join(flat)} is 0 or not finite"] if flat else []
+    if faults:
+        converged, message = False, "; ".join([message, *faults])
     return FitResult(p, rnorm, iters, converged, sig, rankdef, message)
 
 
 def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
-    """Heuristic starting point for fit_reflection.
+    """Closed-form start for fit_reflection (Probst et al., Rev. Sci.
+    Instrum. 86, 024706, 2015).
 
-    Resonance from the |R| minimum, linewidth from the width at the
-    geometric mean of dip and baseline magnitude, delay and phase from the
-    off-resonant phase ramp, and the coupling branch from the sign of the
-    detrended on-resonance response.
+    1. Delay tau from the phase slopes of the off-resonant edges, refined
+       by the wrapped phase step between their means (r0 -> -1 on both).
+    2. Without the delay the data z = A exp(-i phi) r0 lie on a circle,
+       fitted by linear least squares (Kasa): x^2 + y^2 + Dx + Ey + F = 0.
+    3. Its point farthest from the origin, P = c (1 + R/|c|), is the
+       off-resonant point -A exp(-i phi); k_ex/k = R/A, with no branch.
+    4. The angle theta about the centre, measured from P, obeys
+       -cot(theta/2) = 2(w - w_c)/k.  Times 1 - cos(theta) this line reads
+       (w - w_c)(1 - cos theta) + (k/2) sin theta = 0: linear in (w_c, k),
+       equally sensitive to every sample's angle noise, and weighted by
+       (1 - cos theta)^2, so the half circle nearest resonance sets it.
+
+    GuessError when no circle is found or w_c +/- k is not between the edges.
     """
-    w = trace.omega
-    vals = trace.values
-    mag = np.abs(vals)
-    i_min = int(np.argmin(mag))
+    w, vals = trace.omega, trace.values
     n = len(w)
-    if i_min == 0 or i_min == n - 1:
-        raise GuessError("resonance dip at grid edge; resonance must be inside the span")
-    edge = max(n // 10, 2)
-    off = np.concatenate([np.arange(edge), np.arange(n - edge, n)])
-    baseline = float(np.median(mag[off]))
-    if baseline <= 0 or mag[i_min] > 0.95 * baseline:
-        raise GuessError("no resonance dip found in trace")
-    amplitude = baseline
-    # phase ramp from off-resonant samples: angle ~ pi - phi - w tau.
-    # Fit the slope per edge segment; unwrapping across the resonance gap
-    # is unreliable.
-    left, right = np.arange(edge), np.arange(n - edge, n)
-    slopes = []
-    for seg in (left, right):
-        ph = np.unwrap(np.angle(vals[seg]))
-        slopes.append(np.polyfit(w[seg], ph, 1)[0])
-    tau = -float(np.mean(slopes))
-    # phase intercept: average of (angle + w tau) over both edges, wrapped
-    resid = np.angle(vals[off] * np.exp(1j * w[off] * tau))
-    mean_angle = float(np.angle(np.mean(np.exp(1j * resid))))
-    phi = float(np.angle(np.exp(1j * (np.pi - mean_angle))))
-    omega_c = float(w[i_min])
-    # full width at the geometric mean magnitude level; for a Lorentzian
-    # reflection dip of depth d that width equals kappa*sqrt(d)
-    level = np.sqrt(mag[i_min] * baseline)
-    below = mag < level
-    lo = i_min
-    while lo > 0 and below[lo - 1]:
-        lo -= 1
-    hi = i_min
-    while hi < n - 1 and below[hi + 1]:
-        hi += 1
-    width = float(w[hi] - w[lo])
-    if width <= 0:
-        width = float(w[min(i_min + 1, n - 1)] - w[max(i_min - 1, 0)])
-    depth0 = max(float(mag[i_min] / baseline), 1e-3)
-    kappa = width / np.sqrt(depth0)
-    # dip depth fixes |k_in - k_ex|; the branch comes from phase information
-    depth = float(mag[i_min] / baseline)
-    detrended = vals[i_min] * np.exp(1j * (w[i_min] * tau + phi)) / amplitude
-    overcoupled = detrended.real > 0
-    split = depth * kappa
-    if overcoupled:
-        kappa_ex = (kappa + split) / 2.0
-        kappa_in = (kappa - split) / 2.0
-    else:
-        kappa_in = (kappa + split) / 2.0
-        kappa_ex = (kappa - split) / 2.0
-    kappa_in = max(kappa_in, 1e-6 * kappa)
-    kappa_ex = max(kappa_ex, 1e-6 * kappa)
+    m = max(n // 10, 2)  # samples per off-resonant edge
+    edges = (slice(0, m), slice(n - m, n))
+    tau = -float(np.mean([np.polyfit(w[s], np.unwrap(np.angle(vals[s])), 1)[0] for s in edges]))
+    left, right = (np.mean(vals[s] * np.exp(1j * w[s] * tau)) for s in edges)
+    tau -= float(np.angle(right / left) / (np.mean(w[n - m:]) - np.mean(w[:m])))
+    z = vals * np.exp(1j * w * tau)
+    x, y = z.real, z.imag
+    (d, e, f), *_ = np.linalg.lstsq(np.stack([x, y, np.ones(n)], axis=1), -(x * x + y * y), rcond=None)
+    center = -(d + 1j * e) / 2.0
+    if not abs(center) ** 2 - f > 0:
+        raise GuessError("no resonance circle found in trace")
+    radius = np.sqrt(abs(center) ** 2 - f)
+    p = center * (1.0 + radius / abs(center))
+    u = (z - center) / (p - center)
+    cos, sin = u.real / abs(u), u.imag / abs(u)
+    w0 = float(np.mean(w))
+    rows = np.stack([1.0 - cos, -sin], axis=1)
+    (shift, half_kappa), *_ = np.linalg.lstsq(rows, (w - w0) * (1.0 - cos), rcond=None)
+    omega_c, kappa = w0 + shift, 2.0 * half_kappa
+    if not (kappa > 0 and w[m - 1] < omega_c - kappa and omega_c + kappa < w[n - m]):
+        raise GuessError("no resonance circle found inside the span")
+    ratio = radius / abs(p)
     return ReflectionModelParams(
-        amplitude=amplitude,
+        amplitude=float(abs(p)),
         tau=tau,
-        phi=phi,
-        omega_c=omega_c,
-        kappa_in=kappa_in,
-        kappa_ex=kappa_ex,
+        phi=-float(np.angle(-p)),
+        omega_c=float(omega_c),
+        kappa_in=float(kappa * (1.0 - ratio)),
+        kappa_ex=float(kappa * ratio),
         delta=0.0,
     )
 

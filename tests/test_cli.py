@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from emcavity import cli
 from emcavity.cli import _write_spectrum_csv, main
 from emcavity.config import load_config
 from emcavity.constants import TWO_PI
@@ -18,6 +19,7 @@ from emcavity.core import thermal_occupation
 from emcavity.fitting import (
     OmitModelParams,
     ReflectionModelParams,
+    fit_reflection,
     omit_model,
     save_trace,
     synthesize_trace,
@@ -489,9 +491,9 @@ class TestGoldenOutputs:
 # The trace is noiseless because a noisy fit's phase offset, correlated
 # with the cable delay at 10 GHz, is off by ~0.5 rad in the rotating frame.
 FIT_GOLDEN = {
-    "reflect": "cb8ed5aee98fc08d99a99f9e8f1e11cf89b21dba62211fd3949a0c4ed50f8df8",
-    "omit": "f57beef6903825f7707ed47503eda6c621b7fd30ec568d6acbea22ab8ec2ab83",
-    "omit_fixed_detuning": "858fc837f519a71d98ce48a759091aa8fdc1d2fabc13dd69d2e09af948d5509d",
+    "reflect": "dfe645e84e473b697722db98c5279e37f16491a24d74b810ac497ff4e8362fdb",
+    "omit": "5bca50c2059b2d89e1d426e615c5d3c3c998fe648b78387864eed23d99c89da3",
+    "omit_fixed_detuning": "5e39d5867a5f14f318da6a3ecb074e09e89ba3c6a580b176fc1b099fc7392ac9",
 }
 OMIT_ARGS = ["--f-m-hz", "4.00002e6", "--g-hz", "1.5e3", "--gamma-hz", "130"]
 
@@ -574,3 +576,32 @@ class TestFitRecords:
         capsys.readouterr()
         assert run(fit_omit_args(omit, cavity, tmp_path / "omit.json")) == 2
         assert capsys.readouterr().err == f"data error: cannot read cavity fit {cavity}: {message}\n"
+
+
+# Starts that a magnitude-dip heuristic gave on 3-dB CAVITY_CONFIG traces
+# (201 points, seeds 2 and 3).  From them the rates run to 0, trial steps
+# underflow exp(log A), and the end point is degenerate.
+DIP_STARTS = {
+    2: ReflectionModelParams(0.19867008025128294, 7.68977523416564e-08, -1.7012424016330663,
+                             64754356979.34544, 3933265.1873071687, 4575342.214022619, 0.0),
+    3: ReflectionModelParams(0.2318668641829002, 4.251763394119316e-08, -3.1155431757380154,
+                             64555682659.93243, 2623463.0695550414, 3513650.4975722497, 0.0),
+}
+
+
+class TestDegenerateFit:
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_rates_at_floor_are_reported_not_converged(self, config_file, tmp_path, monkeypatch, seed):
+        trace, out = tmp_path / "trace.csv", tmp_path / "fit.json"
+        args = ["--snr-db", "3", "--seed", str(seed), "--points", "201", "--out", str(trace)]
+        assert run(["synth", "--config", config_file, *args]) == 0
+        monkeypatch.setattr(cli, "fit_reflection", lambda tr: fit_reflection(tr, DIP_STARTS[seed]))
+        assert run(["fit", "reflect", "--in", str(trace), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=pytest.fail)  # strict JSON only
+        assert not doc["convergence"]["converged"]
+        assert "kappa_in, kappa_ex underflowed to 0" in doc["convergence"]["message"]
+        sig = doc["param_uncertainties"]
+        if seed == 2:  # the amplitude underflowed too: no sigma is finite
+            assert list(sig.values()) == [None] * 7
+        else:
+            assert sig["kappa_in"] == sig["kappa_ex"] == 0.0

@@ -58,6 +58,29 @@ def rel_err(a, b):
     return abs(a - b) / abs(b)
 
 
+def pulls(res, truth):
+    """|fit - truth| / sigma per parameter, phi compared modulo 2 pi."""
+    out = {}
+    for name in PARAM_NAMES:
+        diff = getattr(res.params, name) - getattr(truth, name)
+        if name == "phi":
+            diff = np.angle(np.exp(1j * diff))
+        out[name] = abs(diff) / res.param_uncertainties[name]
+    return out
+
+
+def random_box_trace(draw, snr_db, seed, n=801):
+    """(truth, trace): the benchmark's device box with any coupling ratio."""
+    kappa_hz, ratio, f_c, amplitude, tau, phi, tilt = draw
+    kappa = TWO_PI * kappa_hz
+    truth = ReflectionModelParams(
+        amplitude=amplitude, tau=tau, phi=phi, omega_c=TWO_PI * f_c,
+        kappa_in=(1.0 - ratio) * kappa, kappa_ex=ratio * kappa, delta=TWO_PI * tilt * kappa_hz,
+    )
+    f = (truth.omega_c + np.linspace(-10.0, 10.0, n) * kappa) / TWO_PI
+    return truth, synthesize_trace(lambda w: reflection_model(w, truth), f, snr_db, seed)
+
+
 class TestModel:
     def test_reduces_to_bare_cavity(self):
         p = replace(DEVICE, amplitude=1.0, tau=0.0, phi=0.0, delta=0.0)
@@ -174,6 +197,22 @@ class TestReflectionFit:
             pull = abs(getattr(res.params, name) - getattr(DEVICE, name)) / sig[name]
             assert pull < 5.0, name
 
+    @given(
+        kappa_hz=st.floats(0.5e6, 3e6), ratio=st.floats(0.15, 0.85), f_c=st.floats(4e9, 8e9),
+        amplitude=st.floats(0.1, 1.0), tau=st.floats(20e-9, 80e-9), phi=st.floats(-3.0, 3.0),
+        tilt=st.floats(-0.05, 0.05), snr_db=st.floats(20.0, 60.0), seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_over_coupling_box(
+        self, kappa_hz, ratio, f_c, amplitude, tau, phi, tilt, snr_db, seed
+    ):
+        # over- (ratio > 1/2) and under-coupled cavities alike
+        draw = (kappa_hz, ratio, f_c, amplitude, tau, phi, tilt)
+        truth, trace = random_box_trace(draw, snr_db, seed)
+        res = fit_reflection(trace)
+        assert res.converged
+        assert max(pulls(res, truth).values()) < 5.0
+
     def test_frequency_shift_equivariance(self):
         # translating the grid and the resonance together shifts omega_c only
         shift_hz = 2.0e9
@@ -184,6 +223,40 @@ class TestReflectionFit:
         res = fit_reflection(trace)
         assert rel_err(res.params.omega_c, shifted.omega_c) < 1e-9
         assert rel_err(res.params.kappa_ex, DEVICE.kappa_ex) < 1e-6
+
+
+def low_snr_fits(snr_db):
+    """(truth, fit) for 60 random devices at 801 points: per device kappa/2pi
+    ~ U(0.5, 3) MHz, k_ex/k ~ U(0.15, 0.85), f_c ~ U(4, 8) GHz, A ~ U(0.1, 1),
+    tau ~ U(20, 80) ns, phi ~ U(-3, 3), delta/kappa ~ U(-0.05, 0.05), then
+    one noise seed for 10 dB and one for 15 dB."""
+    rng = np.random.default_rng(12345)
+    out = []
+    for _ in range(60):
+        draw = [rng.uniform(0.5e6, 3e6), rng.uniform(0.15, 0.85), rng.uniform(4e9, 8e9),
+                rng.uniform(0.1, 1.0), rng.uniform(20e-9, 80e-9), rng.uniform(-3.0, 3.0),
+                rng.uniform(-0.05, 0.05)]
+        seeds = {10.0: int(rng.integers(2**31)), 15.0: int(rng.integers(2**31))}
+        truth, trace = random_box_trace(draw, snr_db, seeds[snr_db])
+        out.append((truth, fit_reflection(trace)))
+    return out
+
+
+class TestLowSnr:
+    def test_10_db_never_converges_at_a_floor(self):
+        # every start is found (no GuessError or DomainError); a magnitude-dip
+        # start sent devices 10, 14, 45 and 51 to k_ex -> 0 with sigma 0 and
+        # reported them converged
+        for i, (truth, res) in enumerate(low_snr_fits(10.0)):
+            sig = res.param_uncertainties
+            if res.converged:
+                assert all(0 < sig[n] < np.inf for n in PARAM_NAMES), i
+                assert res.params.kappa_ex > 0 and res.params.kappa_in > 0, i
+
+    def test_15_db_within_5_sigma(self):
+        for i, (truth, res) in enumerate(low_snr_fits(15.0)):
+            assert res.converged, i
+            assert max(pulls(res, truth).values()) < 5.0, i
 
 
 OMIT_CAVITY = ReflectionModelParams(
