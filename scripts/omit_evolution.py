@@ -33,7 +33,7 @@ def main():
     cavity = CavityParams(
         omega_c=TWO_PI * 10.29184e9, kappa_in=TWO_PI * 0.41e6, kappa_ex=TWO_PI * 1.45e6
     )
-    mech = MechParams(omega_m=TWO_PI * 4e6, gamma=TWO_PI * 100.0, m_eff=2.0e-15)
+    mech = MechParams(omega_m=TWO_PI * 4e6, gamma=TWO_PI * 100.0)
     g0 = TWO_PI * args.g0_hz
 
     # start the sweep at the matched point where the mechanically induced

@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .core import (
     cooperativity,
-    enhanced_coupling,
     intracavity_photon_number,
     thermal_occupation,
     zero_point_fluctuation,
@@ -28,7 +27,6 @@ __all__ = [
     "thermal_occupation",
     "zero_point_fluctuation",
     "intracavity_photon_number",
-    "enhanced_coupling",
     "cooperativity",
     "CavityParams",
     "MechParams",

@@ -62,6 +62,19 @@ def _write_manifest(out_path: str, config_path: str | None, seed: int | None, ou
         fh.write("\n")
 
 
+class _FiniteFloat(click.types.FloatParamType):
+    """A float that must be finite: NaN and +/-inf are usage errors."""
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return x
+
+
+_FINITE = _FiniteFloat()
+
+
 def _require(params, block: str):
     value = getattr(params, block)
     if value is None:
@@ -77,8 +90,8 @@ def cli():
 
 
 @cli.command()
-@click.option("--f-hz", type=float, required=True, help="Mode frequency in Hz.")
-@click.option("--t-k", type=float, required=True, help="Bath temperature in K.")
+@click.option("--f-hz", type=_FINITE, required=True, help="Mode frequency in Hz.")
+@click.option("--t-k", type=_FINITE, required=True, help="Bath temperature in K.")
 def thermal(f_hz, t_k):
     """Bose-Einstein thermal occupation of a mode."""
     n = thermal_occupation(TWO_PI * f_hz, t_k)
@@ -87,8 +100,8 @@ def thermal(f_hz, t_k):
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--f-start-hz", type=float, required=True)
-@click.option("--f-stop-hz", type=float, required=True)
+@click.option("--f-start-hz", type=_FINITE, required=True)
+@click.option("--f-stop-hz", type=_FINITE, required=True)
 @click.option("--points", type=int, default=2001, show_default=True)
 @click.option("--model", type=click.Choice(["bare", "omit"]), default="bare", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -127,7 +140,7 @@ def _write_spectrum_csv(path, f_hz, values):
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--f-hz", type=float, required=True, help="Probe frequency in Hz (lab frame).")
+@click.option("--f-hz", type=_FINITE, required=True, help="Probe frequency in Hz (lab frame).")
 def omit(config_path, f_hz):
     """OMIT reflection at a single probe frequency."""
     params = load_config(config_path)
@@ -145,7 +158,7 @@ def omit(config_path, f_hz):
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--detuning-hz", type=float, required=True, help="Pump detuning Delta/2pi in Hz.")
+@click.option("--detuning-hz", type=_FINITE, required=True, help="Pump detuning Delta/2pi in Hz.")
 def damping(config_path, detuning_hz):
     """Optomechanical damping rate gamma_opt/2pi at the given detuning."""
     params = load_config(config_path)
@@ -161,15 +174,19 @@ def tripartite():
     """Electro-magno-mechanical entanglement engine."""
 
 
-def _parse_axis(spec_str: str):
+def _parse_axis(ctx, param, spec_str):
+    """--axis/--axis2 callback: (name, grid in Hz) from NAME_hz=START:STOP:POINTS."""
+    if spec_str is None:
+        return None
     try:
         name_hz, rng = spec_str.split("=", 1)
         start, stop, count = rng.split(":")
-        start, stop, count = float(start), float(stop), int(count)
+        count = int(count)
     except ValueError:
         raise click.UsageError(
             f"axis must look like g_b_hz=START:STOP:POINTS, got {spec_str!r}"
         )
+    start, stop = (_FINITE.convert(x, param, ctx) for x in (start, stop))
     if not name_hz.endswith("_hz"):
         raise click.UsageError(f"axis name must end in _hz, got {name_hz!r}")
     name = name_hz[: -len("_hz")]
@@ -182,17 +199,17 @@ def _parse_axis(spec_str: str):
 
 @tripartite.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--axis", "axis1", required=True, help="e.g. g_b_hz=0:5e6:200")
-@click.option("--axis2", default=None, help="Optional second axis.")
-@click.option("--omega-hz", type=float, default=0.0, show_default=True)
+@click.option("--axis", "axis1", required=True, callback=_parse_axis, help="e.g. g_b_hz=0:5e6:200")
+@click.option("--axis2", default=None, callback=_parse_axis, help="Optional second axis.")
+@click.option("--omega-hz", type=_FINITE, default=0.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
     """Sweep couplings/detunings; per-point stability and entanglement."""
     params = load_config(config_path)
     p = _require(params, "tripartite")
-    axes = dict([_parse_axis(axis1)])
+    axes = dict([axis1])
     if axis2 is not None:
-        name2, grid2 = _parse_axis(axis2)
+        name2, grid2 = axis2
         if name2 in axes:
             raise click.UsageError("axis2 must differ from axis")
         axes[name2] = grid2
@@ -209,16 +226,22 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
     click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)
 
 
+def _parse_bracket(ctx, param, value):
+    """--bracket-hz callback: the pair LO,HI in Hz."""
+    pair = value.split(",")
+    if len(pair) != 2:
+        raise click.UsageError("--bracket-hz must be two comma-separated numbers")
+    return tuple(_FINITE.convert(x, param, ctx) for x in pair)
+
+
 @tripartite.command("critical")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--axis", type=click.Choice(["g_b", "g_c"]), required=True)
-@click.option("--bracket-hz", required=True, help="Comma-separated pair, e.g. 0,5e6")
+@click.option("--bracket-hz", required=True, callback=_parse_bracket,
+              help="Comma-separated pair, e.g. 0,5e6")
 def tripartite_critical(config_path, axis, bracket_hz):
     """Locate the stability boundary along one coupling axis."""
-    try:
-        lo, hi = (float(x) for x in bracket_hz.split(","))
-    except ValueError:
-        raise click.UsageError(f"--bracket-hz must be two comma-separated numbers")
+    lo, hi = bracket_hz
     params = load_config(config_path)
     p = _require(params, "tripartite")
     g_crit = _critical_coupling(p, axis, (TWO_PI * lo, TWO_PI * hi))
@@ -280,10 +303,10 @@ def fit_reflect_cmd(in_path, fmt, out_path):
     "--format", "fmt", type=click.Choice(["re_im", "db_phase"]), default="re_im", show_default=True
 )
 @click.option("--cavity", "cavity_path", required=True, type=click.Path(), help="fit.json from fit reflect")
-@click.option("--f-m-hz", type=float, required=True, help="Mechanical frequency guess in Hz.")
-@click.option("--g-hz", type=float, default=1e3, show_default=True, help="Coupling guess in Hz.")
-@click.option("--gamma-hz", type=float, default=100.0, show_default=True)
-@click.option("--detuning-hz", type=float, default=None, help="Pump detuning; default f_m_hz.")
+@click.option("--f-m-hz", type=_FINITE, required=True, help="Mechanical frequency guess in Hz.")
+@click.option("--g-hz", type=_FINITE, default=1e3, show_default=True, help="Coupling guess in Hz.")
+@click.option("--gamma-hz", type=_FINITE, default=100.0, show_default=True)
+@click.option("--detuning-hz", type=_FINITE, default=None, help="Pump detuning; default f_m_hz.")
 @click.option("--fit-detuning", is_flag=True, default=False)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz, fit_detuning, out_path):
@@ -306,10 +329,10 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--snr-db", type=float, default=None, help="Omit for a noiseless trace.")
+@click.option("--snr-db", type=_FINITE, default=None, help="Omit for a noiseless trace.")
 @click.option("--seed", type=int, default=None, help="Required with --snr-db.")
-@click.option("--f-start-hz", type=float, default=None)
-@click.option("--f-stop-hz", type=float, default=None)
+@click.option("--f-start-hz", type=_FINITE, default=None)
+@click.option("--f-stop-hz", type=_FINITE, default=None)
 @click.option("--points", type=int, default=2001, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
@@ -356,7 +379,7 @@ def device_meff(volume_path):
 
 @device.command("cap")
 @click.option("--volume", "volume_path", required=True, type=click.Path())
-@click.option("--voltage-v", type=float, default=1.0, show_default=True)
+@click.option("--voltage-v", type=_FINITE, default=1.0, show_default=True)
 def device_cap(volume_path, voltage_v):
     """Motional capacitance from the stored field energy (F)."""
     vol = dev.load_volume_csv(volume_path)
@@ -367,8 +390,8 @@ def device_cap(volume_path, voltage_v):
 @click.option("--volume", "volume_path", required=True, type=click.Path())
 @click.option("--surface", "surface_paths", multiple=True, required=True, type=click.Path())
 @click.option("--lumped", "lumped_path", required=True, type=click.Path())
-@click.option("--f-m-hz", type=float, required=True, help="Mechanical mode frequency in Hz.")
-@click.option("--voltage-v", type=float, default=1.0, show_default=True)
+@click.option("--f-m-hz", type=_FINITE, required=True, help="Mechanical mode frequency in Hz.")
+@click.option("--voltage-v", type=_FINITE, default=1.0, show_default=True)
 def device_g0(volume_path, surface_paths, lumped_path, f_m_hz, voltage_v):
     """Moving-boundary single-photon coupling rate.
 

@@ -1,5 +1,5 @@
 """Elementary scalar formulas: thermal occupation, zero-point motion,
-intracavity photon number, enhanced coupling, cooperativity.
+intracavity photon number, cooperativity.
 """
 
 from __future__ import annotations
@@ -50,18 +50,9 @@ def intracavity_photon_number(cavity: CavityParams, pump: PumpParams) -> float:
 
     n_c = kappa_ex * (P / hbar w_p) / ((w_p - w_c)^2 + kappa^2/4)
     """
-    if pump.omega_p <= 0:
-        raise DomainError("pump frequency must be positive")
     flux = pump.power / (HBAR * pump.omega_p)
     det2 = (pump.omega_p - cavity.omega_c) ** 2
     return cavity.kappa_ex * flux / (det2 + cavity.kappa**2 / 4.0)
-
-
-def enhanced_coupling(g0: float, n_cavity: float) -> float:
-    """g = g0 sqrt(n_c)."""
-    if n_cavity < 0:
-        raise DomainError("n_cavity must be non-negative")
-    return g0 * math.sqrt(n_cavity)
 
 
 def cooperativity(g: float, kappa: float, gamma: float, convention: str = "full") -> float:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import EPSILON_0
 from .errors import DataError, DomainError
+from .params import NON_NEGATIVE, POSITIVE, Checked
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,9 @@ def participation_ratio(c_m: float, c_s: float) -> float:
 
 
 @dataclass(frozen=True)
-class ResonatorLumped:
-    inductance: float  # H
-    stray_capacitance: float  # F
-
-    def __post_init__(self):
-        if self.inductance <= 0:
-            raise DomainError("inductance must be positive")
-        if self.stray_capacitance < 0:
-            raise DomainError("stray capacitance must be non-negative")
+class ResonatorLumped(Checked):
+    inductance: float = field(metadata=POSITIVE)  # H
+    stray_capacitance: float = field(metadata=NON_NEGATIVE)  # F
 
 
 def lc_frequency(r: ResonatorLumped, c_m: float) -> float:

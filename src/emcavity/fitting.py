@@ -7,8 +7,9 @@ The extended one-sided-cavity model
 wraps the reflection kernel r0 of linear_response in a background
 prefactor.  It is fitted to the real and imaginary parts of the data
 jointly, by damped Gauss-Newton with Levenberg-style damping, from the
-closed-form circle-fit start of initial_guess.  Damping rates are fitted
-in log space to keep them positive.  A trial step with invalid parameters
+closed-form circle-fit start of initial_guess.  The amplitude and damping
+rates are fitted in log space, which keeps them within the bounds their
+field metadata declares.  A trial step with invalid parameters
 or a non-finite residual is rejected; a fit whose log-fitted rate
 underflowed to 0, or whose sigma is 0 or not finite, is not converged.
 The OMIT model reuses the same prefactor and tilt and adds the mechanical
@@ -26,6 +27,7 @@ import numpy as np
 from .device import data_rows, read_table
 from .errors import DataError, DomainError, GuessError
 from .linear_response import mechanical_self_energy, reflection, reflection_partials
+from .params import NON_NEGATIVE, POSITIVE, Checked
 
 
 @dataclass(frozen=True)
@@ -68,22 +70,16 @@ _ANGLE = {"fit": "angle"}
 
 
 @dataclass(frozen=True)
-class ReflectionModelParams:
+class ReflectionModelParams(Checked):
     """Parameters of the extended reflection model."""
 
-    amplitude: float = field(metadata=_LOG)  # A, dimensionless
+    amplitude: float = field(metadata={**_LOG, **POSITIVE})  # A, dimensionless
     tau: float  # s, cable delay
     phi: float = field(metadata=_ANGLE)  # rad, constant phase
     omega_c: float  # rad/s
-    kappa_in: float = field(metadata=_LOG)  # rad/s
-    kappa_ex: float = field(metadata=_LOG)  # rad/s
+    kappa_in: float = field(metadata={**_LOG, **NON_NEGATIVE})  # rad/s
+    kappa_ex: float = field(metadata={**_LOG, **NON_NEGATIVE})  # rad/s
     delta: float  # rad/s, baseline tilt
-
-    def __post_init__(self):
-        if self.amplitude <= 0:
-            raise DomainError("amplitude must be positive")
-        if self.kappa_in < 0 or self.kappa_ex < 0:
-            raise DomainError("damping rates must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -314,7 +310,7 @@ def fit_reflection(trace: ComplexTrace, guess: ReflectionModelParams | None = No
 
 
 @dataclass(frozen=True)
-class OmitModelParams:
+class OmitModelParams(Checked):
     """Mechanical parameters fitted on top of fixed cavity background."""
 
     g: float  # rad/s

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -414,6 +417,47 @@ class TestDevice:
 
     def test_device_missing_file_is_data_error(self, tmp_path):
         assert run(["device", "meff", "--volume", str(tmp_path / "no.csv")]) == 2
+
+
+# one float option per command, given a non-finite value; {config} and {tmp}
+# are filled in by the test
+NON_FINITE = {
+    "thermal": (["thermal", "--f-hz", "nan", "--t-k", "4.0"], "--f-hz"),
+    "reflect": (["reflect", "--config", "{config}", "--f-start-hz", "1e10", "--f-stop-hz", "inf",
+                 "--out", "{tmp}/out.csv"], "--f-stop-hz"),
+    "omit": (["omit", "--config", "{config}", "--f-hz", "nan"], "--f-hz"),
+    "damping": (["damping", "--config", "{config}", "--detuning-hz", "inf"], "--detuning-hz"),
+    "tripartite_sweep": (["tripartite", "sweep", "--config", REFERENCE_CONFIG,
+                          "--axis", "g_b_hz=0:nan:3", "--out", "{tmp}/out.csv"], "--axis"),
+    "tripartite_critical": (["tripartite", "critical", "--config", REFERENCE_CONFIG,
+                             "--axis", "g_b", "--bracket-hz", "2e6,-inf"], "--bracket-hz"),
+    "fit_omit": (["fit", "omit", "--in", "{tmp}/trace.csv", "--cavity", "{tmp}/cavity.json",
+                  "--f-m-hz", "nan", "--out", "{tmp}/out.json"], "--f-m-hz"),
+    "synth": (["synth", "--config", "{config}", "--snr-db", "inf", "--seed", "1",
+               "--out", "{tmp}/out.csv"], "--snr-db"),
+    "device_cap": (["device", "cap", "--volume", "{tmp}/vol.csv", "--voltage-v", "nan"], "--voltage-v"),
+    "device_g0": (["device", "g0", "--volume", "{tmp}/vol.csv", "--surface", "{tmp}/surf.csv",
+                   "--lumped", "{tmp}/lc.json", "--f-m-hz", "inf"], "--f-m-hz"),
+}
+
+
+@pytest.mark.parametrize("args, option", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_non_finite_float_option_is_usage_error(config_file, tmp_path, capsys, args, option):
+    assert run([a.format(config=config_file, tmp=tmp_path) for a in args]) == 1
+    assert f"Invalid value for '{option}': " in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_import_leaves_out_heavy_scipy():
+    # scipy.optimize, .integrate and .linalg cost every CLI process tens of
+    # MB and start-up time; the code that needs them imports them late
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, emcavity.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60).stdout.split()
+    assert "emcavity.cli" in loaded
+    assert not {"scipy.optimize", "scipy.integrate", "scipy.linalg"} & set(loaded)
 
 
 class TestTopLevel:

@@ -1,12 +1,28 @@
 """Config schema: key validation, unit normalization, defaulting."""
 
+import copy
 import json
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from emcavity.config import ConfigError, load_config, parse_config
+from emcavity.config import (
+    BLOCKS,
+    LUMPED,
+    OCCUPATIONS,
+    OMIT_FIT,
+    REFLECTION_FIT,
+    ConfigError,
+    load_config,
+    parse_block,
+    parse_config,
+)
 from emcavity.constants import TWO_PI
+from emcavity.errors import DomainError
 
 GOOD = {
     "cavity": {"f_c_hz": 10.29184e9, "kappa_in_hz": 0.41e6, "kappa_ex_hz": 1.45e6},
@@ -69,6 +85,8 @@ def test_non_numeric_value_rejected():
         ("cavity", "f_c_hz", "ten"),
         ("cavity", "f_c_hz", float("nan")),
         ("cavity", "f_c_hz", 10**400),
+        ("cavity", "f_c_hz", 1e308),  # finite in Hz, inf in rad/s
+        ("tripartite", "g_b_hz", -1e308),
         ("tripartite", "g_c_hz", float("inf")),
         ("tripartite", "delta_a_hz", -float("inf")),
         ("background", "delta_hz", float("nan")),
@@ -121,3 +139,86 @@ def test_load_config_file_errors(tmp_path):
     bad.write_text('{"cavity": {"f_c_hz": NaN, "kappa_in_hz": 1e5, "kappa_ex_hz": 1e5}}')
     with pytest.raises(ConfigError, match=r"cavity\.f_c_hz: "):
         load_config(bad)
+
+
+def test_mech_effective_mass_is_optional():
+    mech = {k: v for k, v in GOOD["mech"].items() if k != "m_eff_kg"}
+    assert parse_config({"mech": mech}).mech.m_eff is None
+    assert parse_config(GOOD).mech.m_eff == 2.0e-15
+
+
+# every record table with a valid object, and the bound each key must obey
+RECORDS = [
+    *((BLOCKS[name], VALID[name], name) for name in BLOCKS),
+    (OCCUPATIONS, {k: 0.5 for k in OCCUPATIONS[1]}, "tripartite.occupations"),
+    (REFLECTION_FIT, {"amplitude": 0.2, "tau_s": 6e-8, "phi_rad": 0.8, "f_c_hz": 1e10,
+                      "kappa_in_hz": 4e5, "kappa_ex_hz": 1.5e6, "delta_hz": 0.0}, "params"),
+    (OMIT_FIT, {"g_hz": 2e3, "gamma_hz": 100.0, "f_m_hz": 4e6, "detuning_hz": 4e6}, "params"),
+    (LUMPED, {"inductance_h": 2e-9, "stray_capacitance_f": 1e-14}, "lumped"),
+]
+BOUNDS = {
+    "cavity.f_c_hz": ">", "cavity.kappa_in_hz": ">=", "cavity.kappa_ex_hz": ">=",
+    "mech.f_m_hz": ">", "mech.gamma_hz": ">=", "mech.m_eff_kg": ">",
+    "pump.f_p_hz": ">", "pump.power_w": ">=", "coupling.n_cavity": ">=",
+    "background.amplitude": ">", "tripartite.f_m_hz": ">",
+    **{f"tripartite.{k}_hz": ">=" for k in ("kappa_a_in", "kappa_a_ex", "kappa_c_in", "kappa_c_ex", "gamma")},
+    **{f"tripartite.occupations.{k}": ">=" for k in OCCUPATIONS[1]},
+    "params.amplitude": ">", "params.kappa_in_hz": ">=", "params.kappa_ex_hz": ">=",
+    "lumped.inductance_h": ">", "lumped.stray_capacitance_f": ">=",
+}
+
+
+def test_bounds_agree_between_config_and_construction():
+    # one declaration serves both doors: a value the config refuses under
+    # <block>.<key> is refused, in rad/s, by the dataclass under its field
+    seen = {}
+    for (cls, table), valid, name in RECORDS:
+        obj = parse_block((cls, table), valid, name)
+        bounds = {f.name: f.metadata.get("bound") for f in fields(cls)}
+        for key, (fld, hz) in table.items():
+            if isinstance(hz, tuple):
+                continue
+            bound = bounds[fld]
+            if bound:
+                seen[f"{name}.{key}"] = bound
+            bad = [math.nan, math.inf, -math.inf]
+            bad += [-1.0, 0.0] if bound == ">" else [-1.0] if bound == ">=" else []
+            for value in bad:
+                with pytest.raises(ConfigError, match=rf"^{name}\.{key}: "):
+                    parse_block((cls, table), {**valid, key: value}, name)
+                with pytest.raises(DomainError, match=rf"^{fld} must be finite"):
+                    replace(obj, **{fld: TWO_PI * value if hz else value})
+            if bound == ">=":
+                assert getattr(parse_block((cls, table), {**valid, key: 0.0}, name), fld) == 0.0
+    assert seen == BOUNDS
+
+
+def json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+               | st.text(max_size=4))
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+# (block,), (block, key) or (block, "occupations", key): where a value goes
+PATHS = [(name,) for name in BLOCKS]
+PATHS += [(name, key) for name, (_, table) in BLOCKS.items() for key in table]
+PATHS += [("tripartite", "occupations", key) for key in OCCUPATIONS[1]]
+
+
+@given(path=st.sampled_from(PATHS), value=json_values())
+@example(path=("tripartite", "f_m_hz"), value=1e308)
+@settings(max_examples=200, deadline=None)
+def test_any_json_value_in_any_field_raises_only_config_error(path, value):
+    data = copy.deepcopy({**VALID, "tripartite": {**VALID["tripartite"], "occupations": {}}})
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        parse_config(data)
+    except ConfigError:
+        pass

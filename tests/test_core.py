@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from emcavity.constants import HBAR, K_BOLTZMANN, TWO_PI
 from emcavity.core import (
     cooperativity,
-    enhanced_coupling,
     intracavity_photon_number,
     thermal_occupation,
     zero_point_fluctuation,
@@ -112,7 +111,6 @@ def test_intracavity_photon_number_detuned_half():
 def test_enhanced_coupling_sqrt_photon_number():
     cp = CouplingParams(g0=TWO_PI * 100.0, n_cavity=1e6)
     assert cp.g == pytest.approx(TWO_PI * 100.0 * 1e3, rel=1e-12)
-    assert enhanced_coupling(TWO_PI * 100.0, 1e6) == cp.g
 
 
 def test_cooperativity_conventions():
