@@ -34,6 +34,7 @@ from .fitting import (
     synthesize_trace,
 )
 from .linear_response import mechanical_self_energy, optomechanical_damping, reflection, spectrum
+from .tripartite import SWEEP_AXES
 from .tripartite import critical_coupling as _critical_coupling
 from .tripartite import sweep as _sweep
 from . import device as dev
@@ -57,7 +58,7 @@ def _write_manifest(out_path: str, config_path: str | None, seed: int | None, ou
     if config_path:
         with open(config_path, "rb") as fh:
             entry["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-    with open(out_path + ".manifest.json", "w") as fh:
+    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(entry, fh, indent=2)
         fh.write("\n")
 
@@ -133,7 +134,7 @@ def _write_spectrum_csv(path, f_hz, values):
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(values))
     table = np.stack([f_hz, values.real, values.imag, mag_db, np.angle(values)], axis=1)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("f_hz,re,im,mag_db,phase_rad\n")
         fh.write((",".join([_FMT] * 5) + "\n") * len(table) % tuple(table.ravel().tolist()))
 
@@ -190,7 +191,7 @@ def _parse_axis(ctx, param, spec_str):
     if not name_hz.endswith("_hz"):
         raise click.UsageError(f"axis name must end in _hz, got {name_hz!r}")
     name = name_hz[: -len("_hz")]
-    if name not in ("g_b", "g_c", "delta_a", "delta_c"):
+    if name not in SWEEP_AXES:
         raise click.UsageError(f"cannot sweep {name!r}")
     if count < 1:
         raise click.UsageError("axis needs at least 1 point")
@@ -218,7 +219,7 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
     # zeta- and E_N are NaN, written blank, where unstable or failed
     cells = [["" if math.isnan(x) else _FMT % x for x in col.tolist()] for col in floats]
     cells.insert(len(axes), ["true" if s else "false" for s in res["stable"].tolist()])
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(f"{n}_hz" for n in axes))
         fh.write(",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
@@ -257,10 +258,10 @@ def _read_record(path, what: str, record, name: str, key: str | None = None):
     """Read a record table's object from a JSON file, the whole file or its
     `key` member; any failure is a data error naming the file and field."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         return parse_block(record, data if key is None else data[key], name)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -279,7 +280,7 @@ def _write_fit(result, record, out_path):
             for name, sigma in result.param_uncertainties.items()
         },
     }
-    with open(out_path, "w") as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
     _write_manifest(out_path, None, None, [out_path])

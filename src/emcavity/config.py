@@ -177,9 +177,9 @@ def parse_config(data: dict) -> SystemParams:
 
 def load_config(path) -> SystemParams:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(raw)

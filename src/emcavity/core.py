@@ -50,6 +50,8 @@ def intracavity_photon_number(cavity: CavityParams, pump: PumpParams) -> float:
 
     n_c = kappa_ex * (P / hbar w_p) / ((w_p - w_c)^2 + kappa^2/4)
     """
+    if pump.power is None:
+        raise DomainError("power of the pump must be given")
     flux = pump.power / (HBAR * pump.omega_p)
     det2 = (pump.omega_p - cavity.omega_c) ** 2
     return cavity.kappa_ex * flux / (det2 + cavity.kappa**2 / 4.0)

@@ -9,67 +9,73 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .constants import EPSILON_0
 from .errors import DataError, DomainError
-from .params import NON_NEGATIVE, POSITIVE, Checked
+from .params import NON_NEGATIVE, POSITIVE, Checked, meets, violation
+
+
+def columns(*names: str, **meta) -> dict:
+    """Field metadata of a sample array: the CSV columns it is read from, in
+    file order (one name: an (n,) array, several: (n, k)), plus any bound."""
+    return {"columns": names, **meta}
+
+
+class CheckedArrays:
+    """Base of the frozen sample records, the array analogue of `Checked`:
+    on construction every field becomes a float array, all of one non-zero
+    length, whose values are finite and meet the field's declared bound."""
+
+    def __post_init__(self):
+        n = None
+        for f in fields(self):
+            arr = np.asarray(getattr(self, f.name), dtype=float)
+            length = len(arr) if arr.ndim else 0
+            n = length if n is None else n
+            if length != n or n == 0:
+                raise DataError(f"sample arrays must share one non-zero length; {f.name} has {length}")
+            bound = f.metadata.get("bound")
+            ok = np.isfinite(arr) & meets(arr, bound)
+            if not ok.all():
+                raise DataError(violation(f.name, arr[~ok][0], bound))
+            object.__setattr__(self, f.name, arr)
 
 
 @dataclass(frozen=True)
-class VolumeSampleSet:
+class VolumeSampleSet(CheckedArrays):
     """Quadrature-weighted volume samples of permittivity, field, density
-    and mechanical displacement."""
+    and mechanical displacement; fields in file column order."""
 
-    position: np.ndarray  # (n, 3) m
-    weight: np.ndarray  # (n,) m^3
-    eps_rel: np.ndarray  # (n,)
-    e_field: np.ndarray  # (n, 3) V/m
-    rho: np.ndarray  # (n,) kg/m^3
-    q: np.ndarray  # (n, 3) m
-
-    def __post_init__(self):
-        n = len(self.weight)
-        if n == 0:
-            raise DomainError("sample set must be non-empty")
-        for name in ("position", "weight", "eps_rel", "e_field", "rho", "q"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if len(arr) != n or not np.all(np.isfinite(arr)):
-                raise DomainError(f"bad {name} array in volume sample set")
-            object.__setattr__(self, name, arr)
-        if np.any(self.weight <= 0):
-            raise DomainError("quadrature weights must be positive")
+    position: np.ndarray = field(metadata=columns("x_m", "y_m", "z_m"))
+    weight: np.ndarray = field(metadata=columns("w_m3", **POSITIVE))
+    eps_rel: np.ndarray = field(metadata=columns("eps_rel"))
+    e_field: np.ndarray = field(metadata=columns("ex_vpm", "ey_vpm", "ez_vpm"))
+    rho: np.ndarray = field(metadata=columns("rho_kgpm3"))
+    q: np.ndarray = field(metadata=columns("qx_m", "qy_m", "qz_m"))
 
 
 @dataclass(frozen=True)
-class SurfaceSampleSet:
-    """Interface samples; material 1 sits on the +normal side."""
+class SurfaceSampleSet(CheckedArrays):
+    """Interface samples; material 1 sits on the +normal side.  The electric
+    field is evaluated per the interface convention."""
 
-    position: np.ndarray  # (n, 3)
-    area: np.ndarray  # (n,) m^2
-    normal: np.ndarray  # (n, 3) unit
-    q: np.ndarray  # (n, 3) m
-    e_field: np.ndarray  # (n, 3) V/m, evaluated per the interface convention
-    d_field: np.ndarray  # (n, 3) C/m^2
-    eps1_rel: np.ndarray  # (n,)
-    eps2_rel: np.ndarray  # (n,)
+    position: np.ndarray = field(metadata=columns("x_m", "y_m", "z_m"))
+    area: np.ndarray = field(metadata=columns("a_m2", **POSITIVE))
+    normal: np.ndarray = field(metadata=columns("nx", "ny", "nz"))
+    q: np.ndarray = field(metadata=columns("qx_m", "qy_m", "qz_m"))
+    e_field: np.ndarray = field(metadata=columns("ex_vpm", "ey_vpm", "ez_vpm"))
+    d_field: np.ndarray = field(metadata=columns("dx_cpm2", "dy_cpm2", "dz_cpm2"))
+    eps1_rel: np.ndarray = field(metadata=columns("eps1_rel"))
+    eps2_rel: np.ndarray = field(metadata=columns("eps2_rel"))
 
     def __post_init__(self):
-        n = len(self.area)
-        if n == 0:
-            raise DomainError("sample set must be non-empty")
-        for name in ("position", "area", "normal", "q", "e_field", "d_field", "eps1_rel", "eps2_rel"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if len(arr) != n or not np.all(np.isfinite(arr)):
-                raise DomainError(f"bad {name} array in surface sample set")
-            object.__setattr__(self, name, arr)
-        if np.any(self.area <= 0):
-            raise DomainError("areas must be positive")
+        super().__post_init__()
         norms = np.linalg.norm(self.normal, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise DomainError("normals must be unit vectors")
+            raise DataError("normals must be unit vectors")
 
 
 def max_displacement(v: VolumeSampleSet) -> float:
@@ -87,13 +93,17 @@ def effective_mass(v: VolumeSampleSet) -> float:
     return float(np.sum(v.weight * v.rho * q2) / alpha**2)
 
 
+def _field_energy2(v: VolumeSampleSet) -> float:
+    """integral eps |E|^2 dV: twice the stored electric energy."""
+    e2 = np.sum(v.e_field * v.e_field, axis=1)
+    return float(np.sum(v.weight * EPSILON_0 * v.eps_rel * e2))
+
+
 def capacitance_from_energy(v: VolumeSampleSet, applied_voltage: float = 1.0) -> float:
     """C_m = (integral eps |E|^2 dV) / V^2 (twice the stored energy over V^2)."""
     if applied_voltage <= 0:
         raise DomainError("applied voltage must be positive")
-    e2 = np.sum(v.e_field * v.e_field, axis=1)
-    energy2 = float(np.sum(v.weight * EPSILON_0 * v.eps_rel * e2))
-    return energy2 / applied_voltage**2
+    return _field_energy2(v) / applied_voltage**2
 
 
 def participation_ratio(c_m: float, c_s: float) -> float:
@@ -137,8 +147,7 @@ def fractional_capacitance_derivative(
 ) -> float:
     """(1/C_m) dC_m/dalpha from the moving-boundary surface integrals."""
     alpha = max_displacement(volume)
-    e2 = np.sum(volume.e_field * volume.e_field, axis=1)
-    denom = float(np.sum(volume.weight * EPSILON_0 * volume.eps_rel * e2))
+    denom = _field_energy2(volume)
     if denom == 0:
         raise DomainError("degenerate field: zero stored energy")
     return sum(_surface_sum(s, alpha) for s in surfaces) / denom
@@ -155,28 +164,18 @@ def coupling_rate_moving_boundary(
     return -x_zpf * eta * (omega_c / 2.0) * fractional_capacitance_derivative(surfaces, volume)
 
 
-_VOLUME_COLS = [
-    "x_m", "y_m", "z_m", "w_m3", "eps_rel",
-    "ex_vpm", "ey_vpm", "ez_vpm", "rho_kgpm3", "qx_m", "qy_m", "qz_m",
-]
-_SURFACE_COLS = [
-    "x_m", "y_m", "z_m", "a_m2", "nx", "ny", "nz",
-    "qx_m", "qy_m", "qz_m", "ex_vpm", "ey_vpm", "ez_vpm",
-    "dx_cpm2", "dy_cpm2", "dz_cpm2", "eps1_rel", "eps2_rel",
-]
-
-
 def read_table(path, columns=None) -> np.ndarray:
-    """Parse a numeric CSV body in bulk into an (n, k) float array.
+    """Parse a UTF-8 numeric CSV body in bulk into an (n, k) float array.
 
     With `columns` (sample sets) the stripped header must equal it and rows
     hold exactly that many cells; without (traces) any header passes and
-    the first three cells of each row are read and must be finite.  Blank
-    rows are skipped; a bad row raises DataError("path:line: ...").
+    the first three cells of each row are read.  Every cell read must be
+    finite.  Blank rows are skipped; a bad row raises
+    DataError("path:line: ...").
     """
     ncols = len(columns) if columns else 3
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
             if columns and (header is None or [c.strip() for c in header] != columns):
                 raise DataError(f"{path}: expected header {','.join(columns)}")
@@ -187,13 +186,13 @@ def read_table(path, columns=None) -> np.ndarray:
                     warnings.simplefilter("ignore", UserWarning)
                     arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"',
                                      usecols=None if columns else (0, 1, 2))
-                ok = arr.shape[1] == ncols if columns else np.isfinite(arr).all()
-            except ValueError:
+                ok = arr.shape[1] == ncols and np.isfinite(arr).all()
+            except ValueError:  # UnicodeDecodeError too: the pass below re-raises it
                 ok = False
             if not ok:  # name the first bad row, or read the rows loadtxt refuses
                 fh.seek(0)
                 arr = _parse_rows(path, csv.reader(fh), ncols, exact=bool(columns))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not len(arr):
         raise DataError(f"{path}: no data rows")
@@ -222,34 +221,28 @@ def _parse_rows(path, reader, ncols, exact):
             values = [float(c) for c in row[:ncols]]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not (exact or np.isfinite(values).all()):
+        if not np.isfinite(values).all():
             raise DataError(f"{path}:{lineno}: non-finite sample")
         rows.append(values)
     return np.asarray(rows)
 
 
+def load_samples(cls, path):
+    """Read a sample-set CSV whose header is the columns of cls's fields, in
+    field order; a record that fails its checks is a DataError naming the
+    file."""
+    layout = [f.metadata["columns"] for f in fields(cls)]
+    arr = read_table(path, [c for cols in layout for c in cols])
+    parts = np.split(arr, np.cumsum([len(cols) for cols in layout])[:-1], axis=1)
+    try:
+        return cls(*(p[:, 0] if p.shape[1] == 1 else p for p in parts))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def load_volume_csv(path) -> VolumeSampleSet:
-    arr = read_table(path, _VOLUME_COLS)
-    return VolumeSampleSet(
-        position=arr[:, 0:3],
-        weight=arr[:, 3],
-        eps_rel=arr[:, 4],
-        e_field=arr[:, 5:8],
-        rho=arr[:, 8],
-        q=arr[:, 9:12],
-    )
+    return load_samples(VolumeSampleSet, path)
 
 
 def load_surface_csv(path) -> SurfaceSampleSet:
-    arr = read_table(path, _SURFACE_COLS)
-    return SurfaceSampleSet(
-        position=arr[:, 0:3],
-        area=arr[:, 3],
-        normal=arr[:, 4:7],
-        q=arr[:, 7:10],
-        e_field=arr[:, 10:13],
-        d_field=arr[:, 13:16],
-        eps1_rel=arr[:, 16],
-        eps2_rel=arr[:, 17],
-    )
-
+    return load_samples(SurfaceSampleSet, path)

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .device import data_rows, read_table
+from .device import CheckedArrays, data_rows, read_table
 from .errors import DataError, DomainError, GuessError
 from .linear_response import mechanical_self_energy, reflection, reflection_partials
 from .params import NON_NEGATIVE, POSITIVE, Checked
 
 
 @dataclass(frozen=True)
-class ComplexTrace:
+class ComplexTrace(CheckedArrays):
     """Frequency grid (Hz) with complex reflection samples."""
 
     f_hz: np.ndarray
@@ -39,20 +39,11 @@ class ComplexTrace:
     im: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.f_hz, dtype=float)
-        re = np.asarray(self.re, dtype=float)
-        im = np.asarray(self.im, dtype=float)
-        if not (len(f) == len(re) == len(im)):
-            raise DataError("trace arrays must have equal length")
-        if len(f) < 7:
+        super().__post_init__()
+        if len(self.f_hz) < 7:
             raise DataError("trace needs at least 7 samples (7-parameter model)")
-        if not np.all(np.diff(f) > 0):
+        if not np.all(np.diff(self.f_hz) > 0):
             raise DataError("trace frequency must be strictly increasing")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise DataError("trace contains non-finite samples")
-        object.__setattr__(self, "f_hz", f)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
 
     @property
     def omega(self) -> np.ndarray:
@@ -377,7 +368,7 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
     f, re, im = read_table(path).T
     if not np.all(np.diff(f) > 0):
         bad = int(np.argmax(np.diff(f) <= 0)) + 1
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             line = [n for n, _ in data_rows(csv.reader(fh))][bad]
         raise DataError(f"{path}: frequency not strictly increasing near line {line}")
     if fmt == "db_phase":
@@ -389,7 +380,7 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
 def save_trace(trace: ComplexTrace, path) -> None:
     """Write a trace as re_im CSV: repr (round-trip) cells, CRLF line ends."""
     cells = np.stack([trace.f_hz, trace.re, trace.im], axis=1).ravel().tolist()
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("f_hz,re,im\r\n")
         fh.write("%r,%r,%r\r\n" * len(trace.f_hz) % tuple(cells))
 

@@ -18,9 +18,16 @@ POSITIVE = {"bound": ">"}
 NON_NEGATIVE = {"bound": ">="}
 
 
-def meets(value: float, bound: str | None) -> bool:
-    """Whether a number meets a field's declared bound against 0."""
+def meets(value, bound: str | None):
+    """Whether a number (or, elementwise, an array) meets a field's
+    declared bound against 0."""
     return bound is None or (value > 0.0 if bound == ">" else value >= 0.0)
+
+
+def violation(name: str, value, bound: str | None) -> str:
+    """The message for a field value that is not finite or breaks its bound."""
+    rule = "finite" if bound is None else f"finite and {bound} 0"
+    return f"{name} must be {rule}, got {value}"
 
 
 class Checked:
@@ -35,8 +42,7 @@ class Checked:
                 continue
             bound = f.metadata.get("bound")
             if not (math.isfinite(value) and meets(value, bound)):
-                rule = "finite" if bound is None else f"finite and {bound} 0"
-                raise DomainError(f"{f.name} must be {rule}, got {value}")
+                raise DomainError(violation(f.name, value, bound))
 
 
 @dataclass(frozen=True)
@@ -63,10 +69,10 @@ class MechParams(Checked):
 
 @dataclass(frozen=True)
 class PumpParams(Checked):
-    """External pump tone applied to the cavity."""
+    """External pump tone applied to the cavity; its power is optional."""
 
     omega_p: float = field(metadata=POSITIVE)  # rad/s
-    power: float = field(metadata=NON_NEGATIVE)  # W
+    power: float | None = field(default=None, metadata=NON_NEGATIVE)  # W
 
     def detuning(self, cavity: CavityParams) -> float:
         """Delta = omega_c - omega_p."""

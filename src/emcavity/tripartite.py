@@ -30,6 +30,9 @@ import numpy as np
 from .errors import BracketError, DomainError, NearPoleError, NumericalError
 from .params import TripartiteParams
 
+# the parameters `sweep` can put on an axis
+SWEEP_AXES = ("g_b", "g_c", "delta_a", "delta_c")
+
 
 def drift_matrices(p: TripartiteParams, grid: dict) -> np.ndarray:
     """(N, 6, 6) real drift matrices in the quadrature basis (X_a, Y_a, X_b,
@@ -242,7 +245,7 @@ def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) 
     grids = np.meshgrid(*(np.asarray(axes[n], dtype=float) for n in axes), indexing="ij")
     columns = {n: g.ravel() for n, g in zip(axes, grids)}
     for name, values in columns.items():
-        if name not in ("g_b", "g_c", "delta_a", "delta_c"):
+        if name not in SWEEP_AXES:
             raise ValueError(f"cannot sweep parameter {name!r}")
         if not np.isfinite(values).all():
             raise DomainError(f"{name} must be finite")

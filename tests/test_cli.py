@@ -309,6 +309,23 @@ class TestSynthFitPipeline:
         code = run(["fit", "reflect", "--in", str(bad), "--out", str(tmp_path / "f.json")])
         assert code == 2
 
+    def test_non_utf8_input(self, config_file, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b'{"cavity": \xff}')
+        capsys.readouterr()
+        assert run(["omit", "--config", str(config), "--f-hz", "1e9"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config {config}: 'utf-8' codec can't decode byte 0xff"
+        )
+        trace = tmp_path / "trace.csv"
+        assert run(["synth", "--config", config_file, "--points", "21", "--out", str(trace)]) == 0
+        trace.write_bytes(trace.read_bytes().replace(b"e", b"\xff", 1))
+        capsys.readouterr()
+        assert run(["fit", "reflect", "--in", str(trace), "--out", str(tmp_path / "f.json")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: cannot read {trace}: 'utf-8' codec can't decode byte 0xff"
+        )
+
     def test_fit_missing_input_is_data_error(self, tmp_path):
         code = run(
             ["fit", "reflect", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.json")]
@@ -417,6 +434,43 @@ class TestDevice:
 
     def test_device_missing_file_is_data_error(self, tmp_path):
         assert run(["device", "meff", "--volume", str(tmp_path / "no.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "name, line, column, cell, message",
+        [
+            ("vol", 3, "ez_vpm", "nan", "{path}:3: non-finite sample"),
+            ("vol", 3, "rho_kgpm3", "inf", "{path}:3: non-finite sample"),
+            ("vol", 3, "w_m3", "0", "{path}: weight must be finite and > 0, got 0.0"),
+            ("vol", 3, "w_m3", "-2e-23", "{path}: weight must be finite and > 0, got -2e-23"),
+            ("surf", 2, "dz_cpm2", "NaN", "{path}:2: non-finite sample"),
+            ("surf", 2, "eps1_rel", "-inf", "{path}:2: non-finite sample"),
+            ("surf", 2, "a_m2", "0", "{path}: area must be finite and > 0, got 0.0"),
+            ("surf", 2, "a_m2", "-1e-8", "{path}: area must be finite and > 0, got -1e-08"),
+            ("surf", 2, "nz", "-0.5", "{path}: normals must be unit vectors"),
+        ],
+    )
+    def test_bad_sample_is_data_error(self, device_files, capsys, name, line, column, cell, message):
+        vol, surf, lumped = device_files
+        path = {"vol": vol, "surf": surf}[name]
+        lines = path.read_text().split("\n")
+        cells = lines[line - 1].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert self.g0(device_files, lumped) == 2
+        assert capsys.readouterr().err == f"data error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("name", ["vol", "lumped"])
+    def test_non_utf8_file_is_data_error(self, device_files, capsys, name):
+        vol, surf, lumped = device_files
+        path = {"vol": vol, "lumped": lumped}[name]
+        what = {"vol": "", "lumped": "lumped circuit "}[name]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        assert self.g0(device_files, lumped) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {what}{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 # one float option per command, given a non-finite value; {config} and {tmp}
@@ -620,6 +674,16 @@ class TestFitRecords:
         capsys.readouterr()
         assert run(fit_omit_args(omit, cavity, tmp_path / "omit.json")) == 2
         assert capsys.readouterr().err == f"data error: cannot read cavity fit {cavity}: {message}\n"
+
+
+    def test_non_utf8_cavity_record_is_data_error(self, fit_inputs, tmp_path, capsys):
+        cavity, omit = fit_inputs
+        cavity.write_bytes(cavity.read_bytes().replace(b"params", b"p\xfframs"))
+        capsys.readouterr()
+        assert run(fit_omit_args(omit, cavity, tmp_path / "omit.json")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: cannot read cavity fit {cavity}: 'utf-8' codec can't decode byte 0xff"
+        )
 
 
 # Starts that a magnitude-dip heuristic gave on 3-dB CAVITY_CONFIG traces

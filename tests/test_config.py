@@ -147,6 +147,23 @@ def test_mech_effective_mass_is_optional():
     assert parse_config(GOOD).mech.m_eff == 2.0e-15
 
 
+def test_pump_power_is_optional():
+    pump = {k: v for k, v in GOOD["pump"].items() if k != "power_w"}
+    assert parse_config({"pump": pump}).pump.power is None
+    assert parse_config(GOOD).pump.power == 1e-12
+
+
+def test_non_utf8_config_is_config_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"cavity": \xff}')
+    with pytest.raises(ConfigError) as info:
+        load_config(bad)
+    assert str(info.value) == (
+        f"cannot read config {bad}: 'utf-8' codec can't decode byte 0xff in position 11: "
+        "invalid start byte"
+    )
+
+
 # every record table with a valid object, and the bound each key must obey
 RECORDS = [
     *((BLOCKS[name], VALID[name], name) for name in BLOCKS),

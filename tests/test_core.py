@@ -97,6 +97,12 @@ def test_intracavity_photon_number_on_resonance():
     assert n == pytest.approx(expected, rel=1e-12)
 
 
+def test_intracavity_photon_number_needs_the_pump_power():
+    cav = CavityParams(omega_c=TWO_PI * 10e9, kappa_in=TWO_PI * 0.5e6, kappa_ex=TWO_PI * 1.5e6)
+    with pytest.raises(DomainError, match="power"):
+        intracavity_photon_number(cav, PumpParams(omega_p=cav.omega_c))
+
+
 def test_intracavity_photon_number_detuned_half():
     cav = CavityParams(omega_c=TWO_PI * 10e9, kappa_in=TWO_PI * 0.5e6, kappa_ex=TWO_PI * 1.5e6)
     on = intracavity_photon_number(cav, PumpParams(omega_p=cav.omega_c, power=1e-12))

@@ -1,6 +1,7 @@
 """Design integrals: effective mass, capacitance, moving-boundary coupling."""
 
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -267,6 +268,64 @@ class TestLoaders:
 
 
 VOLUME_HEADER = "x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m"
+SURFACE_HEADER = (
+    "x_m,y_m,z_m,a_m2,nx,ny,nz,qx_m,qy_m,qz_m,"
+    "ex_vpm,ey_vpm,ez_vpm,dx_cpm2,dy_cpm2,dz_cpm2,eps1_rel,eps2_rel"
+)
+# the documented file columns of each field, written out independently of
+# the field metadata the loaders read
+VOLUME_LAYOUT = {"position": slice(0, 3), "weight": 3, "eps_rel": 4, "e_field": slice(5, 8),
+                 "rho": 8, "q": slice(9, 12)}
+SURFACE_LAYOUT = {"position": slice(0, 3), "area": 3, "normal": slice(4, 7), "q": slice(7, 10),
+                  "e_field": slice(10, 13), "d_field": slice(13, 16), "eps1_rel": 16,
+                  "eps2_rel": 17}
+
+
+@pytest.mark.parametrize(
+    "header, layout, load",
+    [(VOLUME_HEADER, VOLUME_LAYOUT, load_volume_csv), (SURFACE_HEADER, SURFACE_LAYOUT, load_surface_csv)],
+    ids=["volume", "surface"],
+)
+def test_each_field_reads_its_own_columns(tmp_path, header, layout, load):
+    # cell (i, j) is 100 i + j, so a field read from the wrong column or row
+    # shows; the normals are a fixed unit vector with distinct components
+    ncols = len(header.split(","))
+    table = 100.0 * np.arange(1, 6)[:, None] + np.arange(ncols)
+    if "normal" in layout:
+        table[:, layout["normal"]] = [0.48, 0.6, 0.64]
+    path = tmp_path / "samples.csv"
+    path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+    loaded = load(path)
+    assert list(layout) == [f.name for f in fields(loaded)]
+    for name, cols in layout.items():
+        assert np.array_equal(getattr(loaded, name), table[:, cols]), name
+
+
+class TestSampleChecks:
+    """Sample records check themselves on construction: input data, so a
+    DataError naming the field."""
+
+    def test_bad_values_name_the_field(self):
+        vol = rigid_block(n=4)
+        for edit, message in [
+            ({"weight": np.array([1e-18, 0.0, 1e-18, 1e-18])}, "weight must be finite and > 0, got 0.0"),
+            ({"e_field": np.full((4, 3), np.inf)}, "e_field must be finite, got inf"),
+            ({"rho": np.ones(3)}, "sample arrays must share one non-zero length; rho has 3"),
+        ]:
+            with pytest.raises(DataError) as info:
+                replace(vol, **edit)
+            assert str(info.value) == message
+        with pytest.raises(DataError, match="^sample arrays must share one non-zero length; position has 0$"):
+            VolumeSampleSet(*(np.empty(0) for _ in fields(VolumeSampleSet)))
+
+    def test_surface_normals_must_be_unit(self):
+        _, surf = parallel_plate()
+        with pytest.raises(DataError, match="^normals must be unit vectors$"):
+            replace(surf, normal=2.0 * surf.normal)
+        with pytest.raises(DataError, match="^area must be finite and > 0, got -1e-08$"):
+            replace(surf, area=-surf.area)
+
+
 ROW_A = ",".join(["1.5"] * 12)
 ROW_B = "0.1,0.2,0.3,1e-18,11.7,1e5,2e5,3e5,2329,1e-9,2e-9,3e-9"
 
@@ -328,10 +387,12 @@ class TestLoaderDiagnostics:
         assert str(info.value) == f"{path}:3: expected 18 columns"
 
     def test_non_finite_cell_fails_in_the_sample_set(self, tmp_path):
+        # the same rule, and message, as a non-finite trace cell
         path = tmp_path / "vol.csv"
         path.write_text(f"{VOLUME_HEADER}\n{ROW_A}\n1,2,3,4,5,6,7,8,9,nan,11,12\n")
-        with pytest.raises(DomainError, match="^bad q array in volume sample set$"):
+        with pytest.raises(DataError) as info:
             load_volume_csv(path)
+        assert str(info.value) == f"{path}:3: non-finite sample"
 
     @pytest.mark.parametrize(
         "text",
