@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .config import LUMPED, OMIT_FIT, REFLECTION_FIT, Background, load_config, parse_block, to_record
+from .config import Background, load_config, parse_block, to_record
 from .constants import TWO_PI
 from .core import thermal_occupation, zero_point_fluctuation
 from .errors import BracketError, ConfigError, DataError, DomainError, NumericalError
@@ -130,10 +130,15 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
     click.echo(f"wrote {out_path}", err=True)
 
 
-def _write_spectrum_csv(path, f_hz, values):
+def _mag_db_phase(values):
+    """20 log10|r|, -inf where r = 0, and arg r, of an array or a scalar.
+    `abs`, not np.abs: on a complex scalar they can differ in the last bit."""
     with np.errstate(divide="ignore"):
-        mag_db = 20.0 * np.log10(np.abs(values))
-    table = np.stack([f_hz, values.real, values.imag, mag_db, np.angle(values)], axis=1)
+        return 20.0 * np.log10(abs(values)), np.angle(values)
+
+
+def _write_spectrum_csv(path, f_hz, values):
+    table = np.stack([f_hz, values.real, values.imag, *_mag_db_phase(values)], axis=1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("f_hz,re,im,mag_db,phase_rad\n")
         fh.write((",".join([_FMT] * 5) + "\n") * len(table) % tuple(table.ravel().tolist()))
@@ -151,10 +156,8 @@ def omit(config_path, f_hz):
     w = TWO_PI * f_hz - pump.omega_p
     sigma = mechanical_self_energy(w, _require(params, "coupling").g, mech.gamma, mech.omega_m)
     r = reflection(w, pump.detuning(cavity), cavity.kappa_in, cavity.kappa_ex, self_energy=sigma)
-    click.echo(
-        f"re={_fmt(r.real)} im={_fmt(r.imag)} "
-        f"mag_db={_fmt(20 * np.log10(abs(r)))} phase_rad={_fmt(np.angle(r))}"
-    )
+    mag_db, phase = _mag_db_phase(r)
+    click.echo(f"re={_fmt(r.real)} im={_fmt(r.imag)} mag_db={_fmt(mag_db)} phase_rad={_fmt(phase)}")
 
 
 @cli.command()
@@ -254,20 +257,20 @@ def fit():
     """Nonlinear least-squares fits of reflection traces."""
 
 
-def _read_record(path, what: str, record, name: str, key: str | None = None):
-    """Read a record table's object from a JSON file, the whole file or its
-    `key` member; any failure is a data error naming the file and field."""
+def _read_record(path, what: str, cls, name: str, key: str | None = None):
+    """Read a record from a JSON file, the whole file or its `key` member;
+    any failure is a data error naming the file and field."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return parse_block(record, data if key is None else data[key], name)
+        return parse_block(cls, data if key is None else data[key], name)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _write_fit(result, record, out_path):
+def _write_fit(result, out_path):
     doc = {
-        "params": to_record(record, result.params),
+        "params": to_record(result.params),
         "residual_norm": result.residual_norm,
         "convergence": {
             "converged": result.converged,
@@ -295,7 +298,7 @@ def _write_fit(result, record, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def fit_reflect_cmd(in_path, fmt, out_path):
     """Fit the extended one-sided-cavity model to a complex trace."""
-    _write_fit(fit_reflection(load_trace(in_path, fmt)), REFLECTION_FIT, out_path)
+    _write_fit(fit_reflection(load_trace(in_path, fmt)), out_path)
 
 
 @fit.command("omit")
@@ -316,7 +319,7 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
     The trace frequency column is the probe-pump detuning (rotating frame).
     """
     trace = load_trace(in_path, fmt)
-    cavity = _read_record(cavity_path, "cavity fit", REFLECTION_FIT, "params", key="params")
+    cavity = _read_record(cavity_path, "cavity fit", ReflectionModelParams, "params", key="params")
     if detuning_hz is None:
         detuning_hz = f_m_hz
     guess = OmitModelParams(
@@ -325,7 +328,7 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
         omega_m=TWO_PI * f_m_hz,
         detuning=TWO_PI * detuning_hz,
     )
-    _write_fit(fit_omit(trace, cavity, guess, fit_detuning=fit_detuning), OMIT_FIT, out_path)
+    _write_fit(fit_omit(trace, cavity, guess, fit_detuning=fit_detuning), out_path)
 
 
 @cli.command()
@@ -401,7 +404,7 @@ def device_g0(volume_path, surface_paths, lumped_path, f_m_hz, voltage_v):
     """
     vol = dev.load_volume_csv(volume_path)
     surfaces = [dev.load_surface_csv(p) for p in surface_paths]
-    lumped = _read_record(lumped_path, "lumped circuit", LUMPED, "lumped")
+    lumped = _read_record(lumped_path, "lumped circuit", dev.ResonatorLumped, "lumped")
     m_eff = dev.effective_mass(vol)
     c_m = dev.capacitance_from_energy(vol, voltage_v)
     eta = dev.participation_ratio(c_m, lumped.stray_capacitance)

@@ -1,11 +1,13 @@
 """External JSON records: system configs, fit results and lumped circuits.
 
-External interfaces use ordinary frequency (Hz) with keys suffixed `_hz`;
-everything internal is angular (rad/s).  Each record is declared once, as a
-table from JSON key to dataclass field, and read by `parse_block` and
-written by `to_record` through it.  Unknown keys, missing required keys and
-values that are not finite numbers within their fields' declared bounds are
-rejected with the offending field path.  A config may leave out any block.
+A record is a dataclass read by `parse_block` and written by `to_record`.
+Each field is stored under the JSON key its metadata declares (`key`), or
+under its own name if it declares none, and in field order.  A key ending
+in `_hz` holds ordinary frequency (Hz) and its field angular (rad/s); every
+other value is stored as is.  A field marked `{"record": cls}` holds a
+nested record.  Unknown keys, missing required keys and values that are not
+finite numbers within their fields' declared bounds are rejected with the
+offending field path.  A config may leave out any block.
 """
 
 from __future__ import annotations
@@ -15,18 +17,16 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 from .constants import TWO_PI
-from .device import ResonatorLumped
 from .errors import ConfigError
-from .fitting import OmitModelParams, ReflectionModelParams
 from .params import (
     POSITIVE,
     CavityParams,
     Checked,
     CouplingParams,
     MechParams,
-    Occupations,
     PumpParams,
     TripartiteParams,
+    key,
     meets,
 )
 
@@ -36,90 +36,26 @@ class Background(Checked):
     """Trace background for synthesis: prefactor and baseline tilt."""
 
     amplitude: float = field(default=1.0, metadata=POSITIVE)
-    tau: float = 0.0  # s
-    phi: float = 0.0  # rad
-    delta: float = 0.0  # rad/s
+    tau: float = field(default=0.0, metadata=key("tau_s"))
+    phi: float = field(default=0.0, metadata=key("phi_rad"))
+    delta: float = field(default=0.0, metadata=key("delta_hz"))  # rad/s
 
 
 @dataclass
 class SystemParams:
     """Normalized config: any subset of blocks may be present."""
 
-    cavity: CavityParams | None = None
-    mech: MechParams | None = None
-    pump: PumpParams | None = None
-    coupling: CouplingParams | None = None
-    background: Background | None = None
-    tripartite: TripartiteParams | None = None
+    cavity: CavityParams | None = field(default=None, metadata={"record": CavityParams})
+    mech: MechParams | None = field(default=None, metadata={"record": MechParams})
+    pump: PumpParams | None = field(default=None, metadata={"record": PumpParams})
+    coupling: CouplingParams | None = field(default=None, metadata={"record": CouplingParams})
+    background: Background | None = field(default=None, metadata={"record": Background})
+    tripartite: TripartiteParams | None = field(default=None, metadata={"record": TripartiteParams})
 
 
-# A record is (dataclass, {JSON key: (field, value in Hz scaled by 2 pi)});
-# keys are written in table order.  A field is required unless the
-# dataclass gives it a default, and its bound is the one its metadata
-# declares.  A nested record takes the place of the Hz flag.
-OCCUPATIONS = (
-    Occupations, {k: (k, False) for k in ("n_a_in", "n_a_ex", "n_b_in", "n_c_in", "n_c_ex")}
-)
-BLOCKS = {
-    "cavity": (CavityParams, {
-        "f_c_hz": ("omega_c", True),
-        "kappa_in_hz": ("kappa_in", True),
-        "kappa_ex_hz": ("kappa_ex", True),
-    }),
-    "mech": (MechParams, {
-        "f_m_hz": ("omega_m", True),
-        "gamma_hz": ("gamma", True),
-        "m_eff_kg": ("m_eff", False),
-    }),
-    "pump": (PumpParams, {
-        "f_p_hz": ("omega_p", True),
-        "power_w": ("power", False),
-    }),
-    "coupling": (CouplingParams, {
-        "g0_hz": ("g0", True),
-        "n_cavity": ("n_cavity", False),
-    }),
-    "background": (Background, {
-        "amplitude": ("amplitude", False),
-        "tau_s": ("tau", False),
-        "phi_rad": ("phi", False),
-        "delta_hz": ("delta", True),
-    }),
-    "tripartite": (TripartiteParams, {
-        "delta_a_hz": ("delta_a", True),
-        "delta_c_hz": ("delta_c", True),
-        "f_m_hz": ("omega_m", True),
-        "g_b_hz": ("g_b", True),
-        "g_c_hz": ("g_c", True),
-        "kappa_a_in_hz": ("kappa_a_in", True),
-        "kappa_a_ex_hz": ("kappa_a_ex", True),
-        "kappa_c_in_hz": ("kappa_c_in", True),
-        "kappa_c_ex_hz": ("kappa_c_ex", True),
-        "gamma_hz": ("gamma", True),
-        "occupations": ("occupations", OCCUPATIONS),
-    }),
-}
-# the `params` object of the `fit reflect` and `fit omit` JSON
-REFLECTION_FIT = (ReflectionModelParams, {
-    "amplitude": ("amplitude", False),
-    "tau_s": ("tau", False),
-    "phi_rad": ("phi", False),
-    "f_c_hz": ("omega_c", True),
-    "kappa_in_hz": ("kappa_in", True),
-    "kappa_ex_hz": ("kappa_ex", True),
-    "delta_hz": ("delta", True),
-})
-OMIT_FIT = (OmitModelParams, {
-    "g_hz": ("g", True),
-    "gamma_hz": ("gamma", True),
-    "f_m_hz": ("omega_m", True),
-    "detuning_hz": ("detuning", True),
-})
-# the `device g0 --lumped` circuit
-LUMPED = (ResonatorLumped, {
-    "inductance_h": ("inductance", False),
-    "stray_capacitance_f": ("stray_capacitance", False),
-})
+def _keyed(cls) -> dict:
+    """{JSON key: field} of a record, in field order."""
+    return {f.metadata.get("key", f.name): f for f in fields(cls)}
 
 
 def _number(val, path: str, bound, scale: float) -> float:
@@ -135,44 +71,45 @@ def _number(val, path: str, bound, scale: float) -> float:
     return scale * val
 
 
-def parse_block(record, data, name: str):
-    """Check a JSON object against a record table and build its dataclass."""
-    cls, table = record
+def parse_block(cls, data, name: str):
+    """Check a JSON object against a record's fields and build it.  A field
+    is required unless the dataclass gives it a default."""
     if not isinstance(data, dict):
         raise ConfigError(f"{name}: expected an object")
-    unknown = set(data) - set(table)
+    keyed = _keyed(cls)
+    unknown = set(data) - set(keyed)
     if unknown:
         raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
-    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
-    bounds = {f.name: f.metadata.get("bound") for f in fields(cls)}
-    for key, (fld, _) in table.items():
-        if key not in data and fld in required:
-            raise ConfigError(f"{name}.{key}: missing required field")
+    for k, f in keyed.items():
+        if k not in data and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{name}.{k}: missing required field")
     values = {}
-    for key, (fld, hz) in table.items():
-        if key not in data:
+    for k, f in keyed.items():
+        if k not in data:
             continue
-        if isinstance(hz, tuple):
-            values[fld] = parse_block(hz, data[key], f"{name}.{key}")
+        record = f.metadata.get("record")
+        if record:
+            values[f.name] = parse_block(record, data[k], f"{name}.{k}")
         else:
-            values[fld] = _number(data[key], f"{name}.{key}", bounds[fld], TWO_PI if hz else 1.0)
+            scale = TWO_PI if k.endswith("_hz") else 1.0
+            values[f.name] = _number(data[k], f"{name}.{k}", f.metadata.get("bound"), scale)
     return cls(**values)
 
 
-def to_record(record, obj) -> dict:
-    """The JSON object of a flat record's dataclass, in table order."""
-    return {key: getattr(obj, fld) / TWO_PI if hz else getattr(obj, fld)
-            for key, (fld, hz) in record[1].items()}
+def to_record(obj) -> dict:
+    """The JSON object of a flat record, in field order."""
+    return {k: getattr(obj, f.name) / TWO_PI if k.endswith("_hz") else getattr(obj, f.name)
+            for k, f in _keyed(type(obj)).items()}
 
 
 def parse_config(data: dict) -> SystemParams:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
-    unknown = set(data) - set(BLOCKS)
+    unknown = set(data) - set(_keyed(SystemParams))
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level block")
-    return SystemParams(**{name: parse_block(record, data[name], name)
-                           for name, record in BLOCKS.items() if name in data})
+    return SystemParams(**{f.name: parse_block(f.metadata["record"], data[f.name], f.name)
+                           for f in fields(SystemParams) if f.name in data})
 
 
 def load_config(path) -> SystemParams:

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .constants import HBAR, K_BOLTZMANN
 from .errors import DomainError
 from .params import CavityParams, PumpParams
@@ -18,24 +16,17 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
 
     `frequency` is angular (rad/s).  T = 0 returns 0 by an explicit branch.
     """
-    frequency = np.asarray(frequency, dtype=float)
-    if np.any(frequency <= 0):
+    if frequency <= 0:
         raise DomainError("frequency must be positive")
-    if np.any(np.asarray(temperature) < 0):
+    if temperature < 0:
         raise DomainError("temperature must be non-negative")
-    if np.ndim(frequency) == 0:
-        if temperature == 0:
-            return 0.0
-        x = HBAR * float(frequency) / (K_BOLTZMANN * temperature)
-        # large-x guard: occupation underflows to 0 well before exp overflows
-        if x > 700:
-            return math.exp(-x)
-        return 1.0 / math.expm1(x)
     if temperature == 0:
-        return np.zeros_like(frequency)
-    x = HBAR * frequency / (K_BOLTZMANN * temperature)
-    out = np.where(x > 700, np.exp(-np.minimum(x, 745)), 1.0 / np.expm1(np.minimum(x, 700)))
-    return out
+        return 0.0
+    x = HBAR * float(frequency) / (K_BOLTZMANN * temperature)
+    # large-x guard: occupation underflows to 0 well before exp overflows
+    if x > 700:
+        return math.exp(-x)
+    return 1.0 / math.expm1(x)
 
 
 def zero_point_fluctuation(m_eff: float, omega_m: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import EPSILON_0
 from .errors import DataError, DomainError
-from .params import NON_NEGATIVE, POSITIVE, Checked, meets, violation
+from .params import NON_NEGATIVE, POSITIVE, Checked, key, meets, violation
 
 
 def columns(*names: str, **meta) -> dict:
@@ -117,8 +117,8 @@ def participation_ratio(c_m: float, c_s: float) -> float:
 
 @dataclass(frozen=True)
 class ResonatorLumped(Checked):
-    inductance: float = field(metadata=POSITIVE)  # H
-    stray_capacitance: float = field(metadata=NON_NEGATIVE)  # F
+    inductance: float = field(metadata=key("inductance_h", **POSITIVE))
+    stray_capacitance: float = field(metadata=key("stray_capacitance_f", **NON_NEGATIVE))
 
 
 def lc_frequency(r: ResonatorLumped, c_m: float) -> float:

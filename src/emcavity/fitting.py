@@ -27,7 +27,7 @@ import numpy as np
 from .device import CheckedArrays, data_rows, read_table
 from .errors import DataError, DomainError, GuessError
 from .linear_response import mechanical_self_energy, reflection, reflection_partials
-from .params import NON_NEGATIVE, POSITIVE, Checked
+from .params import NON_NEGATIVE, POSITIVE, Checked, key
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,12 @@ class ReflectionModelParams(Checked):
     """Parameters of the extended reflection model."""
 
     amplitude: float = field(metadata={**_LOG, **POSITIVE})  # A, dimensionless
-    tau: float  # s, cable delay
-    phi: float = field(metadata=_ANGLE)  # rad, constant phase
-    omega_c: float  # rad/s
-    kappa_in: float = field(metadata={**_LOG, **NON_NEGATIVE})  # rad/s
-    kappa_ex: float = field(metadata={**_LOG, **NON_NEGATIVE})  # rad/s
-    delta: float  # rad/s, baseline tilt
+    tau: float = field(metadata=key("tau_s"))  # cable delay
+    phi: float = field(metadata=key("phi_rad", **_ANGLE))  # constant phase
+    omega_c: float = field(metadata=key("f_c_hz"))
+    kappa_in: float = field(metadata=key("kappa_in_hz", **_LOG, **NON_NEGATIVE))
+    kappa_ex: float = field(metadata=key("kappa_ex_hz", **_LOG, **NON_NEGATIVE))
+    delta: float = field(metadata=key("delta_hz"))  # baseline tilt
 
 
 @dataclass(frozen=True)
@@ -304,10 +304,10 @@ def fit_reflection(trace: ComplexTrace, guess: ReflectionModelParams | None = No
 class OmitModelParams(Checked):
     """Mechanical parameters fitted on top of fixed cavity background."""
 
-    g: float  # rad/s
-    gamma: float  # rad/s
-    omega_m: float  # rad/s
-    detuning: float  # rad/s
+    g: float = field(metadata=key("g_hz"))
+    gamma: float = field(metadata=key("gamma_hz"))
+    omega_m: float = field(metadata=key("f_m_hz"))
+    detuning: float = field(metadata=key("detuning_hz"))
 
 
 def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams):
@@ -368,13 +368,22 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
     f, re, im = read_table(path).T
     if not np.all(np.diff(f) > 0):
         bad = int(np.argmax(np.diff(f) <= 0)) + 1
-        with open(path, newline="", encoding="utf-8") as fh:
-            line = [n for n, _ in data_rows(csv.reader(fh))][bad]
-        raise DataError(f"{path}: frequency not strictly increasing near line {line}")
+        raise DataError(f"{path}: frequency not strictly increasing near line {_line(path, bad)}")
     if fmt == "db_phase":
-        c = 10.0 ** (re / 20.0) * np.exp(1j * im)
+        with np.errstate(over="ignore"):
+            mag = 10.0 ** (re / 20.0)
+        if not np.isfinite(mag).all():
+            bad = int(np.argmin(np.isfinite(mag)))
+            raise DataError(f"{path}:{_line(path, bad)}: mag_db out of range, got {re[bad]}")
+        c = mag * np.exp(1j * im)
         re, im = c.real, c.imag
     return ComplexTrace(f_hz=f, re=re, im=im)
+
+
+def _line(path, row: int) -> int:
+    """The file line of a trace's data row `row` (0-based)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [n for n, _ in data_rows(csv.reader(fh))][row]
 
 
 def save_trace(trace: ComplexTrace, path) -> None:

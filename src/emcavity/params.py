@@ -2,8 +2,8 @@
 
 All frequencies and rates are angular (rad/s).  Conversion from ordinary
 frequency (Hz) happens at the external interfaces only (see config.py).
-Each field's bound is declared once, in its metadata, and enforced by
-`Checked`; config.py reads the same metadata.
+Each field's bound and JSON key are declared once, in its metadata; the
+bound is enforced by `Checked`, and config.py reads both.
 """
 
 from __future__ import annotations
@@ -16,6 +16,13 @@ from .errors import DomainError
 # a field's bound against 0; a field without one need only be finite
 POSITIVE = {"bound": ">"}
 NON_NEGATIVE = {"bound": ">="}
+
+
+def key(name: str, **meta) -> dict:
+    """Field metadata of a record field written to JSON under `name` rather
+    than its own name, plus any bound.  A key ending in `_hz` holds
+    ordinary frequency; the field holds it in rad/s."""
+    return {"key": name, **meta}
 
 
 def meets(value, bound: str | None):
@@ -49,9 +56,9 @@ class Checked:
 class CavityParams(Checked):
     """One-sided microwave cavity: resonance and damping rates."""
 
-    omega_c: float = field(metadata=POSITIVE)  # rad/s
-    kappa_in: float = field(metadata=NON_NEGATIVE)  # rad/s, intrinsic loss
-    kappa_ex: float = field(metadata=NON_NEGATIVE)  # rad/s, external (measurement line) coupling
+    omega_c: float = field(metadata=key("f_c_hz", **POSITIVE))
+    kappa_in: float = field(metadata=key("kappa_in_hz", **NON_NEGATIVE))  # intrinsic loss
+    kappa_ex: float = field(metadata=key("kappa_ex_hz", **NON_NEGATIVE))  # measurement line
 
     @property
     def kappa(self) -> float:
@@ -62,17 +69,17 @@ class CavityParams(Checked):
 class MechParams(Checked):
     """Mechanical mode: frequency, damping and, optionally, effective mass."""
 
-    omega_m: float = field(metadata=POSITIVE)  # rad/s
-    gamma: float = field(metadata=NON_NEGATIVE)  # rad/s
-    m_eff: float | None = field(default=None, metadata=POSITIVE)  # kg
+    omega_m: float = field(metadata=key("f_m_hz", **POSITIVE))
+    gamma: float = field(metadata=key("gamma_hz", **NON_NEGATIVE))
+    m_eff: float | None = field(default=None, metadata=key("m_eff_kg", **POSITIVE))
 
 
 @dataclass(frozen=True)
 class PumpParams(Checked):
     """External pump tone applied to the cavity; its power is optional."""
 
-    omega_p: float = field(metadata=POSITIVE)  # rad/s
-    power: float | None = field(default=None, metadata=NON_NEGATIVE)  # W
+    omega_p: float = field(metadata=key("f_p_hz", **POSITIVE))
+    power: float | None = field(default=None, metadata=key("power_w", **NON_NEGATIVE))
 
     def detuning(self, cavity: CavityParams) -> float:
         """Delta = omega_c - omega_p."""
@@ -83,7 +90,7 @@ class PumpParams(Checked):
 class CouplingParams(Checked):
     """Single-photon coupling and pump-enhanced coupling."""
 
-    g0: float  # rad/s; sign allowed, magnitude enters spectra
+    g0: float = field(metadata=key("g0_hz"))  # sign allowed, magnitude enters spectra
     n_cavity: float = field(metadata=NON_NEGATIVE)  # intracavity photon number
 
     @property
@@ -110,17 +117,17 @@ class Occupations(Checked):
 class TripartiteParams(Checked):
     """Electro-magno-mechanical system in the frame rotating at the pumps."""
 
-    delta_a: float  # rad/s, microwave detuning
-    delta_c: float  # rad/s, magnon detuning
-    omega_m: float = field(metadata=POSITIVE)  # rad/s, mechanical frequency
-    g_b: float  # rad/s, electromechanical coupling
-    g_c: float  # rad/s, electromagnonic coupling
-    kappa_a_in: float = field(metadata=NON_NEGATIVE)
-    kappa_a_ex: float = field(metadata=NON_NEGATIVE)
-    kappa_c_in: float = field(metadata=NON_NEGATIVE)
-    kappa_c_ex: float = field(metadata=NON_NEGATIVE)
-    gamma: float = field(metadata=NON_NEGATIVE)
-    occupations: Occupations = field(default_factory=Occupations)
+    delta_a: float = field(metadata=key("delta_a_hz"))  # microwave detuning
+    delta_c: float = field(metadata=key("delta_c_hz"))  # magnon detuning
+    omega_m: float = field(metadata=key("f_m_hz", **POSITIVE))  # mechanical frequency
+    g_b: float = field(metadata=key("g_b_hz"))  # electromechanical coupling
+    g_c: float = field(metadata=key("g_c_hz"))  # electromagnonic coupling
+    kappa_a_in: float = field(metadata=key("kappa_a_in_hz", **NON_NEGATIVE))
+    kappa_a_ex: float = field(metadata=key("kappa_a_ex_hz", **NON_NEGATIVE))
+    kappa_c_in: float = field(metadata=key("kappa_c_in_hz", **NON_NEGATIVE))
+    kappa_c_ex: float = field(metadata=key("kappa_c_ex_hz", **NON_NEGATIVE))
+    gamma: float = field(metadata=key("gamma_hz", **NON_NEGATIVE))
+    occupations: Occupations = field(default_factory=Occupations, metadata={"record": Occupations})
 
     @property
     def kappa_a(self) -> float:

@@ -264,15 +264,14 @@ def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) 
             "log_negativity": _log_negativity(zeta_minus), "error": error}
 
 
-def critical_coupling(
-    p: TripartiteParams,
-    axis: str,
-    bracket: tuple[float, float],
-    rel_tol: float = 1e-6,
-) -> float:
-    """Stability boundary along g_b or g_c: Brent's method on the margin
-    max Re(eig) + 1e-12 kappa_a, which is continuous in the coupling and
-    whose sign is the `stability` verdict."""
+_CRITICAL_RTOL = 1e-6
+
+
+def critical_coupling(p: TripartiteParams, axis: str, bracket: tuple[float, float]) -> float:
+    """Stability boundary along g_b or g_c, to a relative tolerance of
+    _CRITICAL_RTOL: Brent's method on the margin max Re(eig) + 1e-12
+    kappa_a, which is continuous in the coupling and whose sign is the
+    `stability` verdict."""
     # imported here: scipy.optimize adds tens of MB to every CLI process
     from scipy.optimize import brentq
 
@@ -289,4 +288,4 @@ def critical_coupling(
             f"stability verdict identical at both bracket endpoints "
             f"({axis}={lo:.6e} -> {f_lo:.3e}, {axis}={hi:.6e} -> {f_hi:.3e})"
         )
-    return brentq(margin, lo, hi, rtol=rel_tol)
+    return brentq(margin, lo, hi, rtol=_CRITICAL_RTOL)

@@ -326,6 +326,17 @@ class TestSynthFitPipeline:
             f"data error: cannot read {trace}: 'utf-8' codec can't decode byte 0xff"
         )
 
+    def test_db_phase_overflow_is_data_error(self, tmp_path, capsys):
+        # 10^(7000/20) overflows: a data error naming the cell, not a warning
+        trace = tmp_path / "trace.csv"
+        rows = [f"{i}.0,-{i}.5,0.{i}" for i in range(9)] + ["10.0,7000,0.1"]
+        trace.write_text("f_hz,mag_db,phase_rad\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "f.json"
+        capsys.readouterr()
+        assert run(["fit", "reflect", "--format", "db_phase", "--in", str(trace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {trace}:11: mag_db out of range, got 7000.0\n"
+        assert not out.exists()
+
     def test_fit_missing_input_is_data_error(self, tmp_path):
         code = run(
             ["fit", "reflect", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.json")]
@@ -392,6 +403,25 @@ class TestDevice:
             -doc["x_zpf_m"] * doc["eta"] * (TWO_PI * doc["f_c_hz"] / 2.0) * (1.0 / 100e-9)
         )
         assert doc["g0_hz"] * TWO_PI == pytest.approx(expected, rel=1e-6)
+
+    # sha256 of stdout for the sample sets above
+    DEVICE_GOLDEN = {
+        "meff": (["meff"], "1d87527bfa2e67f5aede41ab23e3e8d1598346db8d46b7722e3b4039397e7a64"),
+        "cap": (["cap", "--voltage-v", "2.5"],
+                "1dc71934ee60b786444bc88509283427e4b28f39264bce84ede9a80f22835a71"),
+        "g0": (["g0", "--surface", "{surf}", "--lumped", "{lumped}", "--f-m-hz", "4e6"],
+               "b8611951ab68de3dcfddf91037cf976ba5c11f13e8d51e368cb4f5b707161ae6"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEVICE_GOLDEN))
+    def test_stdout_bytes(self, device_files, capsys, name):
+        vol, surf, lumped = device_files
+        command, *args = self.DEVICE_GOLDEN[name][0]
+        args = [a.format(surf=surf, lumped=lumped) for a in args]
+        capsys.readouterr()
+        assert run(["device", command, "--volume", str(vol), *args]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.DEVICE_GOLDEN[name][1]
 
     def g0(self, device_files, lumped):
         vol, surf, _ = device_files
@@ -580,6 +610,65 @@ class TestGoldenOutputs:
             mag_db = 20.0 * np.log10(np.abs(values))
         want = np.stack([f, re, im, mag_db, np.angle(values)], axis=1)
         assert back.tobytes() == want.tobytes()
+
+
+# CAVITY_CONFIG with kappa_in = kappa_ex and g0 = 0: probed at f_c, r is
+# exactly 0, and `omit` prints mag_db=-inf
+CRITICAL_CONFIG = {
+    **CAVITY_CONFIG,
+    "cavity": {"f_c_hz": 10.29184e9, "kappa_in_hz": 1.0e6, "kappa_ex_hz": 1.0e6},
+    "coupling": {"g0_hz": 0.0, "n_cavity": 4.0e2},
+}
+# sha256 of stdout of the commands that print their result.  {config} is
+# CAVITY_CONFIG, {critical} CRITICAL_CONFIG.
+STDOUT_GOLDEN = {
+    "thermal": (["thermal", "--f-hz", "10e9", "--t-k", "4.0"],
+                "5c6a69275b785a678eff5ad7d73eb702bdd338be6c7c9503438faa1b9977c9be"),
+    "omit": (["omit", "--config", "{config}", "--f-hz", "10.29184e9"],
+             "c134dcefe66f26f2f86a316cad8a7ce88787dd5b7b260c0b24d31089b0200d41"),
+    "omit_sideband": (["omit", "--config", "{config}", "--f-hz", "10.29185e9"],
+                      "e6b6ce326f4e5b7a8df2a6a328dbf7d811014c03a5e4c2402c868c0b30fec995"),
+    # here numpy's scalar abs and np.abs differ in the last bit of mag_db
+    "omit_last_bit": (["omit", "--config", "{config}", "--f-hz", "10.2918401e9"],
+                      "b61984a46e3a3dbe8183be20b7d27c670b06cffc0d3ae7ee2aa07961a6d2fd76"),
+    "omit_zero": (["omit", "--config", "{critical}", "--f-hz", "10.29184e9"],
+                  "614f45a6df1f64aa0889da30e3a78837fd1723dc42075dc18075aa8a11c1c6b2"),
+    "damping": (["damping", "--config", "{config}", "--detuning-hz", "4e6"],
+                "21c7b24be396f78ffc24cbb3da879c67056aee0ebfc6a3c03f1a98d91c77d690"),
+    "tripartite_critical": (["tripartite", "critical", "--config", REFERENCE_CONFIG,
+                             "--axis", "g_c", "--bracket-hz", "2e6,9e6"],
+                            "67510de56ae3ff859f57c83a8e338af1c8508bab0f00e86102a0c4f0c82c5698"),
+}
+# sha256 of `tripartite sweep` CSVs on the reference config
+SWEEP_GOLDEN = {
+    "g_b": (["--axis", "g_b_hz=0:4e6:9"],
+            "0e4e1cfca55692077780d0d6ab6264b00a945b0bfa4a0eab736316dca27fa564"),
+    "g_b_g_c": (["--axis", "g_b_hz=0:3e6:4", "--axis2", "g_c_hz=5e6:7e6:3"],
+                "05a073c6e3b354255d10c7c2ba95b75e4e1d76eb858495c55e423773b24b848e"),
+    "g_b_omega": (["--axis", "g_b_hz=0:4e6:9", "--omega-hz", "3e5"],
+                  "8578d952669e7386fcd2023228bd422ec23e22d9abc47dfd0fe19153e9f155b3"),
+}
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("name", sorted(STDOUT_GOLDEN))
+    def test_stdout_bytes(self, config_file, tmp_path, capsys, name):
+        # RuntimeWarnings are errors under pytest: r = 0 must not warn
+        critical = tmp_path / "critical.json"
+        critical.write_text(json.dumps(CRITICAL_CONFIG))
+        args, digest = STDOUT_GOLDEN[name]
+        capsys.readouterr()
+        assert run([a.format(config=config_file, critical=critical) for a in args]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+    def test_sweep_bytes(self, tmp_path, name):
+        args, digest = SWEEP_GOLDEN[name]
+        out = tmp_path / "sweep.csv"
+        assert run(["tripartite", "sweep", "--config", REFERENCE_CONFIG, *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # sha256 of the fit JSON written by the round trip below: CAVITY_CONFIG's

@@ -3,7 +3,7 @@
 import copy
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -11,18 +11,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emcavity.config import (
-    BLOCKS,
-    LUMPED,
-    OCCUPATIONS,
-    OMIT_FIT,
-    REFLECTION_FIT,
+    Background,
     ConfigError,
+    SystemParams,
     load_config,
     parse_block,
     parse_config,
+    to_record,
 )
 from emcavity.constants import TWO_PI
+from emcavity.device import ResonatorLumped
 from emcavity.errors import DomainError
+from emcavity.fitting import OmitModelParams, ReflectionModelParams
+from emcavity.params import (
+    CavityParams,
+    CouplingParams,
+    MechParams,
+    Occupations,
+    PumpParams,
+    TripartiteParams,
+)
 
 GOOD = {
     "cavity": {"f_c_hz": 10.29184e9, "kappa_in_hz": 0.41e6, "kappa_ex_hz": 1.45e6},
@@ -164,14 +172,17 @@ def test_non_utf8_config_is_config_error(tmp_path):
     )
 
 
-# every record table with a valid object, and the bound each key must obey
+# the config blocks and their record classes
+BLOCKS = {f.name: f.metadata["record"] for f in fields(SystemParams)}
+OCCUPATION_KEYS = ["n_a_in", "n_a_ex", "n_b_in", "n_c_in", "n_c_ex"]
+# every record class with a valid object, and the bound each key must obey
 RECORDS = [
     *((BLOCKS[name], VALID[name], name) for name in BLOCKS),
-    (OCCUPATIONS, {k: 0.5 for k in OCCUPATIONS[1]}, "tripartite.occupations"),
-    (REFLECTION_FIT, {"amplitude": 0.2, "tau_s": 6e-8, "phi_rad": 0.8, "f_c_hz": 1e10,
-                      "kappa_in_hz": 4e5, "kappa_ex_hz": 1.5e6, "delta_hz": 0.0}, "params"),
-    (OMIT_FIT, {"g_hz": 2e3, "gamma_hz": 100.0, "f_m_hz": 4e6, "detuning_hz": 4e6}, "params"),
-    (LUMPED, {"inductance_h": 2e-9, "stray_capacitance_f": 1e-14}, "lumped"),
+    (Occupations, {k: 0.5 for k in OCCUPATION_KEYS}, "tripartite.occupations"),
+    (ReflectionModelParams, {"amplitude": 0.2, "tau_s": 6e-8, "phi_rad": 0.8, "f_c_hz": 1e10,
+                             "kappa_in_hz": 4e5, "kappa_ex_hz": 1.5e6, "delta_hz": 0.0}, "params"),
+    (OmitModelParams, {"g_hz": 2e3, "gamma_hz": 100.0, "f_m_hz": 4e6, "detuning_hz": 4e6}, "params"),
+    (ResonatorLumped, {"inductance_h": 2e-9, "stray_capacitance_f": 1e-14}, "lumped"),
 ]
 BOUNDS = {
     "cavity.f_c_hz": ">", "cavity.kappa_in_hz": ">=", "cavity.kappa_ex_hz": ">=",
@@ -179,7 +190,7 @@ BOUNDS = {
     "pump.f_p_hz": ">", "pump.power_w": ">=", "coupling.n_cavity": ">=",
     "background.amplitude": ">", "tripartite.f_m_hz": ">",
     **{f"tripartite.{k}_hz": ">=" for k in ("kappa_a_in", "kappa_a_ex", "kappa_c_in", "kappa_c_ex", "gamma")},
-    **{f"tripartite.occupations.{k}": ">=" for k in OCCUPATIONS[1]},
+    **{f"tripartite.occupations.{k}": ">=" for k in OCCUPATION_KEYS},
     "params.amplitude": ">", "params.kappa_in_hz": ">=", "params.kappa_ex_hz": ">=",
     "lumped.inductance_h": ">", "lumped.stray_capacitance_f": ">=",
 }
@@ -189,25 +200,68 @@ def test_bounds_agree_between_config_and_construction():
     # one declaration serves both doors: a value the config refuses under
     # <block>.<key> is refused, in rad/s, by the dataclass under its field
     seen = {}
-    for (cls, table), valid, name in RECORDS:
-        obj = parse_block((cls, table), valid, name)
-        bounds = {f.name: f.metadata.get("bound") for f in fields(cls)}
-        for key, (fld, hz) in table.items():
-            if isinstance(hz, tuple):
+    for cls, valid, name in RECORDS:
+        obj = parse_block(cls, valid, name)
+        for f in fields(cls):
+            if "record" in f.metadata:
                 continue
-            bound = bounds[fld]
+            key, fld, bound = f.metadata.get("key", f.name), f.name, f.metadata.get("bound")
             if bound:
                 seen[f"{name}.{key}"] = bound
             bad = [math.nan, math.inf, -math.inf]
             bad += [-1.0, 0.0] if bound == ">" else [-1.0] if bound == ">=" else []
             for value in bad:
                 with pytest.raises(ConfigError, match=rf"^{name}\.{key}: "):
-                    parse_block((cls, table), {**valid, key: value}, name)
+                    parse_block(cls, {**valid, key: value}, name)
                 with pytest.raises(DomainError, match=rf"^{fld} must be finite"):
-                    replace(obj, **{fld: TWO_PI * value if hz else value})
+                    replace(obj, **{fld: TWO_PI * value if key.endswith("_hz") else value})
             if bound == ">=":
-                assert getattr(parse_block((cls, table), {**valid, key: 0.0}, name), fld) == 0.0
+                assert getattr(parse_block(cls, {**valid, key: 0.0}, name), fld) == 0.0
     assert seen == BOUNDS
+
+
+# every record's JSON keys in order, declared a second time here: the keys
+# of the field metadata must match them on both doors
+KEYS = {
+    CavityParams: ["f_c_hz", "kappa_in_hz", "kappa_ex_hz"],
+    MechParams: ["f_m_hz", "gamma_hz", "m_eff_kg"],
+    PumpParams: ["f_p_hz", "power_w"],
+    CouplingParams: ["g0_hz", "n_cavity"],
+    Background: ["amplitude", "tau_s", "phi_rad", "delta_hz"],
+    TripartiteParams: ["delta_a_hz", "delta_c_hz", "f_m_hz", "g_b_hz", "g_c_hz", "kappa_a_in_hz",
+                       "kappa_a_ex_hz", "kappa_c_in_hz", "kappa_c_ex_hz", "gamma_hz", "occupations"],
+    Occupations: OCCUPATION_KEYS,
+    ReflectionModelParams: ["amplitude", "tau_s", "phi_rad", "f_c_hz", "kappa_in_hz",
+                            "kappa_ex_hz", "delta_hz"],
+    OmitModelParams: ["g_hz", "gamma_hz", "f_m_hz", "detuning_hz"],
+    ResonatorLumped: ["inductance_h", "stray_capacitance_f"],
+}
+
+
+def test_record_keys():
+    assert list(to_record(parse_config(VALID))) == list(BLOCKS) == [
+        "cavity", "mech", "pump", "coupling", "background", "tripartite",
+    ]
+    assert {cls for cls, _, _ in RECORDS} == set(KEYS)
+    for cls, valid, name in RECORDS:
+        keys = KEYS[cls]
+        assert list(to_record(parse_block(cls, valid, name))) == keys
+        for key in keys:
+            with pytest.raises(ConfigError, match=rf"^{name}\.{key}: expected an? (number|object)"):
+                parse_block(cls, {**valid, key: "x"}, name)
+        # the library's field names are no keys where a key is declared
+        for f in fields(cls):
+            if f.name not in keys:
+                with pytest.raises(ConfigError, match=rf"^{name}\.{f.name}: unknown key$"):
+                    parse_block(cls, {**valid, f.name: 1.0}, name)
+    for cls, keys in KEYS.items():
+        required = [f.metadata.get("key", f.name) for f in fields(cls) if f.default is MISSING
+                    and f.default_factory is MISSING]
+        for key in required:
+            data = dict.fromkeys(keys, 1.0)
+            del data[key]
+            with pytest.raises(ConfigError, match=rf"^r\.{key}: missing required field$"):
+                parse_block(cls, data, "r")
 
 
 def json_values():
@@ -222,8 +276,8 @@ def json_values():
 
 # (block,), (block, key) or (block, "occupations", key): where a value goes
 PATHS = [(name,) for name in BLOCKS]
-PATHS += [(name, key) for name, (_, table) in BLOCKS.items() for key in table]
-PATHS += [("tripartite", "occupations", key) for key in OCCUPATIONS[1]]
+PATHS += [(name, key) for name, cls in BLOCKS.items() for key in KEYS[cls]]
+PATHS += [("tripartite", "occupations", key) for key in OCCUPATION_KEYS]
 
 
 @given(path=st.sampled_from(PATHS), value=json_values())
