@@ -7,12 +7,7 @@ and moving-boundary device-design integrals.
 
 __version__ = "0.1.0"
 
-from .core import (
-    cooperativity,
-    intracavity_photon_number,
-    thermal_occupation,
-    zero_point_fluctuation,
-)
+from .core import thermal_occupation, zero_point_fluctuation
 from .params import (
     CavityParams,
     CouplingParams,
@@ -26,8 +21,6 @@ __all__ = [
     "__version__",
     "thermal_occupation",
     "zero_point_fluctuation",
-    "intracavity_photon_number",
-    "cooperativity",
     "CavityParams",
     "MechParams",
     "PumpParams",

@@ -131,10 +131,9 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
 
 
 def _mag_db_phase(values):
-    """20 log10|r|, -inf where r = 0, and arg r, of an array or a scalar.
-    `abs`, not np.abs: on a complex scalar they can differ in the last bit."""
+    """20 log10|r|, -inf where r = 0, and arg r."""
     with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(abs(values)), np.angle(values)
+        return 20.0 * np.log10(np.abs(values)), np.angle(values)
 
 
 def _write_spectrum_csv(path, f_hz, values):
@@ -153,11 +152,13 @@ def omit(config_path, f_hz):
     cavity = _require(params, "cavity")
     mech = _require(params, "mech")
     pump = _require(params, "pump")
-    w = TWO_PI * f_hz - pump.omega_p
+    # a one-element grid: numpy's scalar and array complex arithmetic can
+    # differ in the last bit, and this way `omit` prints `reflect`'s cells
+    w = TWO_PI * np.array([f_hz]) - pump.omega_p
     sigma = mechanical_self_energy(w, _require(params, "coupling").g, mech.gamma, mech.omega_m)
     r = reflection(w, pump.detuning(cavity), cavity.kappa_in, cavity.kappa_ex, self_energy=sigma)
-    mag_db, phase = _mag_db_phase(r)
-    click.echo(f"re={_fmt(r.real)} im={_fmt(r.imag)} mag_db={_fmt(mag_db)} phase_rad={_fmt(phase)}")
+    re, im, mag_db, phase = (_fmt(x[0]) for x in (r.real, r.imag, *_mag_db_phase(r)))
+    click.echo(f"re={re} im={im} mag_db={mag_db} phase_rad={phase}")
 
 
 @cli.command()
@@ -263,8 +264,12 @@ def _read_record(path, what: str, cls, name: str, key: str | None = None):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return parse_block(cls, data if key is None else data[key], name)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
+        if key is not None:
+            if not isinstance(data, dict) or key not in data:
+                raise ConfigError(f"missing member {key!r}")
+            data = data[key]
+        return parse_block(cls, data, name)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 

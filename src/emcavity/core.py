@@ -1,6 +1,4 @@
-"""Elementary scalar formulas: thermal occupation, zero-point motion,
-intracavity photon number, cooperativity.
-"""
+"""Elementary scalar formulas: thermal occupation, zero-point motion."""
 
 from __future__ import annotations
 
@@ -8,7 +6,6 @@ import math
 
 from .constants import HBAR, K_BOLTZMANN
 from .errors import DomainError
-from .params import CavityParams, PumpParams
 
 
 def thermal_occupation(frequency: float, temperature: float) -> float:
@@ -35,31 +32,3 @@ def zero_point_fluctuation(m_eff: float, omega_m: float) -> float:
         raise DomainError("m_eff and omega_m must be positive")
     return math.sqrt(HBAR / (2.0 * m_eff * omega_m))
 
-
-def intracavity_photon_number(cavity: CavityParams, pump: PumpParams) -> float:
-    """Steady-state photon number driven by an external pump.
-
-    n_c = kappa_ex * (P / hbar w_p) / ((w_p - w_c)^2 + kappa^2/4)
-    """
-    if pump.power is None:
-        raise DomainError("power of the pump must be given")
-    flux = pump.power / (HBAR * pump.omega_p)
-    det2 = (pump.omega_p - cavity.omega_c) ** 2
-    return cavity.kappa_ex * flux / (det2 + cavity.kappa**2 / 4.0)
-
-
-def cooperativity(g: float, kappa: float, gamma: float, convention: str = "full") -> float:
-    """Electromechanical cooperativity.
-
-    convention="full" gives 2 g^2 / (kappa gamma) (the resolved-sideband
-    derivation); convention="half" gives g^2 / (kappa gamma) (the alternate
-    symbol-list definition).  Both appear in the literature; neither is
-    chosen silently.
-    """
-    if kappa <= 0 or gamma <= 0:
-        raise DomainError("kappa and gamma must be positive")
-    if convention == "full":
-        return 2.0 * g * g / (kappa * gamma)
-    if convention == "half":
-        return g * g / (kappa * gamma)
-    raise ValueError(f"unknown cooperativity convention: {convention!r}")

@@ -138,6 +138,20 @@ class TestOmitAndDamping:
         out = capsys.readouterr().out
         assert "re=" in out and "mag_db=" in out
 
+    @pytest.mark.parametrize("points", [2, 3, 2001])
+    def test_omit_prints_the_reflect_cells(self, config_file, tmp_path, capsys, points):
+        # at this probe numpy's scalar and array arithmetic differ in the
+        # last bit; the probe is the first row of one grid, the last of another
+        probe = "10.2918401e9"
+        assert run(["omit", "--config", config_file, "--f-hz", probe]) == 0
+        cells = [kv.split("=")[1] for kv in capsys.readouterr().out.split()]
+        for ends, row in ((["--f-start-hz", probe, "--f-stop-hz", "10.2919e9"], 1),
+                          (["--f-start-hz", "10.2918e9", "--f-stop-hz", probe], -1)):
+            out = tmp_path / "omit.csv"
+            args = ["--model", "omit", "--config", config_file, *ends, "--points", str(points)]
+            assert run(["reflect", *args, "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[row].split(",")[1:] == cells
+
     def test_damping_sign_flips_with_detuning(self, config_file, capsys):
         assert run(["damping", "--config", config_file, "--detuning-hz", "4e6"]) == 0
         cooling = float(capsys.readouterr().out.strip())
@@ -344,33 +358,34 @@ class TestSynthFitPipeline:
         assert code == 2
 
 
-class TestDevice:
-    @pytest.fixture
-    def device_files(self, tmp_path):
-        gap, area, volts, n = 100e-9, 1e-8, 1.0, 50
-        z = (np.arange(n) + 0.5) * gap / n
-        vol = tmp_path / "vol.csv"
-        with open(vol, "w") as fh:
-            fh.write("x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m\n")
-            for zi in z:
-                fh.write(
-                    f"0,0,{float(zi)!r},{area*gap/n!r},1.0,0,0,{volts/gap!r},2329.0,0,0,1e-9\n"
-                )
-        surf = tmp_path / "surf.csv"
-        from emcavity.constants import EPSILON_0 as eps0
-        with open(surf, "w") as fh:
+@pytest.fixture
+def device_files(tmp_path):
+    gap, area, volts, n = 100e-9, 1e-8, 1.0, 50
+    z = (np.arange(n) + 0.5) * gap / n
+    vol = tmp_path / "vol.csv"
+    with open(vol, "w") as fh:
+        fh.write("x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m\n")
+        for zi in z:
             fh.write(
-                "x_m,y_m,z_m,a_m2,nx,ny,nz,qx_m,qy_m,qz_m,ex_vpm,ey_vpm,ez_vpm,"
-                "dx_cpm2,dy_cpm2,dz_cpm2,eps1_rel,eps2_rel\n"
+                f"0,0,{float(zi)!r},{area*gap/n!r},1.0,0,0,{volts/gap!r},2329.0,0,0,1e-9\n"
             )
-            fh.write(
-                f"0,0,{gap!r},{area!r},0,0,-1,0,0,-1e-9,0,0,{volts/gap!r},"
-                f"0,0,{eps0*volts/gap!r},1e12,1.0\n"
-            )
-        lumped = tmp_path / "lumped.json"
-        lumped.write_text('{"inductance_h": 2e-9, "stray_capacitance_f": 1.0e-14}')
-        return vol, surf, lumped
+    surf = tmp_path / "surf.csv"
+    from emcavity.constants import EPSILON_0 as eps0
+    with open(surf, "w") as fh:
+        fh.write(
+            "x_m,y_m,z_m,a_m2,nx,ny,nz,qx_m,qy_m,qz_m,ex_vpm,ey_vpm,ez_vpm,"
+            "dx_cpm2,dy_cpm2,dz_cpm2,eps1_rel,eps2_rel\n"
+        )
+        fh.write(
+            f"0,0,{gap!r},{area!r},0,0,-1,0,0,-1e-9,0,0,{volts/gap!r},"
+            f"0,0,{eps0*volts/gap!r},1e12,1.0\n"
+        )
+    lumped = tmp_path / "lumped.json"
+    lumped.write_text('{"inductance_h": 2e-9, "stray_capacitance_f": 1.0e-14}')
+    return vol, surf, lumped
 
+
+class TestDevice:
     def test_meff_and_cap(self, device_files, capsys):
         vol, _, _ = device_files
         assert run(["device", "meff", "--volume", str(vol)]) == 0
@@ -532,16 +547,26 @@ def test_non_finite_float_option_is_usage_error(config_file, tmp_path, capsys, a
     assert not list(tmp_path.glob("out*"))
 
 
-def test_cli_import_leaves_out_heavy_scipy():
-    # scipy.optimize, .integrate and .linalg cost every CLI process tens of
-    # MB and start-up time; the code that needs them imports them late
+def test_cli_runs_without_scipy(device_files):
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # the commands still run
+    vol, surf, lumped = (str(p) for p in device_files)
+    commands = [
+        ["thermal", "--f-hz", "10e9", "--t-k", "4.0"],
+        ["tripartite", "critical", "--config", REFERENCE_CONFIG, "--axis", "g_c", "--bracket-hz", "2e6,9e6"],
+        ["device", "g0", "--volume", vol, "--surface", surf, "--lumped", lumped, "--f-m-hz", "4e6"],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from emcavity.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "sys.exit(0 if codes == [0, 0, 0] else f'exit codes {codes}')\n"
+    )
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, emcavity.cli; print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60).stdout.split()
-    assert "emcavity.cli" in loaded
-    assert not {"scipy.optimize", "scipy.integrate", "scipy.linalg"} & set(loaded)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTopLevel:
@@ -625,19 +650,20 @@ STDOUT_GOLDEN = {
     "thermal": (["thermal", "--f-hz", "10e9", "--t-k", "4.0"],
                 "5c6a69275b785a678eff5ad7d73eb702bdd338be6c7c9503438faa1b9977c9be"),
     "omit": (["omit", "--config", "{config}", "--f-hz", "10.29184e9"],
-             "c134dcefe66f26f2f86a316cad8a7ce88787dd5b7b260c0b24d31089b0200d41"),
+             "62c0e40499db083c8314fff98d335fe04acb8648358d4668a7043254b46d5fed"),
     "omit_sideband": (["omit", "--config", "{config}", "--f-hz", "10.29185e9"],
                       "e6b6ce326f4e5b7a8df2a6a328dbf7d811014c03a5e4c2402c868c0b30fec995"),
-    # here numpy's scalar abs and np.abs differ in the last bit of mag_db
+    # here numpy's scalar and array complex arithmetic differ in the last bit
     "omit_last_bit": (["omit", "--config", "{config}", "--f-hz", "10.2918401e9"],
-                      "b61984a46e3a3dbe8183be20b7d27c670b06cffc0d3ae7ee2aa07961a6d2fd76"),
+                      "52c3884732af1f7f3794343ce959317f85928a49e7b3717ed4fca27bced7b96f"),
     "omit_zero": (["omit", "--config", "{critical}", "--f-hz", "10.29184e9"],
                   "614f45a6df1f64aa0889da30e3a78837fd1723dc42075dc18075aa8a11c1c6b2"),
     "damping": (["damping", "--config", "{config}", "--detuning-hz", "4e6"],
                 "21c7b24be396f78ffc24cbb3da879c67056aee0ebfc6a3c03f1a98d91c77d690"),
+    # 6.41022346545011178e+06; brentq at the same rtol gave 6.41022340200626943e+06
     "tripartite_critical": (["tripartite", "critical", "--config", REFERENCE_CONFIG,
                              "--axis", "g_c", "--bracket-hz", "2e6,9e6"],
-                            "67510de56ae3ff859f57c83a8e338af1c8508bab0f00e86102a0c4f0c82c5698"),
+                            "18592c86732aec499af6052d0604ecec012d1fe2e50510b4867d22a53fb8b384"),
 }
 # sha256 of `tripartite sweep` CSVs on the reference config
 SWEEP_GOLDEN = {
@@ -764,6 +790,14 @@ class TestFitRecords:
         assert run(fit_omit_args(omit, cavity, tmp_path / "omit.json")) == 2
         assert capsys.readouterr().err == f"data error: cannot read cavity fit {cavity}: {message}\n"
 
+    @pytest.mark.parametrize("doc", [CAVITY_CONFIG, [{"params": {}}]], ids=["config", "array"])
+    def test_cavity_record_without_params_is_data_error(self, fit_inputs, tmp_path, capsys, doc):
+        # a system config passed as --cavity has no params member
+        cavity, omit = fit_inputs
+        cavity.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(fit_omit_args(omit, cavity, tmp_path / "omit.json")) == 2
+        assert capsys.readouterr().err == f"data error: cannot read cavity fit {cavity}: missing member 'params'\n"
 
     def test_non_utf8_cavity_record_is_data_error(self, fit_inputs, tmp_path, capsys):
         cavity, omit = fit_inputs

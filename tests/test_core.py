@@ -1,19 +1,23 @@
-"""Thermal occupation, zero-point motion, photon number, cooperativity."""
+"""Physical constants, thermal occupation, zero-point motion, enhanced coupling."""
 
 import numpy as np
 import pytest
+import scipy.constants
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emcavity.constants import HBAR, K_BOLTZMANN, TWO_PI
-from emcavity.core import (
-    cooperativity,
-    intracavity_photon_number,
-    thermal_occupation,
-    zero_point_fluctuation,
-)
+from emcavity.constants import EPSILON_0, HBAR, K_BOLTZMANN, TWO_PI
+from emcavity.core import thermal_occupation, zero_point_fluctuation
 from emcavity.errors import DomainError
-from emcavity.params import CavityParams, CouplingParams, MechParams, PumpParams
+from emcavity.params import CouplingParams
+
+
+def test_constants_are_scipys_codata_values():
+    # the literals are the reprs of scipy.constants (CODATA 2022)
+    assert HBAR == scipy.constants.hbar
+    assert K_BOLTZMANN == scipy.constants.k
+    assert EPSILON_0 == scipy.constants.epsilon_0
+
 
 # Bose-Einstein occupations frozen from an independent mpmath evaluation of
 # 1/(exp(hbar*w/kT) - 1) at the tabulated operating points.
@@ -88,41 +92,6 @@ def test_zero_point_fluctuation_scaling(mass, f_hz):
     assert zero_point_fluctuation(mass, 4.0 * omega) == pytest.approx(x / 2.0, rel=1e-12)
 
 
-def test_intracavity_photon_number_on_resonance():
-    cav = CavityParams(omega_c=TWO_PI * 10e9, kappa_in=TWO_PI * 0.5e6, kappa_ex=TWO_PI * 1.5e6)
-    pump = PumpParams(omega_p=cav.omega_c, power=1e-12)
-    n = intracavity_photon_number(cav, pump)
-    # Lorentzian peak: n = kappa_ex P / (hbar w (kappa/2)^2)
-    expected = cav.kappa_ex * pump.power / (HBAR * pump.omega_p * (cav.kappa / 2.0) ** 2)
-    assert n == pytest.approx(expected, rel=1e-12)
-
-
-def test_intracavity_photon_number_needs_the_pump_power():
-    cav = CavityParams(omega_c=TWO_PI * 10e9, kappa_in=TWO_PI * 0.5e6, kappa_ex=TWO_PI * 1.5e6)
-    with pytest.raises(DomainError, match="power"):
-        intracavity_photon_number(cav, PumpParams(omega_p=cav.omega_c))
-
-
-def test_intracavity_photon_number_detuned_half():
-    cav = CavityParams(omega_c=TWO_PI * 10e9, kappa_in=TWO_PI * 0.5e6, kappa_ex=TWO_PI * 1.5e6)
-    on = intracavity_photon_number(cav, PumpParams(omega_p=cav.omega_c, power=1e-12))
-    half = intracavity_photon_number(
-        cav, PumpParams(omega_p=cav.omega_c + cav.kappa / 2.0, power=1e-12)
-    )
-    # Lorentzian halves; the photon-energy prefactor shifts with the pump
-    ratio = cav.omega_c / (cav.omega_c + cav.kappa / 2.0)
-    assert half == pytest.approx(on / 2.0 * ratio, rel=1e-12)
-
-
 def test_enhanced_coupling_sqrt_photon_number():
     cp = CouplingParams(g0=TWO_PI * 100.0, n_cavity=1e6)
     assert cp.g == pytest.approx(TWO_PI * 100.0 * 1e3, rel=1e-12)
-
-
-def test_cooperativity_conventions():
-    g, kappa, gamma = TWO_PI * 1e5, TWO_PI * 2e6, TWO_PI * 100.0
-    full = cooperativity(g, kappa, gamma)
-    assert full == pytest.approx(2.0 * g**2 / (kappa * gamma), rel=1e-12)
-    assert cooperativity(g, kappa, gamma, convention="half") == pytest.approx(full / 2.0)
-    with pytest.raises(ValueError):
-        cooperativity(g, kappa, gamma, convention="bogus")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from emcavity import tripartite
 from emcavity.constants import TWO_PI
 from emcavity.errors import BracketError, DomainError, NearPoleError, NumericalError
 from emcavity.linear_response import reflection
@@ -391,7 +393,7 @@ class TestEntanglementWorkflow:
         with pytest.raises(ValueError):
             sweep(reference_tripartite, {"gamma": np.array([1.0, 2.0])})
 
-    def test_critical_coupling_bisection(self, reference_tripartite):
+    def test_critical_coupling_straddles_the_boundary(self, reference_tripartite):
         lo, hi = TWO_PI * 2.0e6, TWO_PI * 5.0e6
         g_star = critical_coupling(reference_tripartite, "g_b", (lo, hi))
         assert lo < g_star < hi
@@ -399,9 +401,60 @@ class TestEntanglementWorkflow:
         assert stability(replace(reference_tripartite, g_b=g_star - eps))[0]
         assert not stability(replace(reference_tripartite, g_b=g_star + eps))[0]
 
-    def test_critical_coupling_bad_bracket(self, reference_tripartite):
-        with pytest.raises(BracketError):
-            critical_coupling(reference_tripartite, "g_b", (0.0, TWO_PI * 1e6))
+    def test_critical_coupling_matches_brentq(self, reference_tripartite, monkeypatch):
+        # 50 seeded working points like the benchmark's stability_boundary:
+        # g_c 1-8 MHz, delta_a -6 to -2 MHz, g_b bracket 0-10 MHz
+        calls = []
+        monkeypatch.setattr(tripartite, "stability", lambda q: calls.append(q) or stability(q))
+        rng = np.random.default_rng(11)
+        bracket = (0.0, TWO_PI * 10e6)
+        ours, brent = [], []
+        while len(ours) < 50:
+            p = replace(reference_tripartite, g_c=TWO_PI * rng.uniform(1e6, 8e6),
+                        delta_a=TWO_PI * rng.uniform(-6e6, -2e6))
+            if not stability(replace(p, g_b=bracket[0]))[0] or stability(replace(p, g_b=bracket[1]))[0]:
+                continue
+            calls.clear()
+            g_star = critical_coupling(p, "g_b", bracket)
+            ours.append(len(calls))
+            calls.clear()
+            margin = lambda g: tripartite.stability(replace(p, g_b=g))[1] + 1e-12 * p.kappa_a
+            assert g_star == pytest.approx(brentq(margin, *bracket, rtol=1e-6), rel=1e-6)
+            brent.append(len(calls))
+            assert stability(replace(p, g_b=g_star * (1 - 1e-5)))[0]
+            assert not stability(replace(p, g_b=g_star * (1 + 1e-5)))[0]
+        # without the (hi - lo)/32 safeguard, a median of 18 and at most 36
+        assert np.median(ours) <= np.median(brent) and max(ours) <= max(brent) + 4
+
+    def test_critical_coupling_reversed_bracket(self, reference_tripartite):
+        lo, hi = TWO_PI * 2.0e6, TWO_PI * 9.0e6
+        g_star = critical_coupling(reference_tripartite, "g_c", (lo, hi))
+        assert critical_coupling(reference_tripartite, "g_c", (hi, lo)) == g_star
+        assert lo < g_star < hi
+
+    @pytest.mark.parametrize("shape", [lambda g: g, lambda g: g + g**3 / 1e12, np.sinh, np.cbrt])
+    def test_critical_coupling_ends_on_a_root_at_zero(self, reference_tripartite, monkeypatch, shape):
+        # a width test relative to |g| alone would never end here; with a
+        # lossless cavity the margin is `shape` exactly, so the line's first
+        # trial point is the root itself, with a margin of exactly 0
+        p = replace(reference_tripartite, kappa_a_in=0.0, kappa_a_ex=0.0)
+        monkeypatch.setattr(tripartite, "stability", lambda q: (None, shape(q.g_b / 1e6)))
+        assert abs(critical_coupling(p, "g_b", (-1e6, 3e6))) <= 2e-12
+
+    def test_critical_coupling_halves_a_stale_end(self, reference_tripartite, monkeypatch):
+        # on a concave margin regula falsi keeps the upper end: 21 margin
+        # evaluations without the Illinois halving, 14 with it
+        calls = []
+        monkeypatch.setattr(tripartite, "stability", lambda q: calls.append(q) or (None, np.log(q.g_b / 1e6)))
+        p = replace(reference_tripartite, kappa_a_in=0.0, kappa_a_ex=0.0)
+        assert critical_coupling(p, "g_b", (1e4, 3e6)) == pytest.approx(1e6, rel=1e-6)
+        assert len(calls) <= 16
+
+    def test_critical_coupling_gives_up(self, reference_tripartite, monkeypatch):
+        # a search that runs out of steps raises instead of looping on
+        monkeypatch.setattr(tripartite, "_CRITICAL_MAX_STEPS", 3)
+        with pytest.raises(NumericalError, match="no g_b boundary to rtol 1e-06 in 3 steps"):
+            critical_coupling(reference_tripartite, "g_b", (0.0, TWO_PI * 5e6))
 
     def test_non_finite_params_rejected(self, reference_tripartite):
         with pytest.raises(DomainError, match="g_b"):
