@@ -401,6 +401,11 @@ class TestEntanglementWorkflow:
         assert stability(replace(reference_tripartite, g_b=g_star - eps))[0]
         assert not stability(replace(reference_tripartite, g_b=g_star + eps))[0]
 
+    @pytest.mark.parametrize("bracket", [(0.0, TWO_PI * 1e6), (TWO_PI * 1e6, 0.0)])
+    def test_critical_coupling_bad_bracket(self, reference_tripartite, bracket):
+        with pytest.raises(BracketError):
+            critical_coupling(reference_tripartite, "g_b", bracket)
+
     def test_critical_coupling_matches_brentq(self, reference_tripartite, monkeypatch):
         # 50 seeded working points like the benchmark's stability_boundary:
         # g_c 1-8 MHz, delta_a -6 to -2 MHz, g_b bracket 0-10 MHz
