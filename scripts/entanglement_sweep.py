@@ -31,7 +31,7 @@ def main():
     grid = TWO_PI * np.linspace(0.0, args.g_b_max_hz, args.points)
     res = sweep(p, {"g_b": grid}, omega=0.0)
 
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["g_b_hz", "stable", "zeta_minus", "log_negativity"])
         for g, stable, zeta, en in zip(res["g_b"], res["stable"], res["zeta_minus"], res["log_negativity"]):

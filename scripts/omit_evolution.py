@@ -41,7 +41,7 @@ def main():
     n_min = (cavity.kappa_ex - cavity.kappa_in) * mech.gamma / (4.0 * g0 * g0)
     n_bar = n_min * np.logspace(0.0, args.decades, args.points)
 
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n_bar", "g_hz", "center_mag", "side_mag", "feature"])
         for n in n_bar:

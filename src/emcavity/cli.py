@@ -219,10 +219,15 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
             raise click.UsageError("axis2 must differ from axis")
         axes[name2] = grid2
     res = _sweep(p, {k: TWO_PI * v for k, v in axes.items()}, omega=TWO_PI * omega_hz)
-    floats = [*(res[n] / TWO_PI for n in axes), res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"]]
+    cells, inner = [], len(res["stable"])
+    for name, grid in axes.items():  # each axis value formatted once, then indexed per row
+        inner //= len(grid)  # rows per step along this axis, in sweep's lexicographic order
+        axis_cells = np.array([_FMT % x for x in (res[name][: inner * len(grid) : inner] / TWO_PI).tolist()])
+        cells.append(axis_cells[np.arange(len(res["stable"])) // inner % len(grid)].tolist())
+    cells.append(["true" if s else "false" for s in res["stable"].tolist()])
     # zeta- and E_N are NaN, written blank, where unstable or failed
-    cells = [["" if math.isnan(x) else _FMT % x for x in col.tolist()] for col in floats]
-    cells.insert(len(axes), ["true" if s else "false" for s in res["stable"].tolist()])
+    floats = (res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"])
+    cells += [["" if math.isnan(x) else _FMT % x for x in col.tolist()] for col in floats]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(f"{n}_hz" for n in axes))
         fh.write(",stable,max_re_eig_hz,zeta_minus,log_negativity\n")

@@ -117,10 +117,10 @@ def stability(p: TripartiteParams) -> tuple[bool, float]:
 
 def _scattering(omega: float, p: TripartiteParams, A: np.ndarray):
     """S(w) (N, 4, 10) of a drift stack, and {row: NearPoleError} where the
-    resolvent's condition number is above 1e12 or not finite (those rows
-    are solved against the identity, so they cannot fail the stack)."""
+    resolvent's 1-norm condition number, from the explicit inverse, is above
+    1e12 or not finite; those rows fail alone, solved against the identity."""
     M = -1j * omega * np.eye(6) - A
-    cond = np.linalg.cond(M)
+    cond = np.linalg.cond(M, 1)
     poles = {int(i): NearPoleError(omega, cond[i]) for i in np.flatnonzero(~(cond <= 1e12))}
     M[list(poles)] = np.eye(6)
     return output_matrix(p) @ np.linalg.solve(M, input_matrix(p)) - feedthrough_matrix(), poles

@@ -27,6 +27,7 @@ from emcavity.fitting import (
     save_trace,
     synthesize_trace,
 )
+from emcavity.tripartite import sweep
 
 from conftest import reference_point
 
@@ -228,6 +229,32 @@ class TestTripartite:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 12
         assert rows[0].startswith("g_b_hz,g_c_hz,")
+
+    @pytest.mark.parametrize("axis1, axis2", [
+        ("g_b_hz=0:3e6:4", "g_c_hz=5e6:7e6:3"),
+        ("delta_a_hz=-5e6:-3e6:1", "g_c_hz=5e6:7e6:5"),
+        ("g_c_hz=4e6:8e6:5", "delta_c_hz=-4e6:-4e6:1"),
+    ])
+    def test_sweep_axis_cells_follow_the_rows(self, tmp_path, axis1, axis2):
+        # each axis value is formatted once and repeated: the file must equal
+        # a row-by-row %.17e writer over sweep's own columns, so a transposed
+        # or mis-repeated axis column fails
+        out = tmp_path / "grid.csv"
+        args = ["--config", REFERENCE_CONFIG, "--axis", axis1, "--axis2", axis2, "--out", str(out)]
+        assert run(["tripartite", "sweep", *args]) == 0
+        axes = {}
+        for spec in (axis1, axis2):
+            name, grid = spec.split("=")
+            start, stop, n = grid.split(":")
+            axes[name[: -len("_hz")]] = TWO_PI * np.linspace(float(start), float(stop), int(n))
+        res = sweep(load_config(REFERENCE_CONFIG).tripartite, axes)
+        lines = [",".join(f"{n}_hz" for n in axes) + ",stable,max_re_eig_hz,zeta_minus,log_negativity"]
+        for i in range(len(res["stable"])):
+            cells = ["%.17e" % (res[n][i] / TWO_PI) for n in axes]
+            cells += ["true" if res["stable"][i] else "false", "%.17e" % (res["max_re"][i] / TWO_PI)]
+            cells += ["" if np.isnan(res[k][i]) else "%.17e" % res[k][i] for k in ("zeta_minus", "log_negativity")]
+            lines.append(",".join(cells))
+        assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
     def test_non_finite_config_is_config_error(self, tmp_path, capsys):
         # Python's json reads NaN and Infinity; a NaN occupation used to

@@ -17,7 +17,9 @@ def test_scripts_run(tmp_path):
     ]
     for (script, *args), output in runs:
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / script), *args],
+            # an open() without an encoding fails the script
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             str(ROOT / "scripts" / script), *args],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, f"{script}: {proc.stderr}"

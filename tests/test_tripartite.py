@@ -16,6 +16,7 @@ from emcavity.params import Occupations, TripartiteParams
 from emcavity.tripartite import (
     CovarianceMatrix,
     _covariances,
+    _scattering,
     critical_coupling,
     drift_matrices,
     drift_matrix,
@@ -207,6 +208,44 @@ class TestScattering:
         assert np.isnan(res["zeta_minus"][0]) and np.isnan(res["log_negativity"][0])
         assert all(e is None for e in res["error"][1:])
         assert np.isfinite(res["zeta_minus"][1:]).all()
+
+    def test_pole_conditions(self, reference_tripartite):
+        # the screen's 1-norm condition: inf at the exact pole, finite but
+        # above 1e12 at the near pole of the two tests above
+        p = replace(reference_tripartite, gamma=0.0)
+        _, poles = _covariances(-p.omega_m, p, drift_matrices(p, {"g_b": np.array([0.0])}))
+        assert poles[0].condition == np.inf
+        p = replace(reference_tripartite, gamma=TWO_PI * 1e-5)
+        _, poles = _covariances(-p.omega_m, p, drift_matrices(p, {"g_b": np.array([0.0])}))
+        assert np.isfinite(poles[0].condition) and poles[0].condition > 1e12
+
+    def test_screen_keeps_two_norm_verdicts_off_the_threshold(self, reference_tripartite):
+        # cond_1 / cond_2 lies within [1/6, 6] for 6x6 matrices, so a row
+        # well below the threshold under the 2-norm stays unflagged, and
+        # one well above stays flagged
+        p = replace(reference_tripartite, g_b=0.0)
+        w = -p.omega_m
+        A = np.concatenate([drift_matrix(replace(p, gamma=g))[None] for g in TWO_PI * np.logspace(-8, 0, 33)])
+        cond2 = np.linalg.cond(-1j * w * np.eye(6) - A)
+        flagged = np.isin(np.arange(len(A)), list(_scattering(w, p, A)[1]))
+        assert (cond2 < 1e11).sum() > 5 and (cond2 > 1e13).sum() > 5
+        assert not flagged[cond2 < 1e11].any()
+        assert flagged[cond2 > 1e13].all()
+
+    @pytest.mark.parametrize("w_hz", [0.0, 3e5, -2.5e6])
+    def test_scattering_is_solved_not_inverted(self, w_hz):
+        # S must come from the same `solve` bit for bit: zeta- magnifies the
+        # last-bit noise of inv(M) @ B up to 1e8-fold
+        rng = np.random.default_rng(17)
+        w, checked = TWO_PI * w_hz, 0
+        while checked < 10:
+            p = random_tripartite(rng)
+            if not stability(p)[0]:
+                continue
+            M = -1j * w * np.eye(6) - drift_matrix(p)
+            s = output_matrix(p) @ np.linalg.solve(M, input_matrix(p)) - feedthrough_matrix()
+            assert np.array_equal(_scattering(w, p, drift_matrix(p)[None])[0][0], s)
+            checked += 1
 
     def test_matrix_shapes(self, reference_tripartite):
         p = reference_tripartite
