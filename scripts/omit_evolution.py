@@ -12,14 +12,8 @@ import csv
 import numpy as np
 
 from emcavity.constants import TWO_PI
-from emcavity.linear_response import mechanical_self_energy, reflection
+from emcavity.linear_response import spectrum
 from emcavity.params import CavityParams, MechParams
-
-
-def red_sideband_magnitude(w, cavity, mech, g):
-    """|R| of the OMIT response with the pump detuned by Omega_m."""
-    sigma = mechanical_self_energy(w, g, mech.gamma, mech.omega_m)
-    return abs(reflection(w, mech.omega_m, cavity.kappa_in, cavity.kappa_ex, self_energy=sigma))
 
 
 def main():
@@ -40,14 +34,15 @@ def main():
     # loss 4 g^2 / gamma equals kappa_ex - kappa_in
     n_min = (cavity.kappa_ex - cavity.kappa_in) * mech.gamma / (4.0 * g0 * g0)
     n_bar = n_min * np.logspace(0.0, args.decades, args.points)
+    # |R| at the mechanical resonance and 5 gamma above it, pump detuned by Omega_m
+    probes = np.array([mech.omega_m, mech.omega_m + 5 * mech.gamma])
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n_bar", "g_hz", "center_mag", "side_mag", "feature"])
         for n in n_bar:
             g = g0 * np.sqrt(n)
-            center = red_sideband_magnitude(mech.omega_m, cavity, mech, g)
-            side = red_sideband_magnitude(mech.omega_m + 5 * mech.gamma, cavity, mech, g)
+            center, side = np.abs(spectrum(probes, cavity, mech, g, mech.omega_m))
             writer.writerow(
                 [f"{n:.6e}", f"{g / TWO_PI:.6e}", f"{center:.8f}", f"{side:.8f}",
                  "peak" if center > side else "dip"]

@@ -33,7 +33,7 @@ from .fitting import (
     save_trace,
     synthesize_trace,
 )
-from .linear_response import mechanical_self_energy, optomechanical_damping, reflection, spectrum
+from .linear_response import optomechanical_damping, spectrum
 from .tripartite import SWEEP_AXES
 from .tripartite import critical_coupling as _critical_coupling
 from .tripartite import sweep as _sweep
@@ -46,14 +46,14 @@ def _fmt(x) -> str:
     return _FMT % float(x)
 
 
-def _write_manifest(out_path: str, config_path: str | None, seed: int | None, outputs):
+def _write_manifest(out_path: str, config_path: str | None, seed: int | None):
     entry = {
         "command_line": sys.argv,
         "config_sha256": None,
         "seed": seed,
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "outputs": list(outputs),
+        "outputs": [out_path],
     }
     if config_path:
         with open(config_path, "rb") as fh:
@@ -112,22 +112,32 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
     The bare model is evaluated at the absolute frequency; the omit model
     is evaluated in the frame rotating at the pump (grid minus f_p).
     """
+    f_grid = _grid_hz(f_start_hz, f_stop_hz, points)
+    params = load_config(config_path)
+    if model == "omit":
+        values = _omit_spectrum(params, f_grid)
+    else:
+        values = spectrum(TWO_PI * f_grid, _require(params, "cavity"))
+    _write_spectrum_csv(out_path, f_grid, values)
+    _write_manifest(out_path, config_path, None)
+    click.echo(f"wrote {out_path}", err=True)
+
+
+def _grid_hz(f_start_hz, f_stop_hz, points):
+    """The evenly spaced probe grid in Hz; a short or reversed one is a usage error."""
     if points < 2 or f_stop_hz <= f_start_hz:
         raise click.UsageError("need points >= 2 and f_stop_hz > f_start_hz")
-    params = load_config(config_path)
+    return np.linspace(f_start_hz, f_stop_hz, points)
+
+
+def _omit_spectrum(params, f_hz):
+    """OMIT reflection at the lab-frame probes f_hz, evaluated in the frame
+    rotating at the pump."""
     cavity = _require(params, "cavity")
-    f_grid = np.linspace(f_start_hz, f_stop_hz, points)
-    omega = TWO_PI * f_grid
-    if model == "omit":
-        mech = _require(params, "mech")
-        pump = _require(params, "pump")
-        g = _require(params, "coupling").g
-        values = spectrum(omega - pump.omega_p, cavity, mech, g, pump.detuning(cavity))
-    else:
-        values = spectrum(omega, cavity)
-    _write_spectrum_csv(out_path, f_grid, values)
-    _write_manifest(out_path, config_path, None, [out_path])
-    click.echo(f"wrote {out_path}", err=True)
+    mech = _require(params, "mech")
+    pump = _require(params, "pump")
+    g = _require(params, "coupling").g
+    return spectrum(TWO_PI * f_hz - pump.omega_p, cavity, mech, g, pump.detuning(cavity))
 
 
 def _mag_db_phase(values):
@@ -148,15 +158,7 @@ def _write_spectrum_csv(path, f_hz, values):
 @click.option("--f-hz", type=_FINITE, required=True, help="Probe frequency in Hz (lab frame).")
 def omit(config_path, f_hz):
     """OMIT reflection at a single probe frequency."""
-    params = load_config(config_path)
-    cavity = _require(params, "cavity")
-    mech = _require(params, "mech")
-    pump = _require(params, "pump")
-    # a one-element grid: numpy's scalar and array complex arithmetic can
-    # differ in the last bit, and this way `omit` prints `reflect`'s cells
-    w = TWO_PI * np.array([f_hz]) - pump.omega_p
-    sigma = mechanical_self_energy(w, _require(params, "coupling").g, mech.gamma, mech.omega_m)
-    r = reflection(w, pump.detuning(cavity), cavity.kappa_in, cavity.kappa_ex, self_energy=sigma)
+    r = _omit_spectrum(load_config(config_path), np.array([f_hz]))
     re, im, mag_db, phase = (_fmt(x[0]) for x in (r.real, r.imag, *_mag_db_phase(r)))
     click.echo(f"re={re} im={im} mag_db={mag_db} phase_rad={phase}")
 
@@ -232,7 +234,7 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
         fh.write(",".join(f"{n}_hz" for n in axes))
         fh.write(",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
-    _write_manifest(out_path, config_path, None, [out_path])
+    _write_manifest(out_path, config_path, None)
     click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)
 
 
@@ -296,7 +298,7 @@ def _write_fit(result, out_path):
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    _write_manifest(out_path, None, None, [out_path])
+    _write_manifest(out_path, None, None)
     click.echo(f"wrote {out_path}", err=True)
 
 
@@ -369,12 +371,12 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
     )
     trace = synthesize_trace(
         lambda w: reflection_model(w, model),
-        np.linspace(f_start_hz, f_stop_hz, points),
+        _grid_hz(f_start_hz, f_stop_hz, points),
         snr_db=snr_db,
         seed=seed,
     )
     save_trace(trace, out_path)
-    _write_manifest(out_path, config_path, seed, [out_path])
+    _write_manifest(out_path, config_path, seed)
     click.echo(f"wrote {out_path}", err=True)
 
 

@@ -292,10 +292,9 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     )
 
 
-def fit_reflection(trace: ComplexTrace, guess: ReflectionModelParams | None = None) -> FitResult:
-    """Fit the extended reflection model to the real and imaginary parts."""
-    if guess is None:
-        guess = initial_guess(trace)
+def fit_reflection(trace: ComplexTrace) -> FitResult:
+    """Fit the extended reflection model, from initial_guess, to the real and imaginary parts."""
+    guess = initial_guess(trace)
     names = [f.name for f in fields(guess)]
     return _fit(trace, reflection_model, _reflection_jacobian, guess, names)
 

@@ -70,12 +70,12 @@ def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
 
 
 def spectrum(omega, cavity: CavityParams, mech: MechParams | None = None, g=0.0, detuning=0.0):
-    """Complex reflection over a strictly increasing grid: OMIT at the
-    detuning, with enhanced coupling g, when mechanical parameters are
-    given; the bare cavity at omega_c otherwise."""
+    """Complex reflection over a non-empty, strictly increasing grid: OMIT
+    at the detuning, with enhanced coupling g, when mechanical parameters
+    are given; the bare cavity at omega_c otherwise."""
     w = np.asarray(omega, dtype=float)
-    if w.ndim != 1 or w.size < 2:
-        raise DomainError("omega_grid must be 1-D with at least 2 points")
+    if w.ndim != 1 or w.size == 0:
+        raise DomainError("omega_grid must be 1-D and non-empty")
     if not np.all(np.diff(w) > 0):
         raise DomainError("omega_grid must be strictly increasing")
     if mech is None:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emcavity import cli
+from emcavity import fitting
 from emcavity.cli import _write_spectrum_csv, main
 from emcavity.config import load_config
 from emcavity.constants import TWO_PI
@@ -22,7 +22,6 @@ from emcavity.core import thermal_occupation
 from emcavity.fitting import (
     OmitModelParams,
     ReflectionModelParams,
-    fit_reflection,
     omit_model,
     save_trace,
     synthesize_trace,
@@ -105,7 +104,7 @@ class TestReflect:
         )
         assert code == 1  # unreadable config is a config error
 
-    def test_bad_grid_is_usage_error(self, config_file, tmp_path):
+    def test_bad_grid_is_usage_error(self, config_file, tmp_path, capsys):
         code = run(
             [
                 "reflect",
@@ -116,8 +115,14 @@ class TestReflect:
             ]
         )
         assert code == 1
+        # synth refuses the same grid the same way: no data file is involved
+        capsys.readouterr()
+        args = ["--f-start-hz", "10.3e9", "--f-stop-hz", "10.2e9", "--out", str(tmp_path / "t.csv")]
+        assert run(["synth", "--config", config_file, *args]) == 1
+        assert "need points >= 2 and f_stop_hz > f_start_hz" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
-    def test_config_without_cavity_block(self, tmp_path):
+    def test_config_without_cavity_block(self, tmp_path, capsys):
         path = tmp_path / "mech_only.json"
         path.write_text(json.dumps({"mech": CAVITY_CONFIG["mech"]}))
         code = run(
@@ -130,6 +135,11 @@ class TestReflect:
             ]
         )
         assert code == 1
+        path.write_text("[]")
+        capsys.readouterr()
+        args = ["--f-start-hz", "1e9", "--f-stop-hz", "2e9", "--out", str(tmp_path / "x.csv")]
+        assert run(["reflect", "--config", str(path), *args]) == 1
+        assert capsys.readouterr().err == "config error: top level: expected an object\n"
 
 
 class TestOmitAndDamping:
@@ -153,13 +163,19 @@ class TestOmitAndDamping:
             assert run(["reflect", *args, "--out", str(out)]) == 0
             assert out.read_text().splitlines()[row].split(",")[1:] == cells
 
-    def test_damping_sign_flips_with_detuning(self, config_file, capsys):
+    def test_damping_sign_flips_with_detuning(self, config_file, tmp_path, capsys):
         assert run(["damping", "--config", config_file, "--detuning-hz", "4e6"]) == 0
         cooling = float(capsys.readouterr().out.strip())
         assert run(["damping", "--config", config_file, "--detuning-hz", "-4e6"]) == 0
         heating = float(capsys.readouterr().out.strip())
         assert cooling > 0 > heating
         assert cooling == pytest.approx(-heating, rel=1e-12)
+        # a lossless cavity has no damping rate to give
+        lossless = tmp_path / "lossless.json"
+        cavity = {**CAVITY_CONFIG["cavity"], "kappa_in_hz": 0.0, "kappa_ex_hz": 0.0}
+        lossless.write_text(json.dumps({**CAVITY_CONFIG, "cavity": cavity}))
+        assert run(["damping", "--config", str(lossless), "--detuning-hz", "4e6"]) == 3
+        assert capsys.readouterr().err == "numerical error: kappa must be positive\n"
 
 
 class TestTripartite:
@@ -205,7 +221,7 @@ class TestTripartite:
                 assert float(r["log_negativity"]) == pytest.approx(en, rel=1e-12, abs=0.0)
         assert any(r["zeta_minus"] != r0["zeta_minus"] for r0, r in zip(rows["0"], rows["3e5"]))
 
-    def test_sweep_axis_parsing_errors(self, tmp_path):
+    def test_sweep_axis_parsing_errors(self, tmp_path, capsys):
         base = [
             "tripartite", "sweep", "--config", REFERENCE_CONFIG,
             "--out", str(tmp_path / "x.csv"),
@@ -213,6 +229,12 @@ class TestTripartite:
         assert run(base + ["--axis", "g_b=0:1e6:5"]) == 1  # missing _hz
         assert run(base + ["--axis", "gamma_hz=0:1e6:5"]) == 1  # not sweepable
         assert run(base + ["--axis", "g_b_hz=0:1e6"]) == 1  # malformed range
+        capsys.readouterr()
+        assert run(base + ["--axis", "g_b_hz=0:1e6:0"]) == 1
+        assert "Error: axis needs at least 1 point\n" in capsys.readouterr().err
+        assert run(base + ["--axis", "g_b_hz=0:1e6:3", "--axis2", "g_b_hz=0:1:2"]) == 1
+        assert "Error: axis2 must differ from axis\n" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_two_axis_sweep_row_count(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -293,7 +315,7 @@ class TestTripartite:
         g_crit = float(capsys.readouterr().out.strip())
         assert 2.7e6 < g_crit < 3.0e6
 
-    def test_critical_bad_bracket_is_numerical_error(self):
+    def test_critical_bad_bracket_is_numerical_error(self, capsys):
         code = run(
             [
                 "tripartite", "critical",
@@ -303,6 +325,11 @@ class TestTripartite:
             ]
         )
         assert code == 3
+        # a bracket that is not a pair is a usage error
+        capsys.readouterr()
+        args = ["--config", REFERENCE_CONFIG, "--axis", "g_b", "--bracket-hz", "0,1,2"]
+        assert run(["tripartite", "critical", *args]) == 1
+        assert "Error: --bracket-hz must be two comma-separated numbers\n" in capsys.readouterr().err
 
 
 class TestSynthFitPipeline:
@@ -423,6 +450,8 @@ class TestDevice:
         from emcavity.constants import EPSILON_0
 
         assert c_m == pytest.approx(EPSILON_0 * 1e-8 / 100e-9, rel=1e-9)
+        assert run(["device", "cap", "--volume", str(vol), "--voltage-v", "0"]) == 3
+        assert capsys.readouterr().err == "numerical error: applied voltage must be positive\n"
 
     def test_g0_pipeline(self, device_files, capsys):
         vol, surf, lumped = device_files
@@ -853,7 +882,7 @@ class TestDegenerateFit:
         trace, out = tmp_path / "trace.csv", tmp_path / "fit.json"
         args = ["--snr-db", "3", "--seed", str(seed), "--points", "201", "--out", str(trace)]
         assert run(["synth", "--config", config_file, *args]) == 0
-        monkeypatch.setattr(cli, "fit_reflection", lambda tr: fit_reflection(tr, DIP_STARTS[seed]))
+        monkeypatch.setattr(fitting, "initial_guess", lambda tr: DIP_STARTS[seed])
         assert run(["fit", "reflect", "--in", str(trace), "--out", str(out)]) == 0
         doc = json.loads(out.read_text(), parse_constant=pytest.fail)  # strict JSON only
         assert not doc["convergence"]["converged"]

@@ -14,6 +14,7 @@ from emcavity.fitting import (
     ComplexTrace,
     OmitModelParams,
     ReflectionModelParams,
+    _levenberg_marquardt,
     _omit_jacobian,
     _reflection_jacobian,
     fit_omit,
@@ -223,6 +224,23 @@ class TestReflectionFit:
         res = fit_reflection(trace)
         assert rel_err(res.params.omega_c, shifted.omega_c) < 1e-9
         assert rel_err(res.params.kappa_ex, DEVICE.kappa_ex) < 1e-6
+
+    def test_no_acceptable_step(self):
+        # the residual is finite at the start only and inf at every trial
+        # point, even one that rounds back to the start: every step is
+        # rejected, and the driver stops without claiming convergence
+        calls = []
+
+        def residual(theta):
+            calls.append(theta)
+            return np.array([1.0, 2.0]) if len(calls) == 1 else np.full(2, np.inf)
+
+        theta, rnorm, _, converged, _, message = _levenberg_marquardt(
+            residual, lambda theta: np.ones((2, 1)), [0.5]
+        )
+        assert not converged
+        assert message == "no acceptable step found"
+        assert theta.tolist() == [0.5] and rnorm == np.sqrt(5.0)
 
 
 def low_snr_fits(snr_db):

@@ -138,8 +138,8 @@ class TestSpectrum:
         cases = [
             ([2.0, 1.0, 3.0], make_cavity(), "omega_grid must be strictly increasing"),
             ([1.0, 1.0], make_cavity(), "omega_grid must be strictly increasing"),
-            ([1.0], make_cavity(), "omega_grid must be 1-D with at least 2 points"),
-            ([[1.0, 2.0]], make_cavity(), "omega_grid must be 1-D with at least 2 points"),
+            ([], make_cavity(), "omega_grid must be 1-D and non-empty"),
+            ([[1.0, 2.0]], make_cavity(), "omega_grid must be 1-D and non-empty"),
             ([1.0, 2.0], make_cavity(0.0, 0.0), "kappa_in + kappa_ex must be positive (pole)"),
             ([1.0, np.inf], make_cavity(), "spectrum values must be finite"),
         ]
@@ -155,6 +155,15 @@ class TestSpectrum:
         assert isinstance(spec, np.ndarray) and spec.dtype == complex
         bare = reflection(grid, cav.omega_c, cav.kappa_in, cav.kappa_ex)
         assert np.allclose(spec, bare, rtol=1e-14)
+
+    def test_one_point_grid_is_the_kernel(self):
+        # a single probe is a grid: its value is the kernel's, bit for bit
+        cav, g = make_cavity(), TWO_PI * 2e3
+        for w in (cav.omega_c - 0.3 * cav.kappa, cav.omega_c, MECH.omega_m + 0.7 * MECH.gamma):
+            one = np.array([w])
+            bare = reflection(one, cav.omega_c, cav.kappa_in, cav.kappa_ex)
+            assert spectrum(one, cav).tobytes() == bare.tobytes()
+            assert spectrum(one, cav, MECH, g, MECH.omega_m).tobytes() == omit(one, cav, g).tobytes()
 
     def test_omit_selected_by_mech(self):
         cav = make_cavity()

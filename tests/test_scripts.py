@@ -1,11 +1,19 @@
 """The runnable experiments in scripts/ still run against the package."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# sha256 of the CSVs the scripts write at --points 5; any change to the
+# numbers or to the writers shows here
+SCRIPT_GOLDEN = {
+    "entanglement_sweep.csv": "d3b6684d4bbe1c45a9e06306fb97b284f242ae8e0dac024fa73a9ec8a163cc15",
+    "omit_evolution.csv": "28ab354d63b0c149405474f5ba83b61141657ca06b4594943e1f70b6b0c16d95",
+}
 
 
 def test_scripts_run(tmp_path):
@@ -26,4 +34,5 @@ def test_scripts_run(tmp_path):
         if output is None:
             assert "converged: True" in proc.stdout, script
         else:
-            assert (tmp_path / output).is_file(), script
+            digest = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+            assert digest == SCRIPT_GOLDEN[output], script
