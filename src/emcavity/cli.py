@@ -48,7 +48,7 @@ def _fmt(x) -> str:
 
 def _write_manifest(out_path: str, config_path: str | None, seed: int | None):
     entry = {
-        "command_line": sys.argv,
+        "command_line": click.get_current_context().obj,
         "config_sha256": None,
         "seed": seed,
         "tool_version": __version__,
@@ -153,6 +153,22 @@ def _write_spectrum_csv(path, f_hz, values):
         fh.write((",".join([_FMT] * 5) + "\n") * len(table) % tuple(table.ravel().tolist()))
 
 
+def _write_sweep_csv(out_path, axes, res):
+    cells, inner = [], len(res["stable"])
+    for name, grid in axes.items():  # each axis value formatted once, then indexed per row
+        inner //= len(grid)  # rows per step along this axis, in sweep's lexicographic order
+        axis_cells = np.array([_FMT % x for x in (res[name][: inner * len(grid) : inner] / TWO_PI).tolist()])
+        cells.append(axis_cells[np.arange(len(res["stable"])) // inner % len(grid)].tolist())
+    cells.append(["true" if s else "false" for s in res["stable"].tolist()])
+    # zeta- and E_N are NaN, written blank, where unstable or failed
+    floats = (res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"])
+    cells += [["" if math.isnan(x) else _FMT % x for x in col.tolist()] for col in floats]
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(f"{n}_hz" for n in axes))
+        fh.write(",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--f-hz", type=_FINITE, required=True, help="Probe frequency in Hz (lab frame).")
@@ -221,19 +237,7 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
             raise click.UsageError("axis2 must differ from axis")
         axes[name2] = grid2
     res = _sweep(p, {k: TWO_PI * v for k, v in axes.items()}, omega=TWO_PI * omega_hz)
-    cells, inner = [], len(res["stable"])
-    for name, grid in axes.items():  # each axis value formatted once, then indexed per row
-        inner //= len(grid)  # rows per step along this axis, in sweep's lexicographic order
-        axis_cells = np.array([_FMT % x for x in (res[name][: inner * len(grid) : inner] / TWO_PI).tolist()])
-        cells.append(axis_cells[np.arange(len(res["stable"])) // inner % len(grid)].tolist())
-    cells.append(["true" if s else "false" for s in res["stable"].tolist()])
-    # zeta- and E_N are NaN, written blank, where unstable or failed
-    floats = (res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"])
-    cells += [["" if math.isnan(x) else _FMT % x for x in col.tolist()] for col in floats]
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(f"{n}_hz" for n in axes))
-        fh.write(",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    _write_sweep_csv(out_path, axes, res)
     _write_manifest(out_path, config_path, None)
     click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)
 
@@ -360,6 +364,8 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
         raise click.UsageError("--seed is required when --snr-db is given")
     params = load_config(config_path)
     cavity = _require(params, "cavity")
+    if cavity.kappa == 0:
+        raise DomainError("kappa_in + kappa_ex must be positive (pole)")
     bg = params.background or Background()
     if f_start_hz is None or f_stop_hz is None:
         f_c = cavity.omega_c / TWO_PI
@@ -436,8 +442,9 @@ def device_g0(volume_path, surface_paths, lumped_path, f_m_hz, voltage_v):
 
 def main(argv=None) -> int:
     """Dispatch with the documented exit-code contract."""
+    command_line = sys.argv if argv is None else ["emcavity", *argv]  # what manifests record
     try:
-        cli.main(args=argv, standalone_mode=False)
+        cli.main(args=argv, standalone_mode=False, obj=command_line)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
     except click.ClickException as exc:
@@ -446,7 +453,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
     except (NumericalError, DomainError, BracketError) as exc:

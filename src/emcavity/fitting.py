@@ -376,7 +376,10 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
             raise DataError(f"{path}:{_line(path, bad)}: mag_db out of range, got {re[bad]}")
         c = mag * np.exp(1j * im)
         re, im = c.real, c.imag
-    return ComplexTrace(f_hz=f, re=re, im=im)
+    try:
+        return ComplexTrace(f_hz=f, re=re, im=im)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _line(path, row: int) -> int:

@@ -78,13 +78,14 @@ def spectrum(omega, cavity: CavityParams, mech: MechParams | None = None, g=0.0,
         raise DomainError("omega_grid must be 1-D and non-empty")
     if not np.all(np.diff(w) > 0):
         raise DomainError("omega_grid must be strictly increasing")
-    if mech is None:
-        if cavity.kappa == 0:
-            raise DomainError("kappa_in + kappa_ex must be positive (pole)")
-        center, self_energy = cavity.omega_c, 0.0
-    else:
-        center, self_energy = detuning, mechanical_self_energy(w, g, mech.gamma, mech.omega_m)
-    values = reflection(w, center, cavity.kappa_in, cavity.kappa_ex, self_energy=self_energy)
+    if mech is None and cavity.kappa == 0:
+        raise DomainError("kappa_in + kappa_ex must be positive (pole)")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a pole is refused below
+        if mech is None:
+            center, self_energy = cavity.omega_c, 0.0
+        else:
+            center, self_energy = detuning, mechanical_self_energy(w, g, mech.gamma, mech.omega_m)
+        values = reflection(w, center, cavity.kappa_in, cavity.kappa_ex, self_energy=self_energy)
     if not np.all(np.isfinite(values)):
         raise DomainError("spectrum values must be finite")
     return values

@@ -61,11 +61,6 @@ def _ladder(Aq: np.ndarray) -> np.ndarray:
     return A
 
 
-def drift_matrix(p: TripartiteParams) -> np.ndarray:
-    """6x6 drift matrix in the (a, a+, b, b+, c, c+) basis."""
-    return _ladder(drift_matrices(p, {}))[0]
-
-
 def input_matrix(p: TripartiteParams) -> np.ndarray:
     """6x10 noise/drive input matrix with sqrt-rate entries."""
     rates = np.zeros((3, 5))  # modes a, b, c by baths a_in, a_ex, b_in, c_in, c_ex
@@ -92,21 +87,18 @@ def _single(values, errors: dict):
     return values[0]
 
 
-def is_stable(A: np.ndarray, scale) -> tuple:
-    """Stability verdicts and largest real eigenvalue parts of a matrix or a
-    stack of them: stable iff every eigenvalue has real part below
-    -1e-12*scale, so a margin within that of zero counts as unstable."""
+def _stability(p: TripartiteParams, Aq: np.ndarray):
+    """Stability verdicts and largest real eigenvalue parts of a drift stack:
+    stable iff every eigenvalue has real part below -1e-12 unit, so a margin
+    within that of zero counts as unstable.  The unit is kappa_a, or for a
+    lossless cavity the largest ladder-basis |diagonal|, |loss/2 + i detuning|."""
+    i = np.arange(0, 6, 2)
+    unit = p.kappa_a or np.abs(Aq[:, i, i] + 1j * Aq[:, i, i + 1]).max(axis=1)
     try:
-        max_re = np.linalg.eigvals(A).real.max(axis=-1)
+        max_re = np.linalg.eigvals(Aq).real.max(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigen-solver failed: {exc}") from exc
-    return max_re < -1e-12 * scale, max_re
-
-
-def _stability(p: TripartiteParams, Aq: np.ndarray):
-    """is_stable for a drift stack; the margin unit is kappa_a, or for a
-    lossless cavity the largest |diagonal| in the ladder basis."""
-    return is_stable(Aq, p.kappa_a or np.abs(np.diagonal(_ladder(Aq), axis1=1, axis2=2)).max(axis=1))
+    return max_re < -1e-12 * unit, max_re
 
 
 def stability(p: TripartiteParams) -> tuple[bool, float]:
@@ -129,7 +121,7 @@ def _scattering(omega: float, p: TripartiteParams, A: np.ndarray):
 def scattering(omega: float, p: TripartiteParams) -> np.ndarray:
     """4x10 scattering S(w) = C (-i w I - A)^{-1} B - D in the ladder basis;
     outputs (a_out, a_out+, c_out, c_out+)."""
-    return _single(*_scattering(omega, p, drift_matrix(p)[None]))
+    return _single(*_scattering(omega, p, _ladder(drift_matrices(p, {}))))
 
 
 def noise_matrix(p: TripartiteParams) -> np.ndarray:
@@ -215,23 +207,11 @@ def log_negativity(v: CovarianceMatrix) -> float:
     return float(_log_negativity(symplectic_eigenvalue_min(v)))
 
 
-@dataclass(frozen=True)
-class EntanglementResult:
-    zeta_minus: float | None
-    log_negativity: float | None
-    stable: bool
-    max_re_eigenvalue: float
-    error: str | None = None
-
-
-def evaluate_point(omega: float, p: TripartiteParams) -> EntanglementResult:
-    """Stability plus entanglement at one frequency; formal values suppressed
-    when unstable."""
-    col = {k: v[0] for k, v in sweep(p, {}, omega).items()}
-    zeta, en = float(col["zeta_minus"]), float(col["log_negativity"])
-    if np.isnan(zeta):
-        zeta = en = None
-    return EntanglementResult(zeta, en, bool(col["stable"]), float(col["max_re"]), col["error"])
+def evaluate_point(omega: float, p: TripartiteParams) -> dict:
+    """`sweep`'s row for the point `p` at frequency omega: `stable`,
+    `max_re`, `zeta_minus` and `log_negativity` (NaN when unstable or
+    failed) and `error`."""
+    return {k: v[0] for k, v in sweep(p, {}, omega).items()}
 
 
 def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) -> dict:

@@ -66,7 +66,7 @@ def mean_dynamics_decay_oracle(A: np.ndarray, initial, horizon: float) -> bool:
     Returns True when ||eta(horizon)|| < 1e-3 ||eta(0)||, with the exact
     propagator eta(T) = expm(A T) eta(0).  Pade scaling and squaring does
     not use the eigendecomposition, so this stays independent of the
-    spectrum is_stable reads.  Test oracle only; not part of any production
+    spectrum `stability` reads.  Test oracle only; not part of any production
     path.
     """
     y0 = np.asarray(initial, dtype=complex)

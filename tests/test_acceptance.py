@@ -33,7 +33,7 @@ from emcavity.linear_response import mechanical_self_energy, optomechanical_damp
 from emcavity.params import CavityParams, MechParams
 from emcavity.tripartite import (
     CovarianceMatrix,
-    drift_matrix,
+    drift_matrices,
     evaluate_point,
     log_negativity,
     output_covariance,
@@ -138,9 +138,9 @@ def test_criterion_05_entanglement_null():
         for _ in range(100):
             p = random_tripartite(rng, g_b_max_hz=0.0)
             res = evaluate_point(0.0, p)
-            assert res.stable
-            assert res.zeta_minus >= 0.5 - 1e-9
-            assert res.log_negativity <= 1e-8
+            assert res["stable"]
+            assert res["zeta_minus"] >= 0.5 - 1e-9
+            assert res["log_negativity"] <= 1e-8
 
 
 def test_criterion_06_symplectic_oracle():
@@ -169,7 +169,7 @@ def test_criterion_07_stability_dual_check():
                 continue  # marginal: the decay verdict is ill-posed here
             horizon = 10.0 / abs(max_re)
             y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            assert mean_dynamics_decay_oracle(drift_matrix(p), y0, horizon) == ok
+            assert mean_dynamics_decay_oracle(drift_matrices(p, {})[0], y0, horizon) == ok
             verdicts.add(ok)
         assert verdicts == {True, False}
 

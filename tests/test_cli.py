@@ -92,6 +92,36 @@ class TestReflect:
         assert manifest["config_sha256"]
         assert str(out) in manifest["outputs"]
 
+    def test_manifest_records_the_command_that_ran(self, config_file, tmp_path, monkeypatch):
+        out = tmp_path / "spectrum.csv"
+        args = ["reflect", "--config", config_file, "--f-start-hz", "10.2e9",
+                "--f-stop-hz", "10.3e9", "--points", "3", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", ["host", "--sentinel"])
+        assert main(args) == 0
+        command_line = json.loads((tmp_path / "spectrum.csv.manifest.json").read_text())["command_line"]
+        assert command_line == ["emcavity", *args]
+        # run as a program, main reads and records the process's own argv
+        monkeypatch.setattr(sys, "argv", ["/usr/bin/emcavity", *args])
+        assert main() == 0
+        command_line = json.loads((tmp_path / "spectrum.csv.manifest.json").read_text())["command_line"]
+        assert command_line == ["/usr/bin/emcavity", *args]
+
+    def test_unwritable_output_is_data_error(self, config_file, tmp_path, capsys):
+        # an --out that is a directory, and a manifest path that is one
+        out = tmp_path / "spectrum.csv"
+        args = ["reflect", "--config", config_file, "--f-start-hz", "10.2e9", "--f-stop-hz", "10.3e9"]
+        out.mkdir()
+        capsys.readouterr()
+        assert run([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.endswith(f"{str(out)!r}\n")
+        out.rmdir()
+        (tmp_path / "spectrum.csv.manifest.json").mkdir()
+        assert run([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.endswith(f"{str(out) + '.manifest.json'!r}\n")
+        assert len(out.read_text().splitlines()) == 2002  # the table came first
+
     def test_missing_config_is_data_error(self, tmp_path):
         code = run(
             [
@@ -176,6 +206,20 @@ class TestOmitAndDamping:
         lossless.write_text(json.dumps({**CAVITY_CONFIG, "cavity": cavity}))
         assert run(["damping", "--config", str(lossless), "--detuning-hz", "4e6"]) == 3
         assert capsys.readouterr().err == "numerical error: kappa must be positive\n"
+
+    def test_exact_pole_is_numerical_error(self, tmp_path, capsys):
+        # lossless cavity, no coupling, probed at f_c: the OMIT reflection
+        # divides 0 by 0, which is refused without a numpy warning
+        config = tmp_path / "pole.json"
+        cavity = {**CAVITY_CONFIG["cavity"], "kappa_in_hz": 0.0, "kappa_ex_hz": 0.0}
+        coupling = {"g0_hz": 0.0, "n_cavity": 1.0}
+        config.write_text(json.dumps({**CAVITY_CONFIG, "cavity": cavity, "coupling": coupling}))
+        f_c = str(cavity["f_c_hz"])
+        assert run(["omit", "--config", str(config), "--f-hz", f_c]) == 3
+        assert capsys.readouterr().err == "numerical error: spectrum values must be finite\n"
+        args = ["--model", "omit", "--f-start-hz", f_c, "--f-stop-hz", "10.3e9"]
+        assert run(["reflect", "--config", str(config), *args, "--out", str(tmp_path / "r.csv")]) == 3
+        assert capsys.readouterr().err == "numerical error: spectrum values must be finite\n"
 
 
 class TestTripartite:
@@ -349,6 +393,17 @@ class TestSynthFitPipeline:
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         assert manifest["seed"] == 7
 
+    @pytest.mark.parametrize("grid", [[], ["--f-start-hz", "10.2e9", "--f-stop-hz", "10.3e9"]])
+    def test_synth_lossless_cavity_is_numerical_error(self, tmp_path, capsys, grid):
+        # refused as `reflect` refuses it, whether or not the grid is given
+        config = tmp_path / "lossless.json"
+        cavity = {**CAVITY_CONFIG["cavity"], "kappa_in_hz": 0.0, "kappa_ex_hz": 0.0}
+        config.write_text(json.dumps({"cavity": cavity}))
+        out = tmp_path / "t.csv"
+        assert run(["synth", "--config", str(config), *grid, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical error: kappa_in + kappa_ex must be positive (pole)\n"
+        assert not out.exists()
+
     def test_synth_noise_requires_seed(self, config_file, tmp_path):
         code = run(
             [
@@ -376,6 +431,14 @@ class TestSynthFitPipeline:
         bad.write_text("f_hz,re,im\n1.0,2.0\n")
         code = run(["fit", "reflect", "--in", str(bad), "--out", str(tmp_path / "f.json")])
         assert code == 2
+
+    def test_short_trace_names_its_file(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("f_hz,re,im\n1.0,0.5,0.0\n2.0,0.5,0.1\n3.0,0.5,0.2\n")
+        capsys.readouterr()
+        assert run(["fit", "reflect", "--in", str(short), "--out", str(tmp_path / "f.json")]) == 2
+        message = "trace needs at least 7 samples (7-parameter model)"
+        assert capsys.readouterr().err == f"data error: {short}: {message}\n"
 
     def test_non_utf8_input(self, config_file, tmp_path, capsys):
         config = tmp_path / "bad.json"

@@ -144,7 +144,7 @@ class TestSpectrum:
             ([1.0, np.inf], make_cavity(), "spectrum values must be finite"),
         ]
         for grid, cavity, message in cases:
-            with pytest.raises(DomainError) as info, np.errstate(invalid="ignore"):
+            with pytest.raises(DomainError) as info:
                 spectrum(np.array(grid), cavity)
             assert str(info.value) == message
 
