@@ -358,10 +358,13 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
 def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
     """Synthesize a reflection trace (cavity + background model).
 
-    The default grid spans omega_c +/- 10 kappa with 2001 points.
+    The default grid spans omega_c +/- 10 kappa with 2001 points; a trace
+    needs at least 7, as many as the reflection model has parameters.
     """
     if snr_db is not None and seed is None:
         raise click.UsageError("--seed is required when --snr-db is given")
+    if points < 7:
+        raise click.UsageError(f"--points must be at least 7 (7-parameter model), got {points}")
     params = load_config(config_path)
     cavity = _require(params, "cavity")
     if cavity.kappa == 0:

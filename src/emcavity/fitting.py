@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .device import CheckedArrays, data_rows, read_table
-from .errors import DataError, DomainError, GuessError
+from .errors import DataError, DomainError, GuessError, NumericalError
 from .linear_response import mechanical_self_energy, reflection, reflection_partials
 from .params import NON_NEGATIVE, POSITIVE, Checked, key
 
@@ -173,13 +173,16 @@ def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
     Columns are rescaled to unit norm before the SVD so that wildly
     different parameter magnitudes (rad/s vs dimensionless) do not poison
     the pseudo-inverse; directions below 1e-12 of the largest singular
-    value are dropped.
+    value are dropped.  An SVD that does not converge gives NaN sigmas.
     """
     m, n = J.shape
     s2 = float(r @ r) / max(m - n, 1)
     scale = np.linalg.norm(J, axis=0)
     scale[scale == 0] = 1.0
-    _, sv, vt = np.linalg.svd(J / scale, full_matrices=False)
+    try:
+        _, sv, vt = np.linalg.svd(J / scale, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return dict.fromkeys(names, np.nan)
     inv2 = np.divide(1.0, sv * sv, out=np.zeros_like(sv), where=sv > 1e-12 * sv[0])
     var = np.einsum("ki,k,ki->i", vt, inv2, vt) * s2
     return {name: float(np.sqrt(v) / c) for name, v, c in zip(names, var, scale)}
@@ -216,6 +219,13 @@ def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
 
     start_values = [getattr(start, n) for n in names]
     theta0 = [np.log(v) if k == "log" else v for k, v in zip(kind, start_values)]
+    # a start at a pole of the model, or one so far off that the cost
+    # overflows, has no descent direction
+    with np.errstate(all="ignore"):
+        r2 = (residual(theta0).reshape(2, -1) ** 2).sum(axis=0)
+    if not np.isfinite(r2.sum()):
+        bad = np.count_nonzero(~np.isfinite(r2))
+        raise NumericalError(f"fit start: residual not finite at {bad} of {len(w)} samples")
     # trial steps and a degenerate end point may overflow: a non-finite
     # residual rejects a step, a non-finite sigma fails the check below
     with np.errstate(all="ignore"):
@@ -239,6 +249,8 @@ def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
     return FitResult(p, rnorm, iters, converged, sig, rankdef, message)
 
 
+# a degenerate or huge trace overflows on the way; the GuessError checks refuse it
+@np.errstate(all="ignore")
 def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     """Closed-form start for fit_reflection (Probst et al., Rev. Sci.
     Instrum. 86, 024706, 2015).
@@ -265,6 +277,8 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     left, right = (np.mean(vals[s] * np.exp(1j * w[s] * tau)) for s in edges)
     tau -= float(np.angle(right / left) / (np.mean(w[n - m:]) - np.mean(w[:m])))
     z = vals * np.exp(1j * w * tau)
+    if not (np.isfinite(tau) and np.isfinite(z).all()):  # e.g. an all-zero trace
+        raise GuessError("no resonance circle found in trace")
     x, y = z.real, z.imag
     (d, e, f), *_ = np.linalg.lstsq(np.stack([x, y, np.ones(n)], axis=1), -(x * x + y * y), rcond=None)
     center = -(d + 1j * e) / 2.0

@@ -109,9 +109,6 @@ class Occupations(Checked):
     n_c_in: float = field(default=0.0, metadata=NON_NEGATIVE)
     n_c_ex: float = field(default=0.0, metadata=NON_NEGATIVE)
 
-    def as_tuple(self):
-        return (self.n_a_in, self.n_a_ex, self.n_b_in, self.n_c_in, self.n_c_ex)
-
 
 @dataclass(frozen=True)
 class TripartiteParams(Checked):

@@ -23,7 +23,7 @@ a reason for each failed point.  The scalar functions are the N = 1 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -126,7 +126,7 @@ def scattering(omega: float, p: TripartiteParams) -> np.ndarray:
 
 def noise_matrix(p: TripartiteParams) -> np.ndarray:
     """10x10 diagonal input noise matrix (n + 1/2 per bath, per quadrature)."""
-    occ = np.asarray(p.occupations.as_tuple())
+    occ = np.asarray(astuple(p.occupations))
     return np.kron(np.diag(occ + 0.5), np.eye(2))
 
 
@@ -146,25 +146,10 @@ def _covariances(omega: float, p: TripartiteParams, Aq: np.ndarray):
     return 0.5 * (V + V.transpose(0, 2, 1)), poles
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """4x4 real output covariance in the (X_a, Y_a, X_c, Y_c) basis."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.entries, dtype=float)
-        if not np.isfinite(V).all():
-            raise NumericalError("covariance has non-finite entries")
-        scale = max(np.max(np.abs(V)), 1.0)
-        if np.max(np.abs(V - V.T)) > 1e-10 * scale:
-            raise NumericalError("covariance not symmetric")
-        object.__setattr__(self, "entries", V)
-
-
-def output_covariance(omega: float, p: TripartiteParams) -> CovarianceMatrix:
-    """Real, symmetric output-quadrature covariance Re[S_q N S_q^dagger] at w."""
-    return CovarianceMatrix(entries=_single(*_covariances(omega, p, drift_matrices(p, {}))))
+def output_covariance(omega: float, p: TripartiteParams) -> np.ndarray:
+    """Real, symmetric (4, 4) output-quadrature covariance Re[S_q N S_q^dagger]
+    at w, in the (X_a, Y_a, X_c, Y_c) basis."""
+    return _single(*_covariances(omega, p, drift_matrices(p, {})))
 
 
 def _zeta_minus(V: np.ndarray):
@@ -192,9 +177,15 @@ def _zeta_minus(V: np.ndarray):
     return zeta, errors
 
 
-def symplectic_eigenvalue_min(v: CovarianceMatrix) -> float:
-    """Smallest symplectic eigenvalue of the partially transposed covariance."""
-    return float(_single(*_zeta_minus(v.entries[None])))
+def symplectic_eigenvalue_min(V) -> float:
+    """Smallest symplectic eigenvalue of the partially transposed (4, 4)
+    covariance V; a non-finite or asymmetric V raises NumericalError."""
+    V = np.asarray(V, dtype=float)
+    if not np.isfinite(V).all():
+        raise NumericalError("covariance has non-finite entries")
+    if np.max(np.abs(V - V.T)) > 1e-10 * max(np.max(np.abs(V)), 1.0):
+        raise NumericalError("covariance not symmetric")
+    return float(_single(*_zeta_minus(V[None])))
 
 
 def _log_negativity(zeta):
@@ -202,9 +193,9 @@ def _log_negativity(zeta):
     return np.maximum(-np.log(2.0 * zeta), 0.0)
 
 
-def log_negativity(v: CovarianceMatrix) -> float:
-    """E_N = max(0, -ln 2 zeta-), natural log."""
-    return float(_log_negativity(symplectic_eigenvalue_min(v)))
+def log_negativity(V) -> float:
+    """E_N = max(0, -ln 2 zeta-) of the (4, 4) covariance V, natural log."""
+    return float(_log_negativity(symplectic_eigenvalue_min(V)))
 
 
 def evaluate_point(omega: float, p: TripartiteParams) -> dict:

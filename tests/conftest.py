@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def reference_point(omega: float, p: TripartiteParams):
     D = np.zeros((4, 10))
     D[0, 2] = D[1, 3] = D[2, 8] = D[3, 9] = 1.0
     sq = quadrature_scattering(C @ np.linalg.solve(M, B.astype(complex)) - D)
-    noise = np.kron(np.diag(np.asarray(p.occupations.as_tuple()) + 0.5), np.eye(2))
+    noise = np.kron(np.diag(np.asarray(dataclasses.astuple(p.occupations)) + 0.5), np.eye(2))
     V = np.real(sq @ noise @ sq.conj().T)
     V = 0.5 * (V + V.T)
     if not np.isfinite(V).all():

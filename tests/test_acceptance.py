@@ -32,7 +32,6 @@ from emcavity.fitting import (
 from emcavity.linear_response import mechanical_self_energy, optomechanical_damping, reflection
 from emcavity.params import CavityParams, MechParams
 from emcavity.tripartite import (
-    CovarianceMatrix,
     drift_matrices,
     evaluate_point,
     log_negativity,
@@ -149,11 +148,11 @@ def test_criterion_06_symplectic_oracle():
         for _ in range(1000):
             m = rng.standard_normal((4, 4))
             V = m @ m.T + 0.5 * np.eye(4)
-            zeta = symplectic_eigenvalue_min(CovarianceMatrix(entries=V))
+            zeta = symplectic_eigenvalue_min(V)
             assert rel_err(zeta, oracle_zeta(V)) < 1e-9
         for r in np.linspace(0.05, 1.5, 100):
             V = tmsv_covariance(r)
-            zeta = symplectic_eigenvalue_min(CovarianceMatrix(entries=V))
+            zeta = symplectic_eigenvalue_min(V)
             assert rel_err(zeta, 0.5 * np.exp(-2.0 * r)) < 1e-9
             assert rel_err(zeta, oracle_zeta(V)) < 1e-9
 

@@ -440,6 +440,26 @@ class TestSynthFitPipeline:
         message = "trace needs at least 7 samples (7-parameter model)"
         assert capsys.readouterr().err == f"data error: {short}: {message}\n"
 
+    def test_synth_short_grid_is_usage_error(self, config_file, tmp_path, capsys):
+        # nothing is fitted, but a trace of fewer than 7 samples is no trace
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert run(["synth", "--config", config_file, "--points", "5", "--out", str(out)]) == 1
+        assert "Error: --points must be at least 7 (7-parameter model), got 5\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0,0", "1e300,-1e300"], ids=["zero", "huge"])
+    def test_degenerate_trace_is_data_error(self, tmp_path, capfd, value):
+        # no delay or no circle: refused without a warning or LAPACK's own
+        # complaint on stderr
+        trace, out = tmp_path / "trace.csv", tmp_path / "f.json"
+        rows = "".join(f"{f!r},{value}\n" for f in np.linspace(10.2e9, 10.3e9, 201).tolist())
+        trace.write_text("f_hz,re,im\n" + rows)
+        capfd.readouterr()
+        assert run(["fit", "reflect", "--in", str(trace), "--out", str(out)]) == 2
+        assert capfd.readouterr() == ("", "data error: no resonance circle found in trace\n")
+        assert not out.exists()
+
     def test_non_utf8_input(self, config_file, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_bytes(b'{"cavity": \xff}')
@@ -918,6 +938,19 @@ class TestFitRecords:
         assert run(fit_omit_args(omit, cavity, tmp_path / "omit.json")) == 2
         assert capsys.readouterr().err == f"data error: cannot read cavity fit {cavity}: missing member 'params'\n"
 
+    def test_non_finite_start_is_numerical_error(self, fit_inputs, tmp_path, capsys):
+        # an undamped start self-energy is infinite at the sample at f_m
+        cavity, omit = fit_inputs
+        n = len(omit.read_text().splitlines()) - 1
+        out = tmp_path / "omit.json"
+        args = ["fit", "omit", "--in", str(omit), "--cavity", str(cavity),
+                "--f-m-hz", "4e6", "--gamma-hz", "0", "--out", str(out)]
+        capsys.readouterr()
+        assert run(args) == 3
+        message = f"numerical error: fit start: residual not finite at 1 of {n} samples\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_non_utf8_cavity_record_is_data_error(self, fit_inputs, tmp_path, capsys):
         cavity, omit = fit_inputs
         cavity.write_bytes(cavity.read_bytes().replace(b"params", b"p\xfframs"))
@@ -955,3 +988,16 @@ class TestDegenerateFit:
             assert list(sig.values()) == [None] * 7
         else:
             assert sig["kappa_in"] == sig["kappa_ex"] == 0.0
+
+    def test_failed_svd_gives_null_sigmas(self, config_file, tmp_path, monkeypatch):
+        trace, out = tmp_path / "trace.csv", tmp_path / "fit.json"
+        assert run(["synth", "--config", config_file, "--points", "201", "--out", str(trace)]) == 0
+
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(fitting.np.linalg, "svd", svd)
+        assert run(["fit", "reflect", "--in", str(trace), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=pytest.fail)  # strict JSON only
+        assert not doc["convergence"]["converged"]
+        assert list(doc["param_uncertainties"].values()) == [None] * 7

@@ -14,7 +14,6 @@ from emcavity.errors import BracketError, DomainError, NearPoleError, NumericalE
 from emcavity.linear_response import reflection
 from emcavity.params import Occupations, TripartiteParams
 from emcavity.tripartite import (
-    CovarianceMatrix,
     _covariances,
     _ladder,
     _scattering,
@@ -193,7 +192,7 @@ class TestScattering:
         V, poles = _covariances(w, p, drift_matrices(p, {"g_b": g_b}))
         assert list(poles) == [0] and isinstance(poles[0], NearPoleError)
         for i in (1, 2):
-            single = output_covariance(w, replace(p, g_b=float(g_b[i]))).entries
+            single = output_covariance(w, replace(p, g_b=float(g_b[i])))
             assert np.allclose(V[i], single, rtol=1e-12, atol=0.0)
 
     def test_near_pole_point_fails_alone_in_sweep(self, reference_tripartite):
@@ -263,27 +262,27 @@ class TestCovariance:
 
     def test_golden_covariance(self, reference_tripartite):
         V = output_covariance(0.0, reference_tripartite)
-        assert np.allclose(V.entries, GOLDEN_V, rtol=1e-10)
+        assert np.allclose(V, GOLDEN_V, rtol=1e-10)
 
     def test_decoupled_ports_give_vacuum(self, reference_tripartite):
         p = replace(reference_tripartite, g_b=0.0, g_c=0.0)
-        V = output_covariance(0.0, p).entries
+        V = output_covariance(0.0, p)
         assert np.allclose(V, 0.5 * np.eye(4), atol=1e-12)
 
     def test_asymmetric_matrix_rejected(self):
         bad = np.eye(4)
         bad[0, 1] = 1.0
-        with pytest.raises(NumericalError):
-            CovarianceMatrix(entries=bad)
+        with pytest.raises(NumericalError, match="covariance not symmetric"):
+            symplectic_eigenvalue_min(bad)
 
     def test_non_finite_matrix_rejected(self):
-        # NaN passes the symmetry test and every comparison in
-        # symplectic_eigenvalue_min, and would read as "not entangled"
+        # NaN passes the symmetry test, and `det` would warn on it before
+        # the closed form could name the row
         for value in (np.nan, np.inf):
             bad = 0.5 * np.eye(4)
             bad[1, 1] = value
-            with pytest.raises(NumericalError):
-                CovarianceMatrix(entries=bad)
+            with pytest.raises(NumericalError, match="covariance has non-finite entries"):
+                symplectic_eigenvalue_min(bad)
 
     @given(seed=st.integers(0, 2**32 - 1), w_hz=st.floats(-5e6, 5e6))
     @settings(max_examples=50, deadline=None)
@@ -291,7 +290,7 @@ class TestCovariance:
         # V + i Omega / 2 >= 0 at every stable point and probe frequency
         p = random_tripartite(np.random.default_rng(seed))
         assume(stability(p)[0])
-        V = output_covariance(TWO_PI * w_hz, p).entries
+        V = output_covariance(TWO_PI * w_hz, p)
         lowest = np.linalg.eigvalsh(V + 0.5j * OMEGA_SYMPLECTIC)[0]
         assert lowest >= -1e-10 * np.max(np.abs(V))
 
@@ -302,13 +301,13 @@ class TestSymplecticEigenvalue:
         assert symplectic_eigenvalue_min(V) == pytest.approx(GOLDEN_ZETA, rel=1e-10)
 
     def test_vacuum_is_half(self):
-        v = CovarianceMatrix(entries=0.5 * np.eye(4))
+        v = 0.5 * np.eye(4)
         assert symplectic_eigenvalue_min(v) == pytest.approx(0.5, rel=1e-12)
         assert log_negativity(v) == 0.0
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0])
     def test_two_mode_squeezed_closed_form(self, r):
-        v = CovarianceMatrix(entries=tmsv_covariance(r))
+        v = tmsv_covariance(r)
         zeta = symplectic_eigenvalue_min(v)
         assert zeta == pytest.approx(0.5 * np.exp(-2.0 * r), rel=1e-9)
         assert log_negativity(v) == pytest.approx(2.0 * r, rel=1e-9)
@@ -327,14 +326,14 @@ class TestSymplecticEigenvalue:
         ]
         for V, reason in cases:
             with pytest.raises(NumericalError, match=reason):
-                symplectic_eigenvalue_min(CovarianceMatrix(entries=np.array(V)))
+                symplectic_eigenvalue_min(np.array(V))
 
     def test_closed_form_matches_eigenvalue_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             m = rng.standard_normal((4, 4))
             V = m @ m.T + 0.5 * np.eye(4)
-            zeta = symplectic_eigenvalue_min(CovarianceMatrix(entries=V))
+            zeta = symplectic_eigenvalue_min(V)
             assert zeta == pytest.approx(oracle_zeta(V), rel=1e-9)
 
     @given(scale=st.floats(1e-3, 1e3))
