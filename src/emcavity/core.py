@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
 
 from .constants import HBAR, K_BOLTZMANN
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 
 def thermal_occupation(frequency: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1).
 
-    `frequency` is angular (rad/s).  T = 0 returns 0 by an explicit branch.
+    `frequency` is angular (rad/s).  T = 0 returns 0 by an explicit branch;
+    an occupation beyond the float range is a NumericalError.
     """
     if frequency <= 0:
         raise DomainError("frequency must be positive")
@@ -23,6 +25,8 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
     # large-x guard: occupation underflows to 0 well before exp overflows
     if x > 700:
         return math.exp(-x)
+    if not x * sys.float_info.max > 1.0:  # 1/expm1(x) ~ 1/x would overflow
+        raise NumericalError(f"thermal occupation out of float range: hbar w / kB T = {x:.3e}")
     return 1.0 / math.expm1(x)
 
 

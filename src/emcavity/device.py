@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .constants import EPSILON_0
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, NumericalError
 from .params import NON_NEGATIVE, POSITIVE, Checked, key, meets, violation
 
 
@@ -49,7 +49,6 @@ class VolumeSampleSet(CheckedArrays):
     """Quadrature-weighted volume samples of permittivity, field, density
     and mechanical displacement; fields in file column order."""
 
-    position: np.ndarray = field(metadata=columns("x_m", "y_m", "z_m"))
     weight: np.ndarray = field(metadata=columns("w_m3", **POSITIVE))
     eps_rel: np.ndarray = field(metadata=columns("eps_rel"))
     e_field: np.ndarray = field(metadata=columns("ex_vpm", "ey_vpm", "ez_vpm"))
@@ -62,7 +61,6 @@ class SurfaceSampleSet(CheckedArrays):
     """Interface samples; material 1 sits on the +normal side.  The electric
     field is evaluated per the interface convention."""
 
-    position: np.ndarray = field(metadata=columns("x_m", "y_m", "z_m"))
     area: np.ndarray = field(metadata=columns("a_m2", **POSITIVE))
     normal: np.ndarray = field(metadata=columns("nx", "ny", "nz"))
     q: np.ndarray = field(metadata=columns("qx_m", "qy_m", "qz_m"))
@@ -103,7 +101,13 @@ def capacitance_from_energy(v: VolumeSampleSet, applied_voltage: float = 1.0) ->
     """C_m = (integral eps |E|^2 dV) / V^2 (twice the stored energy over V^2)."""
     if applied_voltage <= 0:
         raise DomainError("applied voltage must be positive")
-    return _field_energy2(v) / applied_voltage**2
+    try:  # V^2 past the float range raises, or underflows to 0 and E / 0 raises
+        c_m = _field_energy2(v) / applied_voltage**2
+    except ArithmeticError:
+        c_m = 0.0
+    if not 0 < c_m < np.inf:  # also a zero or negative field energy
+        raise NumericalError(f"C_m is not a positive finite float at {applied_voltage} V")
+    return c_m
 
 
 def participation_ratio(c_m: float, c_s: float) -> float:
@@ -153,27 +157,23 @@ def fractional_capacitance_derivative(
     return sum(_surface_sum(s, alpha) for s in surfaces) / denom
 
 
-def coupling_rate_moving_boundary(
-    surfaces: list[SurfaceSampleSet],
-    volume: VolumeSampleSet,
-    eta: float,
-    omega_c: float,
-    x_zpf: float,
-) -> float:
+def coupling_rate_moving_boundary(surfaces: list[SurfaceSampleSet], volume: VolumeSampleSet,
+                                  eta: float, omega_c: float, x_zpf: float) -> float:
     """Single-photon coupling g0 = -x_zpf * eta * (omega_c/2) * (1/C) dC/dalpha."""
     return -x_zpf * eta * (omega_c / 2.0) * fractional_capacitance_derivative(surfaces, volume)
 
 
-def read_table(path, columns=None) -> np.ndarray:
+def read_table(path, columns=None, skip=0) -> np.ndarray:
     """Parse a UTF-8 numeric CSV body in bulk into an (n, k) float array.
 
-    With `columns` (sample sets) the stripped header must equal it and rows
-    hold exactly that many cells; without (traces) any header passes and
-    the first three cells of each row are read.  Every cell read must be
-    finite.  Blank rows are skipped; a bad row raises
-    DataError("path:line: ...").
+    With `columns` (sample sets) the stripped header must equal it, and
+    each row is one record of exactly that many cells, all but the first
+    `skip` read; without (traces) any header passes and the first three
+    cells of each row are read.  Every cell read must be finite.  Blank
+    rows are skipped; a bad row raises DataError("path:line: ...").
     """
     ncols = len(columns) if columns else 3
+    row = [("skip", "S8", (skip,)), ("cells", float, (ncols - skip,))]
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
@@ -184,14 +184,14 @@ def read_table(path, columns=None) -> np.ndarray:
             try:
                 with warnings.catch_warnings():  # a header-only file is reported below
                     warnings.simplefilter("ignore", UserWarning)
-                    arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"',
-                                     usecols=None if columns else (0, 1, 2))
-                ok = arr.shape[1] == ncols and np.isfinite(arr).all()
+                    arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', dtype=row,
+                                     ndmin=1, usecols=None if columns else range(ncols))["cells"]
+                ok = np.isfinite(arr).all()
             except ValueError:  # UnicodeDecodeError too: the pass below re-raises it
                 ok = False
             if not ok:  # name the first bad row, or read the rows loadtxt refuses
                 fh.seek(0)
-                arr = _parse_rows(path, csv.reader(fh), ncols, exact=bool(columns))
+                arr = _parse_rows(path, csv.reader(fh), ncols, skip, exact=bool(columns))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not len(arr):
@@ -210,7 +210,7 @@ def data_rows(reader):
         start = reader.line_num + 1
 
 
-def _parse_rows(path, reader, ncols, exact):
+def _parse_rows(path, reader, ncols, skip, exact):
     """Row-by-row csv.reader + float parse that raises at the first bad row."""
     rows = []
     for lineno, row in data_rows(reader):
@@ -218,7 +218,7 @@ def _parse_rows(path, reader, ncols, exact):
             got = "" if exact else f", got {len(row)}"
             raise DataError(f"{path}:{lineno}: expected {ncols} columns{got}")
         try:
-            values = [float(c) for c in row[:ncols]]
+            values = [float(c) for c in row[skip:ncols]]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         if not np.isfinite(values).all():
@@ -228,11 +228,11 @@ def _parse_rows(path, reader, ncols, exact):
 
 
 def load_samples(cls, path):
-    """Read a sample-set CSV whose header is the columns of cls's fields, in
-    field order; a record that fails its checks is a DataError naming the
-    file."""
+    """Read a sample-set CSV whose header is x_m,y_m,z_m (never parsed: no
+    integral reads where a sample sits), then cls's field columns in order;
+    a record that fails its checks is a DataError naming the file."""
     layout = [f.metadata["columns"] for f in fields(cls)]
-    arr = read_table(path, [c for cols in layout for c in cols])
+    arr = read_table(path, ["x_m", "y_m", "z_m", *(c for cols in layout for c in cols)], skip=3)
     parts = np.split(arr, np.cumsum([len(cols) for cols in layout])[:-1], axis=1)
     try:
         return cls(*(p[:, 0] if p.shape[1] == 1 else p for p in parts))

@@ -257,6 +257,12 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
 
     1. Delay tau from the phase slopes of the off-resonant edges, refined
        by the wrapped phase step between their means (r0 -> -1 on both).
+       That step is known only modulo 2 pi, so tau only modulo 2 pi / dw,
+       dw the distance between the edge means: steps 2-4 run at tau and at
+       its aliases tau -/+ 2 pi / dw.  Of the starts found, the one whose
+       full model is nearest the data in the sum of squares wins; an alias
+       counts only if it is nearer than zero, since at an alias a flat
+       trace winds into a circle that explains none of it.
     2. Without the delay the data z = A exp(-i phi) r0 lie on a circle,
        fitted by linear least squares (Kasa): x^2 + y^2 + Dx + Ey + F = 0.
     3. Its point farthest from the origin, P = c (1 + R/|c|), is the
@@ -267,7 +273,8 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
        equally sensitive to every sample's angle noise, and weighted by
        (1 - cos theta)^2, so the half circle nearest resonance sets it.
 
-    GuessError when no circle is found or w_c +/- k is not between the edges.
+    GuessError, that of tau itself, when no delay gives a circle with
+    w_c +/- k between the edges.
     """
     w, vals = trace.omega, trace.values
     n = len(w)
@@ -275,9 +282,30 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     edges = (slice(0, m), slice(n - m, n))
     tau = -float(np.mean([np.polyfit(w[s], np.unwrap(np.angle(vals[s])), 1)[0] for s in edges]))
     left, right = (np.mean(vals[s] * np.exp(1j * w[s] * tau)) for s in edges)
-    tau -= float(np.angle(right / left) / (np.mean(w[n - m:]) - np.mean(w[:m])))
+    dw = float(np.mean(w[n - m:]) - np.mean(w[:m]))
+    tau -= float(np.angle(right / left) / dw)
     z = vals * np.exp(1j * w * tau)
-    if not (np.isfinite(tau) and np.isfinite(z).all()):  # e.g. an all-zero trace
+    turn = np.exp(2j * np.pi * w / dw)  # the delay's phase ramp from one alias to the next
+    starts, errors = {}, []  # messages: a kept exception would tie up its frame's arrays in a cycle
+    for k, zk in ((0, z), (-1, z * turn.conj()), (1, z * turn)):
+        try:
+            starts[k] = _circle_start(w, zk, tau + 2.0 * np.pi * k / dw, m)
+        except GuessError as exc:
+            errors.append(str(exc))
+    if list(starts) == [0]:  # no alias to weigh against the delay itself
+        return starts[0]
+    cost = {k: float(np.sum(np.abs(reflection_model(w, p) - vals) ** 2)) for k, p in starts.items()}
+    kept = [k for k in starts if k == 0 or cost[k] < float(np.sum(np.abs(vals) ** 2))]
+    if not kept:
+        raise GuessError(errors[0])
+    return starts[min(kept, key=cost.get)]
+
+
+def _circle_start(w, z, tau, m) -> ReflectionModelParams:
+    """Steps 2-4 of initial_guess on the samples z with the delay tau taken
+    out, with m samples per edge."""
+    n = len(w)
+    if not np.isfinite(z).all():  # e.g. an all-zero trace, whose tau is NaN
         raise GuessError("no resonance circle found in trace")
     x, y = z.real, z.imag
     (d, e, f), *_ = np.linalg.lstsq(np.stack([x, y, np.ones(n)], axis=1), -(x * x + y * y), rcond=None)
@@ -419,8 +447,9 @@ def synthesize_trace(
     """Evaluate model_fn(omega) on the grid and add complex Gaussian noise.
 
     Per-sample noise std is |R|_rms * 10^(-snr_db/20), split evenly between
-    quadratures.  snr_db=None yields a noiseless trace; otherwise a seed is
-    required for determinism.
+    quadratures; noise beyond the float range is a NumericalError.
+    snr_db=None yields a noiseless trace; otherwise a seed is required for
+    determinism.
     """
     f_hz = np.asarray(f_hz, dtype=float)
     clean = np.asarray(model_fn(2.0 * np.pi * f_hz), dtype=complex)
@@ -430,9 +459,15 @@ def synthesize_trace(
         if seed is None:
             raise DataError("seed is required when synthesizing noisy traces")
         rng = np.random.default_rng(seed)
-        sigma = float(np.sqrt(np.mean(np.abs(clean) ** 2))) * 10.0 ** (-snr_db / 20.0)
-        noise = (rng.standard_normal(len(f_hz)) + 1j * rng.standard_normal(len(f_hz))) * (
-            sigma / np.sqrt(2.0)
-        )
+        try:  # a float power past the range raises; any non-finite noise is refused below
+            sigma = float(np.sqrt(np.mean(np.abs(clean) ** 2))) * 10.0 ** (-snr_db / 20.0)
+        except OverflowError:
+            sigma = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise = (rng.standard_normal(len(f_hz)) + 1j * rng.standard_normal(len(f_hz))) * (
+                sigma / np.sqrt(2.0)
+            )
+        if not np.isfinite(noise).all():
+            raise NumericalError(f"noise at snr_db = {snr_db!r} is out of float range")
         noisy = clean + noise
     return ComplexTrace(f_hz=f_hz, re=noisy.real, im=noisy.imag)

@@ -147,12 +147,12 @@ def reference_point(omega: float, p: TripartiteParams):
     return True, max_re, zeta, max(0.0, float(-np.log(2.0 * zeta))), None
 
 
-def reference_table(path, ncols=None) -> np.ndarray:
-    """Plain csv.reader + float parse of a numeric CSV (the first `ncols`
-    cells of each row, all by default): the header row is dropped and blank
-    rows are skipped.  Test oracle for the bulk reader."""
-    with open(path, newline="") as fh:
+def reference_table(path, ncols=None, start=0) -> np.ndarray:
+    """Plain csv.reader + float parse of a numeric CSV (cells `start` up to
+    `ncols` of each row, all by default): the header row is dropped and
+    blank rows are skipped.  Test oracle for the bulk reader."""
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     return np.array(
-        [[float(c) for c in row[:ncols]] for row in rows if any(c.strip() for c in row)]
+        [[float(c) for c in row[start:ncols]] for row in rows if any(c.strip() for c in row)]
     )

@@ -686,6 +686,56 @@ def test_non_finite_float_option_is_usage_error(config_file, tmp_path, capsys, a
     assert not list(tmp_path.glob("out*"))
 
 
+# finite float options whose result leaves the float range, and the quantity
+# each refusal names; {config} and {tmp} are filled in by the test
+DEVICE_ARGS = ["--volume", "{tmp}/vol.csv"]
+G0_ARGS = ["--surface", "{tmp}/surf.csv", "--lumped", "{tmp}/lumped.json", "--f-m-hz", "4e6"]
+OUT_OF_RANGE = {
+    "thermal_zero_ratio": (["thermal", "--f-hz", "1e-300", "--t-k", "1e300"], "thermal occupation"),
+    "thermal_overflow": (["thermal", "--f-hz", "1", "--t-k", "1e300"], "thermal occupation"),
+    "cap_tiny_voltage": (["device", "cap", *DEVICE_ARGS, "--voltage-v", "1e-200"], "C_m"),
+    "cap_huge_voltage": (["device", "cap", *DEVICE_ARGS, "--voltage-v", "1e200"], "C_m"),
+    "g0_tiny_voltage": (["device", "g0", *DEVICE_ARGS, *G0_ARGS, "--voltage-v", "1e-200"], "C_m"),
+    "g0_huge_voltage": (["device", "g0", *DEVICE_ARGS, *G0_ARGS, "--voltage-v", "1e200"], "C_m"),
+    "synth_noise": (["synth", "--config", "{config}", "--snr-db", "-1e308", "--seed", "1",
+                     "--out", "{tmp}/out.csv"], "noise"),
+}
+
+
+@pytest.mark.parametrize("args, quantity", OUT_OF_RANGE.values(), ids=list(OUT_OF_RANGE))
+def test_out_of_range_result_is_numerical_error(config_file, device_files, tmp_path, capsys, args,
+                                                quantity):
+    assert run([a.format(config=config_file, tmp=tmp_path) for a in args]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: ") and captured.err.count("\n") == 1
+    assert quantity in captured.err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the README's CLI examples, as written, in a directory that holds only
+    # configs/: all but the two that read files the repository does not ship
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    (tmp_path / "configs").symlink_to(root / "configs")
+    monkeypatch.chdir(tmp_path)
+    ran = [line for line in lines if "omit_trace.csv" not in line and "vol.csv" not in line]
+    for line in ran:
+        prog, *argv = line.split()
+        assert prog == "emcavity" and run(argv) == 0, line
+    assert len(ran) == 8
+    with open("fit.json", encoding="utf-8") as fh:
+        assert json.load(fh)["convergence"]["converged"]
+    # configs/cavity_omit.json is this file's test cavity, less the two keys
+    # nothing reads
+    want = json.loads(json.dumps(CAVITY_CONFIG))
+    del want["mech"]["m_eff_kg"], want["pump"]["power_w"]
+    with open(root / "configs" / "cavity_omit.json", encoding="utf-8") as fh:
+        assert json.load(fh) == want
+
+
 def test_cli_runs_without_scipy(device_files):
     # scipy is a test dependency only: with every scipy import made to fail,
     # the commands still run

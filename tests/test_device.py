@@ -23,7 +23,7 @@ from emcavity.device import (
     max_displacement,
     participation_ratio,
 )
-from emcavity.errors import DataError, DomainError
+from emcavity.errors import DataError, DomainError, NumericalError
 
 from conftest import reference_table
 
@@ -34,7 +34,6 @@ def rigid_block(n=100, rho=2329.0, volume=1e-15):
     w = rng.uniform(0.5, 1.5, n)
     w *= volume / w.sum()
     return VolumeSampleSet(
-        position=rng.uniform(0, 1e-5, (n, 3)),
         weight=w,
         eps_rel=np.ones(n),
         e_field=np.zeros((n, 3)),
@@ -47,7 +46,6 @@ def sine_string(n=10**4, length=1e-3, rho=2329.0, cross_section=1e-12):
     """Doubly clamped string fundamental: m_eff = M/2 at the antinode."""
     x = (np.arange(n) + 0.5) * length / n
     return VolumeSampleSet(
-        position=np.stack([x, 0 * x, 0 * x], axis=1),
         weight=np.full(n, length / n * cross_section),
         eps_rel=np.ones(n),
         e_field=np.zeros((n, 3)),
@@ -60,7 +58,6 @@ def parallel_plate(gap=100e-9, area=1e-8, volts=1.0, n=50, q_amp=1e-9):
     """Vacuum-gap capacitor sampled through the gap; top plate is movable."""
     z = (np.arange(n) + 0.5) * gap / n
     vol = VolumeSampleSet(
-        position=np.stack([0 * z, 0 * z, z], axis=1),
         weight=np.full(n, area * gap / n),
         eps_rel=np.ones(n),
         e_field=np.stack([0 * z, 0 * z, np.full(n, volts / gap)], axis=1),
@@ -70,7 +67,6 @@ def parallel_plate(gap=100e-9, area=1e-8, volts=1.0, n=50, q_amp=1e-9):
     # conductor on the +normal side, vacuum gap on the other; displacement
     # toward the gap increases C
     surf = SurfaceSampleSet(
-        position=np.array([[0.0, 0.0, gap]]),
         area=np.array([area]),
         normal=np.array([[0.0, 0.0, -1.0]]),
         q=np.array([[0.0, 0.0, -q_amp]]),
@@ -107,7 +103,6 @@ class TestEffectiveMass:
     def test_zero_mode_rejected(self):
         vol = rigid_block()
         bad = VolumeSampleSet(
-            position=vol.position,
             weight=vol.weight,
             eps_rel=vol.eps_rel,
             e_field=vol.e_field,
@@ -132,6 +127,13 @@ class TestCapacitance:
         assert capacitance_from_energy(vol, volts) == pytest.approx(
             EPSILON_0 * area / gap, rel=1e-12
         )
+
+    def test_out_of_range_is_numerical_error(self):
+        # V^2 overflows, V^2 underflows to 0, E / V^2 overflows, no field energy
+        vol, _ = parallel_plate()
+        for edit, volts in [({}, 1e200), ({}, 1e-200), ({}, 1e-162), ({"e_field": 0 * vol.e_field}, 1.0)]:
+            with pytest.raises(NumericalError, match="^C_m is not a positive finite float at "):
+                capacitance_from_energy(replace(vol, **edit), volts)
 
     def test_participation_ratio_design_points(self):
         assert participation_ratio(1.78e-15, 10.97e-15) == pytest.approx(0.1396, rel=4e-3)
@@ -164,7 +166,6 @@ class TestMovingBoundary:
     def test_normal_flip_invariance(self):
         vol, surf = parallel_plate()
         flipped = SurfaceSampleSet(
-            position=surf.position,
             area=surf.area,
             normal=-surf.normal,
             q=surf.q,
@@ -193,7 +194,6 @@ class TestMovingBoundary:
         vol, surf = parallel_plate()
         halves = [
             SurfaceSampleSet(
-                position=surf.position,
                 area=surf.area / 2.0,
                 normal=surf.normal,
                 q=surf.q,
@@ -214,7 +214,7 @@ class TestLoaders:
         path = tmp_path / "vol.csv"
         cols = np.hstack(
             [
-                vol.position,
+                np.zeros((len(vol.weight), 3)),  # x_m, y_m, z_m
                 vol.weight[:, None],
                 vol.eps_rel[:, None],
                 vol.e_field,
@@ -233,7 +233,7 @@ class TestLoaders:
         path = tmp_path / "surf.csv"
         cols = np.hstack(
             [
-                surf.position,
+                np.zeros((len(surf.area), 3)),  # x_m, y_m, z_m
                 surf.area[:, None],
                 surf.normal,
                 surf.q,
@@ -273,10 +273,9 @@ SURFACE_HEADER = (
     "ex_vpm,ey_vpm,ez_vpm,dx_cpm2,dy_cpm2,dz_cpm2,eps1_rel,eps2_rel"
 )
 # the documented file columns of each field, written out independently of
-# the field metadata the loaders read
-VOLUME_LAYOUT = {"position": slice(0, 3), "weight": 3, "eps_rel": 4, "e_field": slice(5, 8),
-                 "rho": 8, "q": slice(9, 12)}
-SURFACE_LAYOUT = {"position": slice(0, 3), "area": 3, "normal": slice(4, 7), "q": slice(7, 10),
+# the field metadata the loaders read; columns 0-2 (x_m, y_m, z_m) are not
+VOLUME_LAYOUT = {"weight": 3, "eps_rel": 4, "e_field": slice(5, 8), "rho": 8, "q": slice(9, 12)}
+SURFACE_LAYOUT = {"area": 3, "normal": slice(4, 7), "q": slice(7, 10),
                   "e_field": slice(10, 13), "d_field": slice(13, 16), "eps1_rel": 16,
                   "eps2_rel": 17}
 
@@ -315,7 +314,7 @@ class TestSampleChecks:
             with pytest.raises(DataError) as info:
                 replace(vol, **edit)
             assert str(info.value) == message
-        with pytest.raises(DataError, match="^sample arrays must share one non-zero length; position has 0$"):
+        with pytest.raises(DataError, match="^sample arrays must share one non-zero length; weight has 0$"):
             VolumeSampleSet(*(np.empty(0) for _ in fields(VolumeSampleSet)))
 
     def test_surface_normals_must_be_unit(self):
@@ -331,10 +330,8 @@ ROW_B = "0.1,0.2,0.3,1e-18,11.7,1e5,2e5,3e5,2329,1e-9,2e-9,3e-9"
 
 
 def volume_array(v: VolumeSampleSet) -> np.ndarray:
-    """The loaded set back in file column order."""
-    return np.hstack(
-        [v.position, v.weight[:, None], v.eps_rel[:, None], v.e_field, v.rho[:, None], v.q]
-    )
+    """The loaded set back in file column order, from w_m3 on."""
+    return np.hstack([v.weight[:, None], v.eps_rel[:, None], v.e_field, v.rho[:, None], v.q])
 
 
 class TestLoaderDiagnostics:
@@ -346,11 +343,18 @@ class TestLoaderDiagnostics:
         [
             (f"{ROW_A}\n1.0,bad\n", "{path}:3: expected 12 columns"),
             (f"{ROW_A}\n{ROW_A},7\n", "{path}:3: expected 12 columns"),
+            (f"{ROW_A}\n{ROW_A[4:]}\n", "{path}:3: expected 12 columns"),
+            # every row long by one cell: consistent widths, still refused
+            (f"{ROW_A},7\n" * 2, "{path}:2: expected 12 columns"),
             # every row short by one cell: consistent widths, still refused
             ("1,2,3,4,5,6,7,8,9,10,11\n" * 2, "{path}:2: expected 12 columns"),
             (f"{ROW_A},\n", "{path}:2: expected 12 columns"),
             (f"{ROW_A}\n{ROW_B}\n1,2,3,4,5,6,7,8,9,x,11,12\n",
              "{path}:4: could not convert string to float: 'x'"),
+            # the first read column, w_m3, is parsed like every later one
+            (f"{ROW_A}\n1,2,3,x,5,6,7,8,9,10,11,12\n", "{path}:3: could not convert string to float: 'x'"),
+            (f"{ROW_A}\n1,2,3,nan,5,6,7,8,9,10,11,12\n", "{path}:3: non-finite sample"),
+            (f"{ROW_A}\n1,2,3,4,5,6,7,8,9,10,11,inf\n", "{path}:3: non-finite sample"),
             (f"{ROW_A}\n# comment\n{ROW_B}\n", "{path}:3: expected 12 columns"),
             (f"{ROW_A}\n\n  \n1,2\n", "{path}:5: expected 12 columns"),
             ("", "{path}: no data rows"),
@@ -406,13 +410,18 @@ class TestLoaderDiagnostics:
             f"{VOLUME_HEADER}\n{ROW_A.replace(',', ' , ')}\n{ROW_B}\n",  # padded cells
             f"{VOLUME_HEADER}\n{ROW_A.replace('1.5', '1_5e-1')}\n{ROW_B}\n",  # float() syntax
             f" {VOLUME_HEADER.replace(',', ' , ')}\n{ROW_A}\n{ROW_B}\n",  # padded header
+            # x_m, y_m, z_m are counted but never parsed
+            f"{VOLUME_HEADER}\nx,nan,3,{ROW_A[12:]}\n{ROW_B}\n",
+            f"{VOLUME_HEADER}\n\"1,2\",inf,,{ROW_A[12:]}\n{ROW_B}\n",
+            # a non-Latin-1 cell makes the bulk pass hand over to the row pass
+            f"{VOLUME_HEADER}\n{ROW_A}\n1.23456789012345678e-05,\u20ac,\"\",{ROW_B[12:]}\n",
         ],
     )
     def test_accepted_variants(self, tmp_path, text):
         path = tmp_path / "vol.csv"
-        path.write_text(text, newline="")
-        want = reference_table(path)
-        assert want.shape == (2, 12)
+        path.write_text(text, newline="", encoding="utf-8")
+        want = reference_table(path, start=3)
+        assert want.shape == (2, 9)
         assert volume_array(load_volume_csv(path)).tobytes() == want.tobytes()
 
 
@@ -438,4 +447,4 @@ def volume_csv_text(draw):
 def test_volume_loader_matches_reference_parser(tmp_path, text):
     path = tmp_path / "vol.csv"
     path.write_text(text, newline="")
-    assert volume_array(load_volume_csv(path)).tobytes() == reference_table(path).tobytes()
+    assert volume_array(load_volume_csv(path)).tobytes() == reference_table(path)[:, 3:].tobytes()

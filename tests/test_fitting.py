@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from emcavity.constants import TWO_PI
-from emcavity.errors import DataError, GuessError
+from emcavity.errors import DataError, GuessError, NumericalError
 from emcavity.fitting import (
     ComplexTrace,
     OmitModelParams,
@@ -275,6 +275,30 @@ class TestLowSnr:
         for i, (truth, res) in enumerate(low_snr_fits(15.0)):
             assert res.converged, i
             assert max(pulls(res, truth).values()) < 5.0, i
+
+    @pytest.mark.parametrize("snr_db, max_refused", [(3.0, 7), (6.0, 0)])
+    def test_delay_alias_seeds(self, snr_db, max_refused):
+        # the CLI test cavity on `synth`'s default 201-point grid, seeds 0-59:
+        # with the delay taken at tau only, 19 of 60 were refused at 3 dB and
+        # 3 at 6 dB; no converged fit may put f_c, k_in or k_ex beyond 5 sigma
+        truth = ReflectionModelParams(amplitude=0.2, tau=6.0e-8, phi=0.8, omega_c=TWO_PI * 10.29184e9,
+                                      kappa_in=TWO_PI * 0.41e6, kappa_ex=TWO_PI * 1.45e6, delta=0.0)
+        f_c, span = truth.omega_c / TWO_PI, 10.0 * (truth.kappa_in + truth.kappa_ex) / TWO_PI
+        grid = np.linspace(f_c - span, f_c + span, 201)
+        refused, wrong = [], []
+        for seed in range(60):
+            trace = synthesize_trace(lambda w: reflection_model(w, truth), grid, snr_db, seed)
+            try:
+                res = fit_reflection(trace)
+            except (GuessError, NumericalError):
+                refused.append(seed)
+                continue
+            if not res.converged:
+                refused.append(seed)
+            elif any(pulls(res, truth)[n] > 5.0 for n in ("omega_c", "kappa_in", "kappa_ex")):
+                wrong.append(seed)
+        assert len(refused) <= max_refused, refused
+        assert wrong == []
 
 
 OMIT_CAVITY = ReflectionModelParams(
