@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emcavity import fitting
-from emcavity.cli import _write_spectrum_csv, main
+from emcavity.cli import _format_table, _write_spectrum_csv, main
 from emcavity.config import load_config
 from emcavity.constants import TWO_PI
 from emcavity.core import thermal_occupation
@@ -713,6 +714,37 @@ def test_out_of_range_result_is_numerical_error(config_file, device_files, tmp_p
     assert not list(tmp_path.glob("out*"))
 
 
+# finite probe frequencies whose grid or angular frequency leaves the float
+# range: refused with the documented exit code, and (RuntimeWarnings being
+# errors here, as under -W error::RuntimeWarning) without a numpy warning
+GRID_OVERFLOW = "--f-start-hz and --f-stop-hz overflow"
+EXTREME_PROBES = {
+    "omit": (["omit", "--config", "{config}", "--f-hz", "1e308"], 3,
+             "numerical error: spectrum values must be finite\n"),
+    "reflect": (["reflect", "--config", "{config}", "--f-start-hz", "-1e308", "--f-stop-hz", "1e308",
+                 "--points", "3", "--out", "{tmp}/out.csv"], 1, GRID_OVERFLOW),
+    "synth": (["synth", "--config", "{config}", "--f-start-hz", "-1e308", "--f-stop-hz", "1e308",
+               "--out", "{tmp}/out.csv"], 1, GRID_OVERFLOW),
+    "reflect_2pi_f": (["reflect", "--model", "omit", "--config", "{config}", "--f-start-hz", "1e307",
+                       "--f-stop-hz", "3e307", "--out", "{tmp}/out.csv"], 1, GRID_OVERFLOW),
+}
+
+
+@pytest.mark.parametrize("args, code, message", EXTREME_PROBES.values(), ids=list(EXTREME_PROBES))
+def test_extreme_probe_frequencies(config_file, tmp_path, capsys, args, code, message):
+    assert run([a.format(config=config_file, tmp=tmp_path) for a in args]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_largest_grid_still_runs(config_file, tmp_path):
+    # the widest grids the check lets through are evaluated and written
+    args = ["--config", config_file, "--f-start-hz", "-2.8e307", "--f-stop-hz", "2.8e307", "--points", "7"]
+    for command in (["reflect"], ["reflect", "--model", "omit"], ["synth"]):
+        assert run([*command, *args, "--out", str(tmp_path / "wide.csv")]) == 0, command
+
+
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     # the README's CLI examples, as written, in a directory that holds only
     # configs/: all but the two that read files the repository does not ship
@@ -738,7 +770,8 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
 
 def test_cli_runs_without_scipy(device_files):
     # scipy is a test dependency only: with every scipy import made to fail,
-    # the commands still run
+    # the commands still run.  The spectrum formatter's power-of-ten table is
+    # built without the fractions module, which costs ~3 ms to import
     vol, surf, lumped = (str(p) for p in device_files)
     commands = [
         ["thermal", "--f-hz", "10e9", "--t-k", "4.0"],
@@ -749,6 +782,7 @@ def test_cli_runs_without_scipy(device_files):
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from emcavity.cli import main\n"
+        "assert 'fractions' not in sys.modules, 'emcavity.cli imported fractions'\n"
         f"codes = [main(argv) for argv in {commands!r}]\n"
         "sys.exit(0 if codes == [0, 0, 0] else f'exit codes {codes}')\n"
     )
@@ -791,6 +825,13 @@ GOLDEN = {
         b"f_hz,re,im,mag_db,phase_rad\n",
         "579f8c169de6297848bd64600f4406ea81713f4a5f54466d68e7629179aaa8a9",
     ),
+    # pinned from the per-cell "%.17e" writer, before the vectorized one
+    "reflect_omit_20001": (
+        ["reflect", "--model", "omit", "--f-start-hz", "10.29182e9", "--f-stop-hz", "10.29186e9",
+         "--points", "20001"],
+        b"f_hz,re,im,mag_db,phase_rad\n",
+        "7233088ad818ec57728c25c89c76ca1044363f33d23debebd4f0bb9088dce447",
+    ),
 }
 
 
@@ -824,6 +865,65 @@ class TestGoldenOutputs:
             mag_db = 20.0 * np.log10(np.abs(values))
         want = np.stack([f, re, im, mag_db, np.angle(values)], axis=1)
         assert back.tobytes() == want.tobytes()
+
+
+def percent_table(table):
+    return "".join(",".join("%.17e" % x for x in row) + "\n" for row in table.tolist()).encode()
+
+
+def exact_ties(rng, size):
+    """(x, E): odd k in [2**18 5**E, 10 2**18 5**E) puts x = k 2**(E - 18) in
+    the decade E and makes 2 x 10**(17 - E) = k 5**(17 - E) odd, so "%.17e"
+    rounds an exact tie.  For E >= -5, 10**(17 - E) is a double and the
+    kernel rounds the tie itself; below, "%" does."""
+    xs, decades = [], []
+    for e10 in range(-9, 14):
+        lo, hi = ((2**18 * 5**e10, 10 * 2**18 * 5**e10) if e10 >= 0
+                  else (-(-(2**18) // 5**-e10), -(-10 * 2**18 // 5**-e10)))
+        k = rng.integers(lo, hi, size) | 1
+        k = k[k < hi].tolist()
+        xs += [math.ldexp(j, e10 - 18) for j in k]
+        decades += [e10] * len(k)
+    return np.array(xs), decades
+
+
+class TestFormatTable:
+    """_format_table against "%.17e" % x, byte for byte."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, xs, ncol):
+        table = np.array(xs * ncol).reshape(-1, ncol)
+        assert _format_table(table).tobytes() == percent_table(table)
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+        table = np.concatenate([x, -x]).reshape(-1, 2)
+        assert _format_table(table).tobytes() == percent_table(table)
+
+    def test_exact_ties(self):
+        x, decades = exact_ties(np.random.default_rng(18), 300)
+        for v, e10 in zip(x.tolist(), decades):
+            n, d = v.as_integer_ratio()
+            num, den = n * 10 ** max(-e10, 0), d * 10 ** max(e10, 0)
+            assert den <= num < 10 * den  # v lies in the decade e10
+            twice = 2 * n * 10 ** (17 - e10)
+            assert twice % d == 0 and twice // d % 2 == 1  # 18 digits end in a half
+        assert len(x) > 5000
+        table = np.stack([x, -x], axis=1)
+        assert _format_table(table).tobytes() == percent_table(table)
+
+    def test_random_bit_patterns(self):
+        x = np.random.default_rng(18).integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+        table = x.reshape(-1, 5)
+        assert _format_table(table).tobytes() == percent_table(table)
+
+    def test_special_values(self):
+        x = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+             1.7976931348623157e308, 1e-250, 1e250, np.nextafter(1e-243, -np.inf), 0.5, 1.0, 1e17]
+        table = np.array(x).reshape(-1, 5)
+        assert _format_table(table).tobytes() == percent_table(table)
 
 
 # CAVITY_CONFIG with kappa_in = kappa_ex and g0 = 0: probed at f_c, r is
