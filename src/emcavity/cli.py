@@ -34,6 +34,8 @@ from .fitting import (
     synthesize_trace,
 )
 from .linear_response import optomechanical_damping, spectrum
+from .tables import format_e17 as _format_table
+from .tables import write_table
 from .tripartite import SWEEP_AXES
 from .tripartite import critical_coupling as _critical_coupling
 from .tripartite import sweep as _sweep
@@ -154,104 +156,7 @@ def _mag_db_phase(values):
 
 def _write_spectrum_csv(path, f_hz, values):
     table = np.stack([f_hz, values.real, values.imag, *_mag_db_phase(values)], axis=1)
-    with open(path, "wb") as fh:
-        fh.write(b"f_hz,re,im,mag_db,phase_rad\n")
-        for start in range(0, len(table), 2048):  # the kernel's temporaries then stay in cache
-            fh.write(_format_table(table[start : start + 2048]))
-
-
-# _format_table writes each cell as "%.17e" does, in a 26-byte slot: sign,
-# 18 digits with the point after the first, "e", exponent sign, three
-# exponent digits and the separator.  The sign and the exponent's hundreds
-# are dropped where "%.17e" has none.
-_CELL = b"-0.00000000000000000e+000,"
-_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
-_NAN, _INF = (np.frombuffer(word, dtype=np.uint8) for word in (b"nan", b"inf"))
-# rows (hi, hi's Dekker halves, lo) of 10**k, k = 17 - E for the decades E
-# of [1e-250, 1e250]; hi + lo is good to ~2**-106
-_POW10_K0 = -233
-_POW10 = np.full((502, 4), np.nan)
-
-
-def _split(a):
-    """Dekker's split of a into two halves of 26 significant bits."""
-    t = 134217729.0 * a  # 2**27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _pow10(k):
-    """The columns hi, hi's halves and lo of 10**k; a row is built on first use."""
-    for j in range(k.min(), k.max() + 1):
-        if np.isnan(_POW10[j - _POW10_K0, 0]):
-            num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
-            hi = num / den  # int true division rounds correctly
-            m, d = hi.as_integer_ratio()
-            _POW10[j - _POW10_K0] = (hi, *_split(hi), (num * d - m * den) / (den * d))
-    return _POW10.take(k - _POW10_K0, axis=0).T
-
-
-def _format_table(table):
-    """The bytes of `"%.17e" % x` for each float of the 2-D table, comma
-    separated, one line per row.
-
-    With E = floor(log10|x|), the 18 digits are y = |x| 10**(17 - E)
-    rounded half to even.  y is Dekker's exact product of |x| and hi, plus
-    |x| lo, good to ~1e-13; it is exact where 10**(17 - E) is a double
-    (lo = 0), ties included.  A cell goes through "%" instead where that
-    error could decide the rounding, where log10 missed the decade (next to
-    a power of ten) or the rounding carries into the next one, and where
-    |x| lies outside [1e-250, 1e250].
-    """
-    n, ncol = table.shape
-    x = np.ascontiguousarray(table, dtype=float).ravel()
-    m = x.size
-    with np.errstate(all="ignore"):
-        a = np.abs(x)
-        regular = (a >= 1e-250) & (a <= 1e250)
-        a[~regular] = 1.0  # 0, nan and inf are written below, the rest by "%"
-        e10 = np.floor(np.log10(a)).astype(np.int64)
-        hi, h1, h2, lo = _pow10(17 - e10)
-        p = a * hi  # an integer, as y > 1e16 > 2**53
-        a1, a2 = _split(a)
-        c = ((((a1 * h1 - p) + a1 * h2) + a2 * h1) + a2 * h2) + a * lo  # y - p
-        floor_c = np.floor(c)
-        frac = c - floor_c
-        # floor(y); y ~ 1e19 where log10 is a decade low, too large for int64
-        q = np.minimum(p, 2e18).astype(np.int64) + floor_c.astype(np.int64)
-        fallback = (q < 10**17) | ((np.abs(frac - 0.5) <= 1e-9) & (lo != 0))
-        q += (frac > 0.5) | ((frac == 0.5) & (q & 1 == 1))
-        fallback |= ~regular | (q >= 10**18)
-        fallback &= np.isfinite(x) & (x != 0)
-        q[x == 0] = 0
-    row = _CELL * (ncol - 1) + _CELL[:-1] + b"\n"
-    buf = np.frombuffer(bytearray(row) * n, dtype=np.uint8).reshape(m, len(_CELL))
-    pairs = np.empty((9, m), dtype=np.intp)  # q's 18 digits, two at a time
-    for j in range(8, 0, -1):
-        rest = q // 100
-        pairs[j] = q - rest * 100
-        q = rest
-    pairs[0] = q
-    buf.view(np.uint16)[:, 1:10] = _DIGIT_PAIRS.take(pairs).T  # bytes 2-19
-    buf[:, 1] = buf[:, 2]
-    buf[:, 2] = ord(".")
-    e_abs = np.abs(e10).astype(np.uint8)
-    tens = e_abs // 10
-    buf[:, 21] = np.where(e10 < 0, ord("-"), ord("+"))
-    buf[:, 22] += tens // 10
-    buf[:, 23] += tens % 10
-    buf[:, 24] += e_abs - tens * 10
-    keep = np.ones((m, len(_CELL)), dtype=bool)
-    keep[:, 0] = np.signbit(x) & ~np.isnan(x)
-    keep[:, 22] = e_abs >= 100
-    special = np.flatnonzero(~np.isfinite(x))
-    buf[special, 1:4] = np.where(np.isnan(x[special])[:, None], _NAN, _INF)
-    keep[special, 4:-1] = False
-    for i in np.flatnonzero(fallback).tolist():
-        cell = np.frombuffer((_FMT % x[i]).encode(), dtype=np.uint8)
-        buf[i, : cell.size] = cell
-        keep[i, :-1] = np.arange(len(_CELL) - 1) < cell.size
-    return buf[keep]
+    write_table(path, b"f_hz,re,im,mag_db,phase_rad\n", table, _format_table, b"\n")
 
 
 def _write_sweep_csv(out_path, axes, res):

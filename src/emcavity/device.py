@@ -7,8 +7,6 @@ permittivity-difference terms of the moving-boundary integral stay finite.
 
 from __future__ import annotations
 
-import csv
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -16,6 +14,7 @@ import numpy as np
 from .constants import EPSILON_0
 from .errors import DataError, DomainError, NumericalError
 from .params import NON_NEGATIVE, POSITIVE, Checked, key, meets, violation
+from .tables import open_table, read_table
 
 
 def columns(*names: str, **meta) -> dict:
@@ -163,76 +162,13 @@ def coupling_rate_moving_boundary(surfaces: list[SurfaceSampleSet], volume: Volu
     return -x_zpf * eta * (omega_c / 2.0) * fractional_capacitance_derivative(surfaces, volume)
 
 
-def read_table(path, columns=None, skip=0) -> np.ndarray:
-    """Parse a UTF-8 numeric CSV body in bulk into an (n, k) float array.
-
-    With `columns` (sample sets) the stripped header must equal it, and
-    each row is one record of exactly that many cells, all but the first
-    `skip` read; without (traces) any header passes and the first three
-    cells of each row are read.  Every cell read must be finite.  Blank
-    rows are skipped; a bad row raises DataError("path:line: ...").
-    """
-    ncols = len(columns) if columns else 3
-    row = [("skip", "S8", (skip,)), ("cells", float, (ncols - skip,))]
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            if columns and (header is None or [c.strip() for c in header] != columns):
-                raise DataError(f"{path}: expected header {','.join(columns)}")
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            try:
-                with warnings.catch_warnings():  # a header-only file is reported below
-                    warnings.simplefilter("ignore", UserWarning)
-                    arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', dtype=row,
-                                     ndmin=1, usecols=None if columns else range(ncols))["cells"]
-                ok = np.isfinite(arr).all()
-            except ValueError:  # UnicodeDecodeError too: the pass below re-raises it
-                ok = False
-            if not ok:  # name the first bad row, or read the rows loadtxt refuses
-                fh.seek(0)
-                arr = _parse_rows(path, csv.reader(fh), ncols, skip, exact=bool(columns))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not len(arr):
-        raise DataError(f"{path}: no data rows")
-    return arr
-
-
-def data_rows(reader):
-    """(file line, cells) of each row after the header that is not blank:
-    the rows read_table keeps.  A row's line is the one it starts on."""
-    next(reader, None)
-    start = reader.line_num + 1
-    for row in reader:
-        if any(c.strip() for c in row):
-            yield start, row
-        start = reader.line_num + 1
-
-
-def _parse_rows(path, reader, ncols, skip, exact):
-    """Row-by-row csv.reader + float parse that raises at the first bad row."""
-    rows = []
-    for lineno, row in data_rows(reader):
-        if len(row) != ncols and (exact or len(row) < ncols):
-            got = "" if exact else f", got {len(row)}"
-            raise DataError(f"{path}:{lineno}: expected {ncols} columns{got}")
-        try:
-            values = [float(c) for c in row[skip:ncols]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not np.isfinite(values).all():
-            raise DataError(f"{path}:{lineno}: non-finite sample")
-        rows.append(values)
-    return np.asarray(rows)
-
-
 def load_samples(cls, path):
     """Read a sample-set CSV whose header is x_m,y_m,z_m (never parsed: no
     integral reads where a sample sits), then cls's field columns in order;
     a record that fails its checks is a DataError naming the file."""
     layout = [f.metadata["columns"] for f in fields(cls)]
-    arr = read_table(path, ["x_m", "y_m", "z_m", *(c for cols in layout for c in cols)], skip=3)
+    with open_table(path) as fh:
+        arr = read_table(path, fh, ["x_m", "y_m", "z_m", *(c for cols in layout for c in cols)], skip=3)
     parts = np.split(arr, np.cumsum([len(cols) for cols in layout])[:-1], axis=1)
     try:
         return cls(*(p[:, 0] if p.shape[1] == 1 else p for p in parts))

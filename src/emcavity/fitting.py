@@ -19,15 +19,15 @@ kernel's partials.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .device import CheckedArrays, data_rows, read_table
+from .device import CheckedArrays
 from .errors import DataError, DomainError, GuessError, NumericalError
 from .linear_response import mechanical_self_energy, reflection, reflection_partials
 from .params import NON_NEGATIVE, POSITIVE, Checked, key
+from .tables import format_repr, open_table, read_table, row_line, write_table
 
 
 @dataclass(frozen=True)
@@ -406,36 +406,29 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
     (f_hz, mag_db, phase_rad)."""
     if fmt not in ("re_im", "db_phase"):
         raise ValueError(f"unknown trace format: {fmt!r}")
-    f, re, im = read_table(path).T
-    if not np.all(np.diff(f) > 0):
-        bad = int(np.argmax(np.diff(f) <= 0)) + 1
-        raise DataError(f"{path}: frequency not strictly increasing near line {_line(path, bad)}")
-    if fmt == "db_phase":
-        with np.errstate(over="ignore"):
-            mag = 10.0 ** (re / 20.0)
-        if not np.isfinite(mag).all():
-            bad = int(np.argmin(np.isfinite(mag)))
-            raise DataError(f"{path}:{_line(path, bad)}: mag_db out of range, got {re[bad]}")
-        c = mag * np.exp(1j * im)
-        re, im = c.real, c.imag
+    with open_table(path) as fh:
+        f, re, im = read_table(path, fh).T
+        if not np.all(np.diff(f) > 0):
+            bad = int(np.argmax(np.diff(f) <= 0)) + 1
+            raise DataError(f"{path}: frequency not strictly increasing near line {row_line(fh, bad)}")
+        if fmt == "db_phase":
+            with np.errstate(over="ignore"):
+                mag = 10.0 ** (re / 20.0)
+            if not np.isfinite(mag).all():
+                bad = int(np.argmin(np.isfinite(mag)))
+                raise DataError(f"{path}:{row_line(fh, bad)}: mag_db out of range, got {re[bad]}")
+            c = mag * np.exp(1j * im)
+            re, im = c.real, c.imag
     try:
         return ComplexTrace(f_hz=f, re=re, im=im)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _line(path, row: int) -> int:
-    """The file line of a trace's data row `row` (0-based)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [n for n, _ in data_rows(csv.reader(fh))][row]
-
-
 def save_trace(trace: ComplexTrace, path) -> None:
     """Write a trace as re_im CSV: repr (round-trip) cells, CRLF line ends."""
-    cells = np.stack([trace.f_hz, trace.re, trace.im], axis=1).ravel().tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("f_hz,re,im\r\n")
-        fh.write("%r,%r,%r\r\n" * len(trace.f_hz) % tuple(cells))
+    table = np.stack([trace.f_hz, trace.re, trace.im], axis=1)
+    write_table(path, b"f_hz,re,im\r\n", table, format_repr, b"\r\n")
 
 
 def synthesize_trace(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -496,6 +497,75 @@ class TestSynthFitPipeline:
         assert code == 2
 
 
+def run_with_fifo(tmp_path, data: bytes, args):
+    """Run the CLI in a child process on args, with "{fifo}" in them a FIFO
+    fed `data` by a writer thread; (exit code, stderr with the FIFO's path
+    written as {fifo})."""
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader left early
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    argv = [a.format(fifo=fifo) for a in args]
+    code = f"import sys\nfrom emcavity.cli import main\nsys.exit(main({argv!r}))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60)
+    finally:
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer still waiting
+        writer.join(timeout=10)
+        fifo.unlink()
+    assert not writer.is_alive()
+    return proc.returncode, proc.stderr.replace(str(fifo), "{fifo}")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+class TestPipeInput:
+    """A trace that is not a regular file is read once: a FIFO gives the
+    file's fit and the file's messages, and never waits for a second
+    writer."""
+
+    def test_fit_bytes_equal_the_file_fit(self, config_file, tmp_path):
+        trace, want, got = tmp_path / "trace.csv", tmp_path / "want.json", tmp_path / "got.json"
+        args = ["--snr-db", "40", "--seed", "7", "--out", str(trace)]
+        assert run(["synth", "--config", config_file, *args]) == 0
+        assert run(["fit", "reflect", "--in", str(trace), "--out", str(want)]) == 0
+        args = ["fit", "reflect", "--in", "{fifo}", "--out", str(got)]
+        assert run_with_fifo(tmp_path, trace.read_bytes(), args) == (0, f"wrote {got}\n")
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "fmt, text, message",
+        [
+            ("re_im", "f_hz,re,im\n1,0,0\n2,0,0\n1.5,0,0\n"
+             + "".join(f"{k},0.1,0.2\n" for k in range(3, 12)),
+             "{path}: frequency not strictly increasing near line 4"),
+            ("re_im", "f_hz,re,im\n1,2,3\n4,5\n", "{path}:3: expected 3 columns, got 2"),
+            ("db_phase", "f_hz,mag_db,phase_rad\n"
+             + "".join(f"{k},{1e308 if k == 5 else -3},0.1\n" for k in range(1, 12)),
+             "{path}:6: mag_db out of range, got 1e+308"),
+        ],
+        ids=["not_increasing", "short_row", "mag_db_out_of_range"],
+    )
+    def test_errors_equal_the_file_errors(self, tmp_path, capsys, fmt, text, message):
+        trace, out = tmp_path / "trace.csv", str(tmp_path / "f.json")
+        trace.write_text(text)
+        capsys.readouterr()
+        assert run(["fit", "reflect", "--format", fmt, "--in", str(trace), "--out", out]) == 2
+        assert capsys.readouterr().err == f"data error: {message.format(path=trace)}\n"
+        args = ["fit", "reflect", "--format", fmt, "--in", "{fifo}", "--out", out]
+        want = f"data error: {message.format(path='{fifo}')}\n"
+        assert run_with_fifo(tmp_path, text.encode(), args) == (2, want)
+
+
 @pytest.fixture
 def device_files(tmp_path):
     gap, area, volts, n = 100e-9, 1e-8, 1.0, 50
@@ -813,6 +883,12 @@ GOLDEN = {
         ["synth", "--snr-db", "40", "--seed", "7", "--points", "201"],
         b"f_hz,re,im\r\n",
         "66a7e175b902558731d0b7ae65c7cd2df1a9b4747e76ca4d88cf5a9e229201f7",
+    ),
+    # pinned from the per-cell "%r" writer, before the vectorized one
+    "synth_20001": (
+        ["synth", "--snr-db", "40", "--seed", "7", "--points", "20001"],
+        b"f_hz,re,im\r\n",
+        "d72f56984c13a709b1a8ac0a6689fed887051a35ba460979652cdf5059326a2a",
     ),
     "reflect": (
         ["reflect", "--f-start-hz", "10.27184e9", "--f-stop-hz", "10.31184e9", "--points", "101"],

@@ -439,7 +439,7 @@ def volume_csv_text(draw):
         cells[3] = draw(st.floats(min_value=5e-324, allow_infinity=False))
         lines.append(",".join(draw(CELL_STYLES).format(c) for c in cells))
         lines += draw(st.lists(st.sampled_from(["", "  "]), max_size=1))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
 
 
 @given(text=volume_csv_text())

@@ -1,5 +1,6 @@
 """Complex S11 fitting: model, Jacobian, initial guess, LM round trips."""
 
+import urllib.request
 import warnings
 from dataclasses import replace
 
@@ -521,6 +522,27 @@ class TestTraceDiagnostics:
         want = reference_table(path, ncols=3)
         assert want.shape == (8, 3)
         assert got.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix(self, tmp_path, suffix):
+        path = tmp_path / f"trace.csv{suffix}"
+        path.write_text(trace_text(TRACE_ROWS))
+        back = load_trace(path)
+        got = np.stack([back.f_hz, back.re, back.im], axis=1)
+        assert got.tobytes() == reference_table(path, ncols=3).tobytes()
+
+    def test_url_like_relative_path_reads_the_local_file(self, tmp_path, monkeypatch):
+        def no_urls(*args, **kwargs):
+            raise AssertionError(f"opened a URL: {args}")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_urls)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "x").mkdir(parents=True)
+        (tmp_path / "http:" / "x" / "trace.csv").write_text(trace_text(TRACE_ROWS))
+        back = load_trace("http://x/trace.csv")
+        got = np.stack([back.f_hz, back.re, back.im], axis=1)
+        assert got.tobytes() == reference_table("http:/x/trace.csv", ncols=3).tobytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
