@@ -181,7 +181,7 @@ def _exact_digits(x):
 
 def _put_digits(buf, q):
     """Write the 18 decimal digits of each q in [0, 1e18) into the rows of
-    the (n, 18) byte array buf."""
+    buf, an (n, 18) byte array whose rows are contiguous."""
     pairs = np.empty((9, len(q)), dtype=np.intp)  # q's 18 digits, two at a time
     for j in range(8, 0, -1):
         rest = q // 100
@@ -265,10 +265,10 @@ def format_e17(table, line_end=b"\n"):
     return _emit(buf, keep, x, fallback, "%.17e", len(_E17_CELL))
 
 
-# format_repr builds each cell from a 24-byte source slot: 17 significant
-# digits and a "0" (bytes 0-17), ".", "e", the exponent sign and three
-# exponent digits.  A layout pattern lists the source bytes of one form of
-# repr's output, and a cell takes those of its own.
+# format_repr builds each cell from a 25-byte source slot: 17 significant
+# digits and a "0" (bytes 0-17), ".", "e", the exponent sign, three
+# exponent digits and "-".  A layout lists the source bytes of one form of
+# repr's output, and each cell gathers those of its own.
 _REPR_SRC = b"000000000000000000.e+000-"
 _ZERO, _POINT, _E, _MINUS = 17, 18, 19, 24
 _SCALES = np.array([10, 100, 1000])  # y / s has 17, 16 and 15 digits

@@ -557,7 +557,7 @@ class TestPipeInput:
     )
     def test_errors_equal_the_file_errors(self, tmp_path, capsys, fmt, text, message):
         trace, out = tmp_path / "trace.csv", str(tmp_path / "f.json")
-        trace.write_text(text)
+        trace.write_text(text, encoding="utf-8")
         capsys.readouterr()
         assert run(["fit", "reflect", "--format", fmt, "--in", str(trace), "--out", out]) == 2
         assert capsys.readouterr().err == f"data error: {message.format(path=trace)}\n"

@@ -527,7 +527,7 @@ class TestTraceDiagnostics:
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_with_a_compressed_suffix(self, tmp_path, suffix):
         path = tmp_path / f"trace.csv{suffix}"
-        path.write_text(trace_text(TRACE_ROWS))
+        path.write_text(trace_text(TRACE_ROWS), encoding="utf-8")
         back = load_trace(path)
         got = np.stack([back.f_hz, back.re, back.im], axis=1)
         assert got.tobytes() == reference_table(path, ncols=3).tobytes()
@@ -539,7 +539,7 @@ class TestTraceDiagnostics:
         monkeypatch.setattr(urllib.request, "urlopen", no_urls)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "http:" / "x").mkdir(parents=True)
-        (tmp_path / "http:" / "x" / "trace.csv").write_text(trace_text(TRACE_ROWS))
+        (tmp_path / "http:" / "x" / "trace.csv").write_text(trace_text(TRACE_ROWS), encoding="utf-8")
         back = load_trace("http://x/trace.csv")
         got = np.stack([back.f_hz, back.re, back.im], axis=1)
         assert got.tobytes() == reference_table("http:/x/trace.csv", ncols=3).tobytes()
