@@ -160,19 +160,18 @@ def _write_spectrum_csv(path, f_hz, values):
 
 
 def _write_sweep_csv(out_path, axes, res):
-    cells, inner = [], len(res["stable"])
-    for name, grid in axes.items():  # each axis value formatted once, then indexed per row
-        inner //= len(grid)  # rows per step along this axis, in sweep's lexicographic order
-        axis_cells = np.array([_FMT % x for x in (res[name][: inner * len(grid) : inner] / TWO_PI).tolist()])
-        cells.append(axis_cells[np.arange(len(res["stable"])) // inner % len(grid)].tolist())
-    cells.append(["true" if s else "false" for s in res["stable"].tolist()])
-    # zeta- and E_N are NaN, written blank, where unstable or failed
-    floats = (res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"])
-    cells += [["" if math.isnan(x) else _FMT % x for x in col.tolist()] for col in floats]
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(f"{n}_hz" for n in axes))
-        fh.write(",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    # the axis values and the floats as two kernel tables, a line per point
+    # each, with the stable flags spliced between them; zeta- and E_N are
+    # NaN, written blank, where unstable or failed
+    axis_lines = _format_table(np.stack([res[name] / TWO_PI for name in axes], axis=1)).tobytes()
+    floats = np.stack([res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"]], axis=1)
+    float_lines = _format_table(floats).tobytes().replace(b"nan", b"")
+    flags = [b",true," if s else b",false," for s in res["stable"].tolist()]
+    rows = zip(axis_lines.split(b"\n"), flags, float_lines.split(b"\n"))
+    with open(out_path, "wb") as fh:
+        fh.write(",".join(f"{n}_hz" for n in axes).encode())
+        fh.write(b",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
+        fh.write(b"".join(a + flag + f + b"\n" for a, flag, f in rows))
 
 
 @cli.command()

@@ -14,7 +14,8 @@ or a non-finite residual is rejected; a fit whose log-fitted rate
 underflowed to 0, or whose sigma is 0 or not finite, is not converged.
 The OMIT model reuses the same prefactor and tilt and adds the mechanical
 self-energy to the kernel.  Both analytic Jacobians come from the
-kernel's partials.
+kernel's partials, built from the terms of the model evaluation at the
+same point, so the fit evaluates each model once per trial point.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .device import CheckedArrays
 from .errors import DataError, DomainError, GuessError, NumericalError
-from .linear_response import mechanical_self_energy, reflection, reflection_partials
+from .linear_response import mechanical_self_energy, reflection_partials, reflection_terms
 from .params import NON_NEGATIVE, POSITIVE, Checked, key
 from .tables import format_repr, open_table, read_table, row_line, write_table
 
@@ -89,37 +90,52 @@ def _background(w, p: ReflectionModelParams):
     return p.amplitude * np.exp(-1j * (w * p.tau + p.phi))
 
 
-def reflection_model(omega, p: ReflectionModelParams):
-    """Evaluate the extended reflection model at angular frequency omega."""
+def reflection_model(omega, p: ReflectionModelParams, terms=False):
+    """Evaluate the extended reflection model at angular frequency omega.
+
+    With terms, return (model, (background, r0, D)): the model with the
+    terms _reflection_columns builds its Jacobian from.
+    """
     w = np.asarray(omega)
-    return _background(w, p) * reflection(w, p.omega_c, p.kappa_in, p.kappa_ex, p.delta)
+    pre = _background(w, p)
+    r0, den = reflection_terms(w, p.omega_c, p.kappa_in, p.kappa_ex, p.delta)
+    m = pre * r0
+    return (m, (pre, r0, den)) if terms else m
+
+
+def _reflection_columns(w, p: ReflectionModelParams, m, terms):
+    """Complex derivatives of the reflection model, m with `terms` at p,
+    w.r.t. (log A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta)."""
+    pre, r0, den = terms
+    d_wc, d_kin, d_kex, d_delta, _ = reflection_partials(r0, den)
+    return [m, -1j * w * m, -1j * m, pre * d_wc,
+            pre * d_kin * p.kappa_in, pre * d_kex * p.kappa_ex, pre * d_delta]
 
 
 def _reflection_jacobian(omega, p: ReflectionModelParams):
-    """Analytic complex derivatives of the model w.r.t. the fitted fields in
-    order: (log A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta)."""
+    """The columns of _reflection_columns at p, stacked on the last axis."""
     w = np.asarray(omega)
-    pre = _background(w, p)
-    r0, (d_wc, d_kin, d_kex, d_delta, _) = reflection_partials(
-        w, p.omega_c, p.kappa_in, p.kappa_ex, p.delta
-    )
-    r = pre * r0
-    cols = [r, -1j * w * r, -1j * r, pre * d_wc]
-    cols += [pre * d_kin * p.kappa_in, pre * d_kex * p.kappa_ex, pre * d_delta]
-    return np.stack(cols, axis=-1)
+    return np.stack(_reflection_columns(w, p, *reflection_model(w, p, terms=True)), axis=-1)
 
 
 _MAX_ITER = 500
 _XTOL = 1e-10
-_LAM0 = 1e-3
+_LAM0 = 1e-9
 
 
 def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
     """Damped Gauss-Newton on real residuals.
 
     Damping lambda starts at _LAM0 and scales diag(J^T J); x10 on rejected
-    steps, /10 on accepted ones.  Convergence when the scaled relative step
-    drops below _XTOL or the gradient norm below 1e-12 * residual norm.
+    steps, /10 on accepted ones.  A start near the minimum, such as the
+    closed-form one of fit_reflection, thus takes nearly Gauss-Newton steps
+    from the first; a poor one is damped by the rejections.  Convergence
+    when the scaled relative step drops below _XTOL or the gradient norm
+    below 1e-12 * residual norm.
+
+    jacobian_fn(theta) is called only at theta0 and at accepted trial
+    points, each right after residual_fn(theta) at the same point, so a
+    caller can build it from that evaluation.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r = residual_fn(theta)
@@ -147,7 +163,8 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
             except np.linalg.LinAlgError:
                 rank_deficient = True
                 step = np.linalg.lstsq(JtJ + lam * np.diag(diag), -g, rcond=None)[0]
-            r_new = residual_fn(theta + step)
+            trial = theta + step
+            r_new = residual_fn(trial)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 accepted = True
@@ -158,8 +175,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
             break
         scale = np.sqrt(diag)
         rel_step = np.linalg.norm(scale * step) / max(np.linalg.norm(scale * theta), 1e-300)
-        theta = theta + step
-        r, cost = r_new, cost_new
+        theta, r, cost = trial, r_new, cost_new
         lam = max(lam / 10.0, 1e-15)
         if rel_step < _XTOL:
             converged, message = True, "relative step below tolerance"
@@ -173,14 +189,16 @@ def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
     Columns are rescaled to unit norm before the SVD so that wildly
     different parameter magnitudes (rad/s vs dimensionless) do not poison
     the pseudo-inverse; directions below 1e-12 of the largest singular
-    value are dropped.  An SVD that does not converge gives NaN sigmas.
+    value are dropped.  The SVD is taken of the (k, k) R factor of J, which
+    has J's singular values and right vectors.  A QR or SVD that fails
+    gives NaN sigmas.
     """
     m, n = J.shape
     s2 = float(r @ r) / max(m - n, 1)
     scale = np.linalg.norm(J, axis=0)
     scale[scale == 0] = 1.0
     try:
-        _, sv, vt = np.linalg.svd(J / scale, full_matrices=False)
+        _, sv, vt = np.linalg.svd(np.linalg.qr(J / scale, mode="r"))
     except np.linalg.LinAlgError:
         return dict.fromkeys(names, np.nan)
     inv2 = np.divide(1.0, sv * sv, out=np.zeros_like(sv), where=sv > 1e-12 * sv[0])
@@ -188,13 +206,17 @@ def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
     return {name: float(np.sqrt(v) / c) for name, v, c in zip(names, var, scale)}
 
 
-def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
+def _fit(trace: ComplexTrace, model, columns, start, names) -> FitResult:
     """Fit the fields `names` of the dataclass `start` to the real and
     imaginary parts of the trace; every other field keeps its start value.
 
-    model(w, p) is the complex model and jacobian(w, p) its derivatives with
-    respect to the fitted coordinates, one column per name in order; later
-    columns are dropped.  Each field's metadata gives its coordinate.
+    model(w, p) returns the complex model with the terms its Jacobian is
+    built from, and columns(w, p, model, terms) the model's derivatives with
+    respect to the fitted coordinates, one per name in order; later columns
+    are dropped.  Each field's metadata gives its coordinate.  The model is
+    evaluated once per point: the Jacobian at an accepted point is built
+    from that trial's terms, the driver starts from the evaluation of the
+    finite-start check, and the sigmas come from the last accepted point.
     """
     w = trace.omega
     data = np.concatenate([trace.re, trace.im])
@@ -206,16 +228,30 @@ def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
             n: float(np.exp(t) if k == "log" else t) for n, k, t in zip(names, kind, theta)
         })
 
+    latest = {}  # theta's bytes -> (p, residual, model, terms) of the last point evaluated
+
+    def evaluate(theta):
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key not in latest:
+            latest.clear()
+            try:
+                p = params(theta)
+                m, terms = model(w, p)
+            except DomainError:  # e.g. exp(log A) underflowed: reject the step
+                latest[key] = (None, np.full(data.shape, np.inf), None, None)
+            else:
+                latest[key] = (p, np.concatenate([m.real, m.imag]) - data, m, terms)
+        return latest[key]
+
     def residual(theta):
-        try:
-            m = model(w, params(theta))
-        except DomainError:  # e.g. exp(log A) underflowed: reject the step
-            return np.full(data.shape, np.inf)
-        return np.concatenate([m.real, m.imag]) - data
+        return evaluate(theta)[1]
 
     def jac(theta):
-        Jc = jacobian(w, params(theta))[:, : len(names)]
-        return np.concatenate([Jc.real, Jc.imag], axis=0)
+        p, _, m, terms = evaluate(theta)
+        J = np.empty((len(data), len(names)), order="F")  # each column written once, in place
+        for j, col in enumerate(columns(w, p, m, terms)[: len(names)]):
+            J[: len(w), j], J[len(w) :, j] = col.real, col.imag
+        return J
 
     start_values = [getattr(start, n) for n in names]
     theta0 = [np.log(v) if k == "log" else v for k, v in zip(kind, start_values)]
@@ -230,12 +266,12 @@ def _fit(trace: ComplexTrace, model, jacobian, start, names) -> FitResult:
     # residual rejects a step, a non-finite sigma fails the check below
     with np.errstate(all="ignore"):
         theta, rnorm, iters, converged, rankdef, message = _levenberg_marquardt(residual, jac, theta0)
-        # an angle is only defined modulo 2 pi; wrap it before the final J and sigma
+        sig = _uncertainties(jac(theta), residual(theta), names)
+        # an angle is only defined modulo 2 pi; report its principal value
         for i, k in enumerate(kind):
             if k == "angle":
                 theta[i] = np.angle(np.exp(1j * theta[i]))
         p = params(theta)
-        sig = _uncertainties(jac(theta), residual(theta), names)
         for n, k in zip(names, kind):
             if k == "log":  # chain rule back from the log coordinate
                 sig[n] *= getattr(p, n)
@@ -338,7 +374,8 @@ def fit_reflection(trace: ComplexTrace) -> FitResult:
     """Fit the extended reflection model, from initial_guess, to the real and imaginary parts."""
     guess = initial_guess(trace)
     names = [f.name for f in fields(guess)]
-    return _fit(trace, reflection_model, _reflection_jacobian, guess, names)
+    return _fit(trace, lambda w, p: reflection_model(w, p, terms=True), _reflection_columns,
+                guess, names)
 
 
 @dataclass(frozen=True)
@@ -351,33 +388,41 @@ class OmitModelParams(Checked):
     detuning: float = field(metadata=key("detuning_hz"))
 
 
-def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams):
+def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams, terms=False,
+               background=None):
     """OMIT reflection wrapped in the fitted cavity background.
 
     Frequencies are in the frame rotating at the pump: the cavity Lorentzian
-    sits at the detuning, the mechanical feature at Omega.
+    sits at the detuning, the mechanical feature at Omega.  background, when
+    given, is the cavity's prefactor on omega, computed once by the caller.
+    With terms, return (model, (background, r0, D)) as reflection_model does.
     """
     w = np.asarray(omega)
+    pre = _background(w, cavity) if background is None else background
     sigma = mechanical_self_energy(w, p.g, p.gamma, p.omega_m)
-    r0 = reflection(w, p.detuning, cavity.kappa_in, cavity.kappa_ex, cavity.delta, sigma)
-    return _background(w, cavity) * r0
+    r0, den = reflection_terms(w, p.detuning, cavity.kappa_in, cavity.kappa_ex, cavity.delta, sigma)
+    m = pre * r0
+    return (m, (pre, r0, den)) if terms else m
 
 
-def _omit_jacobian(omega, cavity: ReflectionModelParams, p: OmitModelParams):
-    """Analytic complex derivatives of omit_model w.r.t.
+def _omit_columns(w, p: OmitModelParams, m, terms):
+    """Complex derivatives of omit_model, m with `terms` at p, w.r.t.
     (g, gamma, omega_m, detuning)."""
-    w = np.asarray(omega)
+    pre, r0, den = terms
     # at unit coupling the self-energy is the mechanical susceptibility chi,
     # and Sigma = g^2 chi stays differentiable through g = 0
     chi = mechanical_self_energy(w, 1.0, p.gamma, p.omega_m)
     g2chi2 = p.g * p.g * chi * chi
-    pre = _background(w, cavity)
-    _, (d_center, _, _, _, d_sigma) = reflection_partials(
-        w, p.detuning, cavity.kappa_in, cavity.kappa_ex, cavity.delta, p.g * p.g * chi
-    )
+    d_center, _, _, _, d_sigma = reflection_partials(r0, den)
     d_sigma = pre * d_sigma
-    cols = [d_sigma * (2.0 * p.g * chi), d_sigma * (-0.5 * g2chi2), d_sigma * (-1j * g2chi2)]
-    return np.stack(cols + [pre * d_center], axis=-1)
+    return [d_sigma * (2.0 * p.g * chi), d_sigma * (-0.5 * g2chi2), d_sigma * (-1j * g2chi2),
+            pre * d_center]
+
+
+def _omit_jacobian(omega, cavity: ReflectionModelParams, p: OmitModelParams):
+    """The columns of _omit_columns at p, stacked on the last axis."""
+    w = np.asarray(omega)
+    return np.stack(_omit_columns(w, p, *omit_model(w, cavity, p, terms=True)), axis=-1)
 
 
 def fit_omit(
@@ -392,8 +437,12 @@ def fit_omit(
     fit_reflection first and held fixed here.
     """
     names = ("g", "gamma", "omega_m") + (("detuning",) if fit_detuning else ())
-    res = _fit(trace, lambda w, p: omit_model(w, cavity, p),
-               lambda w, p: _omit_jacobian(w, cavity, p), guess, names)
+    background = _background(trace.omega, cavity)  # the cavity is held fixed
+
+    def model(w, p):
+        return omit_model(w, cavity, p, terms=True, background=background)
+
+    res = _fit(trace, model, _omit_columns, guess, names)
     # the model depends on g only through g^2, so near g = 0 the
     # identifiable quantity is g^2; report its uncertainty too
     sig = res.param_uncertainties

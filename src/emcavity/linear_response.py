@@ -19,7 +19,18 @@ def mechanical_self_energy(omega, g: float, gamma: float, omega_m: float):
     return g * g / (-1j * (np.asarray(omega) - omega_m) + gamma / 2.0)
 
 
-def _reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy):
+def reflection_terms(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.0):
+    """Reflection r0 of a one-sided cavity, the kernel of every spectrum
+    and fit model, with its denominator D:
+
+    r0 = -(d + (k_in - k_ex)/2 + i tilt + Sigma) / D,
+    D = d + (k_in + k_ex)/2 + Sigma,   d = -i(w - center).
+
+    The bare cavity has Sigma = 0 and center = omega_c.  OMIT adds
+    mechanical_self_energy and is written in the frame rotating at the
+    pump, where the cavity sits at the detuning Delta; valid physics
+    assumes a red-detuned pump in the resolved sideband.
+    """
     d = -1j * (np.asarray(omega) - center)
     num = d + (kappa_in - kappa_ex) / 2.0 + 1j * tilt + self_energy
     den = d + (kappa_in + kappa_ex) / 2.0 + self_energy
@@ -27,30 +38,19 @@ def _reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy):
 
 
 def reflection(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.0):
-    """Reflection r0 of a one-sided cavity, the kernel of every spectrum
-    and fit model:
-
-    r0 = -(d + (k_in - k_ex)/2 + i tilt + Sigma) / (d + (k_in + k_ex)/2 + Sigma),
-    d = -i(w - center).
-
-    The bare cavity has Sigma = 0 and center = omega_c.  OMIT adds
-    mechanical_self_energy and is written in the frame rotating at the
-    pump, where the cavity sits at the detuning Delta; valid physics
-    assumes a red-detuned pump in the resolved sideband.
-    """
-    return _reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy)[0]
+    """The kernel r0 of reflection_terms alone."""
+    return reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy)[0]
 
 
-def reflection_partials(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.0):
-    """r0 and its partial derivatives with respect to (center, kappa_in,
-    kappa_ex, tilt, Sigma), all built from r0 and the denominator D:
+def reflection_partials(r0, den):
+    """Partial derivatives of r0 with respect to (center, kappa_in,
+    kappa_ex, tilt, Sigma), built from r0 and D of reflection_terms:
 
     dr0/dcenter = -i(1 + r0)/D,   dr0/dk_in = -(1 + r0)/(2D),
     dr0/dk_ex = (1 - r0)/(2D),    dr0/dtilt = -i/D,   dr0/dSigma = -(1 + r0)/D.
     """
-    r0, den = _reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy)
     a = (1.0 + r0) / den
-    return r0, (-1j * a, -0.5 * a, (1.0 - r0) / (2.0 * den), -1j / den, -a)
+    return -1j * a, -0.5 * a, (1.0 - r0) / (2.0 * den), -1j / den, -a
 
 
 def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):

@@ -1,22 +1,26 @@
 """Complex S11 fitting: model, Jacobian, initial guess, LM round trips."""
 
+import functools
 import urllib.request
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from emcavity import fitting
 from emcavity.constants import TWO_PI
 from emcavity.errors import DataError, GuessError, NumericalError
 from emcavity.fitting import (
     ComplexTrace,
     OmitModelParams,
     ReflectionModelParams,
+    _fit,
     _levenberg_marquardt,
     _omit_jacobian,
+    _reflection_columns,
     _reflection_jacobian,
     fit_omit,
     fit_reflection,
@@ -243,6 +247,16 @@ class TestReflectionFit:
         assert message == "no acceptable step found"
         assert theta.tolist() == [0.5] and rnorm == np.sqrt(5.0)
 
+    def test_amplitude_at_floor_gives_no_sigma(self):
+        # a subnormal amplitude leaves every column of J below the float
+        # range: the fit stops at once, and no sigma is finite
+        model = functools.partial(reflection_model, terms=True)
+        start = replace(DEVICE, amplitude=1e-317)
+        res = _fit(device_trace(n=201), model, _reflection_columns, start, PARAM_NAMES)
+        assert not res.converged
+        assert "amplitude underflowed to 0" in res.message
+        assert not any(np.isfinite(list(res.param_uncertainties.values())))
+
 
 def low_snr_fits(snr_db):
     """(truth, fit) for 60 random devices at 801 points: per device kappa/2pi
@@ -375,6 +389,96 @@ class TestOmitFit:
         assert res.converged
         assert rel_err(res.params.detuning, OMIT_TRUE.detuning) < 1e-6
         assert rel_err(res.params.g, OMIT_TRUE.g) < 1e-4
+
+
+def record_driver(monkeypatch):
+    """Wrap the LM driver: record (theta, J) at each Jacobian it asks for,
+    and the sum of squares of each residual it evaluates, in order."""
+    jacobians, costs = [], []
+    driver = fitting._levenberg_marquardt
+
+    def recording(residual_fn, jacobian_fn, theta0):
+        def residual(theta):
+            r = residual_fn(theta)
+            costs.append(float(r @ r))
+            return r
+
+        def jacobian(theta):
+            jacobians.append((theta.copy(), jacobian_fn(theta)))
+            return jacobians[-1][1]
+
+        return driver(residual, jacobian, theta0)
+
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", recording)
+    return jacobians, costs
+
+
+def at_theta(start, names, theta):
+    """start with the fields `names` at the fit coordinates theta, as _fit
+    builds them."""
+    logged = {f.name for f in fields(start) if f.metadata.get("fit") == "log"}
+    return replace(start, **{n: float(np.exp(t) if n in logged else t) for n, t in zip(names, theta)})
+
+
+def rejected_trials(costs):
+    """The driver's rejected trials, from the sums of squares it evaluated:
+    a trial is accepted when finite and no larger than the current one."""
+    current, rejected = costs[0], 0
+    for cost in costs[1:]:
+        if np.isfinite(cost) and cost <= current:
+            current = cost
+        else:
+            rejected += 1
+    return rejected
+
+
+OMIT_GUESS = OmitModelParams(
+    g=TWO_PI * 1.5e3, gamma=TWO_PI * 120.0, omega_m=TWO_PI * 4.00001e6, detuning=TWO_PI * 3.98e6
+)
+
+
+class TestSharedEvaluation:
+    """Each Jacobian is built from the model terms of the accepted trial."""
+
+    def test_columns_from_trial_terms_match_jacobians(self, monkeypatch):
+        jacobians, _ = record_driver(monkeypatch)
+        trace = device_trace(snr_db=40.0, seed=3, n=201)
+        fit_reflection(trace)
+        cases = [(trace, DEVICE, PARAM_NAMES, _reflection_jacobian, list(jacobians))]
+        omit = omit_trace(snr_db=40.0, seed=2)
+        omit_jacobian = functools.partial(_omit_jacobian, cavity=OMIT_CAVITY)
+        for names in (("g", "gamma", "omega_m"), ("g", "gamma", "omega_m", "detuning")):
+            jacobians.clear()
+            fit_omit(omit, OMIT_CAVITY, OMIT_GUESS, fit_detuning=len(names) == 4)
+            cases.append((omit, OMIT_GUESS, names, omit_jacobian, list(jacobians)))
+        for trace, start, names, jacobian, seen in cases:
+            assert len(seen) >= 4
+            for theta, J in seen:
+                Jc = jacobian(trace.omega, p=at_theta(start, names, theta))[:, : len(names)]
+                assert np.array_equal(J, np.concatenate([Jc.real, Jc.imag]))
+
+    @pytest.mark.parametrize("case", ["40 dB", "3 dB", "omit", "omit detuning"])
+    def test_one_model_evaluation_per_trial_point(self, monkeypatch, case):
+        _, costs = record_driver(monkeypatch)
+        calls = []
+
+        def counting(model):
+            def wrapper(*args, **kwargs):
+                calls.append(kwargs.get("terms"))
+                return model(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fitting, "reflection_model", counting(fitting.reflection_model))
+        monkeypatch.setattr(fitting, "omit_model", counting(fitting.omit_model))
+        if case.startswith("omit"):
+            res = fit_omit(omit_trace(snr_db=40.0, seed=2), OMIT_CAVITY, OMIT_GUESS, case != "omit")
+        else:  # at 3 dB some trials are rejected
+            snr_db, seed = (40.0, 3) if case == "40 dB" else (3.0, 4)
+            res = fit_reflection(device_trace(snr_db=snr_db, seed=seed, n=201))
+        fit_calls = calls.count(True)  # initial_guess ranks its starts without terms
+        assert fit_calls <= res.iterations + rejected_trials(costs) + 1
+        if case == "3 dB":
+            assert rejected_trials(costs) > 0
 
 
 class TestTraceIO:
