@@ -186,9 +186,15 @@ def omit(config_path, f_hz):
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--detuning-hz", type=_FINITE, required=True, help="Pump detuning Delta/2pi in Hz.")
+@click.option("--detuning-hz", type=_FINITE, required=True,
+              help="Pump detuning Delta/2pi = (f_c - f_p) in Hz; positive is red.")
 def damping(config_path, detuning_hz):
-    """Optomechanical damping rate gamma_opt/2pi at the given detuning."""
+    """Optomechanical damping rate gamma_opt/2pi at the given detuning.
+
+    gamma_opt is the pump's addition to the mechanical energy damping
+    rate: the mechanical linewidth is gamma + gamma_opt, and the rate tends
+    to 4 g^2 / kappa at Delta = +Omega in the resolved-sideband limit.
+    """
     params = load_config(config_path)
     cavity = _require(params, "cavity")
     mech = _require(params, "mech")

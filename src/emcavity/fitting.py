@@ -105,17 +105,17 @@ def reflection_model(omega, p: ReflectionModelParams, terms=False):
 
 def _reflection_columns(w, p: ReflectionModelParams, m, terms):
     """Complex derivatives of the reflection model, m with `terms` at p,
-    w.r.t. (log A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta)."""
+    w.r.t. (log A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta),
+    yielded one at a time."""
     pre, r0, den = terms
+    yield m
+    yield -1j * w * m
+    yield -1j * m
     d_wc, d_kin, d_kex, d_delta, _ = reflection_partials(r0, den)
-    return [m, -1j * w * m, -1j * m, pre * d_wc,
-            pre * d_kin * p.kappa_in, pre * d_kex * p.kappa_ex, pre * d_delta]
-
-
-def _reflection_jacobian(omega, p: ReflectionModelParams):
-    """The columns of _reflection_columns at p, stacked on the last axis."""
-    w = np.asarray(omega)
-    return np.stack(_reflection_columns(w, p, *reflection_model(w, p, terms=True)), axis=-1)
+    yield pre * d_wc
+    yield pre * d_kin * p.kappa_in
+    yield pre * d_kex * p.kappa_ex
+    yield pre * d_delta
 
 
 _MAX_ITER = 500
@@ -147,11 +147,11 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
     it = 0
     for it in range(1, _MAX_ITER + 1):
         J = jacobian_fn(theta)
-        g = J.T @ r
+        g, JtJ = J.T @ r, J.T @ J
+        del J  # the next Jacobian is built without this one alive
         if np.linalg.norm(g) <= 1e-12 * max(np.sqrt(cost), 1e-300):
             converged, message = True, "gradient below tolerance"
             break
-        JtJ = J.T @ J
         diag = np.diag(JtJ).copy()
         if np.any(diag <= 0):
             rank_deficient = True
@@ -191,14 +191,15 @@ def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
     the pseudo-inverse; directions below 1e-12 of the largest singular
     value are dropped.  The SVD is taken of the (k, k) R factor of J, which
     has J's singular values and right vectors.  A QR or SVD that fails
-    gives NaN sigmas.
+    gives NaN sigmas.  J is scaled in place, so it must be a fresh one.
     """
     m, n = J.shape
     s2 = float(r @ r) / max(m - n, 1)
     scale = np.linalg.norm(J, axis=0)
     scale[scale == 0] = 1.0
+    J /= scale
     try:
-        _, sv, vt = np.linalg.svd(np.linalg.qr(J / scale, mode="r"))
+        _, sv, vt = np.linalg.svd(np.linalg.qr(J, mode="r"))
     except np.linalg.LinAlgError:
         return dict.fromkeys(names, np.nan)
     inv2 = np.divide(1.0, sv * sv, out=np.zeros_like(sv), where=sv > 1e-12 * sv[0])
@@ -211,12 +212,13 @@ def _fit(trace: ComplexTrace, model, columns, start, names) -> FitResult:
     imaginary parts of the trace; every other field keeps its start value.
 
     model(w, p) returns the complex model with the terms its Jacobian is
-    built from, and columns(w, p, model, terms) the model's derivatives with
-    respect to the fitted coordinates, one per name in order; later columns
-    are dropped.  Each field's metadata gives its coordinate.  The model is
-    evaluated once per point: the Jacobian at an accepted point is built
-    from that trial's terms, the driver starts from the evaluation of the
-    finite-start check, and the sigmas come from the last accepted point.
+    built from, and columns(w, p, model, terms) yields the model's
+    derivatives with respect to the fitted coordinates, one per name in
+    order; the columns after the last name are never built.  Each field's
+    metadata gives its coordinate.  The model is evaluated once per point:
+    the Jacobian at an accepted point is built from that trial's terms, the
+    driver starts from the evaluation of the finite-start check, and the
+    sigmas come from the last accepted point.
     """
     w = trace.omega
     data = np.concatenate([trace.re, trace.im])
@@ -248,8 +250,8 @@ def _fit(trace: ComplexTrace, model, columns, start, names) -> FitResult:
 
     def jac(theta):
         p, _, m, terms = evaluate(theta)
-        J = np.empty((len(data), len(names)), order="F")  # each column written once, in place
-        for j, col in enumerate(columns(w, p, m, terms)[: len(names)]):
+        J = np.empty((len(data), len(names)), order="F")  # each column written as it is made
+        for j, (_, col) in enumerate(zip(names, columns(w, p, m, terms))):
             J[: len(w), j], J[len(w) :, j] = col.real, col.imag
         return J
 
@@ -407,7 +409,7 @@ def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams, terms=F
 
 def _omit_columns(w, p: OmitModelParams, m, terms):
     """Complex derivatives of omit_model, m with `terms` at p, w.r.t.
-    (g, gamma, omega_m, detuning)."""
+    (g, gamma, omega_m, detuning), yielded one at a time."""
     pre, r0, den = terms
     # at unit coupling the self-energy is the mechanical susceptibility chi,
     # and Sigma = g^2 chi stays differentiable through g = 0
@@ -415,14 +417,10 @@ def _omit_columns(w, p: OmitModelParams, m, terms):
     g2chi2 = p.g * p.g * chi * chi
     d_center, _, _, _, d_sigma = reflection_partials(r0, den)
     d_sigma = pre * d_sigma
-    return [d_sigma * (2.0 * p.g * chi), d_sigma * (-0.5 * g2chi2), d_sigma * (-1j * g2chi2),
-            pre * d_center]
-
-
-def _omit_jacobian(omega, cavity: ReflectionModelParams, p: OmitModelParams):
-    """The columns of _omit_columns at p, stacked on the last axis."""
-    w = np.asarray(omega)
-    return np.stack(_omit_columns(w, p, *omit_model(w, cavity, p, terms=True)), axis=-1)
+    yield d_sigma * (2.0 * p.g * chi)
+    yield d_sigma * (-0.5 * g2chi2)
+    yield d_sigma * (-1j * g2chi2)
+    yield pre * d_center
 
 
 def fit_omit(

@@ -54,17 +54,24 @@ def reflection_partials(r0, den):
 
 
 def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
-    """Interaction-induced mechanical damping at mechanical resonance.
+    """Optomechanical damping rate at mechanical resonance: what the pump
+    adds to the mechanical energy damping rate, so that the mechanical
+    linewidth is gamma + gamma_opt.
 
-    gamma_opt(D) = (g^2 k / 2) * (1/((O - D)^2 + k^2/4) - 1/((O + D)^2 + k^2/4))
+    gamma_opt(D) = g^2 k * (1/((O - D)^2 + k^2/4) - 1/((O + D)^2 + k^2/4))
 
-    Positive at D = +Omega (cooling), negative at D = -Omega (gain), odd in D.
+    with D = omega_c - omega_p and g the enhanced coupling (Aspelmeyer,
+    Kippenberg & Marquardt, RMP 86, 1391 (2014), whose detuning is -D).
+    Positive at D = +Omega (cooling), where it tends to 4 g^2 / k in the
+    resolved-sideband limit; negative at D = -Omega (gain); odd in D.  The
+    drift eigenvalues of tripartite give the same rate, and the linewidth
+    of the OMIT kernel, which keeps only the red sideband, its limit.
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     d = np.asarray(detuning)
     k24 = kappa * kappa / 4.0
-    return (g * g * kappa / 2.0) * (
+    return (g * g * kappa) * (
         1.0 / ((omega_m - d) ** 2 + k24) - 1.0 / ((omega_m + d) ** 2 + k24)
     )
 

@@ -43,7 +43,7 @@ def open_table(path):
 
 def read_table(path, fh, columns=None, skip=0) -> np.ndarray:
     """Parse the UTF-8 numeric CSV body of `fh` (from open_table(path)) in
-    bulk into an (n, k) float array.
+    bulk into an (n, k) float array of the k cells read in each row.
 
     With `columns` (sample sets) the stripped header must equal it, and
     each row is one record of exactly that many cells, all but the first
@@ -51,13 +51,17 @@ def read_table(path, fh, columns=None, skip=0) -> np.ndarray:
     cells of each row are read.  Every cell read must be finite.  Blank
     rows are skipped; a bad row raises DataError("path:line: ...").
 
+    The skipped cells are held as one-byte placeholders, so with `skip`
+    the result is a view whose rows lie skip + 8k bytes apart and are not
+    8-byte aligned.
+
     A regular file's body is read by loadtxt from its absolute path, in C
     chunks, after the header's lines; an absolute path never parses as a
     URL.  Compressed suffixes, which loadtxt would decompress, and the
     in-memory copy of any other input are read through the handle.
     """
     ncols = len(columns) if columns else 3
-    row = [("skip", "S8", (skip,)), ("cells", float, (ncols - skip,))]
+    row = [("skip", "S1", (skip,)), ("cells", float, (ncols - skip,))]
     reader = csv.reader(fh)
     header = next(reader, None)
     if columns and (header is None or [c.strip() for c in header] != columns):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,3 +157,15 @@ def reference_table(path, ncols=None, start=0) -> np.ndarray:
     return np.array(
         [[float(c) for c in row[start:ncols]] for row in rows if any(c.strip() for c in row)]
     )
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python and numpy allocate while fn() runs, above
+    what was allocated when it started (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

@@ -221,4 +221,4 @@ def test_criterion_10_damping_identities():
         rhs = -optomechanical_damping(-d, g, kappa, om)
         assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-12
         peak = optomechanical_damping(om, g, kappa, om)
-        assert rel_err(peak, 2.0 * g * g / kappa) < 2.0 * (kappa / (4.0 * om)) ** 2
+        assert rel_err(peak, 4.0 * g * g / kappa) < 2.0 * (kappa / (4.0 * om)) ** 2

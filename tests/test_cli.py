@@ -1023,8 +1023,10 @@ STDOUT_GOLDEN = {
                       "52c3884732af1f7f3794343ce959317f85928a49e7b3717ed4fca27bced7b96f"),
     "omit_zero": (["omit", "--config", "{critical}", "--f-hz", "10.29184e9"],
                   "614f45a6df1f64aa0889da30e3a78837fd1723dc42075dc18075aa8a11c1c6b2"),
+    # 8.48745059976354099e+00: gamma_opt / 2pi with the peak 4 g^2 / kappa at
+    # the red sideband, as in Aspelmeyer et al., RMP 86, 1391 (2014)
     "damping": (["damping", "--config", "{config}", "--detuning-hz", "4e6"],
-                "21c7b24be396f78ffc24cbb3da879c67056aee0ebfc6a3c03f1a98d91c77d690"),
+                "0b1a91a0da4fafc53cad5563c2c060bd55376dede5ff47cee608e6e2482e63ff"),
     # 6.41022346545011178e+06; brentq at the same rtol gave 6.41022340200626943e+06
     "tripartite_critical": (["tripartite", "critical", "--config", REFERENCE_CONFIG,
                              "--axis", "g_c", "--bracket-hz", "2e6,9e6"],

@@ -2,17 +2,21 @@
 
 import warnings
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from emcavity import device
 from emcavity.constants import EPSILON_0, TWO_PI
 from emcavity.device import (
     ResonatorLumped,
     SurfaceSampleSet,
     VolumeSampleSet,
+    _rowdot,
     capacitance_from_energy,
     coupling_rate_moving_boundary,
     effective_mass,
@@ -25,7 +29,7 @@ from emcavity.device import (
 )
 from emcavity.errors import DataError, DomainError, NumericalError
 
-from conftest import reference_table
+from conftest import reference_table, traced_peak
 
 
 def rigid_block(n=100, rho=2329.0, volume=1e-15):
@@ -448,3 +452,84 @@ def test_volume_loader_matches_reference_parser(tmp_path, text):
     path = tmp_path / "vol.csv"
     path.write_text(text, newline="")
     assert volume_array(load_volume_csv(path)).tobytes() == reference_table(path)[:, 3:].tobytes()
+
+
+@st.composite
+def column_pairs(draw):
+    """Two finite (n, 3) arrays, contiguous or cut from the float columns
+    of an S1-prefixed structured array as read_table returns them: views
+    whose rows are not 8-byte aligned.  The second may be the first."""
+    n = draw(st.integers(1, 40))
+    values = draw(arrays(float, (n, 6), elements=FINITE))
+    if draw(st.booleans()):
+        skip = draw(st.integers(1, 3))
+        table = np.zeros(n, [("skip", "S1", (skip,)), ("cells", float, (6,))])["cells"]
+        table[:] = values
+        assert not table.flags.aligned
+    else:
+        table = values
+    a = table[:, :3]
+    return a, a if draw(st.booleans()) else table[:, 3:]
+
+
+@given(pair=column_pairs(), block=st.integers(1, 50))
+@settings(max_examples=200, deadline=None)
+def test_rowdot_is_the_axis_sum_bit_for_bit(pair, block):
+    a, b = pair
+    with mock.patch.object(device, "_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
+        assert _rowdot(a, b).tobytes() == np.sum(a * b, axis=1).tobytes()
+
+
+@given(pair=column_pairs())
+@settings(max_examples=200, deadline=None)
+def test_max_displacement_is_the_largest_norm(pair):
+    q, e_field = pair
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.max(np.linalg.norm(q, axis=1))
+    assume(want > 0)  # |Q|^2 may underflow to 0, a degenerate mode both ways
+    n = len(q)
+    v = VolumeSampleSet(weight=np.ones(n), eps_rel=np.ones(n), e_field=e_field, rho=np.ones(n), q=q)
+    assert v.q is q  # the set holds the view, not a copy
+    with np.errstate(over="ignore"):
+        assert np.float64(max_displacement(v)).tobytes() == want.tobytes()
+
+
+def plate_sample_csvs(tmp_path, n):
+    """(volume, surface): an n-row parallel-plate volume set, half gap and
+    half moving plate, and its n / 10-row plate face, with full-length
+    cells."""
+    rng = np.random.default_rng(5)
+    gap, thick, area, e_gap, q_amp = 2e-7, 1e-7, 1e-8, 5e6, 1e-9
+    half = n // 2
+    vol = np.zeros((n, 12))
+    vol[:, :3] = rng.uniform(0.0, 1e-4, (n, 3))
+    vol[:, 3] = rng.uniform(0.5, 1.5, n) * area * (gap + thick) / n
+    vol[:half, 4], vol[half:, 4] = 1.0, 1e12
+    vol[:half, 7] = e_gap
+    vol[half:, 8], vol[half:, 11] = 2329.0, -q_amp
+    m = n // 10
+    surf = np.zeros((m, 18))
+    surf[:, :3] = rng.uniform(0.0, 1e-4, (m, 3))
+    surf[:, 3] = rng.uniform(0.5, 1.5, m) * area / m
+    surf[:, 6], surf[:, 9], surf[:, 12], surf[:, 15] = -1.0, -q_amp, e_gap, EPSILON_0 * e_gap
+    surf[:, 16], surf[:, 17] = 1e12, 1.0
+    paths = tmp_path / "vol.csv", tmp_path / "surf.csv"
+    for path, table, header in zip(paths, (vol, surf), (VOLUME_HEADER, SURFACE_HEADER)):
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return paths
+
+
+def test_g0_memory_per_row(tmp_path):
+    # the parse keeps one-byte placeholders for x_m,y_m,z_m, and the
+    # integrals hold one column at a time: 110 B per row measured; 8-byte
+    # placeholders and (n, 3) products take it to 151 B
+    n = 20_000
+    volume, surface = plate_sample_csvs(tmp_path, n)
+
+    def g0():
+        vol, surf = load_volume_csv(volume), load_surface_csv(surface)
+        effective_mass(vol)
+        capacitance_from_energy(vol, 1.0)
+        coupling_rate_moving_boundary([surf], vol, 0.5, TWO_PI * 5e9, 1e-15)
+
+    assert traced_peak(g0) / n < 130.0

@@ -19,9 +19,8 @@ from emcavity.fitting import (
     ReflectionModelParams,
     _fit,
     _levenberg_marquardt,
-    _omit_jacobian,
+    _omit_columns,
     _reflection_columns,
-    _reflection_jacobian,
     fit_omit,
     fit_reflection,
     initial_guess,
@@ -32,7 +31,7 @@ from emcavity.fitting import (
     synthesize_trace,
 )
 
-from conftest import reference_table
+from conftest import reference_table, traced_peak
 
 # reference device working point used throughout
 DEVICE = ReflectionModelParams(
@@ -58,6 +57,18 @@ def device_trace(snr_db=None, seed=None, n=2001):
     return synthesize_trace(
         lambda w: reflection_model(w, DEVICE), device_grid(n), snr_db=snr_db, seed=seed
     )
+
+
+def reflection_jacobian(omega, p):
+    """The columns of _reflection_columns at p, stacked on the last axis."""
+    w = np.asarray(omega)
+    return np.stack(list(_reflection_columns(w, p, *reflection_model(w, p, terms=True))), axis=-1)
+
+
+def omit_jacobian(omega, cavity, p):
+    """The columns of _omit_columns at p, stacked on the last axis."""
+    w = np.asarray(omega)
+    return np.stack(list(_omit_columns(w, p, *omit_model(w, cavity, p, terms=True))), axis=-1)
 
 
 def rel_err(a, b):
@@ -101,7 +112,7 @@ class TestModel:
 
     def test_jacobian_matches_finite_differences(self):
         w = device_grid(41) * TWO_PI
-        J = _reflection_jacobian(w, DEVICE)
+        J = reflection_jacobian(w, DEVICE)
         # FD in the same internal coordinates (log for A and the kappas)
         # phi/tau steps stay coarse: the accumulated phase w*tau ~ 4e3 rad
         # makes finer central differences roundoff-limited
@@ -123,7 +134,7 @@ class TestModel:
         # OMIT columns on the grid dense across the mechanical feature;
         # omega_m and detuning steps are in rad/s against values ~ 2.5e7
         w_omit = omit_grid() * TWO_PI
-        J_omit = _omit_jacobian(w_omit, OMIT_CAVITY, OMIT_TRUE)
+        J_omit = omit_jacobian(w_omit, OMIT_CAVITY, OMIT_TRUE)
         omit_steps = {
             "g": 1e-5 * OMIT_TRUE.g,
             "gamma": 1e-5 * OMIT_TRUE.gamma,
@@ -444,18 +455,40 @@ class TestSharedEvaluation:
         jacobians, _ = record_driver(monkeypatch)
         trace = device_trace(snr_db=40.0, seed=3, n=201)
         fit_reflection(trace)
-        cases = [(trace, DEVICE, PARAM_NAMES, _reflection_jacobian, list(jacobians))]
+        cases = [(trace, DEVICE, PARAM_NAMES, reflection_jacobian, list(jacobians))]
         omit = omit_trace(snr_db=40.0, seed=2)
-        omit_jacobian = functools.partial(_omit_jacobian, cavity=OMIT_CAVITY)
+        omit_stack = functools.partial(omit_jacobian, cavity=OMIT_CAVITY)
         for names in (("g", "gamma", "omega_m"), ("g", "gamma", "omega_m", "detuning")):
             jacobians.clear()
             fit_omit(omit, OMIT_CAVITY, OMIT_GUESS, fit_detuning=len(names) == 4)
-            cases.append((omit, OMIT_GUESS, names, omit_jacobian, list(jacobians)))
+            cases.append((omit, OMIT_GUESS, names, omit_stack, list(jacobians)))
         for trace, start, names, jacobian, seen in cases:
             assert len(seen) >= 4
             for theta, J in seen:
                 Jc = jacobian(trace.omega, p=at_theta(start, names, theta))[:, : len(names)]
                 assert np.array_equal(J, np.concatenate([Jc.real, Jc.imag]))
+
+    @pytest.mark.parametrize("fit_detuning", [False, True])
+    def test_unfitted_column_is_never_built(self, monkeypatch, fit_detuning):
+        built = []
+
+        def counting(*args):
+            for column in _omit_columns(*args):
+                built.append(column)
+                yield column
+
+        monkeypatch.setattr(fitting, "_omit_columns", counting)
+        res = fit_omit(omit_trace(snr_db=40.0, seed=2), OMIT_CAVITY, OMIT_GUESS, fit_detuning)
+        # one Jacobian at the start, one per accepted step, one for the sigmas
+        assert len(built) == (3 + fit_detuning) * (res.iterations + 1)
+
+    def test_fit_memory_per_point(self):
+        # each Jacobian column is written into J as it is made, the last
+        # iteration's J is released before the next is built, and the
+        # sigmas scale J in place: 352 B per point measured; a list of the
+        # columns, two live Jacobians and a scaled copy take it to 512 B
+        trace = device_trace(snr_db=40.0, seed=7, n=20001)
+        assert traced_peak(lambda: fit_reflection(trace)) / 20001 < 430.0
 
     @pytest.mark.parametrize("case", ["40 dB", "3 dB", "omit", "omit detuning"])
     def test_one_model_evaluation_per_trial_point(self, monkeypatch, case):

@@ -1,10 +1,14 @@
 """Reflection spectra, OMIT feature evolution, optomechanical damping."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from emcavity.config import load_config
 from emcavity.constants import TWO_PI
 from emcavity.errors import DomainError
 from emcavity.linear_response import (
@@ -14,6 +18,9 @@ from emcavity.linear_response import (
     spectrum,
 )
 from emcavity.params import CavityParams, MechParams
+from emcavity.tripartite import drift_matrices
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tripartite_sec63.json"
 
 
 def make_cavity(kappa_in_hz=0.41e6, kappa_ex_hz=1.45e6, f_c_hz=10.29184e9):
@@ -121,13 +128,27 @@ class TestDamping:
 
     def test_resolved_sideband_limit(self):
         # at D = Omega with 4*Omega/kappa = 40 the peak rate approaches
-        # 2 g^2 / kappa up to (kappa/4 Omega)^2 corrections
+        # 4 g^2 / kappa up to (kappa/4 Omega)^2 corrections
         om = TWO_PI * 4e6
         kappa = 4.0 * om / 40.0
         g = TWO_PI * 1e4
         rate = optomechanical_damping(om, g, kappa, om)
-        limit = 2.0 * g * g / kappa
+        limit = 4.0 * g * g / kappa
         assert rate == pytest.approx(limit, rel=2.0 * (kappa / (4.0 * om)) ** 2)
+
+    @pytest.mark.parametrize("g_hz", [1e4, 1e5])
+    @pytest.mark.parametrize("delta_hz", [-4e6, -2e6, 2e6, 4e6])
+    def test_matches_drift_eigenvalues(self, g_hz, delta_hz):
+        # an independent oracle: with the magnon decoupled, the weakest-damped
+        # eigenvalue of the linearized dynamics is the mechanical mode's, and
+        # its amplitude decays at (gamma + gamma_opt) / 2; the closed form is
+        # first order in (g / kappa)^2
+        p = replace(load_config(REFERENCE_CONFIG).tripartite, g_c=0.0)
+        g, delta = TWO_PI * g_hz, TWO_PI * delta_hz
+        A = drift_matrices(p, {"delta_a": np.array([delta]), "g_b": np.array([g])})[0]
+        drift_rate = -2.0 * np.max(np.linalg.eigvals(A).real) - p.gamma
+        rate = optomechanical_damping(delta, g, p.kappa_a, p.omega_m)
+        assert abs(drift_rate - rate) < 10.0 * (g / p.kappa_a) ** 2 * abs(rate)
 
     def test_zero_at_zero_detuning(self):
         assert optomechanical_damping(0.0, TWO_PI * 1e5, TWO_PI * 1e6, TWO_PI * 4e6) == 0.0
