@@ -34,8 +34,7 @@ from .fitting import (
     synthesize_trace,
 )
 from .linear_response import optomechanical_damping, spectrum
-from .tables import format_e17 as _format_table
-from .tables import write_table
+from .tables import format_e17, write_table
 from .tripartite import SWEEP_AXES
 from .tripartite import critical_coupling as _critical_coupling
 from .tripartite import sweep as _sweep
@@ -156,16 +155,16 @@ def _mag_db_phase(values):
 
 def _write_spectrum_csv(path, f_hz, values):
     table = np.stack([f_hz, values.real, values.imag, *_mag_db_phase(values)], axis=1)
-    write_table(path, b"f_hz,re,im,mag_db,phase_rad\n", table, _format_table, b"\n")
+    write_table(path, b"f_hz,re,im,mag_db,phase_rad\n", table)
 
 
 def _write_sweep_csv(out_path, axes, res):
     # the axis values and the floats as two kernel tables, a line per point
     # each, with the stable flags spliced between them; zeta- and E_N are
     # NaN, written blank, where unstable or failed
-    axis_lines = _format_table(np.stack([res[name] / TWO_PI for name in axes], axis=1)).tobytes()
+    axis_lines = format_e17(np.stack([res[name] / TWO_PI for name in axes], axis=1)).tobytes()
     floats = np.stack([res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"]], axis=1)
-    float_lines = _format_table(floats).tobytes().replace(b"nan", b"")
+    float_lines = format_e17(floats).tobytes().replace(b"nan", b"")
     flags = [b",true," if s else b",false," for s in res["stable"].tolist()]
     rows = zip(axis_lines.split(b"\n"), flags, float_lines.split(b"\n"))
     with open(out_path, "wb") as fh:

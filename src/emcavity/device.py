@@ -8,6 +8,7 @@ permittivity-difference terms of the moving-boundary integral stay finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +47,37 @@ class CheckedArrays:
 @dataclass(frozen=True)
 class VolumeSampleSet(CheckedArrays):
     """Quadrature-weighted volume samples of permittivity, field, density
-    and mechanical displacement; fields in file column order."""
+    and mechanical displacement; fields in file column order.  The two
+    sums that several design quantities share are taken on first use and
+    kept, so a `device g0` request reads each column once."""
 
     weight: np.ndarray = field(metadata=columns("w_m3", **POSITIVE))
     eps_rel: np.ndarray = field(metadata=columns("eps_rel"))
     e_field: np.ndarray = field(metadata=columns("ex_vpm", "ey_vpm", "ez_vpm"))
     rho: np.ndarray = field(metadata=columns("rho_kgpm3"))
     q: np.ndarray = field(metadata=columns("qx_m", "qy_m", "qz_m"))
+
+    @cached_property
+    def mode_sums(self):
+        """(alpha, integral rho |Q|^2 dV) from one pass over Q: the mode
+        normalization, the largest |Q|, and the mass before it is divided
+        by alpha^2.  alpha = sqrt(max |Q|^2); sqrt is correctly rounded and
+        monotone, so this is the largest |Q| bit for bit."""
+        q2 = _rowdot(self.q, self.q)
+        alpha = float(np.sqrt(np.max(q2)))
+        if alpha == 0:
+            raise DomainError("degenerate mode: displacement field is zero everywhere")
+        q2 *= self.weight * self.rho  # in place: (w rho) |Q|^2
+        return alpha, np.sum(q2)
+
+    @cached_property
+    def field_energy2(self) -> float:
+        """integral eps |E|^2 dV: twice the stored electric energy."""
+        e2 = _rowdot(self.e_field, self.e_field)
+        eps_w = self.weight * EPSILON_0
+        eps_w *= self.eps_rel
+        e2 *= eps_w  # ((w eps_0) eps_rel) |E|^2
+        return float(np.sum(e2))
 
 
 @dataclass(frozen=True)
@@ -106,35 +131,15 @@ def _rowdot(a, b):
     return out
 
 
-def _alpha(q2) -> float:
-    """alpha = sqrt(max |Q|^2); sqrt is correctly rounded and monotone, so
-    this is the largest |Q| bit for bit."""
-    alpha = float(np.sqrt(np.max(q2)))
-    if alpha == 0:
-        raise DomainError("degenerate mode: displacement field is zero everywhere")
-    return alpha
-
-
 def max_displacement(v: VolumeSampleSet) -> float:
     """Mode normalization alpha: the largest |Q| over the samples."""
-    return _alpha(_rowdot(v.q, v.q))
+    return v.mode_sums[0]
 
 
 def effective_mass(v: VolumeSampleSet) -> float:
     """m_eff = integral rho |Q/alpha|^2 dV on the sample quadrature."""
-    q2 = _rowdot(v.q, v.q)
-    alpha = _alpha(q2)
-    q2 *= v.weight * v.rho  # in place: (w rho) |Q|^2
-    return float(np.sum(q2) / alpha**2)
-
-
-def _field_energy2(v: VolumeSampleSet) -> float:
-    """integral eps |E|^2 dV: twice the stored electric energy."""
-    e2 = _rowdot(v.e_field, v.e_field)
-    eps_w = v.weight * EPSILON_0
-    eps_w *= v.eps_rel
-    e2 *= eps_w  # ((w eps_0) eps_rel) |E|^2
-    return float(np.sum(e2))
+    alpha, mass = v.mode_sums
+    return float(mass / alpha**2)
 
 
 def capacitance_from_energy(v: VolumeSampleSet, applied_voltage: float = 1.0) -> float:
@@ -142,7 +147,7 @@ def capacitance_from_energy(v: VolumeSampleSet, applied_voltage: float = 1.0) ->
     if applied_voltage <= 0:
         raise DomainError("applied voltage must be positive")
     try:  # V^2 past the float range raises, or underflows to 0 and E / 0 raises
-        c_m = _field_energy2(v) / applied_voltage**2
+        c_m = v.field_energy2 / applied_voltage**2
     except ArithmeticError:
         c_m = 0.0
     if not 0 < c_m < np.inf:  # also a zero or negative field energy
@@ -191,7 +196,7 @@ def fractional_capacitance_derivative(
 ) -> float:
     """(1/C_m) dC_m/dalpha from the moving-boundary surface integrals."""
     alpha = max_displacement(volume)
-    denom = _field_energy2(volume)
+    denom = volume.field_energy2
     if denom == 0:
         raise DomainError("degenerate field: zero stored energy")
     return sum(_surface_sum(s, alpha) for s in surfaces) / denom

@@ -28,7 +28,7 @@ from .device import CheckedArrays
 from .errors import DataError, DomainError, GuessError, NumericalError
 from .linear_response import mechanical_self_energy, reflection_partials, reflection_terms
 from .params import NON_NEGATIVE, POSITIVE, Checked, key
-from .tables import format_repr, open_table, read_table, row_line, write_table
+from .tables import open_table, read_table, row_line, write_table
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,11 @@ def _reflection_columns(w, p: ReflectionModelParams, m, terms):
     yield m
     yield -1j * w * m
     yield -1j * m
-    d_wc, d_kin, d_kex, d_delta, _ = reflection_partials(r0, den)
-    yield pre * d_wc
-    yield pre * d_kin * p.kappa_in
-    yield pre * d_kex * p.kappa_ex
-    yield pre * d_delta
+    d = reflection_partials(pre, r0, den, "center", "kappa_in", "kappa_ex", "tilt")
+    yield next(d)
+    yield next(d) * p.kappa_in
+    yield next(d) * p.kappa_ex
+    yield next(d)
 
 
 _MAX_ITER = 500
@@ -415,12 +415,12 @@ def _omit_columns(w, p: OmitModelParams, m, terms):
     # and Sigma = g^2 chi stays differentiable through g = 0
     chi = mechanical_self_energy(w, 1.0, p.gamma, p.omega_m)
     g2chi2 = p.g * p.g * chi * chi
-    d_center, _, _, _, d_sigma = reflection_partials(r0, den)
-    d_sigma = pre * d_sigma
+    d = reflection_partials(pre, r0, den, "self_energy", "center")
+    d_sigma = next(d)
     yield d_sigma * (2.0 * p.g * chi)
     yield d_sigma * (-0.5 * g2chi2)
     yield d_sigma * (-1j * g2chi2)
-    yield pre * d_center
+    yield next(d)
 
 
 def fit_omit(
@@ -473,9 +473,10 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
 
 
 def save_trace(trace: ComplexTrace, path) -> None:
-    """Write a trace as re_im CSV: repr (round-trip) cells, CRLF line ends."""
+    """Write a trace as re_im CSV: "%.17e" cells, which read back bit for
+    bit, and LF line ends."""
     table = np.stack([trace.f_hz, trace.re, trace.im], axis=1)
-    write_table(path, b"f_hz,re,im\r\n", table, format_repr, b"\r\n")
+    write_table(path, b"f_hz,re,im\n", table)
 
 
 def synthesize_trace(

@@ -3,7 +3,6 @@
 import csv
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emcavity import fitting
-from emcavity.cli import _format_table, _write_spectrum_csv, main
+from emcavity.cli import _write_spectrum_csv, main
 from emcavity.config import load_config
 from emcavity.constants import TWO_PI
 from emcavity.core import thermal_occupation
@@ -875,20 +874,19 @@ class TestTopLevel:
         assert run(["--threads", "2", "thermal", "--f-hz", "1e9", "--t-k", "1.0"]) == 1
 
 
-# sha256 of the data files written for CAVITY_CONFIG.  Traces are repr
-# cells with CRLF line ends (the csv-module default), spectra "%.17e" cells
-# with LF; any change to a writer or to the numbers shows here.
+# sha256 of the data files written for CAVITY_CONFIG.  Traces and spectra
+# alike are "%.17e" cells with LF line ends; any change to the writer or to
+# the numbers shows here.
 GOLDEN = {
     "synth": (
         ["synth", "--snr-db", "40", "--seed", "7", "--points", "201"],
-        b"f_hz,re,im\r\n",
-        "66a7e175b902558731d0b7ae65c7cd2df1a9b4747e76ca4d88cf5a9e229201f7",
+        b"f_hz,re,im\n",
+        "b16bd0f920d1fe7cd696f2770a87ac49ee7d05c31ed6826b01afba903b65be4c",
     ),
-    # pinned from the per-cell "%r" writer, before the vectorized one
     "synth_20001": (
         ["synth", "--snr-db", "40", "--seed", "7", "--points", "20001"],
-        b"f_hz,re,im\r\n",
-        "d72f56984c13a709b1a8ac0a6689fed887051a35ba460979652cdf5059326a2a",
+        b"f_hz,re,im\n",
+        "1f9238c1cdd639c0f3f040a5a497c4e6cdba7297b62b1fdb6f6cc1b10d4a0aa5",
     ),
     "reflect": (
         ["reflect", "--f-start-hz", "10.27184e9", "--f-stop-hz", "10.31184e9", "--points", "101"],
@@ -941,65 +939,6 @@ class TestGoldenOutputs:
             mag_db = 20.0 * np.log10(np.abs(values))
         want = np.stack([f, re, im, mag_db, np.angle(values)], axis=1)
         assert back.tobytes() == want.tobytes()
-
-
-def percent_table(table):
-    return "".join(",".join("%.17e" % x for x in row) + "\n" for row in table.tolist()).encode()
-
-
-def exact_ties(rng, size):
-    """(x, E): odd k in [2**18 5**E, 10 2**18 5**E) puts x = k 2**(E - 18) in
-    the decade E and makes 2 x 10**(17 - E) = k 5**(17 - E) odd, so "%.17e"
-    rounds an exact tie.  For E >= -5, 10**(17 - E) is a double and the
-    kernel rounds the tie itself; below, "%" does."""
-    xs, decades = [], []
-    for e10 in range(-9, 14):
-        lo, hi = ((2**18 * 5**e10, 10 * 2**18 * 5**e10) if e10 >= 0
-                  else (-(-(2**18) // 5**-e10), -(-10 * 2**18 // 5**-e10)))
-        k = rng.integers(lo, hi, size) | 1
-        k = k[k < hi].tolist()
-        xs += [math.ldexp(j, e10 - 18) for j in k]
-        decades += [e10] * len(k)
-    return np.array(xs), decades
-
-
-class TestFormatTable:
-    """_format_table against "%.17e" % x, byte for byte."""
-
-    @given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 5))
-    @settings(max_examples=300, deadline=None)
-    def test_any_float(self, xs, ncol):
-        table = np.array(xs * ncol).reshape(-1, ncol)
-        assert _format_table(table).tobytes() == percent_table(table)
-
-    def test_powers_of_ten_and_neighbours(self):
-        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
-        x = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
-        table = np.concatenate([x, -x]).reshape(-1, 2)
-        assert _format_table(table).tobytes() == percent_table(table)
-
-    def test_exact_ties(self):
-        x, decades = exact_ties(np.random.default_rng(18), 300)
-        for v, e10 in zip(x.tolist(), decades):
-            n, d = v.as_integer_ratio()
-            num, den = n * 10 ** max(-e10, 0), d * 10 ** max(e10, 0)
-            assert den <= num < 10 * den  # v lies in the decade e10
-            twice = 2 * n * 10 ** (17 - e10)
-            assert twice % d == 0 and twice // d % 2 == 1  # 18 digits end in a half
-        assert len(x) > 5000
-        table = np.stack([x, -x], axis=1)
-        assert _format_table(table).tobytes() == percent_table(table)
-
-    def test_random_bit_patterns(self):
-        x = np.random.default_rng(18).integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
-        table = x.reshape(-1, 5)
-        assert _format_table(table).tobytes() == percent_table(table)
-
-    def test_special_values(self):
-        x = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
-             1.7976931348623157e308, 1e-250, 1e250, np.nextafter(1e-243, -np.inf), 0.5, 1.0, 1e17]
-        table = np.array(x).reshape(-1, 5)
-        assert _format_table(table).tobytes() == percent_table(table)
 
 
 # CAVITY_CONFIG with kappa_in = kappa_ex and g0 = 0: probed at f_c, r is

@@ -494,6 +494,24 @@ def test_max_displacement_is_the_largest_norm(pair):
         assert np.float64(max_displacement(v)).tobytes() == want.tobytes()
 
 
+def test_g0_integrals_read_each_volume_column_once():
+    # mass, capacitance and the moving-boundary integral share one |Q|^2
+    # and one eps |E|^2 pass over the volume set
+    vol, surf = parallel_plate()
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return _rowdot(a, b)
+
+    with mock.patch.object(device, "_rowdot", counted):
+        effective_mass(vol)
+        capacitance_from_energy(vol, 1.0)
+        coupling_rate_moving_boundary([surf], vol, 0.5, TWO_PI * 5e9, 1e-15)
+    assert sum(a is vol.q for a in calls) == 1
+    assert sum(a is vol.e_field for a in calls) == 1
+
+
 def plate_sample_csvs(tmp_path, n):
     """(volume, surface): an n-row parallel-plate volume set, half gap and
     half moving plate, and its n / 10-row plate face, with full-length

@@ -485,8 +485,9 @@ class TestSharedEvaluation:
     def test_fit_memory_per_point(self):
         # each Jacobian column is written into J as it is made, the last
         # iteration's J is released before the next is built, and the
-        # sigmas scale J in place: 352 B per point measured; a list of the
-        # columns, two live Jacobians and a scaled copy take it to 512 B
+        # sigmas scale J in place: 336 B per point measured, set by the
+        # sigmas' QR copy of J; a list of the columns, two live Jacobians
+        # and a scaled copy take it to 512 B
         trace = device_trace(snr_db=40.0, seed=7, n=20001)
         assert traced_peak(lambda: fit_reflection(trace)) / 20001 < 430.0
 
@@ -703,4 +704,19 @@ def test_save_load_trace_bit_exact(tmp_path, cols):
     save_trace(ComplexTrace(*cols), path)
     back = load_trace(path)
     for want, got in zip(cols, (back.f_hz, back.re, back.im)):
+        assert got.tobytes() == want.tobytes()
+
+
+@given(cols=trace_columns())
+@example(cols=(np.array(sorted(EXTREMES[1:])), np.array(EXTREMES[:7]), np.array(EXTREMES[1:])))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_trace_cells_parse_back_bit_exact(tmp_path, cols):
+    # "%.17e" cells with LF ends, which np.loadtxt, like load_trace, reads
+    # back bit for bit
+    path = tmp_path / "trace.csv"
+    save_trace(ComplexTrace(*cols), path)
+    rows = zip(*(c.tolist() for c in cols))
+    assert path.read_bytes() == ("f_hz,re,im\n" + "".join("%.17e,%.17e,%.17e\n" % r for r in rows)).encode()
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    for want, got in zip(cols, back):
         assert got.tobytes() == want.tobytes()
