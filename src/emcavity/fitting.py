@@ -123,6 +123,13 @@ _XTOL = 1e-10
 _LAM0 = 1e-9
 
 
+def _sum_squares(r: np.ndarray) -> float:
+    """r . r by numpy's pairwise sum.  r @ r is a BLAS ddot, which OpenBLAS
+    splits over threads for long vectors, so its last bit would depend on
+    the BLAS thread count."""
+    return float(np.sum(r * r))
+
+
 def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
     """Damped Gauss-Newton on real residuals.
 
@@ -139,7 +146,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r = residual_fn(theta)
-    cost = float(r @ r)
+    cost = _sum_squares(r)
     lam = _LAM0
     rank_deficient = False
     converged = False
@@ -165,7 +172,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
                 step = np.linalg.lstsq(JtJ + lam * np.diag(diag), -g, rcond=None)[0]
             trial = theta + step
             r_new = residual_fn(trial)
-            cost_new = float(r_new @ r_new)
+            cost_new = _sum_squares(r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 accepted = True
                 break
@@ -194,7 +201,7 @@ def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
     gives NaN sigmas.  J is scaled in place, so it must be a fresh one.
     """
     m, n = J.shape
-    s2 = float(r @ r) / max(m - n, 1)
+    s2 = _sum_squares(r) / max(m - n, 1)
     scale = np.linalg.norm(J, axis=0)
     scale[scale == 0] = 1.0
     J /= scale

@@ -411,7 +411,7 @@ def record_driver(monkeypatch):
     def recording(residual_fn, jacobian_fn, theta0):
         def residual(theta):
             r = residual_fn(theta)
-            costs.append(float(r @ r))
+            costs.append(fitting._sum_squares(r))
             return r
 
         def jacobian(theta):
