@@ -1,7 +1,8 @@
 """`emcavity` command line interface.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-error.  Diagnostics go to stderr; data goes to files or stdout only.
+error or out of memory.  Diagnostics go to stderr; data goes to files or
+stdout only.
 Every file-writing subcommand also emits `<out>.manifest.json` recording
 the command line, config hash, seed, version and timestamp.
 """
@@ -471,6 +472,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericalError, DomainError, BracketError) as exc:
         click.echo(f"numerical error: {exc}", err=True)
+        return 3
+    except MemoryError as exc:  # e.g. an --axis grid too large to allocate
+        click.echo(f"numerical error: out of memory{f': {exc}' if str(exc) else ''}", err=True)
         return 3
     return 0
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constants import EPSILON_0
 from .errors import DataError, DomainError, NumericalError
-from .params import NON_NEGATIVE, POSITIVE, Checked, key, meets, violation
+from .params import NON_NEGATIVE, POSITIVE, Checked, CheckedArrays, key
 from .tables import open_table, read_table
 
 
@@ -22,26 +22,6 @@ def columns(*names: str, **meta) -> dict:
     """Field metadata of a sample array: the CSV columns it is read from, in
     file order (one name: an (n,) array, several: (n, k)), plus any bound."""
     return {"columns": names, **meta}
-
-
-class CheckedArrays:
-    """Base of the frozen sample records, the array analogue of `Checked`:
-    on construction every field becomes a float array, all of one non-zero
-    length, whose values are finite and meet the field's declared bound."""
-
-    def __post_init__(self):
-        n = None
-        for f in fields(self):
-            arr = np.asarray(getattr(self, f.name), dtype=float)
-            length = len(arr) if arr.ndim else 0
-            n = length if n is None else n
-            if length != n or n == 0:
-                raise DataError(f"sample arrays must share one non-zero length; {f.name} has {length}")
-            bound = f.metadata.get("bound")
-            ok = np.isfinite(arr) & meets(arr, bound)
-            if not ok.all():
-                raise DataError(violation(f.name, arr[~ok][0], bound))
-            object.__setattr__(self, f.name, arr)
 
 
 @dataclass(frozen=True)

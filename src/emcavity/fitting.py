@@ -13,9 +13,10 @@ field metadata declares.  A trial step with invalid parameters
 or a non-finite residual is rejected; a fit whose log-fitted rate
 underflowed to 0, or whose sigma is 0 or not finite, is not converged.
 The OMIT model reuses the same prefactor and tilt and adds the mechanical
-self-energy to the kernel.  Both analytic Jacobians come from the
-kernel's partials, built from the terms of the model evaluation at the
-same point, so the fit evaluates each model once per trial point.
+self-energy to the kernel.  The driver takes one callback, which
+evaluates the model at a point and returns the residual with a function
+that builds the Jacobian from that evaluation's terms through the kernel's
+partials, so the fit evaluates each model once per point it visits.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .device import CheckedArrays
 from .errors import DataError, DomainError, GuessError, NumericalError
 from .linear_response import mechanical_self_energy, reflection_partials, reflection_terms
-from .params import NON_NEGATIVE, POSITIVE, Checked, key
+from .params import NON_NEGATIVE, POSITIVE, Checked, CheckedArrays, key
 from .tables import open_table, read_table, row_line, write_table
 
 
@@ -130,30 +130,32 @@ def _sum_squares(r: np.ndarray) -> float:
     return float(np.sum(r * r))
 
 
-def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
+def _levenberg_marquardt(evaluate, theta0: np.ndarray):
     """Damped Gauss-Newton on real residuals.
 
-    Damping lambda starts at _LAM0 and scales diag(J^T J); x10 on rejected
-    steps, /10 on accepted ones.  A start near the minimum, such as the
-    closed-form one of fit_reflection, thus takes nearly Gauss-Newton steps
-    from the first; a poor one is damped by the rejections.  Convergence
-    when the scaled relative step drops below _XTOL or the gradient norm
-    below 1e-12 * residual norm.
-
-    jacobian_fn(theta) is called only at theta0 and at accepted trial
-    points, each right after residual_fn(theta) at the same point, so a
-    caller can build it from that evaluation.
+    evaluate(theta) returns (r, jacobian): the residual at theta and a
+    function that builds the Jacobian there.  Damping lambda starts at
+    _LAM0 and scales diag(J^T J); x10 on rejected steps, /10 on accepted
+    ones.  A start near the minimum, such as the closed-form one of
+    fit_reflection, thus takes nearly Gauss-Newton steps from the first; a
+    poor one is damped by the rejections.  Convergence when the scaled
+    relative step drops below _XTOL or the gradient norm below
+    1e-12 * residual norm.  A start whose cost is not finite is returned
+    at once, after 0 iterations.  Returns the last accepted point with its
+    r and jacobian.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    r = residual_fn(theta)
+    r, jacobian = evaluate(theta)
     cost = _sum_squares(r)
     lam = _LAM0
     rank_deficient = False
     converged = False
     message = "max iterations reached"
     it = 0
+    if not np.isfinite(cost):
+        return theta, r, jacobian, it, converged, rank_deficient, "start not finite"
     for it in range(1, _MAX_ITER + 1):
-        J = jacobian_fn(theta)
+        J = jacobian()
         g, JtJ = J.T @ r, J.T @ J
         del J  # the next Jacobian is built without this one alive
         if np.linalg.norm(g) <= 1e-12 * max(np.sqrt(cost), 1e-300):
@@ -171,7 +173,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
                 rank_deficient = True
                 step = np.linalg.lstsq(JtJ + lam * np.diag(diag), -g, rcond=None)[0]
             trial = theta + step
-            r_new = residual_fn(trial)
+            r_new, jacobian_new = evaluate(trial)
             cost_new = _sum_squares(r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 accepted = True
@@ -182,12 +184,12 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray):
             break
         scale = np.sqrt(diag)
         rel_step = np.linalg.norm(scale * step) / max(np.linalg.norm(scale * theta), 1e-300)
-        theta, r, cost = trial, r_new, cost_new
+        theta, r, jacobian, cost = trial, r_new, jacobian_new, cost_new
         lam = max(lam / 10.0, 1e-15)
         if rel_step < _XTOL:
             converged, message = True, "relative step below tolerance"
             break
-    return theta, np.sqrt(cost), it, converged, rank_deficient, message
+    return theta, r, jacobian, it, converged, rank_deficient, message
 
 
 def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
@@ -222,10 +224,11 @@ def _fit(trace: ComplexTrace, model, columns, start, names) -> FitResult:
     built from, and columns(w, p, model, terms) yields the model's
     derivatives with respect to the fitted coordinates, one per name in
     order; the columns after the last name are never built.  Each field's
-    metadata gives its coordinate.  The model is evaluated once per point:
-    the Jacobian at an accepted point is built from that trial's terms, the
-    driver starts from the evaluation of the finite-start check, and the
-    sigmas come from the last accepted point.
+    metadata gives its coordinate.  evaluate(theta) evaluates the model
+    once and returns the residual with a function that builds the Jacobian
+    from that same evaluation's terms, so each point the driver visits
+    costs one model evaluation, and the sigmas come from the driver's last
+    accepted point.
     """
     w = trace.omega
     data = np.concatenate([trace.re, trace.im])
@@ -237,45 +240,34 @@ def _fit(trace: ComplexTrace, model, columns, start, names) -> FitResult:
             n: float(np.exp(t) if k == "log" else t) for n, k, t in zip(names, kind, theta)
         })
 
-    latest = {}  # theta's bytes -> (p, residual, model, terms) of the last point evaluated
-
     def evaluate(theta):
-        key = np.asarray(theta, dtype=float).tobytes()
-        if key not in latest:
-            latest.clear()
-            try:
-                p = params(theta)
-                m, terms = model(w, p)
-            except DomainError:  # e.g. exp(log A) underflowed: reject the step
-                latest[key] = (None, np.full(data.shape, np.inf), None, None)
-            else:
-                latest[key] = (p, np.concatenate([m.real, m.imag]) - data, m, terms)
-        return latest[key]
+        try:
+            p = params(theta)
+            m, terms = model(w, p)
+        except DomainError:  # e.g. exp(log A) underflowed: reject the step
+            return np.full(data.shape, np.inf), None
 
-    def residual(theta):
-        return evaluate(theta)[1]
+        def jacobian():
+            J = np.empty((len(data), len(names)), order="F")  # each column written as it is made
+            for j, (_, col) in enumerate(zip(names, columns(w, p, m, terms))):
+                J[: len(w), j], J[len(w) :, j] = col.real, col.imag
+            return J
 
-    def jac(theta):
-        p, _, m, terms = evaluate(theta)
-        J = np.empty((len(data), len(names)), order="F")  # each column written as it is made
-        for j, (_, col) in enumerate(zip(names, columns(w, p, m, terms))):
-            J[: len(w), j], J[len(w) :, j] = col.real, col.imag
-        return J
+        return np.concatenate([m.real, m.imag]) - data, jacobian
 
     start_values = [getattr(start, n) for n in names]
     theta0 = [np.log(v) if k == "log" else v for k, v in zip(kind, start_values)]
-    # a start at a pole of the model, or one so far off that the cost
-    # overflows, has no descent direction
-    with np.errstate(all="ignore"):
-        r2 = (residual(theta0).reshape(2, -1) ** 2).sum(axis=0)
-    if not np.isfinite(r2.sum()):
-        bad = np.count_nonzero(~np.isfinite(r2))
-        raise NumericalError(f"fit start: residual not finite at {bad} of {len(w)} samples")
     # trial steps and a degenerate end point may overflow: a non-finite
     # residual rejects a step, a non-finite sigma fails the check below
     with np.errstate(all="ignore"):
-        theta, rnorm, iters, converged, rankdef, message = _levenberg_marquardt(residual, jac, theta0)
-        sig = _uncertainties(jac(theta), residual(theta), names)
+        theta, r, jacobian, iters, converged, rankdef, message = _levenberg_marquardt(evaluate, theta0)
+        rnorm = np.sqrt(_sum_squares(r))
+        # a start at a pole of the model, or one so far off that the cost
+        # overflows, has no descent direction: the driver stops at once
+        if not np.isfinite(rnorm):
+            bad = np.count_nonzero(~np.isfinite((r.reshape(2, -1) ** 2).sum(axis=0)))
+            raise NumericalError(f"fit start: residual not finite at {bad} of {len(w)} samples")
+        sig = _uncertainties(jacobian(), r, names)
         # an angle is only defined modulo 2 pi; report its principal value
         for i, k in enumerate(kind):
             if k == "angle":
@@ -397,17 +389,15 @@ class OmitModelParams(Checked):
     detuning: float = field(metadata=key("detuning_hz"))
 
 
-def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams, terms=False,
-               background=None):
+def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams, terms=False):
     """OMIT reflection wrapped in the fitted cavity background.
 
     Frequencies are in the frame rotating at the pump: the cavity Lorentzian
-    sits at the detuning, the mechanical feature at Omega.  background, when
-    given, is the cavity's prefactor on omega, computed once by the caller.
-    With terms, return (model, (background, r0, D)) as reflection_model does.
+    sits at the detuning, the mechanical feature at Omega.  With terms,
+    return (model, (background, r0, D)) as reflection_model does.
     """
     w = np.asarray(omega)
-    pre = _background(w, cavity) if background is None else background
+    pre = _background(w, cavity)
     sigma = mechanical_self_energy(w, p.g, p.gamma, p.omega_m)
     r0, den = reflection_terms(w, p.detuning, cavity.kappa_in, cavity.kappa_ex, cavity.delta, sigma)
     m = pre * r0
@@ -442,12 +432,7 @@ def fit_omit(
     fit_reflection first and held fixed here.
     """
     names = ("g", "gamma", "omega_m") + (("detuning",) if fit_detuning else ())
-    background = _background(trace.omega, cavity)  # the cavity is held fixed
-
-    def model(w, p):
-        return omit_model(w, cavity, p, terms=True, background=background)
-
-    res = _fit(trace, model, _omit_columns, guess, names)
+    res = _fit(trace, lambda w, p: omit_model(w, cavity, p, terms=True), _omit_columns, guess, names)
     # the model depends on g only through g^2, so near g = 0 the
     # identifiable quantity is g^2; report its uncertainty too
     sig = res.param_uncertainties

@@ -3,7 +3,8 @@
 All frequencies and rates are angular (rad/s).  Conversion from ordinary
 frequency (Hz) happens at the external interfaces only (see config.py).
 Each field's bound and JSON key are declared once, in its metadata; the
-bound is enforced by `Checked`, and config.py reads both.
+bound is enforced by `Checked`, and on sample arrays by `CheckedArrays`;
+config.py reads both.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DataError, DomainError
 
 # a field's bound against 0; a field without one need only be finite
 POSITIVE = {"bound": ">"}
@@ -50,6 +53,26 @@ class Checked:
             bound = f.metadata.get("bound")
             if not (math.isfinite(value) and meets(value, bound)):
                 raise DomainError(violation(f.name, value, bound))
+
+
+class CheckedArrays:
+    """Base of the frozen sample records, the array analogue of `Checked`:
+    on construction every field becomes a float array, all of one non-zero
+    length, whose values are finite and meet the field's declared bound."""
+
+    def __post_init__(self):
+        n = None
+        for f in fields(self):
+            arr = np.asarray(getattr(self, f.name), dtype=float)
+            length = len(arr) if arr.ndim else 0
+            n = length if n is None else n
+            if length != n or n == 0:
+                raise DataError(f"sample arrays must share one non-zero length; {f.name} has {length}")
+            bound = f.metadata.get("bound")
+            ok = np.isfinite(arr) & meets(arr, bound)
+            if not ok.all():
+                raise DataError(violation(f.name, arr[~ok][0], bound))
+            object.__setattr__(self, f.name, arr)
 
 
 @dataclass(frozen=True)

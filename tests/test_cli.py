@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emcavity import fitting
+from emcavity import cli, fitting
 from emcavity.cli import _write_spectrum_csv, main
 from emcavity.config import load_config
 from emcavity.constants import TWO_PI
@@ -280,6 +280,25 @@ class TestTripartite:
         assert run(base + ["--axis", "g_b_hz=0:1e6:3", "--axis2", "g_b_hz=0:1:2"]) == 1
         assert "Error: axis2 must differ from axis\n" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 745. GiB for an array"),
+         "numerical error: out of memory: Unable to allocate 745. GiB for an array\n"),
+        (MemoryError(), "numerical error: out of memory\n"),
+    ])
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch, exc, line):
+        # a grid too large to allocate ends with exit 3 and one stderr line,
+        # not a traceback; nothing is allocated for real
+        def sweep(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "_sweep", sweep)
+        out = tmp_path / "x.csv"
+        code = run(["tripartite", "sweep", "--config", REFERENCE_CONFIG,
+                    "--axis", "g_b_hz=0:3e6:4", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == line
+        assert not out.exists()
 
     def test_two_axis_sweep_row_count(self, tmp_path):
         out = tmp_path / "grid.csv"

@@ -247,16 +247,25 @@ class TestReflectionFit:
         # rejected, and the driver stops without claiming convergence
         calls = []
 
-        def residual(theta):
+        def evaluate(theta):
             calls.append(theta)
-            return np.array([1.0, 2.0]) if len(calls) == 1 else np.full(2, np.inf)
+            r = np.array([1.0, 2.0]) if len(calls) == 1 else np.full(2, np.inf)
+            return r, lambda: np.ones((2, 1))
 
-        theta, rnorm, _, converged, _, message = _levenberg_marquardt(
-            residual, lambda theta: np.ones((2, 1)), [0.5]
-        )
+        theta, r, _, _, converged, _, message = _levenberg_marquardt(evaluate, [0.5])
         assert not converged
         assert message == "no acceptable step found"
-        assert theta.tolist() == [0.5] and rnorm == np.sqrt(5.0)
+        assert theta.tolist() == [0.5] and r.tolist() == [1.0, 2.0]
+
+    def test_start_not_finite_stops_at_once(self):
+        # a start whose cost is not finite is returned after 0 iterations,
+        # and no Jacobian is built
+        def evaluate(theta):
+            return np.array([1.0, np.inf]), None
+
+        theta, r, jacobian, iterations, converged, _, _ = _levenberg_marquardt(evaluate, [0.5])
+        assert theta.tolist() == [0.5] and iterations == 0 and not converged
+        assert r.tolist() == [1.0, np.inf] and jacobian is None
 
     def test_amplitude_at_floor_gives_no_sigma(self):
         # a subnormal amplitude leaves every column of J below the float
@@ -403,22 +412,26 @@ class TestOmitFit:
 
 
 def record_driver(monkeypatch):
-    """Wrap the LM driver: record (theta, J) at each Jacobian it asks for,
-    and the sum of squares of each residual it evaluates, in order."""
+    """Wrap the LM driver's evaluate: record the sum of squares of each
+    residual it evaluates, in order, and (theta, J) at each Jacobian built,
+    the sigmas' one included.  J is recorded as a copy, since the sigmas
+    scale it in place."""
     jacobians, costs = [], []
     driver = fitting._levenberg_marquardt
 
-    def recording(residual_fn, jacobian_fn, theta0):
-        def residual(theta):
-            r = residual_fn(theta)
+    def recording(evaluate, theta0):
+        def recorded(theta):
+            r, jacobian = evaluate(theta)
             costs.append(fitting._sum_squares(r))
-            return r
 
-        def jacobian(theta):
-            jacobians.append((theta.copy(), jacobian_fn(theta)))
-            return jacobians[-1][1]
+            def recorded_jacobian():
+                J = jacobian()
+                jacobians.append((theta.copy(), J.copy()))
+                return J
 
-        return driver(residual, jacobian, theta0)
+            return r, recorded_jacobian
+
+        return driver(recorded, theta0)
 
     monkeypatch.setattr(fitting, "_levenberg_marquardt", recording)
     return jacobians, costs
@@ -485,11 +498,12 @@ class TestSharedEvaluation:
     def test_fit_memory_per_point(self):
         # each Jacobian column is written into J as it is made, the last
         # iteration's J is released before the next is built, and the
-        # sigmas scale J in place: 336 B per point measured, set by the
-        # sigmas' QR copy of J; a list of the columns, two live Jacobians
-        # and a scaled copy take it to 512 B
+        # sigmas scale J in place: 328 B per point measured, set by the
+        # sigmas' QR copy of J; a start evaluation kept alive for the whole
+        # fit takes it to 409 B, and a list of the columns, two live
+        # Jacobians and a scaled copy to 512 B
         trace = device_trace(snr_db=40.0, seed=7, n=20001)
-        assert traced_peak(lambda: fit_reflection(trace)) / 20001 < 430.0
+        assert traced_peak(lambda: fit_reflection(trace)) / 20001 < 380.0
 
     @pytest.mark.parametrize("case", ["40 dB", "3 dB", "omit", "omit detuning"])
     def test_one_model_evaluation_per_trial_point(self, monkeypatch, case):

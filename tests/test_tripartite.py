@@ -1,6 +1,7 @@
 """Drift matrix structure, stability, scattering, entanglement measures."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy.optimize import brentq
 from emcavity import tripartite
 from emcavity.constants import TWO_PI
 from emcavity.errors import BracketError, DomainError, NearPoleError, NumericalError
-from emcavity.linear_response import reflection
+from emcavity.config import load_config
+from emcavity.linear_response import mechanical_self_energy, reflection
 from emcavity.params import Occupations, TripartiteParams
 from emcavity.tripartite import (
     _covariances,
@@ -33,6 +35,8 @@ from emcavity.tripartite import (
 )
 
 from conftest import mean_dynamics_decay_oracle, quadrature_scattering, random_tripartite, reference_point
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tripartite_sec63.json"
 
 # 4x4 symplectic form for two modes in (X1, Y1, X2, Y2) ordering
 OMEGA_SYMPLECTIC = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -158,6 +162,22 @@ class TestScattering:
             assert s[0, 2] == pytest.approx(bare, rel=1e-12)
             # no cross-port leakage
             assert abs(s[0, 8]) < 1e-15
+
+    def test_electromechanical_port_matches_omit_kernel(self):
+        # with the magnon decoupled, a weak g_b and the cavity at +Omega in
+        # the pump frame, S(a_out <- a_ex) near Omega is the OMIT kernel:
+        # the reflection with the mechanical self-energy.  What is left is
+        # the counter-rotating term the kernel drops, of order g^2/(2 Omega
+        # gamma), well below 1 % of the OMIT feature
+        p = replace(load_config(REFERENCE_CONFIG).tripartite, g_c=0.0,
+                    delta_a=TWO_PI * 4e6, g_b=TWO_PI * 1e3)
+        w = p.omega_m + np.linspace(-5.0, 5.0, 41) * p.gamma
+        s = np.array([scattering(x, p)[0, 2] for x in w])
+        sigma = mechanical_self_energy(w, p.g_b, p.gamma, p.omega_m)
+        r = reflection(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex, self_energy=sigma)
+        feature = np.max(np.abs(r - reflection(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex)))
+        assert feature > 1e-2
+        assert np.max(np.abs(s - r)) < 1e-2 * feature
 
     def test_near_pole_raises(self):
         # undamped, uncoupled mechanical mode: exact pole at w = -Omega
