@@ -130,10 +130,16 @@ def _grid_hz(f_start_hz, f_stop_hz, points):
     whose span or angular frequencies overflow, is a usage error."""
     if points < 2 or f_stop_hz <= f_start_hz:
         raise click.UsageError("need points >= 2 and f_stop_hz > f_start_hz")
-    span, top = f_stop_hz - f_start_hz, TWO_PI * max(-f_start_hz, f_stop_hz)
-    if not (math.isfinite(span) and math.isfinite(top)):
-        raise click.UsageError("--f-start-hz and --f-stop-hz overflow: need a finite span and 2 pi f finite")
+    _check_hz("--f-start-hz and --f-stop-hz", f_start_hz, f_stop_hz)
     return np.linspace(f_start_hz, f_stop_hz, points)
+
+
+def _check_hz(options: str, *f_hz: float):
+    """Refuse frequencies in Hz whose span or angular frequency 2 pi f
+    overflows, as a usage error naming the options."""
+    span, top = max(f_hz) - min(f_hz), TWO_PI * max(map(abs, f_hz))
+    if not (math.isfinite(span) and math.isfinite(top)):
+        raise click.UsageError(f"{options} overflow: need a finite span and 2 pi f finite")
 
 
 def _omit_spectrum(params, f_hz):
@@ -228,6 +234,7 @@ def _parse_axis(ctx, param, spec_str):
         raise click.UsageError(f"cannot sweep {name!r}")
     if count < 1:
         raise click.UsageError("axis needs at least 1 point")
+    _check_hz(param.opts[0], start, stop)
     return name, np.linspace(start, stop, count)
 
 
@@ -239,6 +246,7 @@ def _parse_axis(ctx, param, spec_str):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
     """Sweep couplings/detunings; per-point stability and entanglement."""
+    _check_hz("--omega-hz", omega_hz)
     params = load_config(config_path)
     p = _require(params, "tripartite")
     axes = dict([axis1])

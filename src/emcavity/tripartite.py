@@ -15,10 +15,12 @@ on which the output quadrature covariance, the smallest symplectic
 eigenvalue of the photon-magnon partial transpose, and the logarithmic
 negativity are built.
 
-It runs over stacks of N points: one broadcast builds the real (N, 6, 6)
-quadrature-basis drift matrices, one `eigvals` gives stability, one `solve`
-the stable points' resolvents, and zeta- and E_N follow in closed form, with
-a reason for each failed point.  The scalar functions are the N = 1 case.
+Every stage runs over a stack of N points and takes what the one before
+returns: `drift_matrices` (one broadcast) -> `stability` (one `eigvals`)
+-> `output_covariance`, over `scattering` (one `solve`) ->
+`symplectic_eigenvalue_min` -> `log_negativity`.  A failed point gets a
+reason and fails alone.  `sweep` chains the stages over a grid, and
+`evaluate_point` is its row for one point.
 """
 
 from __future__ import annotations
@@ -80,18 +82,12 @@ def feedthrough_matrix() -> np.ndarray:
     return np.kron([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]], np.eye(2))
 
 
-def _single(values, errors: dict):
-    """The N = 1 case of a batched result: its value, or its failure raised."""
-    if errors:
-        raise errors[0]
-    return values[0]
-
-
-def _stability(p: TripartiteParams, Aq: np.ndarray):
-    """Stability verdicts and largest real eigenvalue parts of a drift stack:
-    stable iff every eigenvalue has real part below -1e-12 unit, so a margin
-    within that of zero counts as unstable.  The unit is kappa_a, or for a
-    lossless cavity the largest ladder-basis |diagonal|, |loss/2 + i detuning|."""
+def stability(p: TripartiteParams, Aq: np.ndarray):
+    """Stability verdicts and largest real eigenvalue parts of a quadrature
+    drift stack: stable iff every eigenvalue has real part below -1e-12
+    unit, so a margin within that of zero counts as unstable.  The unit is
+    kappa_a, or for a lossless cavity the largest ladder-basis |diagonal|,
+    |loss/2 + i detuning|."""
     i = np.arange(0, 6, 2)
     unit = p.kappa_a or np.abs(Aq[:, i, i] + 1j * Aq[:, i, i + 1]).max(axis=1)
     try:
@@ -101,27 +97,16 @@ def _stability(p: TripartiteParams, Aq: np.ndarray):
     return max_re < -1e-12 * unit, max_re
 
 
-def stability(p: TripartiteParams) -> tuple[bool, float]:
-    """Stability verdict and largest real eigenvalue part for one point."""
-    stable, max_re = _stability(p, drift_matrices(p, {}))
-    return bool(stable[0]), float(max_re[0])
-
-
-def _scattering(omega: float, p: TripartiteParams, A: np.ndarray):
-    """S(w) (N, 4, 10) of a drift stack, and {row: NearPoleError} where the
-    resolvent's 1-norm condition number, from the explicit inverse, is above
-    1e12 or not finite; those rows fail alone, solved against the identity."""
-    M = -1j * omega * np.eye(6) - A
+def scattering(omega: float, p: TripartiteParams, Aq: np.ndarray):
+    """S(w) = C (-i w I - A)^{-1} B - D (N, 4, 10) of a quadrature drift stack
+    in the ladder basis, outputs (a_out, a_out+, c_out, c_out+); and {row:
+    NearPoleError} where the resolvent's 1-norm condition number, from the
+    explicit inverse, is above 1e12 or not finite (solved against I)."""
+    M = -1j * omega * np.eye(6) - _ladder(Aq)
     cond = np.linalg.cond(M, 1)
     poles = {int(i): NearPoleError(omega, cond[i]) for i in np.flatnonzero(~(cond <= 1e12))}
     M[list(poles)] = np.eye(6)
     return output_matrix(p) @ np.linalg.solve(M, input_matrix(p)) - feedthrough_matrix(), poles
-
-
-def scattering(omega: float, p: TripartiteParams) -> np.ndarray:
-    """4x10 scattering S(w) = C (-i w I - A)^{-1} B - D in the ladder basis;
-    outputs (a_out, a_out+, c_out, c_out+)."""
-    return _single(*_scattering(omega, p, _ladder(drift_matrices(p, {}))))
 
 
 def noise_matrix(p: TripartiteParams) -> np.ndarray:
@@ -136,38 +121,39 @@ _R2 = np.kron(np.eye(2), _U)
 _R5 = np.kron(np.eye(5), _U)
 
 
-def _covariances(omega: float, p: TripartiteParams, Aq: np.ndarray):
-    """Output-quadrature covariances V = Re[S_q N S_q^dagger] (N, 4, 4) of a
-    quadrature-basis drift stack, with `_scattering`'s near-pole rows.  S is
-    solved in the ladder basis: zeta- magnifies roundoff in V up to 1e8-fold."""
-    s, poles = _scattering(omega, p, _ladder(Aq))
+def output_covariance(omega: float, p: TripartiteParams, Aq: np.ndarray):
+    """Real, symmetric output-quadrature covariances V = Re[S_q N S_q^dagger]
+    (N, 4, 4) at w in the (X_a, Y_a, X_c, Y_c) basis, with `scattering`'s
+    near-pole rows.  S is solved in the ladder basis: zeta- magnifies
+    roundoff in V up to 1e8-fold."""
+    s, poles = scattering(omega, p, Aq)
     sq = _R2 @ s @ _R5.conj().T
     V = np.real(sq @ noise_matrix(p) @ sq.conj().transpose(0, 2, 1))
     return 0.5 * (V + V.transpose(0, 2, 1)), poles
 
 
-def output_covariance(omega: float, p: TripartiteParams) -> np.ndarray:
-    """Real, symmetric (4, 4) output-quadrature covariance Re[S_q N S_q^dagger]
-    at w, in the (X_a, Y_a, X_c, Y_c) basis."""
-    return _single(*_covariances(omega, p, drift_matrices(p, {})))
-
-
-def _zeta_minus(V: np.ndarray):
-    """Smallest symplectic eigenvalue of each partially transposed covariance.
-
-    zeta- = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2),
+def symplectic_eigenvalue_min(V: np.ndarray):
+    """Smallest symplectic eigenvalue of each partially transposed (4, 4)
+    covariance in V: zeta- = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2),
     Sigma = det V_a + det V_c - 2 det V_ac; with {row: NumericalError} for
-    the unphysical or degenerate rows."""
-    det_v = np.linalg.det(V)
-    sigma = np.linalg.det(V[:, :2, :2]) + np.linalg.det(V[:, 2:, 2:]) - 2.0 * np.linalg.det(V[:, :2, 2:])
-    disc = sigma * sigma - 4.0 * det_v
-    inner = (sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0
-    zeta = np.sqrt(np.maximum(inner, 0.0))
+    the non-finite, asymmetric, unphysical or degenerate rows (an overflow
+    gives such a row, not a warning)."""
+    with np.errstate(all="ignore"):
+        det_v = np.linalg.det(V)
+        sigma = np.linalg.det(V[:, :2, :2]) + np.linalg.det(V[:, 2:, 2:]) - 2.0 * np.linalg.det(V[:, :2, 2:])
+        disc = sigma * sigma - 4.0 * det_v
+        inner = (sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0
+        zeta = np.sqrt(np.maximum(inner, 0.0))
+        scale = np.maximum(np.abs(V).max(axis=(1, 2)), 1.0)
+        asymmetric = np.abs(V - V.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10 * scale
+        unphysical = disc < -1e-9 * sigma * sigma
     errors = {}
-    for i in np.flatnonzero((disc < -1e-9 * sigma * sigma) | ~(zeta > 0)):
+    for i in np.flatnonzero(unphysical | asymmetric | ~(zeta > 0)):
         if not np.isfinite(V[i]).all():
             reason = "covariance has non-finite entries"
-        elif disc[i] < -1e-9 * sigma[i] * sigma[i]:
+        elif asymmetric[i]:
+            reason = "covariance not symmetric"
+        elif unphysical[i]:
             reason = f"covariance not physical: Sigma^2 - 4 det V = {disc[i]:.3e} < 0"
         elif inner[i] < -1e-9 * abs(sigma[i]):
             reason = "covariance not physical: negative symplectic square"
@@ -177,25 +163,9 @@ def _zeta_minus(V: np.ndarray):
     return zeta, errors
 
 
-def symplectic_eigenvalue_min(V) -> float:
-    """Smallest symplectic eigenvalue of the partially transposed (4, 4)
-    covariance V; a non-finite or asymmetric V raises NumericalError."""
-    V = np.asarray(V, dtype=float)
-    if not np.isfinite(V).all():
-        raise NumericalError("covariance has non-finite entries")
-    if np.max(np.abs(V - V.T)) > 1e-10 * max(np.max(np.abs(V)), 1.0):
-        raise NumericalError("covariance not symmetric")
-    return float(_single(*_zeta_minus(V[None])))
-
-
-def _log_negativity(zeta):
-    """E_N = max(0, -ln 2 zeta-) per point; NaN stays NaN."""
+def log_negativity(zeta):
+    """E_N = max(0, -ln 2 zeta-) per point, natural log; NaN stays NaN."""
     return np.maximum(-np.log(2.0 * zeta), 0.0)
-
-
-def log_negativity(V) -> float:
-    """E_N = max(0, -ln 2 zeta-) of the (4, 4) covariance V, natural log."""
-    return float(_log_negativity(symplectic_eigenvalue_min(V)))
 
 
 def evaluate_point(omega: float, p: TripartiteParams) -> dict:
@@ -221,10 +191,10 @@ def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) 
         if not np.isfinite(values).all():
             raise DomainError(f"{name} must be finite")
     A = drift_matrices(p, columns)
-    stable, max_re = _stability(p, A)
+    stable, max_re = stability(p, A)
     idx = np.flatnonzero(stable)
-    V, poles = _covariances(omega, p, A[idx])
-    zeta, errors = _zeta_minus(V)
+    V, poles = output_covariance(omega, p, A[idx])
+    zeta, errors = symplectic_eigenvalue_min(V)
     errors.update(poles)  # a near pole is the first failure
     zeta[list(errors)] = np.nan
     zeta_minus = np.full(len(stable), np.nan)
@@ -232,7 +202,7 @@ def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) 
     error = np.full(len(stable), None, dtype=object)
     error[idx[list(errors)]] = [str(exc) for exc in errors.values()]
     return {**columns, "stable": stable, "max_re": max_re, "zeta_minus": zeta_minus,
-            "log_negativity": _log_negativity(zeta_minus), "error": error}
+            "log_negativity": log_negativity(zeta_minus), "error": error}
 
 
 _CRITICAL_RTOL = 1e-6
@@ -255,7 +225,8 @@ def critical_coupling(p: TripartiteParams, axis: str, bracket: tuple[float, floa
         raise ValueError(f"axis must be g_b or g_c, got {axis!r}")
 
     def margin(g: float) -> float:
-        return stability(replace(p, **{axis: g}))[1] + 1e-12 * p.kappa_a
+        q = replace(p, **{axis: g})
+        return float(stability(q, drift_matrices(q, {}))[1][0]) + 1e-12 * p.kappa_a
 
     lo, hi = sorted(bracket)
     f_lo, f_hi = margin(lo), margin(hi)

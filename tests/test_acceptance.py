@@ -34,8 +34,6 @@ from emcavity.params import CavityParams, MechParams
 from emcavity.tripartite import (
     drift_matrices,
     evaluate_point,
-    log_negativity,
-    output_covariance,
     stability,
     symplectic_eigenvalue_min,
     sweep,
@@ -148,11 +146,13 @@ def test_criterion_06_symplectic_oracle():
         for _ in range(1000):
             m = rng.standard_normal((4, 4))
             V = m @ m.T + 0.5 * np.eye(4)
-            zeta = symplectic_eigenvalue_min(V)
+            (zeta,), errors = symplectic_eigenvalue_min(V[None])
+            assert not errors
             assert rel_err(zeta, oracle_zeta(V)) < 1e-9
         for r in np.linspace(0.05, 1.5, 100):
             V = tmsv_covariance(r)
-            zeta = symplectic_eigenvalue_min(V)
+            (zeta,), errors = symplectic_eigenvalue_min(V[None])
+            assert not errors
             assert rel_err(zeta, 0.5 * np.exp(-2.0 * r)) < 1e-9
             assert rel_err(zeta, oracle_zeta(V)) < 1e-9
 
@@ -163,7 +163,7 @@ def test_criterion_07_stability_dual_check():
         verdicts = set()
         for _ in range(100):
             p = random_tripartite(rng)
-            ok, max_re = stability(p)
+            (ok,), (max_re,) = stability(p, drift_matrices(p, {}))
             if abs(max_re) < 1e-12 * p.kappa_a:
                 continue  # marginal: the decay verdict is ill-posed here
             horizon = 10.0 / abs(max_re)

@@ -815,6 +815,12 @@ EXTREME_PROBES = {
                "--out", "{tmp}/out.csv"], 1, GRID_OVERFLOW),
     "reflect_2pi_f": (["reflect", "--model", "omit", "--config", "{config}", "--f-start-hz", "1e307",
                        "--f-stop-hz", "3e307", "--out", "{tmp}/out.csv"], 1, GRID_OVERFLOW),
+    "sweep_omega": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:3e6:4",
+                     "--omega-hz", "1e308", "--out", "{tmp}/out.csv"], 1, "--omega-hz overflow"),
+    "sweep_axis": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:1e308:3",
+                    "--out", "{tmp}/out.csv"], 1, "--axis overflow"),
+    "sweep_axis_span": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:3e6:3",
+                         "--axis2", "g_c_hz=-1.7e308:1.7e308:3", "--out", "{tmp}/out.csv"], 1, "--axis2 overflow"),
 }
 
 
