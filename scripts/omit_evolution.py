@@ -3,17 +3,17 @@
 
 Sweeps the intracavity photon number over several decades at fixed
 single-photon coupling and writes the center/side reflection magnitudes
-to CSV for plotting.
+to CSV for plotting; the center is a peak where center_mag > side_mag.
 """
 
 import argparse
-import csv
 
 import numpy as np
 
 from emcavity.constants import TWO_PI
 from emcavity.linear_response import spectrum
 from emcavity.params import CavityParams, MechParams
+from emcavity.tables import write_table
 
 
 def main():
@@ -37,16 +37,9 @@ def main():
     # |R| at the mechanical resonance and 5 gamma above it, pump detuned by Omega_m
     probes = np.array([mech.omega_m, mech.omega_m + 5 * mech.gamma])
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_bar", "g_hz", "center_mag", "side_mag", "feature"])
-        for n in n_bar:
-            g = g0 * np.sqrt(n)
-            center, side = np.abs(spectrum(probes, cavity, mech, g, mech.omega_m))
-            writer.writerow(
-                [f"{n:.6e}", f"{g / TWO_PI:.6e}", f"{center:.8f}", f"{side:.8f}",
-                 "peak" if center > side else "dip"]
-            )
+    g = g0 * np.sqrt(n_bar)
+    mags = [np.abs(spectrum(probes, cavity, mech, gi, mech.omega_m)) for gi in g]
+    write_table(args.out, b"n_bar,g_hz,center_mag,side_mag\n", np.column_stack([n_bar, g / TWO_PI, mags]))
     print(f"wrote {args.out} ({args.points} rows)")
 
 

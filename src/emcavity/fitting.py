@@ -120,6 +120,7 @@ def _reflection_columns(w, p: ReflectionModelParams, m, terms):
 
 _MAX_ITER = 500
 _XTOL = 1e-10
+_FTOL = 1e-10  # a cost rise this small relative to the cost is round-off
 _LAM0 = 1e-9
 
 
@@ -139,10 +140,13 @@ def _levenberg_marquardt(evaluate, theta0: np.ndarray):
     ones.  A start near the minimum, such as the closed-form one of
     fit_reflection, thus takes nearly Gauss-Newton steps from the first; a
     poor one is damped by the rejections.  Convergence when the scaled
-    relative step drops below _XTOL or the gradient norm below
-    1e-12 * residual norm.  A start whose cost is not finite is returned
-    at once, after 0 iterations.  Returns the last accepted point with its
-    r and jacobian.
+    relative step drops below _XTOL, the gradient norm below 1e-12 *
+    residual norm, or when a trial raises the cost by no more than _FTOL
+    of it: that rise is round-off, the trial is not taken, and more
+    damping would only retry the noise.  A trial whose cost is not finite
+    is never taken.  A start whose cost is not finite is returned at once,
+    after 0 iterations.  Returns the last accepted point with its r and
+    jacobian.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r, jacobian = evaluate(theta)
@@ -165,7 +169,6 @@ def _levenberg_marquardt(evaluate, theta0: np.ndarray):
         if np.any(diag <= 0):
             rank_deficient = True
             diag[diag <= 0] = max(diag.max(), 1.0) * 1e-14
-        accepted = False
         for _ in range(60):
             try:
                 step = np.linalg.solve(JtJ + lam * np.diag(diag), -g)
@@ -175,12 +178,14 @@ def _levenberg_marquardt(evaluate, theta0: np.ndarray):
             trial = theta + step
             r_new, jacobian_new = evaluate(trial)
             cost_new = _sum_squares(r_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
-                accepted = True
+            if cost_new - cost <= _FTOL * cost:  # False where cost_new is not finite
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             message = "no acceptable step found"
+            break
+        if cost_new > cost:  # a rise at round-off
+            converged, message = True, "cost rise at round-off"
             break
         scale = np.sqrt(diag)
         rel_step = np.linalg.norm(scale * step) / max(np.linalg.norm(scale * theta), 1e-300)

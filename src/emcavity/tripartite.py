@@ -25,7 +25,7 @@ reason and fails alone.  `sweep` chains the stages over a grid, and
 
 from __future__ import annotations
 
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 
@@ -39,9 +39,19 @@ SWEEP_AXES = ("g_b", "g_c", "delta_a", "delta_c")
 def drift_matrices(p: TripartiteParams, grid: dict) -> np.ndarray:
     """(N, 6, 6) real drift matrices in the quadrature basis (X_a, Y_a, X_b,
     Y_b, X_c, Y_c), (X, Y) = u (a, a+); `grid` maps sweepable names to (N,)
-    arrays replacing the values in `p`."""
+    arrays replacing the values in `p`.  DomainError, naming the field,
+    where an entry or a sum of two that `_ladder` forms is not finite."""
+    if not set(grid) <= set(SWEEP_AXES):
+        raise ValueError(f"cannot sweep parameter {min(set(grid) - set(SWEEP_AXES))!r}")
     names = ("delta_a", "delta_c", "g_b", "g_c", "omega_m")
     da, dc, gb, gc, om = (np.asarray(grid.get(k, getattr(p, k))) for k in names)
+    # a ladder sum is 2 v for a detuning or coupling v, 2 (-loss / 2) for a loss
+    largest = {k: np.abs(grid[k]).max(initial=0.0) if k in grid else abs(getattr(p, k)) for k in names}
+    largest.update({"kappa_a_in + kappa_a_ex": p.kappa_a / 2.0, "kappa_c_in + kappa_c_ex": p.kappa_c / 2.0})
+    half_max = np.finfo(float).max / 2.0  # exact: |2 v| is finite iff |v| <= half_max; NaN fails
+    bad = [k for k, v in largest.items() if not v <= half_max]
+    if bad:
+        raise DomainError(f"{bad[0]} must be finite and keep the drift matrix in the float range")
     A = np.zeros((np.broadcast(da, dc, gb, gc, om).size, 6, 6))
     for i, (detuning, loss) in enumerate(((da, p.kappa_a), (om, p.gamma), (dc, p.kappa_c))):
         A[:, 2 * i, 2 * i] = A[:, 2 * i + 1, 2 * i + 1] = -loss / 2.0
@@ -157,6 +167,8 @@ def symplectic_eigenvalue_min(V: np.ndarray):
             reason = f"covariance not physical: Sigma^2 - 4 det V = {disc[i]:.3e} < 0"
         elif inner[i] < -1e-9 * abs(sigma[i]):
             reason = "covariance not physical: negative symplectic square"
+        elif np.isnan(zeta[i]):  # V is finite, so a determinant overflowed
+            reason = "covariance determinants outside the float range: zeta- = nan"
         else:
             reason = f"degenerate covariance: zeta- = {zeta[i]:g}"
         errors[int(i)] = NumericalError(reason)
@@ -185,11 +197,6 @@ def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) 
     """
     grids = np.meshgrid(*(np.asarray(axes[n], dtype=float) for n in axes), indexing="ij")
     columns = {n: g.ravel() for n, g in zip(axes, grids)}
-    for name, values in columns.items():
-        if name not in SWEEP_AXES:
-            raise ValueError(f"cannot sweep parameter {name!r}")
-        if not np.isfinite(values).all():
-            raise DomainError(f"{name} must be finite")
     A = drift_matrices(p, columns)
     stable, max_re = stability(p, A)
     idx = np.flatnonzero(stable)
@@ -225,8 +232,7 @@ def critical_coupling(p: TripartiteParams, axis: str, bracket: tuple[float, floa
         raise ValueError(f"axis must be g_b or g_c, got {axis!r}")
 
     def margin(g: float) -> float:
-        q = replace(p, **{axis: g})
-        return float(stability(q, drift_matrices(q, {}))[1][0]) + 1e-12 * p.kappa_a
+        return float(stability(p, drift_matrices(p, {axis: np.array([g])}))[1][0]) + 1e-12 * p.kappa_a
 
     lo, hi = sorted(bracket)
     f_lo, f_hi = margin(lo), margin(hi)

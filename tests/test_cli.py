@@ -366,6 +366,29 @@ class TestTripartite:
             assert run(args) == 1, field
             assert f"config error: {field}: " in capsys.readouterr().err, field
 
+    @pytest.mark.parametrize("edit, args, field", [
+        ({"f_m_hz": 2.8e307}, ["sweep", "--axis", "g_c_hz=0:1e6:2"], "omega_m"),
+        ({"kappa_a_in_hz": 2e307, "kappa_a_ex_hz": 2e307}, ["sweep", "--axis", "g_c_hz=0:1e6:2"],
+         "kappa_a_in + kappa_a_ex"),
+        ({}, ["sweep", "--axis", "g_b_hz=0:2.8e307:3"], "g_b"),
+        ({}, ["sweep", "--axis", "delta_a_hz=0:2.8e307:3"], "delta_a"),
+        ({}, ["critical", "--axis", "g_b", "--bracket-hz", "0,2.8e307"], "g_b"),
+    ], ids=["config", "config_loss_sum", "axis_g_b", "axis_delta_a", "bracket"])
+    def test_drift_overflow_is_one_line(self, tmp_path, capsys, edit, args, field):
+        # an input whose drift entry or ladder sum would overflow is refused
+        # by drift_matrices, naming the field: exit 3, one stderr line, and
+        # no RuntimeWarning (an error under this suite's filterwarnings)
+        config = tmp_path / "config.json"
+        reference = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))
+        config.write_text(json.dumps({"tripartite": {**reference["tripartite"], **edit}}), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        extra = ["--out", str(out)] if args[0] == "sweep" else []
+        assert run(["tripartite", args[0], "--config", str(config), *args[1:], *extra]) == 3
+        captured = capsys.readouterr()
+        reason = f"{field} must be finite and keep the drift matrix in the float range"
+        assert (captured.err, captured.out) == (f"numerical error: {reason}\n", "")
+        assert not out.exists()
+
     def test_critical_coupling(self, capsys):
         code = run(
             [

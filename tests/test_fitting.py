@@ -257,6 +257,26 @@ class TestReflectionFit:
         assert message == "no acceptable step found"
         assert theta.tolist() == [0.5] and r.tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("rise, trials, converged, message", [
+        (1e-13, 1, True, "cost rise at round-off"),
+        (1e-6, 60, False, "no acceptable step found"),
+    ])
+    def test_cost_rise_at_round_off_stops(self, rise, trials, converged, message):
+        # every trial raises the cost by `rise` relative: a rise within
+        # _FTOL is round-off, so the first trial ends the fit at the start
+        # point, converged; a larger one is rejected with more damping until
+        # the driver gives up
+        calls = []
+
+        def evaluate(theta):
+            calls.append(theta)
+            r = np.array([1.0, 2.0]) * (1.0 if len(calls) == 1 else np.sqrt(1.0 + rise))
+            return r, lambda: np.ones((2, 1))
+
+        theta, r, _, iterations, ok, _, why = _levenberg_marquardt(evaluate, [0.5])
+        assert (len(calls) - 1, iterations, ok, why) == (trials, 1, converged, message)
+        assert theta.tolist() == [0.5] and r.tolist() == [1.0, 2.0]
+
     def test_start_not_finite_stops_at_once(self):
         # a start whose cost is not finite is returned after 0 iterations,
         # and no Jacobian is built

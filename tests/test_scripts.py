@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from emcavity.tables import format_e17, open_table, read_table
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of the CSVs the scripts write at --points 5; any change to the
 # numbers or to the writers shows here
 SCRIPT_GOLDEN = {
-    "omit_evolution.csv": "28ab354d63b0c149405474f5ba83b61141657ca06b4594943e1f70b6b0c16d95",
+    "omit_evolution.csv": "dcf7eea86b2e7861b7dfb224c3c15713b4e45f1d8f70c83d1e067c0500e09fd8",
 }
 
 
@@ -26,3 +28,11 @@ def test_scripts_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for output, digest in SCRIPT_GOLDEN.items():
         assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest, output
+    # the table reads back bit for bit: rewriting what read_table returns
+    # gives the file's bytes
+    path = tmp_path / "omit_evolution.csv"
+    header = ["n_bar", "g_hz", "center_mag", "side_mag"]
+    with open_table(path) as fh:
+        table = read_table(path, fh, columns=header)
+    assert table.shape == (5, 4)
+    assert path.read_bytes() == (",".join(header) + "\n").encode() + format_e17(table).tobytes()

@@ -475,7 +475,8 @@ class TestEntanglementWorkflow:
             res = sweep(p, {"g_b": TWO_PI * np.linspace(0.0, 3e6, 4)})
             row = evaluate_point(0.0, p)
         assert res["stable"].sum() == 3
-        assert all(e.startswith("degenerate covariance") for e in res["error"][res["stable"]])
+        assert all(e == "covariance determinants outside the float range: zeta- = nan"
+                   for e in res["error"][res["stable"]])
         assert np.isnan(res["zeta_minus"]).all() and np.isnan(res["log_negativity"]).all()
         assert row["stable"] and row["error"] is not None and np.isnan(row["zeta_minus"])
 
@@ -501,6 +502,27 @@ class TestEntanglementWorkflow:
         with pytest.raises(NumericalError, match="in 3 steps"):
             critical_coupling(reference_tripartite, "g_b", (0.0, TWO_PI * 5e6))
         assert calls == {**dict.fromkeys(stages, 0), "stability": 5}
+
+    @pytest.mark.parametrize("axes, field", [
+        ({"delta_a": TWO_PI * np.array([0.0, 2.8e307])}, "delta_a"),
+        ({"g_c": TWO_PI * np.array([2.8e307])}, "g_c"),
+        ({"g_b": np.array([0.0, np.nan])}, "g_b"),
+        ({"delta_c": np.array([-np.inf])}, "delta_c"),
+    ])
+    def test_sweep_refuses_what_overflows_the_drift(self, reference_tripartite, axes, field):
+        # 2 v overflows in a ladder sum, or v is not finite: one DomainError
+        # naming the field, and numpy warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reason = f"^{field} must be finite and keep the drift matrix in the float range$"
+            with pytest.raises(DomainError, match=reason):
+                sweep(reference_tripartite, axes)
+
+    def test_largest_drift_values_pass(self, reference_tripartite):
+        # |v| = max / 2 keeps 2 v finite: the check lets it through
+        half = np.finfo(float).max / 2.0
+        A = drift_matrices(reference_tripartite, {"delta_a": np.array([-half, half]), "g_c": [half]})
+        assert np.isfinite(A).all() and np.isfinite(_ladder(A)).all()
 
     def test_sweep_rejects_unknown_axis(self, reference_tripartite):
         with pytest.raises(ValueError):
@@ -550,6 +572,31 @@ class TestEntanglementWorkflow:
         # without the (hi - lo)/32 safeguard, a median of 18 and at most 36
         assert np.median(ours) <= np.median(brent) and max(ours) <= max(brent) + 4
 
+    def test_critical_coupling_matches_replace_reference(self, reference_tripartite, monkeypatch):
+        # each margin enters through the drift grid; a reference that builds
+        # a new TripartiteParams per trial with dataclasses.replace gives the
+        # same root bit for bit, or the same BracketError, on 200 random
+        # working points: g_c 0-6 MHz, delta_a -6 to -1 MHz, bracket 0-10 MHz
+        rng = np.random.default_rng(26)
+        points = [replace(reference_tripartite, g_c=TWO_PI * rng.uniform(0.0, 6e6),
+                          delta_a=TWO_PI * rng.uniform(-6e6, -1e6)) for _ in range(200)]
+
+        def search(p):
+            try:
+                return critical_coupling(p, "g_b", (0.0, TWO_PI * 10e6)).hex()
+            except BracketError as exc:
+                return str(exc)
+
+        ours = [search(p) for p in points]
+
+        def by_replace(p, grid):
+            ((axis, (g,)),) = grid.items()
+            return drift_matrices(replace(p, **{axis: float(g)}), {})
+
+        monkeypatch.setattr(tripartite, "drift_matrices", by_replace)
+        assert ours == [search(p) for p in points]
+        assert sum(not r.startswith("stability") for r in ours) >= 100
+
     def test_critical_coupling_reversed_bracket(self, reference_tripartite):
         lo, hi = TWO_PI * 2.0e6, TWO_PI * 9.0e6
         g_star = critical_coupling(reference_tripartite, "g_c", (lo, hi))
@@ -562,7 +609,7 @@ class TestEntanglementWorkflow:
         # lossless cavity the margin is `shape` exactly, so the line's first
         # trial point is the root itself, with a margin of exactly 0
         p = replace(reference_tripartite, kappa_a_in=0.0, kappa_a_ex=0.0)
-        monkeypatch.setattr(tripartite, "stability", lambda q, Aq: (None, [shape(q.g_b / 1e6)]))
+        monkeypatch.setattr(tripartite, "stability", lambda q, Aq: (None, [shape(-Aq[0, 1, 2] / 2 / 1e6)]))
         assert abs(critical_coupling(p, "g_b", (-1e6, 3e6))) <= 2e-12
 
     def test_critical_coupling_halves_a_stale_end(self, reference_tripartite, monkeypatch):
@@ -572,7 +619,7 @@ class TestEntanglementWorkflow:
 
         def log_margin(q, Aq):
             calls.append(q)
-            return None, [np.log(q.g_b / 1e6)]
+            return None, [np.log(-Aq[0, 1, 2] / 2 / 1e6)]
 
         monkeypatch.setattr(tripartite, "stability", log_margin)
         p = replace(reference_tripartite, kappa_a_in=0.0, kappa_a_ex=0.0)
