@@ -9,7 +9,6 @@ the command line, config hash, seed, version and timestamp.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -48,18 +47,15 @@ def _fmt(x) -> str:
     return _FMT % float(x)
 
 
-def _write_manifest(out_path: str, config_path: str | None, seed: int | None):
+def _write_manifest(out_path: str, config_sha256: str | None, seed: int | None):
     entry = {
         "command_line": click.get_current_context().obj,
-        "config_sha256": None,
+        "config_sha256": config_sha256,
         "seed": seed,
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": [out_path],
     }
-    if config_path:
-        with open(config_path, "rb") as fh:
-            entry["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(entry, fh, indent=2)
         fh.write("\n")
@@ -115,13 +111,13 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
     is evaluated in the frame rotating at the pump (grid minus f_p).
     """
     f_grid = _grid_hz(f_start_hz, f_stop_hz, points)
-    params = load_config(config_path)
+    params, config_sha256 = load_config(config_path)
     if model == "omit":
         values = _omit_spectrum(params, f_grid)
     else:
         values = spectrum(TWO_PI * f_grid, _require(params, "cavity"))
     _write_spectrum_csv(out_path, f_grid, values)
-    _write_manifest(out_path, config_path, None)
+    _write_manifest(out_path, config_sha256, None)
     click.echo(f"wrote {out_path}", err=True)
 
 
@@ -185,7 +181,7 @@ def _write_sweep_csv(out_path, axes, res):
 @click.option("--f-hz", type=_FINITE, required=True, help="Probe frequency in Hz (lab frame).")
 def omit(config_path, f_hz):
     """OMIT reflection at a single probe frequency."""
-    r = _omit_spectrum(load_config(config_path), np.array([f_hz]))
+    r = _omit_spectrum(load_config(config_path)[0], np.array([f_hz]))
     re, im, mag_db, phase = (_fmt(x[0]) for x in (r.real, r.imag, *_mag_db_phase(r)))
     click.echo(f"re={re} im={im} mag_db={mag_db} phase_rad={phase}")
 
@@ -201,7 +197,7 @@ def damping(config_path, detuning_hz):
     rate: the mechanical linewidth is gamma + gamma_opt, and the rate tends
     to 4 g^2 / kappa at Delta = +Omega in the resolved-sideband limit.
     """
-    params = load_config(config_path)
+    params, _ = load_config(config_path)
     cavity = _require(params, "cavity")
     mech = _require(params, "mech")
     g = _require(params, "coupling").g
@@ -247,7 +243,7 @@ def _parse_axis(ctx, param, spec_str):
 def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
     """Sweep couplings/detunings; per-point stability and entanglement."""
     _check_hz("--omega-hz", omega_hz)
-    params = load_config(config_path)
+    params, config_sha256 = load_config(config_path)
     p = _require(params, "tripartite")
     axes = dict([axis1])
     if axis2 is not None:
@@ -257,7 +253,7 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
         axes[name2] = grid2
     res = _sweep(p, {k: TWO_PI * v for k, v in axes.items()}, omega=TWO_PI * omega_hz)
     _write_sweep_csv(out_path, axes, res)
-    _write_manifest(out_path, config_path, None)
+    _write_manifest(out_path, config_sha256, None)
     click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)
 
 
@@ -277,7 +273,7 @@ def _parse_bracket(ctx, param, value):
 def tripartite_critical(config_path, axis, bracket_hz):
     """Locate the stability boundary along one coupling axis."""
     lo, hi = bracket_hz
-    params = load_config(config_path)
+    params, _ = load_config(config_path)
     p = _require(params, "tripartite")
     g_crit = _critical_coupling(p, axis, (TWO_PI * lo, TWO_PI * hi))
     click.echo(_fmt(g_crit / TWO_PI))
@@ -384,7 +380,7 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
         raise click.UsageError("--seed is required when --snr-db is given")
     if points < 7:
         raise click.UsageError(f"--points must be at least 7 (7-parameter model), got {points}")
-    params = load_config(config_path)
+    params, config_sha256 = load_config(config_path)
     cavity = _require(params, "cavity")
     if cavity.kappa == 0:
         raise DomainError("kappa_in + kappa_ex must be positive (pole)")
@@ -404,7 +400,7 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
         seed=seed,
     )
     save_trace(trace, out_path)
-    _write_manifest(out_path, config_path, seed)
+    _write_manifest(out_path, config_sha256, seed)
     click.echo(f"wrote {out_path}", err=True)
 
 
@@ -442,6 +438,7 @@ def device_g0(volume_path, surface_paths, lumped_path, f_m_hz, voltage_v):
     Resonator frequency comes from the lumped LC model with the motional
     capacitance, omega_c = 1/sqrt(L (C_s + C_m)).
     """
+    _check_hz("--f-m-hz", f_m_hz)
     vol = dev.load_volume_csv(volume_path)
     surfaces = [dev.load_surface_csv(p) for p in surface_paths]
     lumped = _read_record(lumped_path, "lumped circuit", dev.ResonatorLumped, "lumped")

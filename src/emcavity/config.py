@@ -12,6 +12,7 @@ offending field path.  A config may leave out any block.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -112,14 +113,18 @@ def parse_config(data: dict) -> SystemParams:
                            for f in fields(SystemParams) if f.name in data})
 
 
-def load_config(path) -> SystemParams:
+def load_config(path) -> tuple[SystemParams, str]:
+    """The config at `path`, read once, so a pipe or FIFO works too, and the
+    SHA-256 hex digest of the bytes read."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
+        # the text a text-mode open() reads: UTF-8, universal newlines
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config(data)
+    return parse_config(data), hashlib.sha256(raw).hexdigest()

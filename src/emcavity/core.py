@@ -32,7 +32,7 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
 
 def zero_point_fluctuation(m_eff: float, omega_m: float) -> float:
     """x_zpf = sqrt(hbar / (2 m_eff Omega))."""
-    if m_eff <= 0 or omega_m <= 0:
-        raise DomainError("m_eff and omega_m must be positive")
+    if not (0 < m_eff < math.inf and 0 < omega_m < math.inf):
+        raise DomainError("m_eff and omega_m must be positive and finite")
     return math.sqrt(HBAR / (2.0 * m_eff * omega_m))
 

@@ -25,17 +25,5 @@ class NumericalError(EmcavityError):
     """A numerical computation failed or is unreliable."""
 
 
-class NearPoleError(NumericalError):
-    """Linear system too ill-conditioned near a resolvent pole."""
-
-    def __init__(self, omega, condition):
-        self.omega = omega
-        self.condition = condition
-        super().__init__(
-            f"resolvent nearly singular at omega={omega:.6e} rad/s "
-            f"(condition estimate {condition:.3e})"
-        )
-
-
 class BracketError(EmcavityError, ValueError):
     """A root bracket does not straddle a sign change."""

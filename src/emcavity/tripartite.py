@@ -29,7 +29,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .errors import BracketError, DomainError, NearPoleError, NumericalError
+from .errors import BracketError, DomainError, NumericalError
 from .params import TripartiteParams
 
 # the parameters `sweep` can put on an axis
@@ -92,29 +92,36 @@ def feedthrough_matrix() -> np.ndarray:
     return np.kron([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]], np.eye(2))
 
 
+def _stability_unit(p: TripartiteParams, Aq: np.ndarray):
+    """The unit of `stability`'s threshold, per row of a quadrature drift
+    stack: kappa_a, or for a lossless cavity the largest ladder-basis
+    |diagonal|, |loss/2 + i detuning|."""
+    if p.kappa_a:
+        return np.full(len(Aq), p.kappa_a)
+    i = np.arange(0, 6, 2)
+    return np.abs(Aq[:, i, i] + 1j * Aq[:, i, i + 1]).max(axis=1)
+
+
 def stability(p: TripartiteParams, Aq: np.ndarray):
     """Stability verdicts and largest real eigenvalue parts of a quadrature
     drift stack: stable iff every eigenvalue has real part below -1e-12
-    unit, so a margin within that of zero counts as unstable.  The unit is
-    kappa_a, or for a lossless cavity the largest ladder-basis |diagonal|,
-    |loss/2 + i detuning|."""
-    i = np.arange(0, 6, 2)
-    unit = p.kappa_a or np.abs(Aq[:, i, i] + 1j * Aq[:, i, i + 1]).max(axis=1)
+    `_stability_unit`, so a margin within that of zero counts as unstable."""
     try:
         max_re = np.linalg.eigvals(Aq).real.max(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigen-solver failed: {exc}") from exc
-    return max_re < -1e-12 * unit, max_re
+    return max_re < -1e-12 * _stability_unit(p, Aq), max_re
 
 
 def scattering(omega: float, p: TripartiteParams, Aq: np.ndarray):
     """S(w) = C (-i w I - A)^{-1} B - D (N, 4, 10) of a quadrature drift stack
     in the ladder basis, outputs (a_out, a_out+, c_out, c_out+); and {row:
-    NearPoleError} where the resolvent's 1-norm condition number, from the
+    reason} where the resolvent's 1-norm condition number, from the
     explicit inverse, is above 1e12 or not finite (solved against I)."""
     M = -1j * omega * np.eye(6) - _ladder(Aq)
     cond = np.linalg.cond(M, 1)
-    poles = {int(i): NearPoleError(omega, cond[i]) for i in np.flatnonzero(~(cond <= 1e12))}
+    poles = {int(i): f"resolvent nearly singular at omega={omega:.6e} rad/s (condition estimate {cond[i]:.3e})"
+             for i in np.flatnonzero(~(cond <= 1e12))}
     M[list(poles)] = np.eye(6)
     return output_matrix(p) @ np.linalg.solve(M, input_matrix(p)) - feedthrough_matrix(), poles
 
@@ -139,13 +146,14 @@ def output_covariance(omega: float, p: TripartiteParams, Aq: np.ndarray):
     s, poles = scattering(omega, p, Aq)
     sq = _R2 @ s @ _R5.conj().T
     V = np.real(sq @ noise_matrix(p) @ sq.conj().transpose(0, 2, 1))
-    return 0.5 * (V + V.transpose(0, 2, 1)), poles
+    with np.errstate(over="ignore"):  # a row that overflows fails in `symplectic_eigenvalue_min`
+        return 0.5 * (V + V.transpose(0, 2, 1)), poles
 
 
 def symplectic_eigenvalue_min(V: np.ndarray):
     """Smallest symplectic eigenvalue of each partially transposed (4, 4)
     covariance in V: zeta- = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2),
-    Sigma = det V_a + det V_c - 2 det V_ac; with {row: NumericalError} for
+    Sigma = det V_a + det V_c - 2 det V_ac; with {row: reason} for
     the non-finite, asymmetric, unphysical or degenerate rows (an overflow
     gives such a row, not a warning)."""
     with np.errstate(all="ignore"):
@@ -171,7 +179,7 @@ def symplectic_eigenvalue_min(V: np.ndarray):
             reason = "covariance determinants outside the float range: zeta- = nan"
         else:
             reason = f"degenerate covariance: zeta- = {zeta[i]:g}"
-        errors[int(i)] = NumericalError(reason)
+        errors[int(i)] = reason
     return zeta, errors
 
 
@@ -207,7 +215,7 @@ def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) 
     zeta_minus = np.full(len(stable), np.nan)
     zeta_minus[idx] = zeta
     error = np.full(len(stable), None, dtype=object)
-    error[idx[list(errors)]] = [str(exc) for exc in errors.values()]
+    error[idx[list(errors)]] = list(errors.values())
     return {**columns, "stable": stable, "max_re": max_re, "zeta_minus": zeta_minus,
             "log_negativity": log_negativity(zeta_minus), "error": error}
 
@@ -220,19 +228,20 @@ def critical_coupling(p: TripartiteParams, axis: str, bracket: tuple[float, floa
     """Stability boundary along g_b or g_c, with the bracket in either order,
     to a bracket width of 2e-12 + _CRITICAL_RTOL |g| (brentq's stopping rule).
 
-    The root of the margin max Re(eig) + 1e-12 kappa_a, which is continuous
-    in the coupling and whose sign is the `stability` verdict, is found by
-    an Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971): when
-    the same end is kept twice, its margin is halved.  The margin is small
-    at a stable end (-gamma/2 at g = 0) and large at an unstable one (~1e7
-    s^-1 at 10 MHz), so plain interpolation lands next to the stable end and
-    crawls; past the first step each trial point keeps (hi - lo)/32 from
-    either end."""
+    The root of the margin max Re(eig) + 1e-12 `_stability_unit`, which is
+    continuous in the coupling (the unit holds none) and whose sign is the
+    `stability` verdict, is found by an Illinois regula falsi (Dowell &
+    Jarratt, BIT 11, 168, 1971): when the same end is kept twice, its
+    margin is halved.  The margin is small at a stable end (-gamma/2 at
+    g = 0) and large at an unstable one (~1e7 s^-1 at 10 MHz), so plain
+    interpolation lands next to the stable end and crawls; past the first
+    step each trial point keeps (hi - lo)/32 from either end."""
     if axis not in ("g_b", "g_c"):
         raise ValueError(f"axis must be g_b or g_c, got {axis!r}")
 
     def margin(g: float) -> float:
-        return float(stability(p, drift_matrices(p, {axis: np.array([g])}))[1][0]) + 1e-12 * p.kappa_a
+        A = drift_matrices(p, {axis: np.array([g])})
+        return float(stability(p, A)[1][0] + 1e-12 * _stability_unit(p, A)[0])
 
     lo, hi = sorted(bracket)
     f_lo, f_hi = margin(lo), margin(hi)

@@ -175,7 +175,7 @@ def test_criterion_07_stability_dual_check():
 
 def test_criterion_08_qualitative_reproduction():
     with criterion("08 qualitative-reproduction", 30.0):
-        p = load_config(REFERENCE_CONFIG).tripartite
+        p = load_config(REFERENCE_CONFIG)[0].tripartite
         assert p.delta_a == pytest.approx(-p.omega_m)
         assert p.delta_c == pytest.approx(-p.omega_m)
         assert p.g_c == pytest.approx(TWO_PI * 6.43e6)

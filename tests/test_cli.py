@@ -247,7 +247,7 @@ class TestTripartite:
     def test_sweep_at_nonzero_frequency(self, tmp_path):
         # the benchmark sweeps only at w = 0: the probe frequency must reach
         # the covariance and leave the stability columns alone
-        p = load_config(REFERENCE_CONFIG).tripartite
+        p = load_config(REFERENCE_CONFIG)[0].tripartite
         rows = {}
         for f_hz in ("0", "3e5"):
             out = tmp_path / f"w{f_hz}.csv"
@@ -333,7 +333,7 @@ class TestTripartite:
             name, grid = spec.split("=")
             start, stop, n = grid.split(":")
             axes[name[: -len("_hz")]] = TWO_PI * np.linspace(float(start), float(stop), int(n))
-        res = sweep(load_config(REFERENCE_CONFIG).tripartite, axes)
+        res = sweep(load_config(REFERENCE_CONFIG)[0].tripartite, axes)
         lines = [",".join(f"{n}_hz" for n in axes) + ",stable,max_re_eig_hz,zeta_minus,log_negativity"]
         for i in range(len(res["stable"])):
             cells = ["%.17e" % (res[n][i] / TWO_PI) for n in axes]
@@ -607,6 +607,58 @@ class TestPipeInput:
         assert run_with_fifo(tmp_path, text.encode(), args) == (2, want)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+class TestConfigReadOnce:
+    """--config is read once: a pipe or a FIFO gives the manifest the hash of
+    the bytes it held, and the command never waits for a second writer."""
+
+    ARGS = ["reflect", "--f-start-hz", "10.2e9", "--f-stop-hz", "10.3e9", "--points", "3"]
+
+    def config_sha256(self, out):
+        with open(f"{out}.manifest.json", encoding="utf-8") as fh:
+            return json.load(fh)["config_sha256"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_config_hash(self, config_file, tmp_path):
+        # the read end of a filled, closed pipe, as a shell's <(cat file) passes it
+        data, out = Path(config_file).read_bytes(), tmp_path / "spectrum.csv"
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            assert run([*self.ARGS, "--config", f"/dev/fd/{r}", "--out", str(out)]) == 0
+        finally:
+            os.close(r)
+        assert self.config_sha256(out) == hashlib.sha256(data).hexdigest()
+
+    def test_fifo_config_does_not_wait(self, config_file, tmp_path):
+        data, out, fifo = Path(config_file).read_bytes(), tmp_path / "spectrum.csv", tmp_path / "config.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(data)
+            except BrokenPipeError:  # the reader left early
+                pass
+
+        codes = []
+        writer = threading.Thread(target=write, daemon=True)
+        command = threading.Thread(daemon=True, target=lambda: codes.append(
+            run([*self.ARGS, "--config", str(fifo), "--out", str(out)])))
+        writer.start()
+        command.start()
+        command.join(timeout=20)
+        waited = command.is_alive()
+        if waited:  # end the reader's wait for a second writer
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            command.join(timeout=10)
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer still waiting
+        writer.join(timeout=10)
+        assert not waited and not writer.is_alive() and codes == [0]
+        assert self.config_sha256(out) == hashlib.sha256(data).hexdigest()
+
+
 @pytest.fixture
 def device_files(tmp_path):
     gap, area, volts, n = 100e-9, 1e-8, 1.0, 50
@@ -842,6 +894,8 @@ EXTREME_PROBES = {
                      "--omega-hz", "1e308", "--out", "{tmp}/out.csv"], 1, "--omega-hz overflow"),
     "sweep_axis": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:1e308:3",
                     "--out", "{tmp}/out.csv"], 1, "--axis overflow"),
+    "g0_f_m": (["device", "g0", *DEVICE_ARGS, "--surface", "{tmp}/surf.csv", "--lumped", "{tmp}/lumped.json",
+                "--f-m-hz", "1e308"], 1, "--f-m-hz overflow"),
     "sweep_axis_span": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:3e6:3",
                          "--axis2", "g_c_hz=-1.7e308:1.7e308:3", "--out", "{tmp}/out.csv"], 1, "--axis2 overflow"),
 }

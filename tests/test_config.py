@@ -132,7 +132,7 @@ def test_bundled_reference_config_loads():
     from pathlib import Path
 
     ref = Path(__file__).resolve().parents[1] / "configs" / "tripartite_sec63.json"
-    p = load_config(ref).tripartite
+    p = load_config(ref)[0].tripartite
     assert p.g_c == pytest.approx(TWO_PI * 6.43e6)
     assert p.delta_a == pytest.approx(-p.omega_m)
 

@@ -1,5 +1,7 @@
 """Physical constants, thermal occupation, zero-point motion, enhanced coupling."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.constants
@@ -90,6 +92,14 @@ def test_zero_point_fluctuation_scaling(mass, f_hz):
     # quartering the mass doubles nothing -- x scales as 1/sqrt(m w)
     assert zero_point_fluctuation(4.0 * mass, omega) == pytest.approx(x / 2.0, rel=1e-12)
     assert zero_point_fluctuation(mass, 4.0 * omega) == pytest.approx(x / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("mass, omega", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.inf),
+                                         (math.nan, 1.0), (1.0, math.nan)])
+def test_zero_point_fluctuation_rejects_outside_the_domain(mass, omega):
+    # a non-finite mass or frequency would give x_zpf = 0 or NaN
+    with pytest.raises(DomainError, match="^m_eff and omega_m must be positive and finite$"):
+        zero_point_fluctuation(mass, omega)
 
 
 def test_enhanced_coupling_sqrt_photon_number():

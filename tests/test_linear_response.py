@@ -179,7 +179,7 @@ class TestDamping:
         # eigenvalue of the linearized dynamics is the mechanical mode's, and
         # its amplitude decays at (gamma + gamma_opt) / 2; the closed form is
         # first order in (g / kappa)^2
-        p = replace(load_config(REFERENCE_CONFIG).tripartite, g_c=0.0)
+        p = replace(load_config(REFERENCE_CONFIG)[0].tripartite, g_c=0.0)
         g, delta = TWO_PI * g_hz, TWO_PI * delta_hz
         A = drift_matrices(p, {"delta_a": np.array([delta]), "g_b": np.array([g])})[0]
         drift_rate = -2.0 * np.max(np.linalg.eigvals(A).real) - p.gamma
