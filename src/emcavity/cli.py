@@ -162,10 +162,12 @@ def _write_spectrum_csv(path, f_hz, values):
 
 
 def _write_sweep_csv(out_path, axes, res):
-    # the axis values and the floats as two kernel tables, a line per point
-    # each, with the stable flags spliced between them; zeta- and E_N are
-    # NaN, written blank, where unstable or failed
-    axis_lines = format_e17(np.stack([res[name] / TWO_PI for name in axes], axis=1)).tobytes()
+    # the requested Hz grids, meshed as `sweep` meshes them, and the floats
+    # as two kernel tables, a line per point each, with the stable flags
+    # spliced between them; zeta- and E_N are NaN, written blank, where
+    # unstable or failed
+    grids = np.meshgrid(*axes.values(), indexing="ij")
+    axis_lines = format_e17(np.stack([g.ravel() for g in grids], axis=1)).tobytes()
     floats = np.stack([res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"]], axis=1)
     float_lines = format_e17(floats).tobytes().replace(b"nan", b"")
     flags = [b",true," if s else b",false," for s in res["stable"].tolist()]

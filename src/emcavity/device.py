@@ -15,7 +15,7 @@ import numpy as np
 from .constants import EPSILON_0
 from .errors import DataError, DomainError, NumericalError
 from .params import NON_NEGATIVE, POSITIVE, Checked, CheckedArrays, key
-from .tables import open_table, read_table
+from .tables import open_table, read_table, row_line
 
 
 def columns(*names: str, **meta) -> dict:
@@ -76,8 +76,9 @@ class SurfaceSampleSet(CheckedArrays):
     def __post_init__(self):
         super().__post_init__()
         norms = np.sqrt(_rowdot(self.normal, self.normal))
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise DataError("normals must be unit vectors")
+        bad = np.abs(norms - 1.0) > 1e-9
+        if bad.any():
+            raise DataError("normals must be unit vectors", row=int(np.argmax(bad)))
 
 
 # rows per block of _rowdot: a block of parsed records (75 or 123 bytes
@@ -191,15 +192,17 @@ def coupling_rate_moving_boundary(surfaces: list[SurfaceSampleSet], volume: Volu
 def load_samples(cls, path):
     """Read a sample-set CSV whose header is x_m,y_m,z_m (never parsed: no
     integral reads where a sample sits), then cls's field columns in order;
-    a record that fails its checks is a DataError naming the file."""
+    a record that fails its checks is a DataError naming the file, and the
+    line of the sample at fault."""
     layout = [f.metadata["columns"] for f in fields(cls)]
     with open_table(path) as fh:
         arr = read_table(path, fh, ["x_m", "y_m", "z_m", *(c for cols in layout for c in cols)], skip=3)
-    parts = np.split(arr, np.cumsum([len(cols) for cols in layout])[:-1], axis=1)
-    try:
-        return cls(*(p[:, 0] if p.shape[1] == 1 else p for p in parts))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        parts = np.split(arr, np.cumsum([len(cols) for cols in layout])[:-1], axis=1)
+        try:
+            return cls(*(p[:, 0] if p.shape[1] == 1 else p for p in parts))
+        except DataError as exc:
+            line = "" if exc.row is None else f":{row_line(fh, exc.row)}"
+            raise DataError(f"{path}{line}: {exc}") from exc
 
 
 def load_volume_csv(path) -> VolumeSampleSet:

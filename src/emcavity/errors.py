@@ -10,7 +10,12 @@ class DomainError(EmcavityError, ValueError):
 
 
 class DataError(EmcavityError):
-    """Malformed or unusable input data (files, traces)."""
+    """Malformed or unusable input data (files, traces); `row`, where
+    known, is the 0-based sample at fault."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigError(EmcavityError):

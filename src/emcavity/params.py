@@ -71,7 +71,8 @@ class CheckedArrays:
             bound = f.metadata.get("bound")
             ok = np.isfinite(arr) & meets(arr, bound)
             if not ok.all():
-                raise DataError(violation(f.name, arr[~ok][0], bound))
+                first = np.argwhere(~ok)[0]  # its sample, then its column
+                raise DataError(violation(f.name, arr[tuple(first)], bound), row=int(first[0]))
             object.__setattr__(self, f.name, arr)
 
 

@@ -1,10 +1,11 @@
 """Numeric CSV tables: the one reader of sample sets and traces, and the
 one byte-exact writer of their cells, "%.17e".
 
-Reading takes a numeric body in bulk with `np.loadtxt` and falls back to
-a row-by-row pass that names the first bad row.  Writing computes every
-cell's decimal digits exactly in float64 and lays them out with array
-operations; a cell it cannot decide with certainty goes through `%`.
+Reading takes a numeric body in bulk with `np.loadtxt`, the one parser of
+a cell; a row-by-row pass only names the first row it refuses.  Writing
+computes every cell's decimal digits exactly in float64 and lays them out
+with array operations; a cell it cannot decide with certainty goes
+through `%`.
 """
 
 from __future__ import annotations
@@ -58,9 +59,19 @@ def read_table(path, fh, columns=None, skip=0) -> np.ndarray:
     chunks, after the header's lines; an absolute path never parses as a
     URL.  Compressed suffixes, which loadtxt would decompress, and the
     in-memory copy of any other input are read through the handle.
+
+    loadtxt is the one parser of a cell.  Where it refuses the body, the
+    same call reads the body's lines once more without the blank rows, and
+    with one-character placeholders (4 bytes: one byte holds no text
+    outside Latin-1); where it refuses those too, `_refuse` names the row.
     """
     ncols = len(columns) if columns else 3
-    row = [("skip", "S1", (skip,)), ("cells", float, (ncols - skip,))]
+    usecols = None if columns else range(ncols)
+
+    def load(source, placeholder="U1", skiprows=0):
+        row = [("skip", placeholder, (skip,)), ("cells", float, (ncols - skip,))]
+        return _loadtxt(source, row, usecols, skiprows)["cells"]
+
     reader = csv.reader(fh)
     header = next(reader, None)
     if columns and (header is None or [c.strip() for c in header] != columns):
@@ -70,55 +81,85 @@ def read_table(path, fh, columns=None, skip=0) -> np.ndarray:
     name = os.path.abspath(os.fsdecode(path))
     by_path = not isinstance(fh, io.StringIO) and not name.endswith(_COMPRESSED)
     try:
-        with warnings.catch_warnings():  # a header-only file is reported below
-            warnings.simplefilter("ignore", UserWarning)
-            arr = np.loadtxt(name if by_path else fh,
-                             skiprows=reader.line_num if by_path else 0, encoding="utf-8",
-                             delimiter=",", comments=None, quotechar='"', dtype=row,
-                             ndmin=1, usecols=None if columns else range(ncols))["cells"]
-        ok = np.isfinite(arr).all()
-    except (ValueError, OSError):  # UnicodeDecodeError too: the pass below re-raises it
-        ok = False
-    if not ok:  # name the first bad row, or read the rows loadtxt refuses
+        arr = load(name if by_path else fh, "S1", reader.line_num if by_path else 0)
+    except (ValueError, OSError):  # UnicodeDecodeError too: readlines re-raises it
         fh.seek(0)
-        arr = _parse_rows(path, csv.reader(fh), ncols, skip, exact=bool(columns))
+        lines = fh.readlines()
+        try:
+            arr = load(_without_blank_rows(lines, reader.line_num))
+        except ValueError as exc:
+            _refuse(path, lines, load, ncols, skip, bool(columns), str(exc))
+    if not np.isfinite(arr).all():
+        fh.seek(0)
+        _refuse(path, fh.readlines(), load, ncols, skip, bool(columns), "non-finite sample")
     if not len(arr):
         raise DataError(f"{path}: no data rows")
     return arr
 
 
+def _loadtxt(source, dtype, usecols, skiprows=0):
+    """np.loadtxt of CSV text, as every read here calls it."""
+    with warnings.catch_warnings():  # a header-only file is reported by read_table
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, dtype=dtype, usecols=usecols, skiprows=skiprows, encoding="utf-8",
+                          delimiter=",", comments=None, quotechar='"', ndmin=1)
+
+
 def data_rows(reader):
-    """(file line, cells) of each row after the header that is not blank:
-    the rows read_table keeps.  A row's line is the one it starts on."""
+    """(first line, last line, cells) of each row after the header that is
+    not blank, the rows read_table keeps; a blank row's cells are all empty
+    or whitespace."""
     next(reader, None)
     start = reader.line_num + 1
     for row in reader:
         if any(c.strip() for c in row):
-            yield start, row
+            yield start, reader.line_num, row
         start = reader.line_num + 1
 
 
 def row_line(fh, row: int) -> int:
     """The file line of data row `row` (0-based) of the table in `fh`."""
     fh.seek(0)
-    return [n for n, _ in data_rows(csv.reader(fh))][row]
+    return [n for n, _, _ in data_rows(csv.reader(fh))][row]
 
 
-def _parse_rows(path, reader, ncols, skip, exact):
-    """Row-by-row csv.reader + float parse that raises at the first bad row."""
-    rows = []
-    for lineno, row in data_rows(reader):
-        if len(row) != ncols and (exact or len(row) < ncols):
-            got = "" if exact else f", got {len(row)}"
-            raise DataError(f"{path}:{lineno}: expected {ncols} columns{got}")
+def _without_blank_rows(lines, head):
+    """The lines of a table after its header's `head` lines, without
+    data_rows' blank rows.  Where no line holds a quote, a row is a line,
+    and it is blank when it holds nothing but whitespace and commas."""
+    if not any('"' in line for line in lines):
+        return [line for line in lines[head:] if line.replace(",", "").strip()]
+    return [line for first, last, _ in data_rows(csv.reader(lines)) for line in lines[first - 1 : last]]
+
+
+def _refuse(path, lines, load, ncols, skip, exact, reason):
+    """Raise DataError("path:line: ...") at the first data row of the table
+    `lines` that is short (long too, if `exact`) or whose cells `load`
+    refuses or reads as non-finite; if there is none, DataError("path:
+    reason").  Each row is read alone by `load`; nothing read is kept."""
+    for first, last, cells in data_rows(csv.reader(lines)):
+        if len(cells) != ncols and (exact or len(cells) < ncols):
+            got = "" if exact else f", got {len(cells)}"
+            raise DataError(f"{path}:{first}: expected {ncols} columns{got}")
+        text = lines[first - 1 : last]
         try:
-            values = [float(c) for c in row[skip:ncols]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+            values = load(text)
+        except ValueError as exc:  # name the first cell loadtxt refuses in this row
+            bad = (cells[j] for j in range(skip, ncols) if not _reads(text, j))
+            detail = next((f"could not convert string to float: {c!r}" for c in bad), str(exc))
+            raise DataError(f"{path}:{first}: {detail}") from exc
         if not np.isfinite(values).all():
-            raise DataError(f"{path}:{lineno}: non-finite sample")
-        rows.append(values)
-    return np.asarray(rows)
+            raise DataError(f"{path}:{first}: non-finite sample")
+    raise DataError(f"{path}: {reason}")
+
+
+def _reads(text, col: int) -> bool:
+    """Whether loadtxt reads cell `col` of the one-row table `text`."""
+    try:
+        _loadtxt(text, float, [col])
+    except ValueError:
+        return False
+    return True
 
 
 def write_table(path, header: bytes, table):

@@ -40,7 +40,10 @@ def drift_matrices(p: TripartiteParams, grid: dict) -> np.ndarray:
     """(N, 6, 6) real drift matrices in the quadrature basis (X_a, Y_a, X_b,
     Y_b, X_c, Y_c), (X, Y) = u (a, a+); `grid` maps sweepable names to (N,)
     arrays replacing the values in `p`.  DomainError, naming the field,
-    where an entry or a sum of two that `_ladder` forms is not finite."""
+    where an entry or a sum of two that `_ladder` forms is not finite, or
+    where the largest entry is over 2**52 times the smallest nonzero half
+    loss rate: `eigvals` would lose that rate to round-off (a lossless mode
+    has none to lose)."""
     if not set(grid) <= set(SWEEP_AXES):
         raise ValueError(f"cannot sweep parameter {min(set(grid) - set(SWEEP_AXES))!r}")
     names = ("delta_a", "delta_c", "g_b", "g_c", "omega_m")
@@ -52,6 +55,12 @@ def drift_matrices(p: TripartiteParams, grid: dict) -> np.ndarray:
     bad = [k for k, v in largest.items() if not v <= half_max]
     if bad:
         raise DomainError(f"{bad[0]} must be finite and keep the drift matrix in the float range")
+    entries = {**largest, "g_b": 2.0 * largest["g_b"], "gamma": p.gamma / 2.0}
+    top = max(entries, key=entries.get)
+    halves = [rate / 2.0 for rate in (p.kappa_a, p.gamma, p.kappa_c) if rate]
+    if halves and entries[top] * 2.0**-52 > min(halves):
+        raise DomainError(f"{top} must keep every drift entry within 2**52 times the smallest "
+                          "nonzero half loss rate")
     A = np.zeros((np.broadcast(da, dc, gb, gc, om).size, 6, 6))
     for i, (detuning, loss) in enumerate(((da, p.kappa_a), (om, p.gamma), (dc, p.kappa_c))):
         A[:, 2 * i, 2 * i] = A[:, 2 * i + 1, 2 * i + 1] = -loss / 2.0

@@ -323,8 +323,9 @@ class TestTripartite:
     ])
     def test_sweep_axis_cells_follow_the_rows(self, tmp_path, axis1, axis2):
         # each axis value is formatted once and repeated: the file must equal
-        # a row-by-row %.17e writer over sweep's own columns, so a transposed
-        # or mis-repeated axis column fails
+        # a row-by-row %.17e writer over the requested Hz grids, meshed in
+        # sweep's order, and sweep's own columns, so a transposed or
+        # mis-repeated axis column fails
         out = tmp_path / "grid.csv"
         args = ["--config", REFERENCE_CONFIG, "--axis", axis1, "--axis2", axis2, "--out", str(out)]
         assert run(["tripartite", "sweep", *args]) == 0
@@ -332,15 +333,44 @@ class TestTripartite:
         for spec in (axis1, axis2):
             name, grid = spec.split("=")
             start, stop, n = grid.split(":")
-            axes[name[: -len("_hz")]] = TWO_PI * np.linspace(float(start), float(stop), int(n))
-        res = sweep(load_config(REFERENCE_CONFIG)[0].tripartite, axes)
+            axes[name[: -len("_hz")]] = np.linspace(float(start), float(stop), int(n))
+        res = sweep(load_config(REFERENCE_CONFIG)[0].tripartite, {n: TWO_PI * g for n, g in axes.items()})
+        hz = dict(zip(axes, (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))))
         lines = [",".join(f"{n}_hz" for n in axes) + ",stable,max_re_eig_hz,zeta_minus,log_negativity"]
         for i in range(len(res["stable"])):
-            cells = ["%.17e" % (res[n][i] / TWO_PI) for n in axes]
+            cells = ["%.17e" % hz[n][i] for n in axes]
             cells += ["true" if res["stable"][i] else "false", "%.17e" % (res["max_re"][i] / TWO_PI)]
             cells += ["" if np.isnan(res[k][i]) else "%.17e" % res[k][i] for k in ("zeta_minus", "log_negativity")]
             lines.append(",".join(cells))
         assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    def test_sweep_axis_cells_are_the_requested_grid(self, tmp_path):
+        # the axis cells are np.linspace's Hz values bit for bit, where
+        # (2 pi f) / 2 pi misses some by an ulp
+        rng, moved = np.random.default_rng(5), 0
+        out = tmp_path / "x.csv"
+        for _ in range(100):
+            a, b = rng.uniform(-1e7, 1e7, 2).tolist()
+            n = int(rng.integers(1, 39))
+            args = ["--config", REFERENCE_CONFIG, "--axis", f"delta_a_hz={a!r}:{b!r}:{n}", "--out", str(out)]
+            assert run(["tripartite", "sweep", *args]) == 0
+            want = np.linspace(a, b, n)
+            got = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0, ndmin=1)
+            assert got.tobytes() == want.tobytes()
+            moved += int(np.sum(TWO_PI * want / TWO_PI != want))
+        assert moved > 0
+
+    def test_sweep_refuses_a_detuning_that_swamps_the_losses(self, tmp_path, capsys):
+        # nothing overflows at 1.4e307 Hz, but the loss rates would vanish in
+        # eigvals' round-off: exit 3, one stderr line naming the field, no
+        # warning (an error under this suite's filterwarnings) and no file
+        out = tmp_path / "x.csv"
+        args = ["--config", REFERENCE_CONFIG, "--axis", "delta_c_hz=0:1.4e307:3", "--out", str(out)]
+        assert run(["tripartite", "sweep", *args]) == 3
+        captured = capsys.readouterr()
+        reason = "delta_c must keep every drift entry within 2**52 times the smallest nonzero half loss rate"
+        assert (captured.err, captured.out) == (f"numerical error: {reason}\n", "")
+        assert not out.exists()
 
     def test_non_finite_config_is_config_error(self, tmp_path, capsys):
         # Python's json reads NaN and Infinity; a NaN occupation used to
@@ -788,13 +818,13 @@ class TestDevice:
         [
             ("vol", 3, "ez_vpm", "nan", "{path}:3: non-finite sample"),
             ("vol", 3, "rho_kgpm3", "inf", "{path}:3: non-finite sample"),
-            ("vol", 3, "w_m3", "0", "{path}: weight must be finite and > 0, got 0.0"),
-            ("vol", 3, "w_m3", "-2e-23", "{path}: weight must be finite and > 0, got -2e-23"),
+            ("vol", 3, "w_m3", "0", "{path}:3: weight must be finite and > 0, got 0.0"),
+            ("vol", 3, "w_m3", "-2e-23", "{path}:3: weight must be finite and > 0, got -2e-23"),
             ("surf", 2, "dz_cpm2", "NaN", "{path}:2: non-finite sample"),
             ("surf", 2, "eps1_rel", "-inf", "{path}:2: non-finite sample"),
-            ("surf", 2, "a_m2", "0", "{path}: area must be finite and > 0, got 0.0"),
-            ("surf", 2, "a_m2", "-1e-8", "{path}: area must be finite and > 0, got -1e-08"),
-            ("surf", 2, "nz", "-0.5", "{path}: normals must be unit vectors"),
+            ("surf", 2, "a_m2", "0", "{path}:2: area must be finite and > 0, got 0.0"),
+            ("surf", 2, "a_m2", "-1e-8", "{path}:2: area must be finite and > 0, got -1e-08"),
+            ("surf", 2, "nz", "-0.5", "{path}:2: normals must be unit vectors"),
         ],
     )
     def test_bad_sample_is_data_error(self, device_files, capsys, name, line, column, cell, message):
@@ -808,6 +838,33 @@ class TestDevice:
         capsys.readouterr()
         assert self.g0(device_files, lumped) == 2
         assert capsys.readouterr().err == f"data error: {message.format(path=path)}\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("blank", ["   ", ",,,,,,,,,,,", '""'])
+    @pytest.mark.parametrize("where", ["middle", "end"])
+    def test_blank_rows_give_the_clean_g0(self, device_files, tmp_path, capsys, blank, where):
+        # a blank volume row, read from a file or from a pipe, prints the
+        # clean file's g0 JSON byte for byte
+        vol, surf, lumped = device_files
+        args = ["--surface", str(surf), "--lumped", str(lumped), "--f-m-hz", "4e6"]
+        capsys.readouterr()
+        assert run(["device", "g0", "--volume", str(vol), *args]) == 0
+        want = capsys.readouterr()
+        lines = vol.read_text().splitlines(keepends=True)
+        lines.insert(len(lines) // 2 if where == "middle" else len(lines), blank + "\n")
+        data = "".join(lines).encode()
+        blank_vol = tmp_path / "blank.csv"
+        blank_vol.write_bytes(data)
+        assert run(["device", "g0", "--volume", str(blank_vol), *args]) == 0
+        assert capsys.readouterr() == want
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            assert run(["device", "g0", "--volume", f"/dev/fd/{r}", *args]) == 0
+        finally:
+            os.close(r)
+        assert capsys.readouterr() == want
 
     @pytest.mark.parametrize("name", ["vol", "lumped"])
     def test_non_utf8_file_is_data_error(self, device_files, capsys, name):

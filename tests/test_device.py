@@ -357,6 +357,8 @@ class TestLoaderDiagnostics:
              "{path}:4: could not convert string to float: 'x'"),
             # the first read column, w_m3, is parsed like every later one
             (f"{ROW_A}\n1,2,3,x,5,6,7,8,9,10,11,12\n", "{path}:3: could not convert string to float: 'x'"),
+            # float() syntax that loadtxt refuses
+            (f"{ROW_A.replace('1.5', '1_5e-1')}\n{ROW_B}\n", "{path}:2: could not convert string to float: '1_5e-1'"),
             (f"{ROW_A}\n1,2,3,nan,5,6,7,8,9,10,11,12\n", "{path}:3: non-finite sample"),
             (f"{ROW_A}\n1,2,3,4,5,6,7,8,9,10,11,inf\n", "{path}:3: non-finite sample"),
             (f"{ROW_A}\n# comment\n{ROW_B}\n", "{path}:3: expected 12 columns"),
@@ -412,12 +414,11 @@ class TestLoaderDiagnostics:
             f"{VOLUME_HEADER}\n{ROW_A}\n{ROW_B}",  # no final newline
             f"{VOLUME_HEADER}\n\"1.5\",{ROW_A[4:]}\n{ROW_B}\n",  # quoted number
             f"{VOLUME_HEADER}\n{ROW_A.replace(',', ' , ')}\n{ROW_B}\n",  # padded cells
-            f"{VOLUME_HEADER}\n{ROW_A.replace('1.5', '1_5e-1')}\n{ROW_B}\n",  # float() syntax
             f" {VOLUME_HEADER.replace(',', ' , ')}\n{ROW_A}\n{ROW_B}\n",  # padded header
             # x_m, y_m, z_m are counted but never parsed
             f"{VOLUME_HEADER}\nx,nan,3,{ROW_A[12:]}\n{ROW_B}\n",
             f"{VOLUME_HEADER}\n\"1,2\",inf,,{ROW_A[12:]}\n{ROW_B}\n",
-            # a non-Latin-1 cell makes the bulk pass hand over to the row pass
+            # a non-Latin-1 position cell makes the bulk pass hand over to the retry
             f"{VOLUME_HEADER}\n{ROW_A}\n1.23456789012345678e-05,\u20ac,\"\",{ROW_B[12:]}\n",
         ],
     )

@@ -628,6 +628,9 @@ class TestTraceDiagnostics:
             (trace_text(replaced(3, "3.5,0.1")), "{path}:5: expected 3 columns, got 2"),
             (trace_text(replaced(3, "3.0,oops,0.2")),
              "{path}:5: could not convert string to float: 'oops'"),
+            # float() syntax that loadtxt refuses
+            (trace_text([r.replace(".0", "_0") for r in TRACE_ROWS]),
+             "{path}:2: could not convert string to float: '0_0'"),
             (trace_text(replaced(4, "4.0,nan,0.2")), "{path}:6: non-finite sample"),
             (trace_text(replaced(4, "4.0,0.1,NaN")), "{path}:6: non-finite sample"),
             (trace_text(replaced(5, "5.0,inf,0.2")), "{path}:7: non-finite sample"),
@@ -683,7 +686,6 @@ class TestTraceDiagnostics:
             trace_text([r + ',"a,b"' for r in TRACE_ROWS]),
             trace_text(TRACE_ROWS, header='"f\nhz";anything'),  # any header
             trace_text([" " + r.replace(",", " , ") + " " for r in TRACE_ROWS]),
-            trace_text([r.replace(".0", "_0") for r in TRACE_ROWS]),  # float() syntax
         ],
     )
     def test_accepted_variants(self, tmp_path, text):

@@ -1,13 +1,21 @@
 """The one cell writer, format_e17, against `"%.17e" % x` byte for byte,
-and traces in the format it replaced, which read back the same."""
+traces in the format it replaced, which read back the same, and the one
+cell reader, np.loadtxt: blank rows cost a second loadtxt call, and the
+row walk only names the row that loadtxt refuses."""
 
 import math
+import os
+from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emcavity import tables
 from emcavity.cli import main
+from emcavity.device import load_surface_csv, load_volume_csv
+from emcavity.errors import DataError
 from emcavity.fitting import (
     ReflectionModelParams,
     load_trace,
@@ -121,3 +129,147 @@ def test_old_format_trace_reads_the_same(tmp_path):
             assert got.tobytes() == want.tobytes()
         assert main(["fit", "reflect", "--in", str(path), "--out", f"{path}.json"]) == 0
     assert (tmp_path / "old.csv.json").read_bytes() == (tmp_path / "new.csv.json").read_bytes()
+
+
+VOLUME_HEADER = "x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m"
+SURFACE_HEADER = ("x_m,y_m,z_m,a_m2,nx,ny,nz,qx_m,qy_m,qz_m,"
+                  "ex_vpm,ey_vpm,ez_vpm,dx_cpm2,dy_cpm2,dz_cpm2,eps1_rel,eps2_rel")
+# the rows data_rows calls blank: whitespace-only, comma-only, one empty quoted cell
+BLANK_ROWS = {"spaces": "   ", "commas": ",,,,,,,,,,,", "quotes": '""'}
+READERS = {"volume": load_volume_csv, "surface": load_surface_csv, "trace": load_trace}
+
+
+def clean_lines(kind):
+    """A valid table of `kind`, as a header line and 8 row lines of "%.17g"
+    cells (unit normals, positive weights and areas, rising frequencies)."""
+    rng = np.random.default_rng(28)
+    if kind == "trace":
+        return "f_hz,re,im", [f"{i + 1},{x!r},{y!r}" for i, (x, y) in enumerate(rng.normal(size=(8, 2)).tolist())]
+    header = VOLUME_HEADER if kind == "volume" else SURFACE_HEADER
+    cells = rng.uniform(0.5, 1.5, (8, header.count(",") + 1))
+    if kind == "surface":
+        cells[:, 4:7] = 0.0, 0.0, -1.0
+    return header, [",".join("%.17g" % x for x in row) for row in cells]
+
+
+def table_bytes(header, rows):
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+def with_cell(row, column, cell):
+    """The row line with its cell `column` replaced by `cell`."""
+    cells = row.split(",")
+    cells[column] = cell
+    return ",".join(cells)
+
+
+def loaded(kind, path):
+    """What the loader of `kind` read from `path`, as bytes."""
+    record = READERS[kind](path)
+    return b"".join(np.ascontiguousarray(getattr(record, f.name)).tobytes() for f in fields(record))
+
+
+def through_pipe(data: bytes, read):
+    """read("/dev/fd/N") on the read end of a filled, closed pipe, as a
+    shell's <(cat file) passes it."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@needs_dev_fd
+class TestOneReader:
+    """np.loadtxt turns every cell into a float.  A blank row costs one more
+    loadtxt call over the lines without it, and the row walk only names the
+    first row loadtxt refuses."""
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("blank", sorted(BLANK_ROWS))
+    @pytest.mark.parametrize("where", [4, 8])  # after the fourth row, after the last
+    def test_blank_rows_read_as_the_clean_file(self, tmp_path, monkeypatch, kind, blank, where):
+        # the row walk is never reached: the data come from loadtxt alone
+        header, rows = clean_lines(kind)
+        (tmp_path / "clean.csv").write_bytes(table_bytes(header, rows))
+        want = loaded(kind, tmp_path / "clean.csv")
+        data = table_bytes(header, [*rows[:where], BLANK_ROWS[blank], *rows[where:]])
+        path = tmp_path / "blank.csv"
+        path.write_bytes(data)
+
+        def walk(*args):
+            raise AssertionError("the row walk ran")
+
+        monkeypatch.setattr(tables, "_refuse", walk)
+        assert loaded(kind, path) == want
+        assert through_pipe(data, lambda p: loaded(kind, p)) == want
+
+    @pytest.mark.parametrize("kind", ["volume", "trace"])
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])  # float() reads both: 10.0, 12.0
+    @pytest.mark.parametrize("blank", [None, "spaces", "commas", "quotes"])
+    def test_cells_loadtxt_refuses_name_their_line(self, tmp_path, kind, cell, blank):
+        # data row 6, at line 7, or line 8 below a blank row at line 4
+        header, rows = clean_lines(kind)
+        rows[5] = with_cell(rows[5], -1, cell)
+        if blank:
+            rows.insert(2, BLANK_ROWS[blank])
+        data = table_bytes(header, rows)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        message = f"{8 if blank else 7}: could not convert string to float: {cell!r}"
+        with pytest.raises(DataError) as info:
+            READERS[kind](path)
+        assert str(info.value) == f"{path}:{message}"
+        with pytest.raises(DataError) as info:
+            through_pipe(data, READERS[kind])
+        assert str(info.value).split(":", 1)[1] == message
+
+    def test_a_refusal_with_no_row_to_blame_names_the_file(self, tmp_path, monkeypatch):
+        # where the row walk finds no row, the file is refused all the same,
+        # with loadtxt's own message
+        header, rows = clean_lines("trace")
+        rows[5] = with_cell(rows[5], 1, "1_0")
+        path = tmp_path / "trace.csv"
+        path.write_bytes(table_bytes(header, [*rows, BLANK_ROWS["spaces"]]))
+        monkeypatch.setattr(tables, "data_rows", lambda reader: iter(()))
+        with pytest.raises(DataError) as info:
+            load_trace(path)
+        assert str(info.value).startswith(f"{path}: could not convert string '1_0' to float64")
+
+    @pytest.mark.parametrize("blank", [None, *sorted(BLANK_ROWS)])
+    def test_padded_cells_and_non_numeric_positions_still_read(self, tmp_path, blank):
+        # " 1.5 " is 1.5, and x_m, y_m, z_m are counted but never parsed
+        header, rows = clean_lines("volume")
+        want = rows[3].split(",")[3]
+        rows[3] = ",".join(["x", "\u20ac", '""', f" {want} ", *rows[3].split(",")[4:]])
+        if blank:
+            rows.insert(5, BLANK_ROWS[blank])
+        path = tmp_path / "vol.csv"
+        path.write_bytes(table_bytes(header, rows))
+        assert load_volume_csv(path).weight[3] == float(want)
+
+    @pytest.mark.parametrize("kind, column, cell, message", [
+        ("volume", 3, "-1e-20", "weight must be finite and > 0, got -1e-20"),
+        ("surface", 3, "0", "area must be finite and > 0, got 0.0"),
+        ("surface", 6, "-0.5", "normals must be unit vectors"),
+    ])
+    def test_bound_violation_names_its_line(self, tmp_path, kind, column, cell, message):
+        # the line map of the row walk, blank rows counted: data row 6 is
+        # at line 9 below two blank rows
+        header, rows = clean_lines(kind)
+        rows[5] = with_cell(rows[5], column, cell)
+        rows[1:1] = [BLANK_ROWS["spaces"], BLANK_ROWS["quotes"]]
+        data = table_bytes(header, rows)
+        path = tmp_path / "set.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as info:
+            READERS[kind](path)
+        assert str(info.value) == f"{path}:9: {message}"
+        with pytest.raises(DataError) as info:
+            through_pipe(data, READERS[kind])
+        assert str(info.value).split(":", 2)[1:] == ["9", f" {message}"]

@@ -540,10 +540,34 @@ class TestEntanglementWorkflow:
                 sweep(reference_tripartite, axes)
 
     def test_largest_drift_values_pass(self, reference_tripartite):
-        # |v| = max / 2 keeps 2 v finite: the check lets it through
+        # |v| = max / 2 keeps 2 v finite: the check lets it through, here
+        # without losses, which no entry can swamp
+        lossless = replace(reference_tripartite, kappa_a_in=0.0, kappa_a_ex=0.0, kappa_c_in=0.0,
+                           kappa_c_ex=0.0, gamma=0.0)
         half = np.finfo(float).max / 2.0
-        A = drift_matrices(reference_tripartite, {"delta_a": np.array([-half, half]), "g_c": [half]})
+        A = drift_matrices(lossless, {"delta_a": np.array([-half, half]), "g_c": [half]})
         assert np.isfinite(A).all() and np.isfinite(_ladder(A)).all()
+
+    @pytest.mark.parametrize("field, entry, edit", [
+        ("delta_c", 1.0, {}),
+        ("g_b", 2.0, {}),  # a coupling enters the drift as 2 g_b
+        ("delta_a", 1.0, {"gamma": 0.0}),  # a lossless mode leaves kappa / 2 the smallest
+    ])
+    def test_drift_entries_stay_above_the_loss_round_off(self, reference_tripartite, field, entry, edit):
+        # eigvals resolves a loss rate only above ~2**-52 of the largest
+        # entry: up to 2**52 times the smallest nonzero half loss rate an
+        # entry passes, one ulp more is a DomainError naming the field, and
+        # numpy warns nothing
+        p = replace(reference_tripartite, **edit)
+        half = min(rate / 2.0 for rate in (p.kappa_a, p.gamma, p.kappa_c) if rate)
+        limit = half * 2.0**52 / entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drift_matrices(p, {field: np.array([0.0, -limit])})
+            reason = (f"^{field} must keep every drift entry within "
+                      f"2\\*\\*52 times the smallest nonzero half loss rate$")
+            with pytest.raises(DomainError, match=reason):
+                sweep(p, {field: np.array([0.0, np.nextafter(limit, np.inf)])})
 
     def test_sweep_rejects_unknown_axis(self, reference_tripartite):
         with pytest.raises(ValueError):
