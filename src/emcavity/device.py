@@ -15,7 +15,7 @@ import numpy as np
 from .constants import EPSILON_0
 from .errors import DataError, DomainError, NumericalError
 from .params import NON_NEGATIVE, POSITIVE, Checked, CheckedArrays, key
-from .tables import open_table, read_table, row_line
+from .tables import read_table
 
 
 def columns(*names: str, **meta) -> dict:
@@ -192,17 +192,11 @@ def coupling_rate_moving_boundary(surfaces: list[SurfaceSampleSet], volume: Volu
 def load_samples(cls, path):
     """Read a sample-set CSV whose header is x_m,y_m,z_m (never parsed: no
     integral reads where a sample sits), then cls's field columns in order;
-    a record that fails its checks is a DataError naming the file, and the
-    line of the sample at fault."""
+    a record that fails its checks names the line of the sample at fault."""
     layout = [f.metadata["columns"] for f in fields(cls)]
-    with open_table(path) as fh:
-        arr = read_table(path, fh, ["x_m", "y_m", "z_m", *(c for cols in layout for c in cols)], skip=3)
+    with read_table(path, ["x_m", "y_m", "z_m", *(c for cols in layout for c in cols)], skip=3) as arr:
         parts = np.split(arr, np.cumsum([len(cols) for cols in layout])[:-1], axis=1)
-        try:
-            return cls(*(p[:, 0] if p.shape[1] == 1 else p for p in parts))
-        except DataError as exc:
-            line = "" if exc.row is None else f":{row_line(fh, exc.row)}"
-            raise DataError(f"{path}{line}: {exc}") from exc
+        return cls(*(p[:, 0] if p.shape[1] == 1 else p for p in parts))
 
 
 def load_volume_csv(path) -> VolumeSampleSet:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DataError, DomainError, GuessError, NumericalError
 from .linear_response import mechanical_self_energy, reflection_partials, reflection_terms
 from .params import NON_NEGATIVE, POSITIVE, Checked, CheckedArrays, key
-from .tables import open_table, read_table, row_line, write_table
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ class ComplexTrace(CheckedArrays):
         super().__post_init__()
         if len(self.f_hz) < 7:
             raise DataError("trace needs at least 7 samples (7-parameter model)")
-        if not np.all(np.diff(self.f_hz) > 0):
-            raise DataError("trace frequency must be strictly increasing")
+        rising = np.diff(self.f_hz) > 0
+        if not rising.all():
+            raise DataError("trace frequency must be strictly increasing", row=int(np.argmin(rising)) + 1)
 
     @property
     def omega(self) -> np.ndarray:
@@ -450,23 +451,17 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
     (f_hz, mag_db, phase_rad)."""
     if fmt not in ("re_im", "db_phase"):
         raise ValueError(f"unknown trace format: {fmt!r}")
-    with open_table(path) as fh:
-        f, re, im = read_table(path, fh).T
-        if not np.all(np.diff(f) > 0):
-            bad = int(np.argmax(np.diff(f) <= 0)) + 1
-            raise DataError(f"{path}: frequency not strictly increasing near line {row_line(fh, bad)}")
+    with read_table(path) as arr:
+        f, re, im = arr.T
         if fmt == "db_phase":
             with np.errstate(over="ignore"):
                 mag = 10.0 ** (re / 20.0)
             if not np.isfinite(mag).all():
                 bad = int(np.argmin(np.isfinite(mag)))
-                raise DataError(f"{path}:{row_line(fh, bad)}: mag_db out of range, got {re[bad]}")
+                raise DataError(f"mag_db out of range, got {re[bad]}", row=bad)
             c = mag * np.exp(1j * im)
             re, im = c.real, c.imag
-    try:
         return ComplexTrace(f_hz=f, re=re, im=im)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_trace(trace: ComplexTrace, path) -> None:

@@ -2,16 +2,17 @@
 one byte-exact writer of their cells, "%.17e".
 
 Reading takes a numeric body in bulk with `np.loadtxt`, the one parser of
-a cell; a row-by-row pass only names the first row it refuses.  Writing
-computes every cell's decimal digits exactly in float64 and lays them out
-with array operations; a cell it cannot decide with certainty goes
-through `%`.
+a cell; a walk over the rows, in blocks, only names the first row it
+refuses, and `read_table` alone turns a data row into `path:line`.
+Writing computes every cell's decimal digits exactly in float64 and lays
+them out with array operations; an undecided cell goes through `%`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import stat
 import warnings
@@ -26,45 +27,41 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @contextmanager
-def open_table(path):
-    """A seekable UTF-8 text handle on the CSV at `path`: the file itself
-    when it is a regular file, otherwise (a pipe, a FIFO, /dev/stdin) its
-    text read once into memory, since it cannot be read twice.  An open,
-    read or decode failure is DataError("cannot read path: ...")."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                yield fh
-            else:
-                yield io.StringIO(fh.read(), newline="")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def read_table(path, fh, columns=None, skip=0) -> np.ndarray:
-    """Parse the UTF-8 numeric CSV body of `fh` (from open_table(path)) in
-    bulk into an (n, k) float array of the k cells read in each row.
+def read_table(path, columns=None, skip=0):
+    """Yield the UTF-8 numeric CSV body at `path` as an (n, k) float array
+    of the k cells read in each row.
 
     With `columns` (sample sets) the stripped header must equal it, and
     each row is one record of exactly that many cells, all but the first
     `skip` read; without (traces) any header passes and the first three
-    cells of each row are read.  Every cell read must be finite.  Blank
-    rows are skipped; a bad row raises DataError("path:line: ...").
+    cells of each row are read.  Every cell read must be finite; blank rows
+    are skipped.  The skipped cells are one-byte placeholders: with `skip`
+    the rows lie skip + 8k bytes apart, not 8-byte aligned.  A pipe or FIFO
+    is read once, into memory.
 
-    The skipped cells are held as one-byte placeholders, so with `skip`
-    the result is a view whose rows lie skip + 8k bytes apart and are not
-    8-byte aligned.
+    The one place that names the file in a message: a DataError raised in
+    the block, by the parse or by the caller's checks of the records, is
+    raised again as "path:line: ..." where its `row` names a 0-based data
+    row, else as "path: ...".  A failure to open, read, decode or split
+    the text is DataError("cannot read path: ...")."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.StringIO(fh.read(), newline="")
+            try:
+                yield _parse(path, text, columns, skip)
+            except DataError as exc:
+                line = "" if exc.row is None else f":{_line(text, exc.row)}"
+                raise DataError(f"{path}{line}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
-    A regular file's body is read by loadtxt from its absolute path, in C
-    chunks, after the header's lines; an absolute path never parses as a
-    URL.  Compressed suffixes, which loadtxt would decompress, and the
-    in-memory copy of any other input are read through the handle.
 
-    loadtxt is the one parser of a cell.  Where it refuses the body, the
-    same call reads the body's lines once more without the blank rows, and
-    with one-character placeholders (4 bytes: one byte holds no text
-    outside Latin-1); where it refuses those too, `_refuse` names the row.
-    """
+def _parse(path, fh, columns, skip) -> np.ndarray:
+    """read_table's array from `fh`, the text of `path`, or its DataError.
+    loadtxt reads a regular file's body in C chunks from its absolute path
+    (never a URL), other text through `fh`.  Where it refuses the body, it
+    reads the lines again without the blank rows, with 4-byte placeholders
+    that hold any text; where it refuses those too, `_refuse` names the row."""
     ncols = len(columns) if columns else 3
     usecols = None if columns else range(ncols)
 
@@ -75,9 +72,9 @@ def read_table(path, fh, columns=None, skip=0) -> np.ndarray:
     reader = csv.reader(fh)
     header = next(reader, None)
     if columns and (header is None or [c.strip() for c in header] != columns):
-        raise DataError(f"{path}: expected header {','.join(columns)}")
+        raise DataError(f"expected header {','.join(columns)}")
     if header is None:
-        raise DataError(f"{path}: empty file")
+        raise DataError("empty file")
     name = os.path.abspath(os.fsdecode(path))
     by_path = not isinstance(fh, io.StringIO) and not name.endswith(_COMPRESSED)
     try:
@@ -86,80 +83,93 @@ def read_table(path, fh, columns=None, skip=0) -> np.ndarray:
         fh.seek(0)
         lines = fh.readlines()
         try:
-            arr = load(_without_blank_rows(lines, reader.line_num))
+            arr = load(_without_blank_rows(lines))
         except ValueError as exc:
-            _refuse(path, lines, load, ncols, skip, bool(columns), str(exc))
-    if not np.isfinite(arr).all():
-        fh.seek(0)
-        _refuse(path, fh.readlines(), load, ncols, skip, bool(columns), "non-finite sample")
+            _refuse(lines, load, ncols, skip, bool(columns), str(exc))
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise DataError("non-finite sample", row=int(np.argmin(finite.all(axis=1))))
     if not len(arr):
-        raise DataError(f"{path}: no data rows")
+        raise DataError("no data rows")
     return arr
 
 
 def _loadtxt(source, dtype, usecols, skiprows=0):
     """np.loadtxt of CSV text, as every read here calls it."""
-    with warnings.catch_warnings():  # a header-only file is reported by read_table
+    with warnings.catch_warnings():  # a header-only file is reported by _parse
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(source, dtype=dtype, usecols=usecols, skiprows=skiprows, encoding="utf-8",
                           delimiter=",", comments=None, quotechar='"', ndmin=1)
 
 
-def data_rows(reader):
-    """(first line, last line, cells) of each row after the header that is
-    not blank, the rows read_table keeps; a blank row's cells are all empty
-    or whitespace."""
+def _data_rows(lines):
+    """(first line, last line, cells) of each row of the table `lines`
+    after the header that is not blank (all cells empty or whitespace).
+    Where no line holds a quote, csv reads a line as a row of the cells
+    between its commas."""
+    if not any('"' in line for line in lines):
+        for n, line in enumerate(lines[1:], 2):
+            cells = line.rstrip("\r\n").split(",")
+            if "".join(cells).strip():
+                yield n, n, cells
+        return
+    reader = csv.reader(lines)
     next(reader, None)
     start = reader.line_num + 1
     for row in reader:
-        if any(c.strip() for c in row):
+        if "".join(row).strip():
             yield start, reader.line_num, row
         start = reader.line_num + 1
 
 
-def row_line(fh, row: int) -> int:
+def _line(fh, row: int) -> int:
     """The file line of data row `row` (0-based) of the table in `fh`."""
     fh.seek(0)
-    return [n for n, _, _ in data_rows(csv.reader(fh))][row]
+    return next(itertools.islice(_data_rows(fh.readlines()), row, None))[0]
 
 
-def _without_blank_rows(lines, head):
-    """The lines of a table after its header's `head` lines, without
-    data_rows' blank rows.  Where no line holds a quote, a row is a line,
-    and it is blank when it holds nothing but whitespace and commas."""
+def _without_blank_rows(lines):
+    """The lines of _data_rows; where no line holds a quote, the lines
+    after the first that hold more than whitespace and commas."""
     if not any('"' in line for line in lines):
-        return [line for line in lines[head:] if line.replace(",", "").strip()]
-    return [line for first, last, _ in data_rows(csv.reader(lines)) for line in lines[first - 1 : last]]
+        return [line for line in lines[1:] if line.replace(",", "").strip()]
+    return [line for first, last, _ in _data_rows(lines) for line in lines[first - 1 : last]]
 
 
-def _refuse(path, lines, load, ncols, skip, exact, reason):
-    """Raise DataError("path:line: ...") at the first data row of the table
+_WALK_BLOCK = 1024  # data rows that _refuse checks with one load
+
+
+def _refuse(lines, load, ncols, skip, exact, reason):
+    """Raise DataError(..., row=k) at the first data row k of the table
     `lines` that is short (long too, if `exact`) or whose cells `load`
-    refuses or reads as non-finite; if there is none, DataError("path:
-    reason").  Each row is read alone by `load`; nothing read is kept."""
-    for first, last, cells in data_rows(csv.reader(lines)):
-        if len(cells) != ncols and (exact or len(cells) < ncols):
-            got = "" if exact else f", got {len(cells)}"
-            raise DataError(f"{path}:{first}: expected {ncols} columns{got}")
-        text = lines[first - 1 : last]
+    refuses or reads as non-finite; if there is none, DataError(reason).
+    The rows are checked a block at a time, and one at a time only in a
+    block that fails; nothing read is kept."""
+
+    def fault(rows):
+        """What is wrong with `rows`, or None; for one row, its message."""
+        for _, _, cells in rows:
+            if len(cells) != ncols and (exact or len(cells) < ncols):
+                return f"expected {ncols} columns" + ("" if exact else f", got {len(cells)}")
+        text = [line for first, last, _ in rows for line in lines[first - 1 : last]]
         try:
-            values = load(text)
-        except ValueError as exc:  # name the first cell loadtxt refuses in this row
-            bad = (cells[j] for j in range(skip, ncols) if not _reads(text, j))
-            detail = next((f"could not convert string to float: {c!r}" for c in bad), str(exc))
-            raise DataError(f"{path}:{first}: {detail}") from exc
-        if not np.isfinite(values).all():
-            raise DataError(f"{path}:{first}: non-finite sample")
-    raise DataError(f"{path}: {reason}")
+            return None if np.isfinite(load(text)).all() else "non-finite sample"
+        except ValueError as exc:  # name the first cell loadtxt refuses in a lone row
+            for j, cell in enumerate(rows[0][2][skip:ncols] if len(rows) == 1 else (), skip):
+                try:
+                    _loadtxt(text, float, [j])
+                except ValueError:
+                    return f"could not convert string to float: {cell!r}"
+            return str(exc)
 
-
-def _reads(text, col: int) -> bool:
-    """Whether loadtxt reads cell `col` of the one-row table `text`."""
-    try:
-        _loadtxt(text, float, [col])
-    except ValueError:
-        return False
-    return True
+    rows, start = _data_rows(lines), 0
+    while block := list(itertools.islice(rows, _WALK_BLOCK)):
+        if fault(block):
+            for k, row in enumerate(block, start):
+                if message := fault([row]):
+                    raise DataError(message, row=k)
+        start += len(block)
+    raise DataError(reason)
 
 
 def write_table(path, header: bytes, table):

@@ -618,7 +618,7 @@ class TestPipeInput:
         [
             ("re_im", "f_hz,re,im\n1,0,0\n2,0,0\n1.5,0,0\n"
              + "".join(f"{k},0.1,0.2\n" for k in range(3, 12)),
-             "{path}: frequency not strictly increasing near line 4"),
+             "{path}:4: trace frequency must be strictly increasing"),
             ("re_im", "f_hz,re,im\n1,2,3\n4,5\n", "{path}:3: expected 3 columns, got 2"),
             ("db_phase", "f_hz,mag_db,phase_rad\n"
              + "".join(f"{k},{1e308 if k == 5 else -3},0.1\n" for k in range(1, 12)),

@@ -641,12 +641,12 @@ class TestTraceDiagnostics:
             (trace_text(replaced(2, "", "  ", "2.5,0.1,nan")), "{path}:6: non-finite sample"),
             (trace_text(replaced(4, "# note", TRACE_ROWS[4])), "{path}:6: expected 3 columns, got 1"),
             (trace_text(replaced(4, "2.0,0.1,0.2")),
-             "{path}: frequency not strictly increasing near line 6"),
+             "{path}:6: trace frequency must be strictly increasing"),
             (trace_text(replaced(4, "", "  ", "2.0,0.1,0.2")),
-             "{path}: frequency not strictly increasing near line 8"),
+             "{path}:8: trace frequency must be strictly increasing"),
             # a quoted cell spanning lines 5-6 is one row; the next starts on line 7
             (trace_text(replaced(3, '3.0,0.1,0.2,"x', 'y"', "2.0,0.1,0.2")),
-             "{path}: frequency not strictly increasing near line 7"),
+             "{path}:7: trace frequency must be strictly increasing"),
             (trace_text(replaced(3, '3.0,0.1,0.2,"x', 'y"', "3.5,nan,0")), "{path}:7: non-finite sample"),
             ("f_hz,re,im\n", "{path}: no data rows"),
             ("f_hz,re,im\n\n\n", "{path}: no data rows"),

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from emcavity.tables import format_e17, open_table, read_table
+from emcavity.tables import format_e17, read_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,7 +32,6 @@ def test_scripts_run(tmp_path):
     # gives the file's bytes
     path = tmp_path / "omit_evolution.csv"
     header = ["n_bar", "g_hz", "center_mag", "side_mag"]
-    with open_table(path) as fh:
-        table = read_table(path, fh, columns=header)
-    assert table.shape == (5, 4)
-    assert path.read_bytes() == (",".join(header) + "\n").encode() + format_e17(table).tobytes()
+    with read_table(path, columns=header) as table:
+        assert table.shape == (5, 4)
+        assert path.read_bytes() == (",".join(header) + "\n").encode() + format_e17(table).tobytes()

@@ -1,10 +1,13 @@
 """The one cell writer, format_e17, against `"%.17e" % x` byte for byte,
 traces in the format it replaced, which read back the same, and the one
-cell reader, np.loadtxt: blank rows cost a second loadtxt call, and the
-row walk only names the row that loadtxt refuses."""
+cell reader, np.loadtxt: blank rows cost a second loadtxt call, the row
+walk only names the row that loadtxt refuses, a block of rows at a time,
+and read_table alone turns that row into its line."""
 
+import contextlib
 import math
 import os
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -134,7 +137,7 @@ def test_old_format_trace_reads_the_same(tmp_path):
 VOLUME_HEADER = "x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m"
 SURFACE_HEADER = ("x_m,y_m,z_m,a_m2,nx,ny,nz,qx_m,qy_m,qz_m,"
                   "ex_vpm,ey_vpm,ez_vpm,dx_cpm2,dy_cpm2,dz_cpm2,eps1_rel,eps2_rel")
-# the rows data_rows calls blank: whitespace-only, comma-only, one empty quoted cell
+# the rows _data_rows calls blank: whitespace-only, comma-only, one empty quoted cell
 BLANK_ROWS = {"spaces": "   ", "commas": ",,,,,,,,,,,", "quotes": '""'}
 READERS = {"volume": load_volume_csv, "surface": load_surface_csv, "trace": load_trace}
 
@@ -170,15 +173,22 @@ def loaded(kind, path):
 
 
 def through_pipe(data: bytes, read):
-    """read("/dev/fd/N") on the read end of a filled, closed pipe, as a
-    shell's <(cat file) passes it."""
+    """read("/dev/fd/N") on the read end of a pipe that a writer thread
+    fills and closes, as a shell's <(cat file) passes it; the thread lets
+    data larger than the pipe's buffer through."""
     r, w = os.pipe()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
     try:
-        os.write(w, data)
-        os.close(w)
         return read(f"/dev/fd/{r}")
     finally:
-        os.close(r)
+        os.close(r)  # a writer still blocked gets EPIPE
+        writer.join()
 
 
 needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -236,7 +246,7 @@ class TestOneReader:
         rows[5] = with_cell(rows[5], 1, "1_0")
         path = tmp_path / "trace.csv"
         path.write_bytes(table_bytes(header, [*rows, BLANK_ROWS["spaces"]]))
-        monkeypatch.setattr(tables, "data_rows", lambda reader: iter(()))
+        monkeypatch.setattr(tables, "_data_rows", lambda lines: iter(()))
         with pytest.raises(DataError) as info:
             load_trace(path)
         assert str(info.value).startswith(f"{path}: could not convert string '1_0' to float64")
@@ -273,3 +283,91 @@ class TestOneReader:
         with pytest.raises(DataError) as info:
             through_pipe(data, READERS[kind])
         assert str(info.value).split(":", 2)[1:] == ["9", f" {message}"]
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_a_non_finite_last_row_is_found_in_the_array(self, tmp_path, monkeypatch, kind):
+        # loadtxt reads the body, so the row comes from the array: the row
+        # walk never runs, and the line map names the line below a blank row
+        header, rows = clean_lines(kind)
+        rows[-1] = with_cell(rows[-1], -1, "nan")
+        rows.insert(2, BLANK_ROWS["spaces"])
+        data = table_bytes(header, rows)
+        path = tmp_path / "set.csv"
+        path.write_bytes(data)
+
+        def walk(*args):
+            raise AssertionError("the row walk ran")
+
+        monkeypatch.setattr(tables, "_refuse", walk)
+        with pytest.raises(DataError) as info:
+            READERS[kind](path)
+        assert str(info.value) == f"{path}:10: non-finite sample"
+        with pytest.raises(DataError) as info:
+            through_pipe(data, READERS[kind])
+        assert str(info.value).split(":", 1)[1] == "10: non-finite sample"
+
+    def test_the_row_walk_reads_whole_blocks_up_to_the_bad_one(self, tmp_path, monkeypatch):
+        # a bad last cell of a 10000-row trace: two reads of the whole body,
+        # one per block, one per row of the last block, one per cell of the row
+        n = 10_000
+        path = tmp_path / "trace.csv"
+        path.write_text("f_hz,re,im\n" + "".join(f"{i},0.1,0.2\n" for i in range(n - 1)) + f"{n},0.1,x\n")
+        calls = []
+        loadtxt = tables._loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(tables, "_loadtxt", counted)
+        with pytest.raises(DataError) as info:
+            load_trace(path)
+        assert str(info.value) == f"{path}:{n + 1}: could not convert string to float: 'x'"
+        assert len(calls) <= 2 + -(-n // tables._WALK_BLOCK) + tables._WALK_BLOCK + 3
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    def test_the_block_size_does_not_move_the_row_named(self, tmp_path, monkeypatch, block):
+        # the first fault is named wherever the block edges fall, with a
+        # later fault behind it, and below a blank row and a two-line row
+        monkeypatch.setattr(tables, "_WALK_BLOCK", block)
+        path = tmp_path / "trace.csv"
+        faults = {
+            3: ("3,0.1", "expected 3 columns, got 2"),
+            4: ("4,x,0.2", "could not convert string to float: 'x'"),
+            6: ("6,0.1,inf", "non-finite sample"),
+            7: ("7,1_0,nan", "could not convert string to float: '1_0'"),
+        }
+        for i, (row, reason) in faults.items():
+            for later in ("19,0.1", "19,nan,0"):
+                rows = [f"{k},0.1,0.2" for k in range(19)] + [later]
+                rows[i] = row
+                for above in ([], [",,,", '0.5,0.1,0.2,"a', 'b"']):
+                    path.write_text("".join(f"{line}\n" for line in ["f_hz,re,im", rows[0], *above, *rows[1:]]))
+                    with pytest.raises(DataError) as info:
+                        load_trace(path)
+                    assert str(info.value) == f"{path}:{i + 2 + len(above)}: {reason}"
+
+
+@pytest.mark.parametrize("data", [
+    # a quoted fourth cell past csv's field limit, and a blank row that
+    # sends the read to the csv walk
+    "f_hz,re,im\n" + "".join(f"{i},0.1,0.2\n" for i in range(1, 9)) + f'9,0.1,0.2,"{"a" * 200_000}"\n   \n',
+    # a header cell past the limit over a clean body
+    f'"{"f" * 200_000}",re,im\n' + "".join(f"{i},0.1,0.2\n" for i in range(1, 10)),
+], ids=["quoted_cell", "header_cell"])
+@needs_dev_fd
+def test_an_oversized_cell_is_a_data_error(tmp_path, capsys, data):
+    path, out = tmp_path / "trace.csv", str(tmp_path / "fit.json")
+    path.write_text(data, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fit", "reflect", "--in", str(path), "--out", out]) == 2
+    want = "field larger than field limit (131072)\n"
+    assert capsys.readouterr().err == f"data error: cannot read {path}: {want}"
+    pipes = []
+
+    def fit(pipe):
+        pipes.append(pipe)
+        return main(["fit", "reflect", "--in", pipe, "--out", out])
+
+    assert through_pipe(data.encode(), fit) == 2
+    assert capsys.readouterr().err == f"data error: cannot read {pipes[0]}: {want}"
