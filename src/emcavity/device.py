@@ -3,6 +3,8 @@
 Sample sets carry explicit quadrature weights; no mesh topology or FEM is
 involved.  Conductors are represented as eps_rel = 1e12 dielectrics so the
 permittivity-difference terms of the moving-boundary integral stay finite.
+The integrals run with numpy's float warnings off: a result that leaves the
+float range is refused as a NumericalError naming the quantity.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class VolumeSampleSet(CheckedArrays):
     q: np.ndarray = field(metadata=columns("qx_m", "qy_m", "qz_m"))
 
     @cached_property
+    @np.errstate(all="ignore")
     def mode_sums(self):
         """(alpha, integral rho |Q|^2 dV) from one pass over Q: the mode
         normalization, the largest |Q|, and the mass before it is divided
@@ -51,6 +54,7 @@ class VolumeSampleSet(CheckedArrays):
         return alpha, np.sum(q2)
 
     @cached_property
+    @np.errstate(all="ignore")
     def field_energy2(self) -> float:
         """integral eps |E|^2 dV: twice the stored electric energy."""
         e2 = _rowdot(self.e_field, self.e_field)
@@ -75,7 +79,8 @@ class SurfaceSampleSet(CheckedArrays):
 
     def __post_init__(self):
         super().__post_init__()
-        norms = np.sqrt(_rowdot(self.normal, self.normal))
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, which fails the test
+            norms = np.sqrt(_rowdot(self.normal, self.normal))
         bad = np.abs(norms - 1.0) > 1e-9
         if bad.any():
             raise DataError("normals must be unit vectors", row=int(np.argmax(bad)))
@@ -117,10 +122,14 @@ def max_displacement(v: VolumeSampleSet) -> float:
     return v.mode_sums[0]
 
 
+@np.errstate(all="ignore")
 def effective_mass(v: VolumeSampleSet) -> float:
     """m_eff = integral rho |Q/alpha|^2 dV on the sample quadrature."""
     alpha, mass = v.mode_sums
-    return float(mass / alpha**2)
+    m_eff = float(mass / alpha**2)
+    if not np.isfinite(m_eff):
+        raise NumericalError("m_eff is not a finite float")
+    return m_eff
 
 
 def capacitance_from_energy(v: VolumeSampleSet, applied_voltage: float = 1.0) -> float:
@@ -151,6 +160,7 @@ class ResonatorLumped(Checked):
     stray_capacitance: float = field(metadata=key("stray_capacitance_f", **NON_NEGATIVE))
 
 
+@np.errstate(all="ignore")
 def lc_frequency(r: ResonatorLumped, c_m: float) -> float:
     """omega_c = 1/sqrt(L (C_s + C_m)), the dimensionally consistent form."""
     total_c = r.stray_capacitance + c_m
@@ -159,6 +169,7 @@ def lc_frequency(r: ResonatorLumped, c_m: float) -> float:
     return 1.0 / np.sqrt(r.inductance * total_c)
 
 
+@np.errstate(all="ignore")
 def _surface_sum(s: SurfaceSampleSet, alpha: float) -> float:
     """Contribution of one interface to the moving-boundary numerator."""
     qn = _rowdot(s.q, s.normal) / alpha
@@ -180,13 +191,20 @@ def fractional_capacitance_derivative(
     denom = volume.field_energy2
     if denom == 0:
         raise DomainError("degenerate field: zero stored energy")
-    return sum(_surface_sum(s, alpha) for s in surfaces) / denom
+    ratio = sum(_surface_sum(s, alpha) for s in surfaces) / denom
+    if not (np.isfinite(ratio) and np.isfinite(denom)):  # x / inf is 0, not the ratio
+        raise NumericalError("(1/C_m) dC_m/dalpha is not a finite float")
+    return ratio
 
 
+@np.errstate(all="ignore")
 def coupling_rate_moving_boundary(surfaces: list[SurfaceSampleSet], volume: VolumeSampleSet,
                                   eta: float, omega_c: float, x_zpf: float) -> float:
     """Single-photon coupling g0 = -x_zpf * eta * (omega_c/2) * (1/C) dC/dalpha."""
-    return -x_zpf * eta * (omega_c / 2.0) * fractional_capacitance_derivative(surfaces, volume)
+    g0 = -x_zpf * eta * (omega_c / 2.0) * fractional_capacitance_derivative(surfaces, volume)
+    if not np.isfinite(g0):
+        raise NumericalError("g0 is not a finite float")
+    return g0
 
 
 def load_samples(cls, path):

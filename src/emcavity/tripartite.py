@@ -6,12 +6,12 @@ magnon mode c in the frame rotating at the pumps:
     eta_dot = A eta + B eta_in,      eta = [a, a+, b, b+, c, c+]
 
 with input vector eta_in = [a_in, a_in+, a_ex, a_ex+, b_in, b_in+,
-c_in, c_in+, c_ex, c_ex+].  The output fields of the two measurable ports
-follow from input-output relations, giving the frequency-domain scattering
-
-    S(w) = C (-i w I - A)^{-1} B - D
-
-on which the output quadrature covariance, the smallest symplectic
+c_in, c_in+, c_ex, c_ex+].  The two measurable ports give out what leaks
+through their external rate less the reflected drive, a_out = sqrt(kappa_a_ex)
+a - a_ex and c_out = sqrt(kappa_c_ex) c - c_ex, so the frequency-domain
+scattering S(w) is the a, a+, c, c+ rows of (-i w I - A)^{-1} B times
+sqrt(kappa_ex), less 1 at a_ex and c_ex.  On it the output quadrature
+covariance, each bath weighted by n + 1/2, the smallest symplectic
 eigenvalue of the photon-magnon partial transpose, and the logarithmic
 negativity are built.
 
@@ -91,16 +91,6 @@ def input_matrix(p: TripartiteParams) -> np.ndarray:
     return np.kron(np.sqrt(rates), np.eye(2))
 
 
-def output_matrix(p: TripartiteParams) -> np.ndarray:
-    """4x6 map from intracavity operators to the two output ports."""
-    return np.kron([[np.sqrt(p.kappa_a_ex), 0.0, 0.0], [0.0, 0.0, np.sqrt(p.kappa_c_ex)]], np.eye(2))
-
-
-def feedthrough_matrix() -> np.ndarray:
-    """4x10 selector of the externally applied inputs a_ex and c_ex."""
-    return np.kron([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]], np.eye(2))
-
-
 def _stability_unit(p: TripartiteParams, Aq: np.ndarray):
     """The unit of `stability`'s threshold, per row of a quadrature drift
     stack: kappa_a, or for a lossless cavity the largest ladder-basis
@@ -123,8 +113,9 @@ def stability(p: TripartiteParams, Aq: np.ndarray):
 
 
 def scattering(omega: float, p: TripartiteParams, Aq: np.ndarray):
-    """S(w) = C (-i w I - A)^{-1} B - D (N, 4, 10) of a quadrature drift stack
-    in the ladder basis, outputs (a_out, a_out+, c_out, c_out+); and {row:
+    """S(w) (N, 4, 10) of a quadrature drift stack in the ladder basis,
+    outputs (a_out, a_out+, c_out, c_out+): the port rows of X = (-i w I -
+    A)^{-1} B times sqrt(kappa_ex), less the reflected drive; and {row:
     reason} where the resolvent's 1-norm condition number, from the
     explicit inverse, is above 1e12 or not finite (solved against I)."""
     M = -1j * omega * np.eye(6) - _ladder(Aq)
@@ -132,13 +123,10 @@ def scattering(omega: float, p: TripartiteParams, Aq: np.ndarray):
     poles = {int(i): f"resolvent nearly singular at omega={omega:.6e} rad/s (condition estimate {cond[i]:.3e})"
              for i in np.flatnonzero(~(cond <= 1e12))}
     M[list(poles)] = np.eye(6)
-    return output_matrix(p) @ np.linalg.solve(M, input_matrix(p)) - feedthrough_matrix(), poles
-
-
-def noise_matrix(p: TripartiteParams) -> np.ndarray:
-    """10x10 diagonal input noise matrix (n + 1/2 per bath, per quadrature)."""
-    occ = np.asarray(astuple(p.occupations))
-    return np.kron(np.diag(occ + 0.5), np.eye(2))
+    X = np.linalg.solve(M, input_matrix(p))
+    S = X[:, [0, 1, 4, 5]] * np.sqrt([[p.kappa_a_ex], [p.kappa_a_ex], [p.kappa_c_ex], [p.kappa_c_ex]])
+    S[:, [0, 1, 2, 3], [2, 3, 8, 9]] -= 1.0  # a_ex, a_ex+, c_ex, c_ex+
+    return S, poles
 
 
 # quadrature rotation u: (X, Y) = u (a, a+)
@@ -148,14 +136,16 @@ _R5 = np.kron(np.eye(5), _U)
 
 
 def output_covariance(omega: float, p: TripartiteParams, Aq: np.ndarray):
-    """Real, symmetric output-quadrature covariances V = Re[S_q N S_q^dagger]
-    (N, 4, 4) at w in the (X_a, Y_a, X_c, Y_c) basis, with `scattering`'s
-    near-pole rows.  S is solved in the ladder basis: zeta- magnifies
-    roundoff in V up to 1e8-fold."""
+    """Real, symmetric output-quadrature covariances V = Re[(S_q W)
+    S_q^dagger] (N, 4, 4) at w in the (X_a, Y_a, X_c, Y_c) basis, W
+    weighting each input quadrature's column of S_q by its bath's n + 1/2,
+    with `scattering`'s near-pole rows.  S is solved in the ladder basis:
+    zeta- magnifies roundoff in V up to 1e8-fold."""
     s, poles = scattering(omega, p, Aq)
     sq = _R2 @ s @ _R5.conj().T
-    V = np.real(sq @ noise_matrix(p) @ sq.conj().transpose(0, 2, 1))
-    with np.errstate(over="ignore"):  # a row that overflows fails in `symplectic_eigenvalue_min`
+    weight = np.repeat(np.asarray(astuple(p.occupations)) + 0.5, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a row fails in `symplectic_eigenvalue_min`
+        V = np.real((sq * weight) @ sq.conj().transpose(0, 2, 1))
         return 0.5 * (V + V.transpose(0, 2, 1)), poles
 
 

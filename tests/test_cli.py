@@ -716,6 +716,15 @@ def device_files(tmp_path):
     return vol, surf, lumped
 
 
+def set_cell(path, line, column, cell):
+    """Write `cell` into `column` of the 1-based `line` of a CSV file."""
+    lines = path.read_text().split("\n")
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
 class TestDevice:
     def test_meff_and_cap(self, device_files, capsys):
         vol, _, _ = device_files
@@ -830,14 +839,41 @@ class TestDevice:
     def test_bad_sample_is_data_error(self, device_files, capsys, name, line, column, cell, message):
         vol, surf, lumped = device_files
         path = {"vol": vol, "surf": surf}[name]
-        lines = path.read_text().split("\n")
-        cells = lines[line - 1].split(",")
-        cells[lines[0].split(",").index(column)] = cell
-        lines[line - 1] = ",".join(cells)
-        path.write_text("\n".join(lines))
+        set_cell(path, line, column, cell)
         capsys.readouterr()
         assert self.g0(device_files, lumped) == 2
         assert capsys.readouterr().err == f"data error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize(
+        "name, column, command, code, message",
+        [
+            ("surf", "nz", "g0", 2, "data error: {path}:2: normals must be unit vectors"),
+            ("vol", "qz_m", "meff", 3, "numerical error: m_eff is not a finite float"),
+            ("vol", "ez_vpm", "cap", 3, "numerical error: C_m is not a positive finite float at 1.0 V"),
+            ("surf", "ez_vpm", "g0", 3, "numerical error: (1/C_m) dC_m/dalpha is not a finite float"),
+        ],
+        ids=["normal", "meff_volume_q", "cap_volume_e", "g0_surface_e"],
+    )
+    def test_overflowing_sample_is_refused(self, device_files, capsys, name, column, command, code, message):
+        # a finite cell of 1e200 squares past the float range: one line, the
+        # documented exit code and no warning (RuntimeWarnings are errors here)
+        vol, surf, lumped = device_files
+        path = {"vol": vol, "surf": surf}[name]
+        set_cell(path, 3 if name == "vol" else 2, column, "1e200")
+        args = ["--surface", str(surf), "--lumped", str(lumped), "--f-m-hz", "4e6"] if command == "g0" else []
+        capsys.readouterr()
+        assert run(["device", command, "--volume", str(vol), *args]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"{message.format(path=path)}\n"
+
+    def test_lc_frequency_past_the_float_range(self, device_files, tmp_path, capsys):
+        # L (C_s + C_m) underflows to 0, so omega_c and g0 are infinite
+        lumped = tmp_path / "lc.json"
+        lumped.write_text('{"inductance_h": 1e-320, "stray_capacitance_f": 1e-14}')
+        capsys.readouterr()
+        assert self.g0(device_files, lumped) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "numerical error: g0 is not a finite float\n"
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("blank", ["   ", ",,,,,,,,,,,", '""'])

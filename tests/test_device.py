@@ -211,6 +211,15 @@ class TestMovingBoundary:
             fractional_capacitance_derivative([surf], vol), rel=1e-12
         )
 
+    def test_out_of_range_is_numerical_error(self):
+        # a surface sum that overflows to nan, and a field energy that
+        # overflows to inf and would give a ratio of 0
+        vol, surf = parallel_plate()
+        for v, s in [(vol, replace(surf, e_field=1e200 * surf.e_field)),
+                     (replace(vol, e_field=1e200 * vol.e_field), surf)]:
+            with pytest.raises(NumericalError, match=r"^\(1/C_m\) dC_m/dalpha is not a finite float$"):
+                fractional_capacitance_derivative([s], v)
+
 
 class TestLoaders:
     def test_volume_round_trip(self, tmp_path):

@@ -22,12 +22,9 @@ from emcavity.tripartite import (
     critical_coupling,
     drift_matrices,
     evaluate_point,
-    feedthrough_matrix,
     input_matrix,
     log_negativity,
-    noise_matrix,
     output_covariance,
-    output_matrix,
     scattering,
     stability,
     sweep,
@@ -53,6 +50,22 @@ GOLDEN_V = np.array(
     ]
 )
 GOLDEN_ZETA = 0.3341755382405177
+
+
+def port_matrices(p: TripartiteParams):
+    """The input-output relations a_out = sqrt(kappa_a_ex) a - a_ex, c_out =
+    sqrt(kappa_c_ex) c - c_ex as dense matrices: C (4x6) reads the ports off
+    (a, a+, b, b+, c, c+), D (4x10) picks the drives out of the inputs."""
+    C = np.kron([[np.sqrt(p.kappa_a_ex), 0.0, 0.0], [0.0, 0.0, np.sqrt(p.kappa_c_ex)]], np.eye(2))
+    D = np.kron([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]], np.eye(2))
+    return C, D
+
+
+def noise_diagonal(p: TripartiteParams) -> np.ndarray:
+    """10x10 input noise matrix: n + 1/2 per bath, per quadrature."""
+    occ = [p.occupations.n_a_in, p.occupations.n_a_ex, p.occupations.n_b_in,
+           p.occupations.n_c_in, p.occupations.n_c_ex]
+    return np.kron(np.diag(np.array(occ) + 0.5), np.eye(2))
 
 
 def oracle_zeta(V: np.ndarray) -> float:
@@ -202,8 +215,7 @@ class TestScattering:
     def test_quadrature_map_is_real_for_vacuum_covariance(self, reference_tripartite):
         p = reference_tripartite
         sq = quadrature_scattering(scattering(0.0, p, drift_matrices(p, {}))[0][0])
-        N = noise_matrix(p)
-        V = sq @ N @ sq.conj().T
+        V = sq @ noise_diagonal(p) @ sq.conj().T
         assert np.max(np.abs(V.imag)) < 1e-10 * np.max(np.abs(V.real))
 
     def test_exact_pole_fails_only_its_row(self, reference_tripartite):
@@ -269,22 +281,35 @@ class TestScattering:
             if not stability(p, Aq)[0][0]:
                 continue
             M = -1j * w * np.eye(6) - _ladder(Aq)[0]
-            s = output_matrix(p) @ np.linalg.solve(M, input_matrix(p)) - feedthrough_matrix()
+            C, D = port_matrices(p)
+            s = C @ np.linalg.solve(M, input_matrix(p)) - D
             assert np.array_equal(scattering(w, p, Aq)[0][0], s)
             checked += 1
 
     def test_matrix_shapes(self, reference_tripartite):
         p = reference_tripartite
         assert input_matrix(p).shape == (6, 10)
-        assert output_matrix(p).shape == (4, 6)
-        assert feedthrough_matrix().shape == (4, 10)
         assert scattering(0.0, p, drift_matrices(p, {}))[0].shape == (1, 4, 10)
 
 
 class TestCovariance:
-    def test_vacuum_noise_matrix(self, reference_tripartite):
-        N = noise_matrix(reference_tripartite)
-        assert np.allclose(N, 0.5 * np.eye(10))
+    @pytest.mark.parametrize("w_hz", [0.0, 1.3e6])
+    def test_covariance_weights_each_bath(self, w_hz):
+        # V from the n + 1/2 column weights must be Re[S_q N S_q^dagger],
+        # symmetrized, bit for bit, on thermal points
+        rng = np.random.default_rng(23)
+        w, checked = TWO_PI * w_hz, 0
+        while checked < 10:
+            p = random_tripartite(rng)
+            Aq = drift_matrices(p, {})
+            if not stability(p, Aq)[0][0]:
+                continue
+            sq = quadrature_scattering(scattering(w, p, Aq)[0])
+            V = np.real(sq @ noise_diagonal(p) @ sq.conj().transpose(0, 2, 1))
+            (got,), poles = output_covariance(w, p, Aq)
+            assert not poles
+            assert np.array_equal(got, (0.5 * (V + V.transpose(0, 2, 1)))[0])
+            checked += 1
 
     def test_golden_covariance(self, reference_tripartite):
         (V,), poles = output_covariance(0.0, reference_tripartite, drift_matrices(reference_tripartite, {}))
