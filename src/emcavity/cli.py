@@ -10,7 +10,6 @@ the command line, config hash, seed, version and timestamp.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -34,6 +33,7 @@ from .fitting import (
     synthesize_trace,
 )
 from .linear_response import optomechanical_damping, spectrum
+from .params import RULE, in_range
 from .tables import format_e17, write_table
 from .tripartite import SWEEP_AXES
 from .tripartite import critical_coupling as _critical_coupling
@@ -61,17 +61,17 @@ def _write_manifest(out_path: str, config_sha256: str | None, seed: int | None):
         fh.write("\n")
 
 
-class _FiniteFloat(click.types.FloatParamType):
-    """A float that must be finite: NaN and +/-inf are usage errors."""
+class _RuledFloat(click.types.FloatParamType):
+    """A float under the magnitude rule of params.py; any other is a usage error."""
 
     def convert(self, value, param, ctx):
         x = super().convert(value, param, ctx)
-        if not math.isfinite(x):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
+        if not in_range(x):
+            self.fail(f"expected {RULE}, got {value!r}", param, ctx)
         return x
 
 
-_FINITE = _FiniteFloat()
+_FLOAT = _RuledFloat()
 
 
 def _require(params, block: str):
@@ -89,8 +89,8 @@ def cli():
 
 
 @cli.command()
-@click.option("--f-hz", type=_FINITE, required=True, help="Mode frequency in Hz.")
-@click.option("--t-k", type=_FINITE, required=True, help="Bath temperature in K.")
+@click.option("--f-hz", type=_FLOAT, required=True, help="Mode frequency in Hz.")
+@click.option("--t-k", type=_FLOAT, required=True, help="Bath temperature in K.")
 def thermal(f_hz, t_k):
     """Bose-Einstein thermal occupation of a mode."""
     n = thermal_occupation(TWO_PI * f_hz, t_k)
@@ -99,8 +99,8 @@ def thermal(f_hz, t_k):
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--f-start-hz", type=_FINITE, required=True)
-@click.option("--f-stop-hz", type=_FINITE, required=True)
+@click.option("--f-start-hz", type=_FLOAT, required=True)
+@click.option("--f-stop-hz", type=_FLOAT, required=True)
 @click.option("--points", type=int, default=2001, show_default=True)
 @click.option("--model", type=click.Choice(["bare", "omit"]), default="bare", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -122,20 +122,10 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
 
 
 def _grid_hz(f_start_hz, f_stop_hz, points):
-    """The evenly spaced probe grid in Hz; a short or reversed one, or one
-    whose span or angular frequencies overflow, is a usage error."""
+    """The evenly spaced probe grid in Hz; a short or reversed one is a usage error."""
     if points < 2 or f_stop_hz <= f_start_hz:
         raise click.UsageError("need points >= 2 and f_stop_hz > f_start_hz")
-    _check_hz("--f-start-hz and --f-stop-hz", f_start_hz, f_stop_hz)
     return np.linspace(f_start_hz, f_stop_hz, points)
-
-
-def _check_hz(options: str, *f_hz: float):
-    """Refuse frequencies in Hz whose span or angular frequency 2 pi f
-    overflows, as a usage error naming the options."""
-    span, top = max(f_hz) - min(f_hz), TWO_PI * max(map(abs, f_hz))
-    if not (math.isfinite(span) and math.isfinite(top)):
-        raise click.UsageError(f"{options} overflow: need a finite span and 2 pi f finite")
 
 
 def _omit_spectrum(params, f_hz):
@@ -145,9 +135,7 @@ def _omit_spectrum(params, f_hz):
     mech = _require(params, "mech")
     pump = _require(params, "pump")
     g = _require(params, "coupling").g
-    with np.errstate(over="ignore"):  # an infinite probe is refused by spectrum as non-finite
-        omega = TWO_PI * f_hz - pump.omega_p
-    return spectrum(omega, cavity, mech, g, pump.detuning(cavity))
+    return spectrum(TWO_PI * f_hz - pump.omega_p, cavity, mech, g, pump.detuning(cavity))
 
 
 def _mag_db_phase(values):
@@ -180,7 +168,7 @@ def _write_sweep_csv(out_path, axes, res):
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--f-hz", type=_FINITE, required=True, help="Probe frequency in Hz (lab frame).")
+@click.option("--f-hz", type=_FLOAT, required=True, help="Probe frequency in Hz (lab frame).")
 def omit(config_path, f_hz):
     """OMIT reflection at a single probe frequency."""
     r = _omit_spectrum(load_config(config_path)[0], np.array([f_hz]))
@@ -190,7 +178,7 @@ def omit(config_path, f_hz):
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--detuning-hz", type=_FINITE, required=True,
+@click.option("--detuning-hz", type=_FLOAT, required=True,
               help="Pump detuning Delta/2pi = (f_c - f_p) in Hz; positive is red.")
 def damping(config_path, detuning_hz):
     """Optomechanical damping rate gamma_opt/2pi at the given detuning.
@@ -224,7 +212,7 @@ def _parse_axis(ctx, param, spec_str):
         raise click.UsageError(
             f"axis must look like g_b_hz=START:STOP:POINTS, got {spec_str!r}"
         )
-    start, stop = (_FINITE.convert(x, param, ctx) for x in (start, stop))
+    start, stop = (_FLOAT.convert(x, param, ctx) for x in (start, stop))
     if not name_hz.endswith("_hz"):
         raise click.UsageError(f"axis name must end in _hz, got {name_hz!r}")
     name = name_hz[: -len("_hz")]
@@ -232,7 +220,6 @@ def _parse_axis(ctx, param, spec_str):
         raise click.UsageError(f"cannot sweep {name!r}")
     if count < 1:
         raise click.UsageError("axis needs at least 1 point")
-    _check_hz(param.opts[0], start, stop)
     return name, np.linspace(start, stop, count)
 
 
@@ -240,11 +227,10 @@ def _parse_axis(ctx, param, spec_str):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--axis", "axis1", required=True, callback=_parse_axis, help="e.g. g_b_hz=0:5e6:200")
 @click.option("--axis2", default=None, callback=_parse_axis, help="Optional second axis.")
-@click.option("--omega-hz", type=_FINITE, default=0.0, show_default=True)
+@click.option("--omega-hz", type=_FLOAT, default=0.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
     """Sweep couplings/detunings; per-point stability and entanglement."""
-    _check_hz("--omega-hz", omega_hz)
     params, config_sha256 = load_config(config_path)
     p = _require(params, "tripartite")
     axes = dict([axis1])
@@ -264,7 +250,7 @@ def _parse_bracket(ctx, param, value):
     pair = value.split(",")
     if len(pair) != 2:
         raise click.UsageError("--bracket-hz must be two comma-separated numbers")
-    return tuple(_FINITE.convert(x, param, ctx) for x in pair)
+    return tuple(_FLOAT.convert(x, param, ctx) for x in pair)
 
 
 @tripartite.command("critical")
@@ -340,10 +326,10 @@ def fit_reflect_cmd(in_path, fmt, out_path):
     "--format", "fmt", type=click.Choice(["re_im", "db_phase"]), default="re_im", show_default=True
 )
 @click.option("--cavity", "cavity_path", required=True, type=click.Path(), help="fit.json from fit reflect")
-@click.option("--f-m-hz", type=_FINITE, required=True, help="Mechanical frequency guess in Hz.")
-@click.option("--g-hz", type=_FINITE, default=1e3, show_default=True, help="Coupling guess in Hz.")
-@click.option("--gamma-hz", type=_FINITE, default=100.0, show_default=True)
-@click.option("--detuning-hz", type=_FINITE, default=None, help="Pump detuning; default f_m_hz.")
+@click.option("--f-m-hz", type=_FLOAT, required=True, help="Mechanical frequency guess in Hz.")
+@click.option("--g-hz", type=_FLOAT, default=1e3, show_default=True, help="Coupling guess in Hz.")
+@click.option("--gamma-hz", type=_FLOAT, default=100.0, show_default=True)
+@click.option("--detuning-hz", type=_FLOAT, default=None, help="Pump detuning; default f_m_hz.")
 @click.option("--fit-detuning", is_flag=True, default=False)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz, fit_detuning, out_path):
@@ -366,10 +352,10 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--snr-db", type=_FINITE, default=None, help="Omit for a noiseless trace.")
+@click.option("--snr-db", type=_FLOAT, default=None, help="Omit for a noiseless trace.")
 @click.option("--seed", type=int, default=None, help="Required with --snr-db.")
-@click.option("--f-start-hz", type=_FINITE, default=None)
-@click.option("--f-stop-hz", type=_FINITE, default=None)
+@click.option("--f-start-hz", type=_FLOAT, default=None)
+@click.option("--f-stop-hz", type=_FLOAT, default=None)
 @click.option("--points", type=int, default=2001, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
@@ -421,7 +407,7 @@ def device_meff(volume_path):
 
 @device.command("cap")
 @click.option("--volume", "volume_path", required=True, type=click.Path())
-@click.option("--voltage-v", type=_FINITE, default=1.0, show_default=True)
+@click.option("--voltage-v", type=_FLOAT, default=1.0, show_default=True)
 def device_cap(volume_path, voltage_v):
     """Motional capacitance from the stored field energy (F)."""
     vol = dev.load_volume_csv(volume_path)
@@ -432,15 +418,14 @@ def device_cap(volume_path, voltage_v):
 @click.option("--volume", "volume_path", required=True, type=click.Path())
 @click.option("--surface", "surface_paths", multiple=True, required=True, type=click.Path())
 @click.option("--lumped", "lumped_path", required=True, type=click.Path())
-@click.option("--f-m-hz", type=_FINITE, required=True, help="Mechanical mode frequency in Hz.")
-@click.option("--voltage-v", type=_FINITE, default=1.0, show_default=True)
+@click.option("--f-m-hz", type=_FLOAT, required=True, help="Mechanical mode frequency in Hz.")
+@click.option("--voltage-v", type=_FLOAT, default=1.0, show_default=True)
 def device_g0(volume_path, surface_paths, lumped_path, f_m_hz, voltage_v):
     """Moving-boundary single-photon coupling rate.
 
     Resonator frequency comes from the lumped LC model with the motional
     capacitance, omega_c = 1/sqrt(L (C_s + C_m)).
     """
-    _check_hz("--f-m-hz", f_m_hz)
     vol = dev.load_volume_csv(volume_path)
     surfaces = [dev.load_surface_csv(p) for p in surface_paths]
     lumped = _read_record(lumped_path, "lumped circuit", dev.ResonatorLumped, "lumped")

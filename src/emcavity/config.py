@@ -6,27 +6,28 @@ under its own name if it declares none, and in field order.  A key ending
 in `_hz` holds ordinary frequency (Hz) and its field angular (rad/s); every
 other value is stored as is.  A field marked `{"record": cls}` holds a
 nested record.  Unknown keys, missing required keys and values that are not
-finite numbers within their fields' declared bounds are rejected with the
-offending field path.  A config may leave out any block.
+numbers within `params.in_range` and their fields' declared bounds are
+rejected with the offending field path.  A config may leave out any block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 from .constants import TWO_PI
 from .errors import ConfigError
 from .params import (
     POSITIVE,
+    RULE,
     CavityParams,
     Checked,
     CouplingParams,
     MechParams,
     PumpParams,
     TripartiteParams,
+    in_range,
     key,
     meets,
 )
@@ -59,17 +60,14 @@ def _keyed(cls) -> dict:
     return {f.metadata.get("key", f.name): f for f in fields(cls)}
 
 
-def _number(val, path: str, bound, scale: float) -> float:
+def _number(val, path: str, bound) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
-    # Python's json reads NaN, Infinity and integers past the float range;
-    # a finite value in Hz may still overflow in rad/s
-    if not (abs(val) <= sys.float_info.max and abs(scale * val) <= sys.float_info.max):
-        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
-    val = float(val)
+    if not in_range(val):  # also NaN, Infinity and integers past the float range, which json reads
+        raise ConfigError(f"{path}: expected {RULE}, got {val!r}")
     if not meets(val, bound):
-        raise ConfigError(f"{path}: must be {bound} 0.0, got {val}")
-    return scale * val
+        raise ConfigError(f"{path}: must be {bound} 0.0, got {float(val)}")
+    return float(val)
 
 
 def parse_block(cls, data, name: str):
@@ -93,7 +91,7 @@ def parse_block(cls, data, name: str):
             values[f.name] = parse_block(record, data[k], f"{name}.{k}")
         else:
             scale = TWO_PI if k.endswith("_hz") else 1.0
-            values[f.name] = _number(data[k], f"{name}.{k}", f.metadata.get("bound"), scale)
+            values[f.name] = scale * _number(data[k], f"{name}.{k}", f.metadata.get("bound"))
     return cls(**values)
 
 

@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import math
-import sys
 
 from .constants import HBAR, K_BOLTZMANN
 from .errors import DomainError, NumericalError
 
 
 def thermal_occupation(frequency: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1).
-
-    `frequency` is angular (rad/s).  T = 0 returns 0 by an explicit branch;
-    an occupation beyond the float range is a NumericalError.
-    """
+    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1) at the angular
+    `frequency` w (rad/s); T = 0 returns 0 by an explicit branch."""
     if frequency <= 0:
         raise DomainError("frequency must be positive")
     if temperature < 0:
@@ -22,17 +18,17 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
     if temperature == 0:
         return 0.0
     x = HBAR * float(frequency) / (K_BOLTZMANN * temperature)
-    # large-x guard: occupation underflows to 0 well before exp overflows
-    if x > 700:
-        return math.exp(-x)
-    if not x * sys.float_info.max > 1.0:  # 1/expm1(x) ~ 1/x would overflow
-        raise NumericalError(f"thermal occupation out of float range: hbar w / kB T = {x:.3e}")
-    return 1.0 / math.expm1(x)
+    # large x: the occupation underflows to 0 well before exp overflows
+    return math.exp(-x) if x > 700 else 1.0 / math.expm1(x)
 
 
 def zero_point_fluctuation(m_eff: float, omega_m: float) -> float:
-    """x_zpf = sqrt(hbar / (2 m_eff Omega))."""
+    """x_zpf = sqrt(hbar / (2 m_eff Omega)); NumericalError unless a positive finite float."""
     if not (0 < m_eff < math.inf and 0 < omega_m < math.inf):
         raise DomainError("m_eff and omega_m must be positive and finite")
-    return math.sqrt(HBAR / (2.0 * m_eff * omega_m))
+    product = 2.0 * m_eff * omega_m
+    x_zpf = math.sqrt(HBAR / product) if product else math.inf
+    if not 0 < x_zpf < math.inf:
+        raise NumericalError(f"x_zpf is not a positive finite float at 2 m_eff Omega = {product:g} kg/s")
+    return x_zpf
 

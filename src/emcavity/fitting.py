@@ -292,7 +292,7 @@ def _fit(trace: ComplexTrace, model, columns, start, names) -> FitResult:
     return FitResult(p, rnorm, iters, converged, sig, rankdef, message)
 
 
-# a degenerate or huge trace overflows on the way; the GuessError checks refuse it
+# a degenerate trace divides by zero on the way; the GuessError checks refuse it
 @np.errstate(all="ignore")
 def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     """Closed-form start for fit_reflection (Probst et al., Rev. Sci.
@@ -300,6 +300,7 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
 
     1. Delay tau from the phase slopes of the off-resonant edges, refined
        by the wrapped phase step between their means (r0 -> -1 on both).
+       An edge of 40 samples or more is fitted by its means over 20 blocks.
        That step is known only modulo 2 pi, so tau only modulo 2 pi / dw,
        dw the distance between the edge means: steps 2-4 run at tau and at
        its aliases tau -/+ 2 pi / dw.  Of the starts found, the one whose
@@ -323,7 +324,7 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     n = len(w)
     m = max(n // 10, 2)  # samples per off-resonant edge
     edges = (slice(0, m), slice(n - m, n))
-    tau = -float(np.mean([np.polyfit(w[s], np.unwrap(np.angle(vals[s])), 1)[0] for s in edges]))
+    tau = -float(np.mean([np.polyfit(*_blocks(w[s], vals[s]), 1)[0] for s in edges]))
     left, right = (np.mean(vals[s] * np.exp(1j * w[s] * tau)) for s in edges)
     dw = float(np.mean(w[n - m:]) - np.mean(w[:m]))
     tau -= float(np.angle(right / left) / dw)
@@ -342,6 +343,15 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     if not kept:
         raise GuessError(errors[0])
     return starts[min(kept, key=cost.get)]
+
+
+def _blocks(w, z):
+    """(w, unwrapped phase) of the samples z at w, or from 40 samples on of their
+    means over 20 blocks, equal but for one sample: noisy samples unwrap in random 2 pi steps."""
+    if len(w) >= 40:
+        starts = len(w) * np.arange(20) // 20
+        w, z = (np.add.reduceat(x, starts) / np.diff(starts, append=len(w)) for x in (w, z))
+    return w, np.unwrap(np.angle(z))
 
 
 def _circle_start(w, z, tau, m) -> ReflectionModelParams:
@@ -492,11 +502,11 @@ def synthesize_trace(
         if seed is None:
             raise DataError("seed is required when synthesizing noisy traces")
         rng = np.random.default_rng(seed)
-        try:  # a float power past the range raises; any non-finite noise is refused below
-            sigma = float(np.sqrt(np.mean(np.abs(clean) ** 2))) * 10.0 ** (-snr_db / 20.0)
-        except OverflowError:
-            sigma = np.inf
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite noise is refused below
+            try:  # a float power past the range raises
+                sigma = float(np.sqrt(np.mean(np.abs(clean) ** 2))) * 10.0 ** (-snr_db / 20.0)
+            except OverflowError:
+                sigma = np.inf
             noise = (rng.standard_normal(len(f_hz)) + 1j * rng.standard_normal(len(f_hz))) * (
                 sigma / np.sqrt(2.0)
             )

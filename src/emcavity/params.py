@@ -5,6 +5,10 @@ frequency (Hz) happens at the external interfaces only (see config.py).
 Each field's bound and JSON key are declared once, in its metadata; the
 bound is enforced by `Checked`, and on sample arrays by `CheckedArrays`;
 config.py reads both.
+
+Every float that enters (config.py, tables.py, cli.py) obeys `in_range`, and a
+product of three such floats is a normal float.  The records do not apply the
+rule: a computed value, such as a fit's trial point, may break it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,13 @@ from .errors import DataError, DomainError
 # a field's bound against 0; a field without one need only be finite
 POSITIVE = {"bound": ">"}
 NON_NEGATIVE = {"bound": ">="}
+RULE = "0 or 1e-100 <= |v| <= 1e100"
+
+
+def in_range(value):
+    """Whether a number, or each element of an array, obeys RULE; NaN does not."""
+    a = abs(value)
+    return (a <= 1e100) & ((a >= 1e-100) | (a == 0))
 
 
 def key(name: str, **meta) -> dict:

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DataError
+from .params import RULE, in_range
 
 # numpy opens a str path by name and decompresses these suffixes
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -34,10 +35,10 @@ def read_table(path, columns=None, skip=0):
     With `columns` (sample sets) the stripped header must equal it, and
     each row is one record of exactly that many cells, all but the first
     `skip` read; without (traces) any header passes and the first three
-    cells of each row are read.  Every cell read must be finite; blank rows
-    are skipped.  The skipped cells are one-byte placeholders: with `skip`
-    the rows lie skip + 8k bytes apart, not 8-byte aligned.  A pipe or FIFO
-    is read once, into memory.
+    cells of each row are read.  Every cell read must obey `in_range` of
+    params.py; blank rows are skipped.  The skipped cells are one-byte
+    placeholders: with `skip` the rows lie skip + 8k bytes apart, not
+    8-byte aligned.  A pipe or FIFO is read once, into memory.
 
     The one place that names the file in a message: a DataError raised in
     the block, by the parse or by the caller's checks of the records, is
@@ -75,6 +76,7 @@ def _parse(path, fh, columns, skip) -> np.ndarray:
         raise DataError(f"expected header {','.join(columns)}")
     if header is None:
         raise DataError("empty file")
+    names = [c.strip() for c in header] + [f"column {k + 1}" for k in range(len(header), ncols)]
     name = os.path.abspath(os.fsdecode(path))
     by_path = not isinstance(fh, io.StringIO) and not name.endswith(_COMPRESSED)
     try:
@@ -85,13 +87,21 @@ def _parse(path, fh, columns, skip) -> np.ndarray:
         try:
             arr = load(_without_blank_rows(lines))
         except ValueError as exc:
-            _refuse(lines, load, ncols, skip, bool(columns), str(exc))
-    finite = np.isfinite(arr)
-    if not finite.all():
-        raise DataError("non-finite sample", row=int(np.argmin(finite.all(axis=1))))
+            _refuse(lines, load, names, ncols, skip, bool(columns), str(exc))
+    if fault := _range_fault(arr, names[skip:]):
+        raise DataError(fault[1], row=fault[0])
     if not len(arr):
         raise DataError("no data rows")
     return arr
+
+
+def _range_fault(arr, names):
+    """(row, message) of the first cell outside the magnitude rule, or None; 4096 rows at a time."""
+    for start in range(0, len(arr), 4096):
+        ok = in_range(arr[start : start + 4096])
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            return start + int(i), f"{names[j]}: expected {RULE}, got {float(arr[start + i, j])!r}"
 
 
 def _loadtxt(source, dtype, usecols, skiprows=0):
@@ -139,10 +149,11 @@ def _without_blank_rows(lines):
 _WALK_BLOCK = 1024  # data rows that _refuse checks with one load
 
 
-def _refuse(lines, load, ncols, skip, exact, reason):
+def _refuse(lines, load, names, ncols, skip, exact, reason):
     """Raise DataError(..., row=k) at the first data row k of the table
     `lines` that is short (long too, if `exact`) or whose cells `load`
-    refuses or reads as non-finite; if there is none, DataError(reason).
+    refuses or reads outside the magnitude rule (`names` names each cell);
+    if there is none, DataError(reason).
     The rows are checked a block at a time, and one at a time only in a
     block that fails; nothing read is kept."""
 
@@ -153,7 +164,8 @@ def _refuse(lines, load, ncols, skip, exact, reason):
                 return f"expected {ncols} columns" + ("" if exact else f", got {len(cells)}")
         text = [line for first, last, _ in rows for line in lines[first - 1 : last]]
         try:
-            return None if np.isfinite(load(text)).all() else "non-finite sample"
+            fault = _range_fault(load(text), names[skip:])
+            return fault and fault[1]
         except ValueError as exc:  # name the first cell loadtxt refuses in a lone row
             for j, cell in enumerate(rows[0][2][skip:ncols] if len(rows) == 1 else (), skip):
                 try:

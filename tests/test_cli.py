@@ -27,6 +27,7 @@ from emcavity.fitting import (
     save_trace,
     synthesize_trace,
 )
+from emcavity.params import RULE
 from emcavity.tripartite import sweep
 
 from conftest import reference_point
@@ -361,11 +362,11 @@ class TestTripartite:
         assert moved > 0
 
     def test_sweep_refuses_a_detuning_that_swamps_the_losses(self, tmp_path, capsys):
-        # nothing overflows at 1.4e307 Hz, but the loss rates would vanish in
-        # eigvals' round-off: exit 3, one stderr line naming the field, no
+        # 1e100 Hz passes the magnitude rule, but the loss rates would vanish
+        # in eigvals' round-off: exit 3, one stderr line naming the field, no
         # warning (an error under this suite's filterwarnings) and no file
         out = tmp_path / "x.csv"
-        args = ["--config", REFERENCE_CONFIG, "--axis", "delta_c_hz=0:1.4e307:3", "--out", str(out)]
+        args = ["--config", REFERENCE_CONFIG, "--axis", "delta_c_hz=0:1e100:3", "--out", str(out)]
         assert run(["tripartite", "sweep", *args]) == 3
         captured = capsys.readouterr()
         reason = "delta_c must keep every drift entry within 2**52 times the smallest nonzero half loss rate"
@@ -396,27 +397,32 @@ class TestTripartite:
             assert run(args) == 1, field
             assert f"config error: {field}: " in capsys.readouterr().err, field
 
-    @pytest.mark.parametrize("edit, args, field", [
-        ({"f_m_hz": 2.8e307}, ["sweep", "--axis", "g_c_hz=0:1e6:2"], "omega_m"),
+    @pytest.mark.parametrize("edit, args, message", [
+        ({"f_m_hz": 2.8e307}, ["sweep", "--axis", "g_c_hz=0:1e6:2"],
+         f"config error: tripartite.f_m_hz: expected {RULE}, got 2.8e+307"),
         ({"kappa_a_in_hz": 2e307, "kappa_a_ex_hz": 2e307}, ["sweep", "--axis", "g_c_hz=0:1e6:2"],
-         "kappa_a_in + kappa_a_ex"),
-        ({}, ["sweep", "--axis", "g_b_hz=0:2.8e307:3"], "g_b"),
-        ({}, ["sweep", "--axis", "delta_a_hz=0:2.8e307:3"], "delta_a"),
-        ({}, ["critical", "--axis", "g_b", "--bracket-hz", "0,2.8e307"], "g_b"),
+         f"config error: tripartite.kappa_a_in_hz: expected {RULE}, got 2e+307"),
+        ({}, ["sweep", "--axis", "g_b_hz=0:2.8e307:3"],
+         f"Error: Invalid value for '--axis': expected {RULE}, got '2.8e307'"),
+        ({}, ["sweep", "--axis", "delta_a_hz=0:2.8e307:3"],
+         f"Error: Invalid value for '--axis': expected {RULE}, got '2.8e307'"),
+        ({}, ["critical", "--axis", "g_b", "--bracket-hz", "0,2.8e307"],
+         f"Error: Invalid value for '--bracket-hz': expected {RULE}, got '2.8e307'"),
     ], ids=["config", "config_loss_sum", "axis_g_b", "axis_delta_a", "bracket"])
-    def test_drift_overflow_is_one_line(self, tmp_path, capsys, edit, args, field):
-        # an input whose drift entry or ladder sum would overflow is refused
-        # by drift_matrices, naming the field: exit 3, one stderr line, and
-        # no RuntimeWarning (an error under this suite's filterwarnings)
+    def test_drift_overflow_is_one_line(self, tmp_path, capsys, edit, args, message):
+        # an input whose drift entry or ladder sum would overflow breaks the
+        # magnitude rule: refused where it enters, naming the field or the
+        # option, with exit 1, one stderr line, and no RuntimeWarning (an
+        # error under this suite's filterwarnings)
         config = tmp_path / "config.json"
         reference = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))
         config.write_text(json.dumps({"tripartite": {**reference["tripartite"], **edit}}), encoding="utf-8")
         out = tmp_path / "x.csv"
         extra = ["--out", str(out)] if args[0] == "sweep" else []
-        assert run(["tripartite", args[0], "--config", str(config), *args[1:], *extra]) == 3
+        assert run(["tripartite", args[0], "--config", str(config), *args[1:], *extra]) == 1
         captured = capsys.readouterr()
-        reason = f"{field} must be finite and keep the drift matrix in the float range"
-        assert (captured.err, captured.out) == (f"numerical error: {reason}\n", "")
+        assert captured.err.endswith(f"\n{message}\n") or captured.err == f"{message}\n"
+        assert captured.out == "" and "Warning" not in captured.err
         assert not out.exists()
 
     def test_critical_coupling(self, capsys):
@@ -521,8 +527,11 @@ class TestSynthFitPipeline:
         assert "Error: --points must be at least 7 (7-parameter model), got 5\n" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0,0", "1e300,-1e300"], ids=["zero", "huge"])
-    def test_degenerate_trace_is_data_error(self, tmp_path, capfd, value):
+    @pytest.mark.parametrize("value, message", [
+        ("0,0", "no resonance circle found in trace"),
+        ("1e100,-1e100", "no resonance circle found inside the span"),
+    ], ids=["zero", "huge"])
+    def test_degenerate_trace_is_data_error(self, tmp_path, capfd, value, message):
         # no delay or no circle: refused without a warning or LAPACK's own
         # complaint on stderr
         trace, out = tmp_path / "trace.csv", tmp_path / "f.json"
@@ -530,7 +539,7 @@ class TestSynthFitPipeline:
         trace.write_text("f_hz,re,im\n" + rows)
         capfd.readouterr()
         assert run(["fit", "reflect", "--in", str(trace), "--out", str(out)]) == 2
-        assert capfd.readouterr() == ("", "data error: no resonance circle found in trace\n")
+        assert capfd.readouterr() == ("", f"data error: {message}\n")
         assert not out.exists()
 
     def test_non_utf8_input(self, config_file, tmp_path, capsys):
@@ -621,8 +630,8 @@ class TestPipeInput:
              "{path}:4: trace frequency must be strictly increasing"),
             ("re_im", "f_hz,re,im\n1,2,3\n4,5\n", "{path}:3: expected 3 columns, got 2"),
             ("db_phase", "f_hz,mag_db,phase_rad\n"
-             + "".join(f"{k},{1e308 if k == 5 else -3},0.1\n" for k in range(1, 12)),
-             "{path}:6: mag_db out of range, got 1e+308"),
+             + "".join(f"{k},{7000 if k == 5 else -3},0.1\n" for k in range(1, 12)),
+             "{path}:6: mag_db out of range, got 7000.0"),
         ],
         ids=["not_increasing", "short_row", "mag_db_out_of_range"],
     )
@@ -796,7 +805,9 @@ class TestDevice:
         "text, message",
         [
             ('{"inductance_h": NaN, "stray_capacitance_f": 1e-14}',
-             "lumped.inductance_h: expected a finite number, got nan"),
+             f"lumped.inductance_h: expected {RULE}, got nan"),
+            ('{"inductance_h": 1e-320, "stray_capacitance_f": 1e-14}',
+             f"lumped.inductance_h: expected {RULE}, got 1e-320"),
             ('{"inductance_h": true, "stray_capacitance_f": 1e-14}',
              "lumped.inductance_h: expected a number, got True"),
             ('{"inductance_h": "2e-9", "stray_capacitance_f": 1e-14}',
@@ -810,7 +821,7 @@ class TestDevice:
              "lumped.stray_capacitance_f: must be >= 0.0, got -1e-15"),
             ('[2e-9, 1e-14]', "lumped: expected an object"),
         ],
-        ids=["nan", "bool", "string", "unknown_key", "missing_key", "zero", "negative", "array"],
+        ids=["nan", "tiny", "bool", "string", "unknown_key", "missing_key", "zero", "negative", "array"],
     )
     def test_bad_lumped_record_is_data_error(self, device_files, tmp_path, capsys, text, message):
         lumped = tmp_path / "lc.json"
@@ -825,12 +836,12 @@ class TestDevice:
     @pytest.mark.parametrize(
         "name, line, column, cell, message",
         [
-            ("vol", 3, "ez_vpm", "nan", "{path}:3: non-finite sample"),
-            ("vol", 3, "rho_kgpm3", "inf", "{path}:3: non-finite sample"),
+            ("vol", 3, "ez_vpm", "nan", f"{{path}}:3: ez_vpm: expected {RULE}, got nan"),
+            ("vol", 3, "rho_kgpm3", "inf", f"{{path}}:3: rho_kgpm3: expected {RULE}, got inf"),
             ("vol", 3, "w_m3", "0", "{path}:3: weight must be finite and > 0, got 0.0"),
             ("vol", 3, "w_m3", "-2e-23", "{path}:3: weight must be finite and > 0, got -2e-23"),
-            ("surf", 2, "dz_cpm2", "NaN", "{path}:2: non-finite sample"),
-            ("surf", 2, "eps1_rel", "-inf", "{path}:2: non-finite sample"),
+            ("surf", 2, "dz_cpm2", "NaN", f"{{path}}:2: dz_cpm2: expected {RULE}, got nan"),
+            ("surf", 2, "eps1_rel", "-inf", f"{{path}}:2: eps1_rel: expected {RULE}, got -inf"),
             ("surf", 2, "a_m2", "0", "{path}:2: area must be finite and > 0, got 0.0"),
             ("surf", 2, "a_m2", "-1e-8", "{path}:2: area must be finite and > 0, got -1e-08"),
             ("surf", 2, "nz", "-0.5", "{path}:2: normals must be unit vectors"),
@@ -845,21 +856,46 @@ class TestDevice:
         assert capsys.readouterr().err == f"data error: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize(
-        "name, column, command, code, message",
-        [
-            ("surf", "nz", "g0", 2, "data error: {path}:2: normals must be unit vectors"),
-            ("vol", "qz_m", "meff", 3, "numerical error: m_eff is not a finite float"),
-            ("vol", "ez_vpm", "cap", 3, "numerical error: C_m is not a positive finite float at 1.0 V"),
-            ("surf", "ez_vpm", "g0", 3, "numerical error: (1/C_m) dC_m/dalpha is not a finite float"),
-        ],
+        "name, column, command",
+        [("surf", "nz", "g0"), ("vol", "qz_m", "meff"), ("vol", "ez_vpm", "cap"), ("surf", "ez_vpm", "g0")],
         ids=["normal", "meff_volume_q", "cap_volume_e", "g0_surface_e"],
     )
-    def test_overflowing_sample_is_refused(self, device_files, capsys, name, column, command, code, message):
-        # a finite cell of 1e200 squares past the float range: one line, the
-        # documented exit code and no warning (RuntimeWarnings are errors here)
+    def test_overflowing_sample_is_refused(self, device_files, capsys, name, column, command):
+        # a cell of 1e200, whose square leaves the float range, breaks the
+        # magnitude rule: a data error naming its line and column, one
+        # line, and no warning (RuntimeWarnings are errors here)
         vol, surf, lumped = device_files
         path = {"vol": vol, "surf": surf}[name]
-        set_cell(path, 3 if name == "vol" else 2, column, "1e200")
+        line = 3 if name == "vol" else 2
+        set_cell(path, line, column, "1e200")
+        args = ["--surface", str(surf), "--lumped", str(lumped), "--f-m-hz", "4e6"] if command == "g0" else []
+        capsys.readouterr()
+        assert run(["device", command, "--volume", str(vol), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {path}:{line}: {column}: expected {RULE}, got 1e+200\n"
+
+    @pytest.mark.parametrize(
+        "name, cells, command, code, message",
+        [
+            ("surf", {"nz": "-1e100"}, "g0", 2, "data error: {path}:2: normals must be unit vectors"),
+            ("vol", {"w_m3": "1e100", "rho_kgpm3": "1e100", "qz_m": "1e100"}, "meff", 3,
+             "numerical error: m_eff is not a finite float"),
+            ("vol", {"w_m3": "1e100", "eps_rel": "1e100", "ez_vpm": "1e100"}, "cap", 3,
+             "numerical error: C_m is not a positive finite float at 1.0 V"),
+            ("surf", {"a_m2": "1e100", "dz_cpm2": "1e100"}, "g0", 3,
+             "numerical error: (1/C_m) dC_m/dalpha is not a finite float"),
+        ],
+        ids=["normal", "meff", "cap", "g0_surface"],
+    )
+    def test_integral_past_the_float_range(self, device_files, capsys, name, cells, command, code, message):
+        # cells within the magnitude rule whose products leave the float
+        # range: the backstop on the computed quantity refuses it, in one
+        # line and with no warning
+        vol, surf, lumped = device_files
+        path = {"vol": vol, "surf": surf}[name]
+        for column, cell in cells.items():
+            set_cell(path, 3 if name == "vol" else 2, column, cell)
         args = ["--surface", str(surf), "--lumped", str(lumped), "--f-m-hz", "4e6"] if command == "g0" else []
         capsys.readouterr()
         assert run(["device", command, "--volume", str(vol), *args]) == code
@@ -867,13 +903,37 @@ class TestDevice:
         assert captured.out == "" and captured.err == f"{message.format(path=path)}\n"
 
     def test_lc_frequency_past_the_float_range(self, device_files, tmp_path, capsys):
-        # L (C_s + C_m) underflows to 0, so omega_c and g0 are infinite
+        # within the magnitude rule, omega_c = 1/sqrt(L (C_s + C_m)) reaches
+        # 1.7e155 Hz at L = 1e-100 H and 1e100 V, and a large D cell makes
+        # (1/C_m) dC_m/dalpha large: their product, g0, is infinite
+        vol, surf, _ = device_files
+        set_cell(surf, 2, "dz_cpm2", "1e50")
         lumped = tmp_path / "lc.json"
-        lumped.write_text('{"inductance_h": 1e-320, "stray_capacitance_f": 1e-14}')
+        lumped.write_text('{"inductance_h": 1e-100, "stray_capacitance_f": 0}')
         capsys.readouterr()
-        assert self.g0(device_files, lumped) == 3
+        args = ["--volume", str(vol), "--surface", str(surf), "--lumped", str(lumped),
+                "--f-m-hz", "1e-100", "--voltage-v", "1e100"]
+        assert run(["device", "g0", *args]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "numerical error: g0 is not a finite float\n"
+
+    def test_zero_point_motion_past_the_float_range(self, device_files, tmp_path, capsys):
+        # every cell within the magnitude rule, but m_eff is a computed
+        # 1e-300 kg (row 1 sets |Q| = 1 with no mass; row 2 has w = rho =
+        # 1e-100 and qz = 1e-50), so 2 m_eff Omega underflows to 0 at
+        # 1e-100 Hz: x_zpf is refused by name, not a ZeroDivisionError
+        _, surf, lumped = device_files
+        vol = tmp_path / "zpf.csv"
+        vol.write_text("x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m\n"
+                       "0,0,0,1,1,0,0,1,0,0,0,1\n0,0,0,1e-100,1,0,0,1,1e-100,0,0,1e-50\n")
+        capsys.readouterr()
+        assert run(["device", "meff", "--volume", str(vol)]) == 0
+        assert capsys.readouterr().out == "1.00000000000000003e-300\n"
+        args = ["--volume", str(vol), "--surface", str(surf), "--lumped", str(lumped), "--f-m-hz", "1e-100"]
+        assert run(["device", "g0", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: x_zpf is not a positive finite float at 2 m_eff Omega = 0 kg/s\n"
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("blank", ["   ", ",,,,,,,,,,,", '""'])
@@ -948,13 +1008,7 @@ def test_non_finite_float_option_is_usage_error(config_file, tmp_path, capsys, a
 DEVICE_ARGS = ["--volume", "{tmp}/vol.csv"]
 G0_ARGS = ["--surface", "{tmp}/surf.csv", "--lumped", "{tmp}/lumped.json", "--f-m-hz", "4e6"]
 OUT_OF_RANGE = {
-    "thermal_zero_ratio": (["thermal", "--f-hz", "1e-300", "--t-k", "1e300"], "thermal occupation"),
-    "thermal_overflow": (["thermal", "--f-hz", "1", "--t-k", "1e300"], "thermal occupation"),
-    "cap_tiny_voltage": (["device", "cap", *DEVICE_ARGS, "--voltage-v", "1e-200"], "C_m"),
-    "cap_huge_voltage": (["device", "cap", *DEVICE_ARGS, "--voltage-v", "1e200"], "C_m"),
-    "g0_tiny_voltage": (["device", "g0", *DEVICE_ARGS, *G0_ARGS, "--voltage-v", "1e-200"], "C_m"),
-    "g0_huge_voltage": (["device", "g0", *DEVICE_ARGS, *G0_ARGS, "--voltage-v", "1e200"], "C_m"),
-    "synth_noise": (["synth", "--config", "{config}", "--snr-db", "-1e308", "--seed", "1",
+    "synth_noise": (["synth", "--config", "{config}", "--snr-db", "-1e100", "--seed", "1",
                      "--out", "{tmp}/out.csv"], "noise"),
 }
 
@@ -970,43 +1024,162 @@ def test_out_of_range_result_is_numerical_error(config_file, device_files, tmp_p
     assert not list(tmp_path.glob("out*"))
 
 
-# finite probe frequencies whose grid or angular frequency leaves the float
-# range: refused with the documented exit code, and (RuntimeWarnings being
-# errors here, as under -W error::RuntimeWarning) without a numpy warning
-GRID_OVERFLOW = "--f-start-hz and --f-stop-hz overflow"
-EXTREME_PROBES = {
-    "omit": (["omit", "--config", "{config}", "--f-hz", "1e308"], 3,
-             "numerical error: spectrum values must be finite\n"),
+def test_synth_signal_past_the_float_range(tmp_path, capsys):
+    # within the magnitude rule, a 1e100 amplitude on a 1e100 Hz tilt over
+    # 1e-100 Hz linewidths makes |R|^2 overflow: the noise is refused, in
+    # one line and with no warning (RuntimeWarnings are errors here)
+    config = tmp_path / "loud.json"
+    config.write_text(json.dumps({"cavity": {"f_c_hz": 1e9, "kappa_in_hz": 1e-100, "kappa_ex_hz": 1e-100},
+                                  "background": {"amplitude": 1e100, "delta_hz": 1e100}}))
+    args = ["synth", "--config", str(config), "--snr-db", "10", "--seed", "1", "--points", "11",
+            "--f-start-hz", "0.9e9", "--f-stop-hz", "1.1e9", "--out", str(tmp_path / "out.csv")]
+    assert run(args) == 3
+    assert capsys.readouterr().err == "numerical error: noise at snr_db = 10.0 is out of float range\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+# finite float options outside the magnitude rule, and the option each
+# refusal names: until the rule, each was refused further in, by the check
+# of its result, grid or angular frequency
+OUT_OF_RULE = {
+    "thermal_zero_ratio": (["thermal", "--f-hz", "1e-300", "--t-k", "1e300"], "--f-hz"),
+    "thermal_overflow": (["thermal", "--f-hz", "1", "--t-k", "1e300"], "--t-k"),
+    "cap_tiny_voltage": (["device", "cap", *DEVICE_ARGS, "--voltage-v", "1e-200"], "--voltage-v"),
+    "cap_huge_voltage": (["device", "cap", *DEVICE_ARGS, "--voltage-v", "1e200"], "--voltage-v"),
+    "g0_tiny_voltage": (["device", "g0", *DEVICE_ARGS, *G0_ARGS, "--voltage-v", "1e-200"], "--voltage-v"),
+    "g0_huge_voltage": (["device", "g0", *DEVICE_ARGS, *G0_ARGS, "--voltage-v", "1e200"], "--voltage-v"),
+    "synth_noise": (["synth", "--config", "{config}", "--snr-db", "-1e308", "--seed", "1",
+                     "--out", "{tmp}/out.csv"], "--snr-db"),
+    "omit": (["omit", "--config", "{config}", "--f-hz", "1e308"], "--f-hz"),
     "reflect": (["reflect", "--config", "{config}", "--f-start-hz", "-1e308", "--f-stop-hz", "1e308",
-                 "--points", "3", "--out", "{tmp}/out.csv"], 1, GRID_OVERFLOW),
+                 "--points", "3", "--out", "{tmp}/out.csv"], "--f-start-hz"),
     "synth": (["synth", "--config", "{config}", "--f-start-hz", "-1e308", "--f-stop-hz", "1e308",
-               "--out", "{tmp}/out.csv"], 1, GRID_OVERFLOW),
+               "--out", "{tmp}/out.csv"], "--f-start-hz"),
     "reflect_2pi_f": (["reflect", "--model", "omit", "--config", "{config}", "--f-start-hz", "1e307",
-                       "--f-stop-hz", "3e307", "--out", "{tmp}/out.csv"], 1, GRID_OVERFLOW),
+                       "--f-stop-hz", "3e307", "--out", "{tmp}/out.csv"], "--f-start-hz"),
     "sweep_omega": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:3e6:4",
-                     "--omega-hz", "1e308", "--out", "{tmp}/out.csv"], 1, "--omega-hz overflow"),
+                     "--omega-hz", "1e308", "--out", "{tmp}/out.csv"], "--omega-hz"),
     "sweep_axis": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:1e308:3",
-                    "--out", "{tmp}/out.csv"], 1, "--axis overflow"),
+                    "--out", "{tmp}/out.csv"], "--axis"),
     "g0_f_m": (["device", "g0", *DEVICE_ARGS, "--surface", "{tmp}/surf.csv", "--lumped", "{tmp}/lumped.json",
-                "--f-m-hz", "1e308"], 1, "--f-m-hz overflow"),
+                "--f-m-hz", "1e308"], "--f-m-hz"),
     "sweep_axis_span": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:3e6:3",
-                         "--axis2", "g_c_hz=-1.7e308:1.7e308:3", "--out", "{tmp}/out.csv"], 1, "--axis2 overflow"),
+                         "--axis2", "g_c_hz=-1.7e308:1.7e308:3", "--out", "{tmp}/out.csv"], "--axis2"),
 }
 
 
-@pytest.mark.parametrize("args, code, message", EXTREME_PROBES.values(), ids=list(EXTREME_PROBES))
-def test_extreme_probe_frequencies(config_file, tmp_path, capsys, args, code, message):
-    assert run([a.format(config=config_file, tmp=tmp_path) for a in args]) == code
+@pytest.mark.parametrize("args, option", OUT_OF_RULE.values(), ids=list(OUT_OF_RULE))
+def test_float_option_outside_the_rule(config_file, device_files, tmp_path, capsys, args, option):
+    # a usage error naming the option and the value, in one line with no
+    # warning (RuntimeWarnings are errors here), and no file written
+    assert run([a.format(config=config_file, tmp=tmp_path) for a in args]) == 1
     err = capsys.readouterr().err
-    assert message in err and "Warning" not in err
+    assert err.splitlines()[-1].startswith(f"Error: Invalid value for '{option}': expected {RULE}, got ")
+    assert "Warning" not in err
     assert not list(tmp_path.glob("out*"))
 
 
+RULE_PASSES = ["0", "1e-100", "-1e-100", "1e100", "-1e100"]
+RULE_REFUSED = ["9.9e-101", "1.0000000000000002e100", "nan", "inf"]
+RULE_KINDS = ["config", "fit_record", "lumped", "volume", "surface", "trace", "option", "axis"]
+
+
+def db_phase_trace(config_file, path):
+    """A 201-point, 40-dB `synth` trace of the config, rewritten as f_hz,
+    mag_db, phase_rad."""
+    assert run(["synth", "--config", config_file, "--points", "201", "--snr-db", "40", "--seed", "1",
+                "--out", str(path)]) == 0
+    f, re, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    z = re + 1j * im
+    table = np.stack([f, 20.0 * np.log10(np.abs(z)), np.angle(z)], axis=1)
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="f_hz,mag_db,phase_rad", comments="")
+
+
+class TestMagnitudeRule:
+    """Every float that enters, in each kind of entry, is 0 or has 1e-100 <=
+    |v| <= 1e100: anything else is refused where it enters, naming the
+    field, the cell or the option, with the entry's documented exit code."""
+
+    def entry(self, kind, value, tmp_path, config_file, device_files, fit_inputs):
+        """(args, exit code of a refusal, its message) of a run that takes
+        `value` through one entry of `kind`.  A bounded field gets |value|."""
+        x = float(value)
+        vol, surf, lumped = device_files
+        g0 = ["device", "g0", "--volume", str(vol), "--surface", str(surf), "--lumped", str(lumped),
+              "--f-m-hz", "4e6"]
+        rule = f"expected {RULE}, got "
+        if kind == "config":
+            config = tmp_path / "rule.json"
+            config.write_text(json.dumps({**CAVITY_CONFIG, "background": {"phi_rad": x}}))
+            args = ["synth", "--config", str(config), "--points", "11", "--out", str(tmp_path / "t.csv")]
+            return args, 1, f"config error: background.phi_rad: {rule}{x!r}"
+        if kind == "fit_record":
+            cavity, omit = fit_inputs
+            doc = json.loads(cavity.read_text())
+            doc["params"]["phi_rad"] = x
+            cavity.write_text(json.dumps(doc))
+            message = f"data error: cannot read cavity fit {cavity}: params.phi_rad: {rule}{x!r}"
+            return fit_omit_args(omit, cavity, tmp_path / "omit.json"), 2, message
+        if kind == "lumped":
+            lumped.write_text(json.dumps({"inductance_h": 2e-9, "stray_capacitance_f": abs(x)}))
+            message = f"data error: cannot read lumped circuit {lumped}: lumped.stray_capacitance_f: {rule}{abs(x)!r}"
+            return g0, 2, message
+        if kind in ("volume", "surface"):
+            path, column = (vol, "ex_vpm") if kind == "volume" else (surf, "dx_cpm2")
+            set_cell(path, 2, column, value)
+            return g0, 2, f"data error: {path}:2: {column}: {rule}{x!r}"
+        if kind == "trace":
+            trace = tmp_path / "trace.csv"
+            db_phase_trace(config_file, trace)
+            set_cell(trace, 6, "phase_rad", value)
+            args = ["fit", "reflect", "--format", "db_phase", "--in", str(trace), "--out", str(tmp_path / "f.json")]
+            return args, 2, f"data error: {trace}:6: phase_rad: {rule}{x!r}"
+        if kind == "option":
+            args = ["damping", "--config", config_file, "--detuning-hz", value]
+            return args, 1, f"Error: Invalid value for '--detuning-hz': {rule}{value!r}"
+        lossless = tmp_path / "lossless.json"
+        reference = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))["tripartite"]
+        rates = ("kappa_a_in_hz", "kappa_a_ex_hz", "kappa_c_in_hz", "kappa_c_ex_hz", "gamma_hz")
+        lossless.write_text(json.dumps({"tripartite": {**reference, **dict.fromkeys(rates, 0.0)}}))
+        args = ["tripartite", "sweep", "--config", str(lossless), "--axis", f"g_b_hz=0:{value}:2",
+                "--out", str(tmp_path / "sweep.csv")]
+        return args, 1, f"Error: Invalid value for '--axis': {rule}{value!r}"
+
+    @pytest.mark.parametrize("value", RULE_PASSES)
+    @pytest.mark.parametrize("kind", RULE_KINDS)
+    def test_the_range_passes(self, tmp_path, config_file, device_files, fit_inputs, capsys, kind, value):
+        args, _, _ = self.entry(kind, value, tmp_path, config_file, device_files, fit_inputs)
+        capsys.readouterr()
+        assert run(args) == 0
+        assert RULE not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", RULE_REFUSED)
+    @pytest.mark.parametrize("kind", RULE_KINDS)
+    def test_outside_the_range_is_refused(self, tmp_path, config_file, device_files, fit_inputs, capsys,
+                                          kind, value):
+        args, code, message = self.entry(kind, value, tmp_path, config_file, device_files, fit_inputs)
+        capsys.readouterr()
+        assert run(args) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == message and "Warning" not in captured.err
+        assert not list(tmp_path.glob("sweep.csv*")) and not list(tmp_path.glob("omit.json*"))
+
+
 def test_largest_grid_still_runs(config_file, tmp_path):
-    # the widest grids the check lets through are evaluated and written
-    args = ["--config", config_file, "--f-start-hz", "-2.8e307", "--f-stop-hz", "2.8e307", "--points", "7"]
+    # the widest grids the magnitude rule lets through are evaluated and
+    # written
+    args = ["--config", config_file, "--f-start-hz", "-1e100", "--f-stop-hz", "1e100", "--points", "7"]
     for command in (["reflect"], ["reflect", "--model", "omit"], ["synth"]):
         assert run([*command, *args, "--out", str(tmp_path / "wide.csv")]) == 0, command
+
+
+def test_thermal_extremes_within_the_rule(capsys):
+    # hbar w / kB T is at least 4.8e-211 within the magnitude rule, so the
+    # occupation, about 1 / x, stays a finite float
+    assert run(["thermal", "--f-hz", "1e-100", "--t-k", "1e100"]) == 0
+    assert capsys.readouterr().out == "%.17e\n" % thermal_occupation(TWO_PI * 1e-100, 1e100)
+    assert run(["thermal", "--f-hz", "1e100", "--t-k", "1e-100"]) == 0
+    assert capsys.readouterr().out == "0.00000000000000000e+00\n"
 
 
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
@@ -1266,11 +1439,10 @@ class TestFitRecords:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: {**p, "kappa_in_hz": float("nan")},
-             "params.kappa_in_hz: expected a finite number, got nan"),
-            (lambda p: {**p, "amplitude": float("nan")},
-             "params.amplitude: expected a finite number, got nan"),
-            (lambda p: {**p, "f_c_hz": float("inf")}, "params.f_c_hz: expected a finite number, got inf"),
+            (lambda p: {**p, "kappa_in_hz": float("nan")}, f"params.kappa_in_hz: expected {RULE}, got nan"),
+            (lambda p: {**p, "amplitude": float("nan")}, f"params.amplitude: expected {RULE}, got nan"),
+            (lambda p: {**p, "f_c_hz": float("inf")}, f"params.f_c_hz: expected {RULE}, got inf"),
+            (lambda p: {**p, "f_c_hz": 1e308}, f"params.f_c_hz: expected {RULE}, got 1e+308"),
             (lambda p: {**p, "kappa_ex_hz": True}, "params.kappa_ex_hz: expected a number, got True"),
             (lambda p: {**p, "phi_rad": "0.8"}, "params.phi_rad: expected a number, got '0.8'"),
             (lambda p: {k: v for k, v in p.items() if k != "delta_hz"},

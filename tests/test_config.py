@@ -30,6 +30,7 @@ from emcavity.params import (
     Occupations,
     PumpParams,
     TripartiteParams,
+    in_range,
 )
 
 GOOD = {
@@ -88,13 +89,17 @@ def test_missing_required_field():
 
 def test_non_numeric_value_rejected():
     # Python's json reads NaN, Infinity and integers past the float range,
-    # so they reach the schema
+    # so they reach the schema; finite values outside the magnitude rule
+    # are refused with them
     cases = [
         ("cavity", "f_c_hz", "ten"),
         ("cavity", "f_c_hz", float("nan")),
         ("cavity", "f_c_hz", 10**400),
-        ("cavity", "f_c_hz", 1e308),  # finite in Hz, inf in rad/s
+        ("cavity", "f_c_hz", 10**101),
+        ("cavity", "f_c_hz", 1e308),
         ("tripartite", "g_b_hz", -1e308),
+        ("tripartite", "g_b_hz", 9.9e-101),
+        ("tripartite", "g_c_hz", -1.0000000000000002e100),
         ("tripartite", "g_c_hz", float("inf")),
         ("tripartite", "delta_a_hz", -float("inf")),
         ("background", "delta_hz", float("nan")),
@@ -109,6 +114,18 @@ def test_non_numeric_value_rejected():
         bad = {"tripartite": {**VALID["tripartite"], "occupations": {"n_b_in": value}}}
         with pytest.raises(ConfigError, match=r"tripartite\.occupations\.n_b_in: "):
             parse_config(bad)
+
+
+def test_magnitude_rule():
+    # 0 and 1e-100 <= |v| <= 1e100 pass, scalar or elementwise; the records
+    # keep only finiteness and sign, so a computed value outside the rule,
+    # such as a fit's trial point, still builds one
+    passes = [0.0, -0.0, 1e-100, -1e-100, 1e100, -1e100, 1.0, 10**99]
+    refused = [9.9e-101, -9.9e-101, 1.0000000000000002e100, 5e-324, 1e308, math.nan, math.inf, -math.inf, 10**400]
+    assert all(in_range(v) for v in passes) and not any(in_range(v) for v in refused)
+    assert in_range(np.array(passes, dtype=float)).all()
+    assert not in_range(np.array(refused[:-1])).any()
+    assert CavityParams(omega_c=1e300, kappa_in=1e-300, kappa_ex=0.0).omega_c == 1e300
 
 
 def test_negative_rate_rejected():

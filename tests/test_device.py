@@ -28,6 +28,7 @@ from emcavity.device import (
     participation_ratio,
 )
 from emcavity.errors import DataError, DomainError, NumericalError
+from emcavity.params import RULE
 
 from conftest import reference_table, traced_peak
 
@@ -133,9 +134,13 @@ class TestCapacitance:
         )
 
     def test_out_of_range_is_numerical_error(self):
-        # V^2 overflows, V^2 underflows to 0, E / V^2 overflows, no field energy
+        # inputs within the magnitude rule: E / V^2 overflows, E / V^2
+        # underflows to 0, E overflows, no field energy
         vol, _ = parallel_plate()
-        for edit, volts in [({}, 1e200), ({}, 1e-200), ({}, 1e-162), ({"e_field": 0 * vol.e_field}, 1.0)]:
+        field, big = np.where(vol.e_field != 0, 1.0, 0.0), np.full(50, 1e100)
+        for edit, volts in [({"e_field": 1e100 * field}, 1e-100), ({"e_field": 1e-100 * field}, 1e100),
+                            ({"e_field": 1e100 * field, "weight": big, "eps_rel": big}, 1.0),
+                            ({"e_field": 0 * vol.e_field}, 1.0)]:
             with pytest.raises(NumericalError, match="^C_m is not a positive finite float at "):
                 capacitance_from_energy(replace(vol, **edit), volts)
 
@@ -212,11 +217,12 @@ class TestMovingBoundary:
         )
 
     def test_out_of_range_is_numerical_error(self):
-        # a surface sum that overflows to nan, and a field energy that
-        # overflows to inf and would give a ratio of 0
+        # inputs within the magnitude rule: a surface sum that overflows,
+        # and a field energy that overflows to inf and would give a ratio of 0
         vol, surf = parallel_plate()
-        for v, s in [(vol, replace(surf, e_field=1e200 * surf.e_field)),
-                     (replace(vol, e_field=1e200 * vol.e_field), surf)]:
+        big = np.full(50, 1e100)
+        for v, s in [(vol, replace(surf, area=np.array([1e100]), d_field=np.array([[0.0, 0.0, 1e100]]))),
+                     (replace(vol, weight=big, eps_rel=big, e_field=np.where(vol.e_field != 0, 1e100, 0.0)), surf)]:
             with pytest.raises(NumericalError, match=r"^\(1/C_m\) dC_m/dalpha is not a finite float$"):
                 fractional_capacitance_derivative([s], v)
 
@@ -368,8 +374,10 @@ class TestLoaderDiagnostics:
             (f"{ROW_A}\n1,2,3,x,5,6,7,8,9,10,11,12\n", "{path}:3: could not convert string to float: 'x'"),
             # float() syntax that loadtxt refuses
             (f"{ROW_A.replace('1.5', '1_5e-1')}\n{ROW_B}\n", "{path}:2: could not convert string to float: '1_5e-1'"),
-            (f"{ROW_A}\n1,2,3,nan,5,6,7,8,9,10,11,12\n", "{path}:3: non-finite sample"),
-            (f"{ROW_A}\n1,2,3,4,5,6,7,8,9,10,11,inf\n", "{path}:3: non-finite sample"),
+            (f"{ROW_A}\n1,2,3,nan,5,6,7,8,9,10,11,12\n", f"{{path}}:3: w_m3: expected {RULE}, got nan"),
+            (f"{ROW_A}\n1,2,3,4,5,6,7,8,9,10,11,inf\n", f"{{path}}:3: qz_m: expected {RULE}, got inf"),
+            (f"{ROW_A}\n1,2,3,4,5,6,7,8,9,10,11,1e200\n", f"{{path}}:3: qz_m: expected {RULE}, got 1e+200"),
+            (f"{ROW_A}\n1,2,3,4,5,6,7,8,9,1e-101,11,12\n", f"{{path}}:3: qx_m: expected {RULE}, got 1e-101"),
             (f"{ROW_A}\n# comment\n{ROW_B}\n", "{path}:3: expected 12 columns"),
             (f"{ROW_A}\n\n  \n1,2\n", "{path}:5: expected 12 columns"),
             ("", "{path}: no data rows"),
@@ -411,7 +419,7 @@ class TestLoaderDiagnostics:
         path.write_text(f"{VOLUME_HEADER}\n{ROW_A}\n1,2,3,4,5,6,7,8,9,nan,11,12\n")
         with pytest.raises(DataError) as info:
             load_volume_csv(path)
-        assert str(info.value) == f"{path}:3: non-finite sample"
+        assert str(info.value) == f"{path}:3: qx_m: expected {RULE}, got nan"
 
     @pytest.mark.parametrize(
         "text",
@@ -440,17 +448,19 @@ class TestLoaderDiagnostics:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the cells the magnitude rule lets in
+RULED = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
 CELL_STYLES = st.sampled_from(["{!r}", "{:.17e}", "{:.6g}", " {!r} ", '"{!r}"'])
 
 
 @st.composite
 def volume_csv_text(draw):
-    """A volume CSV with random finite cells (positive weights), cell
-    styles, blank and whitespace-only lines and line ends."""
+    """A volume CSV with random cells within the magnitude rule (positive
+    weights), cell styles, blank and whitespace-only lines and line ends."""
     lines = [VOLUME_HEADER]
     for _ in range(draw(st.integers(1, 12))):
-        cells = [draw(FINITE) for _ in range(12)]
-        cells[3] = draw(st.floats(min_value=5e-324, allow_infinity=False))
+        cells = [draw(RULED) for _ in range(12)]
+        cells[3] = draw(st.floats(1e-100, 1e100))
         lines.append(",".join(draw(CELL_STYLES).format(c) for c in cells))
         lines += draw(st.lists(st.sampled_from(["", "  "]), max_size=1))
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"

@@ -19,6 +19,7 @@ from emcavity import tables
 from emcavity.cli import main
 from emcavity.device import load_surface_csv, load_volume_csv
 from emcavity.errors import DataError
+from emcavity.params import RULE
 from emcavity.fitting import (
     ReflectionModelParams,
     load_trace,
@@ -284,12 +285,13 @@ class TestOneReader:
             through_pipe(data, READERS[kind])
         assert str(info.value).split(":", 2)[1:] == ["9", f" {message}"]
 
+    @pytest.mark.parametrize("cell", ["nan", "1e200"])
     @pytest.mark.parametrize("kind", sorted(READERS))
-    def test_a_non_finite_last_row_is_found_in_the_array(self, tmp_path, monkeypatch, kind):
+    def test_a_non_finite_last_row_is_found_in_the_array(self, tmp_path, monkeypatch, kind, cell):
         # loadtxt reads the body, so the row comes from the array: the row
         # walk never runs, and the line map names the line below a blank row
         header, rows = clean_lines(kind)
-        rows[-1] = with_cell(rows[-1], -1, "nan")
+        rows[-1] = with_cell(rows[-1], -1, cell)
         rows.insert(2, BLANK_ROWS["spaces"])
         data = table_bytes(header, rows)
         path = tmp_path / "set.csv"
@@ -299,12 +301,13 @@ class TestOneReader:
             raise AssertionError("the row walk ran")
 
         monkeypatch.setattr(tables, "_refuse", walk)
+        message = f"{header.split(',')[-1]}: expected {RULE}, got {float(cell)!r}"
         with pytest.raises(DataError) as info:
             READERS[kind](path)
-        assert str(info.value) == f"{path}:10: non-finite sample"
+        assert str(info.value) == f"{path}:10: {message}"
         with pytest.raises(DataError) as info:
             through_pipe(data, READERS[kind])
-        assert str(info.value).split(":", 1)[1] == "10: non-finite sample"
+        assert str(info.value).split(":", 1)[1] == f"10: {message}"
 
     def test_the_row_walk_reads_whole_blocks_up_to_the_bad_one(self, tmp_path, monkeypatch):
         # a bad last cell of a 10000-row trace: two reads of the whole body,
@@ -334,7 +337,8 @@ class TestOneReader:
         faults = {
             3: ("3,0.1", "expected 3 columns, got 2"),
             4: ("4,x,0.2", "could not convert string to float: 'x'"),
-            6: ("6,0.1,inf", "non-finite sample"),
+            5: ("5,1e-200,0.2", f"re: expected {RULE}, got 1e-200"),
+            6: ("6,0.1,inf", f"im: expected {RULE}, got inf"),
             7: ("7,1_0,nan", "could not convert string to float: '1_0'"),
         }
         for i, (row, reason) in faults.items():

@@ -491,9 +491,10 @@ class TestEntanglementWorkflow:
         assert verdicts == {True, False}
 
     def test_hot_occupations_fail_by_row_without_warnings(self, reference_tripartite):
-        # occupations of 1e150 overflow det V: every stable row fails with
-        # its reason, and numpy warns nothing
-        p = replace(reference_tripartite, occupations=Occupations(n_a_in=1e150, n_c_in=1e150))
+        # occupations of 1e100, the largest the magnitude rule lets in,
+        # overflow det V: every stable row fails with its reason, and numpy
+        # warns nothing
+        p = replace(reference_tripartite, occupations=Occupations(n_a_in=1e100, n_c_in=1e100))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = sweep(p, {"g_b": TWO_PI * np.linspace(0.0, 3e6, 4)})
@@ -506,22 +507,21 @@ class TestEntanglementWorkflow:
 
     def test_sweep_error_texts(self, reference_tripartite, monkeypatch):
         # the `error` text of each kind of failed row, word for word: a near
-        # pole, a covariance that overflows, one whose determinants overflow
-        # and (V faked) an unphysical one; numpy warns nothing
+        # pole, a covariance whose determinants overflow and (V faked) an
+        # unphysical one; numpy warns nothing.  Within the magnitude rule no
+        # input gives a V with a non-finite entry (test_non_finite_matrix_rejected)
         g_b = {"g_b": TWO_PI * np.array([2e6])}
         p = replace(reference_tripartite, gamma=TWO_PI * 1e-5)
-        hot, warm = (replace(reference_tripartite, occupations=Occupations(n, 0.0, n, n, 0.0))
-                     for n in (1.7e308, 1e150))
+        warm = replace(reference_tripartite, occupations=Occupations(1e100, 0.0, 1e100, 1e100, 0.0))
         V = np.array([[-1.0, 0.5, 0.0, 0.5], [0.5, 2.0, 1.5, 1.5], [0.0, 1.5, 2.0, 1.0], [0.5, 1.5, 1.0, -1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             errors = [sweep(p, {"g_b": np.array([0.0])}, omega=-p.omega_m)["error"][0],
-                      sweep(hot, g_b)["error"][0], sweep(warm, g_b)["error"][0]]
+                      sweep(warm, g_b)["error"][0]]
             monkeypatch.setattr(tripartite, "output_covariance", lambda omega, q, Aq: (V[None], {}))
             errors.append(sweep(reference_tripartite, g_b)["error"][0])
         assert errors == [
             "resolvent nearly singular at omega=-2.513274e+07 rad/s (condition estimate 2.898e+12)",
-            "covariance has non-finite entries",
             "covariance determinants outside the float range: zeta- = nan",
             "covariance not physical: Sigma^2 - 4 det V = -5.188e+00 < 0",
         ]
@@ -549,29 +549,30 @@ class TestEntanglementWorkflow:
             critical_coupling(reference_tripartite, "g_b", (0.0, TWO_PI * 5e6))
         assert calls == {**dict.fromkeys(stages, 0), "stability": 5}
 
-    @pytest.mark.parametrize("axes, field", [
-        ({"delta_a": TWO_PI * np.array([0.0, 2.8e307])}, "delta_a"),
-        ({"g_c": TWO_PI * np.array([2.8e307])}, "g_c"),
-        ({"g_b": np.array([0.0, np.nan])}, "g_b"),
-        ({"delta_c": np.array([-np.inf])}, "delta_c"),
-    ])
-    def test_sweep_refuses_what_overflows_the_drift(self, reference_tripartite, axes, field):
-        # 2 v overflows in a ladder sum, or v is not finite: one DomainError
-        # naming the field, and numpy warns nothing
+    @pytest.mark.parametrize("field", ["delta_a", "g_c", "g_b", "delta_c"])
+    def test_sweep_refuses_the_largest_values_beside_losses(self, reference_tripartite, field):
+        # 2 pi 1e100 rad/s, the largest value the magnitude rule lets in (in
+        # Hz), swamps the reference point's losses: one DomainError naming
+        # the field, and numpy warns nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reason = f"^{field} must be finite and keep the drift matrix in the float range$"
+            reason = f"^{field} must keep every drift entry within 2\\*\\*52 times"
             with pytest.raises(DomainError, match=reason):
-                sweep(reference_tripartite, axes)
+                sweep(reference_tripartite, {field: TWO_PI * np.array([0.0, -1e100])})
 
     def test_largest_drift_values_pass(self, reference_tripartite):
-        # |v| = max / 2 keeps 2 v finite: the check lets it through, here
-        # without losses, which no entry can swamp
+        # without losses, which no entry can swamp, the largest values the
+        # magnitude rule lets in give a finite drift stack, in both bases,
+        # and a sweep that warns nothing
         lossless = replace(reference_tripartite, kappa_a_in=0.0, kappa_a_ex=0.0, kappa_c_in=0.0,
-                           kappa_c_ex=0.0, gamma=0.0)
-        half = np.finfo(float).max / 2.0
-        A = drift_matrices(lossless, {"delta_a": np.array([-half, half]), "g_c": [half]})
+                           kappa_c_ex=0.0, gamma=0.0, occupations=Occupations(*[1e100] * 5))
+        top = TWO_PI * 1e100
+        axes = {"delta_a": np.array([-top, top]), "g_c": np.array([top]), "g_b": np.array([-top])}
+        A = drift_matrices(lossless, axes)
         assert np.isfinite(A).all() and np.isfinite(_ladder(A)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(sweep(lossless, axes, omega=top)["stable"]) == 2
 
     @pytest.mark.parametrize("field, entry, edit", [
         ("delta_c", 1.0, {}),
