@@ -40,11 +40,8 @@ from .tripartite import critical_coupling as _critical_coupling
 from .tripartite import sweep as _sweep
 from . import device as dev
 
-_FMT = "%.17e"
-
-
 def _fmt(x) -> str:
-    return _FMT % float(x)
+    return "%.17e" % float(x)
 
 
 def _write_manifest(out_path: str, config_sha256: str | None, seed: int | None):
@@ -339,14 +336,9 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
     """
     trace = load_trace(in_path, fmt)
     cavity = _read_record(cavity_path, "cavity fit", ReflectionModelParams, "params", key="params")
-    if detuning_hz is None:
-        detuning_hz = f_m_hz
-    guess = OmitModelParams(
-        g=TWO_PI * g_hz,
-        gamma=TWO_PI * gamma_hz,
-        omega_m=TWO_PI * f_m_hz,
-        detuning=TWO_PI * detuning_hz,
-    )
+    detuning_hz = f_m_hz if detuning_hz is None else detuning_hz
+    guess = OmitModelParams(g=TWO_PI * g_hz, gamma=TWO_PI * gamma_hz, omega_m=TWO_PI * f_m_hz,
+                            detuning=TWO_PI * detuning_hz)
     _write_fit(fit_omit(trace, cavity, guess, fit_detuning=fit_detuning), out_path)
 
 
@@ -381,12 +373,8 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
     model = ReflectionModelParams(
         **asdict(bg), omega_c=cavity.omega_c, kappa_in=cavity.kappa_in, kappa_ex=cavity.kappa_ex
     )
-    trace = synthesize_trace(
-        lambda w: reflection_model(w, model),
-        _grid_hz(f_start_hz, f_stop_hz, points),
-        snr_db=snr_db,
-        seed=seed,
-    )
+    trace = synthesize_trace(lambda w: reflection_model(w, model), _grid_hz(f_start_hz, f_stop_hz, points),
+                             snr_db=snr_db, seed=seed)
     save_trace(trace, out_path)
     _write_manifest(out_path, config_sha256, seed)
     click.echo(f"wrote {out_path}", err=True)

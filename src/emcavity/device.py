@@ -134,7 +134,10 @@ def capacitance_from_energy(v: VolumeSampleSet, applied_voltage: float = 1.0) ->
     """C_m = (integral eps |E|^2 dV) / V^2 (twice the stored energy over V^2)."""
     if applied_voltage <= 0:
         raise DomainError("applied voltage must be positive")
-    c_m = v.field_energy2 / applied_voltage**2
+    try:  # V^2 past the float range raises, or underflows to 0 and E / 0 raises
+        c_m = v.field_energy2 / applied_voltage**2
+    except ArithmeticError:
+        c_m = 0.0
     if not 0 < c_m < np.inf:  # also a zero or negative field energy
         raise NumericalError(f"C_m is not a positive finite float at {applied_voltage} V")
     return c_m

@@ -300,7 +300,7 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
 
     1. Delay tau from the phase slopes of the off-resonant edges, refined
        by the wrapped phase step between their means (r0 -> -1 on both).
-       An edge of 40 samples or more is fitted by its means over 20 blocks.
+       Each edge is fitted by its means over blocks (`_edge_phase`).
        That step is known only modulo 2 pi, so tau only modulo 2 pi / dw,
        dw the distance between the edge means: steps 2-4 run at tau and at
        its aliases tau -/+ 2 pi / dw.  Of the starts found, the one whose
@@ -324,7 +324,7 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     n = len(w)
     m = max(n // 10, 2)  # samples per off-resonant edge
     edges = (slice(0, m), slice(n - m, n))
-    tau = -float(np.mean([np.polyfit(*_blocks(w[s], vals[s]), 1)[0] for s in edges]))
+    tau = -float(np.mean([np.polyfit(*_edge_phase(w[s], vals[s]), 1)[0] for s in edges]))
     left, right = (np.mean(vals[s] * np.exp(1j * w[s] * tau)) for s in edges)
     dw = float(np.mean(w[n - m:]) - np.mean(w[:m]))
     tau -= float(np.angle(right / left) / dw)
@@ -345,12 +345,13 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
     return starts[min(kept, key=cost.get)]
 
 
-def _blocks(w, z):
-    """(w, unwrapped phase) of the samples z at w, or from 40 samples on of their
-    means over 20 blocks, equal but for one sample: noisy samples unwrap in random 2 pi steps."""
-    if len(w) >= 40:
-        starts = len(w) * np.arange(20) // 20
-        w, z = (np.add.reduceat(x, starts) / np.diff(starts, append=len(w)) for x in (w, z))
+def _edge_phase(w, z):
+    """(w, unwrapped phase) of the means of z over k blocks equal but for one sample: noisy samples unwrap
+    in random 2 pi steps.  k >= 20 keeps the raw slope under pi / 2 a block (means alias at pi), k <= len(w)."""
+    turn = abs(np.polyfit(w, np.unwrap(np.angle(z)), 1)[0]) * (w[-1] - w[0])
+    k = int(min(len(w), max(20, np.ceil(turn / (np.pi / 2)))))
+    starts = len(w) * np.arange(k) // k
+    w, z = (np.add.reduceat(x, starts) / np.diff(starts, append=len(w)) for x in (w, z))
     return w, np.unwrap(np.angle(z))
 
 

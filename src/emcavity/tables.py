@@ -96,9 +96,9 @@ def _parse(path, fh, columns, skip) -> np.ndarray:
 
 
 def _range_fault(arr, names):
-    """(row, message) of the first cell outside the magnitude rule, or None; 4096 rows at a time."""
-    for start in range(0, len(arr), 4096):
-        ok = in_range(arr[start : start + 4096])
+    """(row, message) of the first cell outside the magnitude rule, or None."""
+    for start in range(0, len(arr), _RANGE_BLOCK):
+        ok = in_range(arr[start : start + _RANGE_BLOCK])
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
             return start + int(i), f"{names[j]}: expected {RULE}, got {float(arr[start + i, j])!r}"
@@ -147,6 +147,7 @@ def _without_blank_rows(lines):
 
 
 _WALK_BLOCK = 1024  # data rows that _refuse checks with one load
+_RANGE_BLOCK = 4096  # rows per in_range pass: a whole set's |v| and masks would match the parse in size
 
 
 def _refuse(lines, load, names, ncols, skip, exact, reason):

@@ -138,15 +138,16 @@ def output_covariance(omega: float, p: TripartiteParams, Aq: np.ndarray):
     s, poles = scattering(omega, p, Aq)
     sq = _R2 @ s @ _R5.conj().T
     weight = np.repeat(np.asarray(astuple(p.occupations)) + 0.5, 2)
-    V = np.real((sq * weight) @ sq.conj().transpose(0, 2, 1))
-    return 0.5 * (V + V.transpose(0, 2, 1)), poles
+    with np.errstate(over="ignore", invalid="ignore"):  # such a row fails in `symplectic_eigenvalue_min`
+        V = np.real((sq * weight) @ sq.conj().transpose(0, 2, 1))
+        return 0.5 * (V + V.transpose(0, 2, 1)), poles
 
 
 def symplectic_eigenvalue_min(V: np.ndarray):
     """Smallest symplectic eigenvalue of each partially transposed (4, 4)
     covariance in V: zeta- = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2),
-    Sigma = det V_a + det V_c - 2 det V_ac; with {row: reason} for the
-    non-finite, asymmetric, unphysical or degenerate rows, and no warning."""
+    Sigma = det V_a + det V_c - 2 det V_ac; with {row: reason} for the non-finite,
+    asymmetric, unphysical or degenerate rows (an overflow gives such a row, not a warning)."""
     with np.errstate(all="ignore"):
         det_v = np.linalg.det(V)
         sigma = np.linalg.det(V[:, :2, :2]) + np.linalg.det(V[:, 2:, 2:]) - 2.0 * np.linalg.det(V[:, :2, 2:])
@@ -158,7 +159,7 @@ def symplectic_eigenvalue_min(V: np.ndarray):
         unphysical = disc < -1e-9 * sigma * sigma
     errors = {}
     for i in np.flatnonzero(unphysical | asymmetric | ~(zeta > 0)):
-        if not np.isfinite(V[i]).all():  # only a V passed in: within the magnitude rule, V is finite
+        if not np.isfinite(V[i]).all():
             reason = "covariance has non-finite entries"
         elif asymmetric[i]:
             reason = "covariance not symmetric"

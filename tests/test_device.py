@@ -134,11 +134,13 @@ class TestCapacitance:
         )
 
     def test_out_of_range_is_numerical_error(self):
-        # inputs within the magnitude rule: E / V^2 overflows, E / V^2
-        # underflows to 0, E overflows, no field energy
+        # called directly: V^2 overflows, V^2 underflows to 0, E / V^2
+        # overflows; and inputs within the magnitude rule: E / V^2
+        # overflows, E / V^2 underflows to 0, E overflows, no field energy
         vol, _ = parallel_plate()
         field, big = np.where(vol.e_field != 0, 1.0, 0.0), np.full(50, 1e100)
-        for edit, volts in [({"e_field": 1e100 * field}, 1e-100), ({"e_field": 1e-100 * field}, 1e100),
+        for edit, volts in [({}, 1e200), ({}, 1e-200), ({}, 1e-162),
+                            ({"e_field": 1e100 * field}, 1e-100), ({"e_field": 1e-100 * field}, 1e100),
                             ({"e_field": 1e100 * field, "weight": big, "eps_rel": big}, 1.0),
                             ({"e_field": 0 * vol.e_field}, 1.0)]:
             with pytest.raises(NumericalError, match="^C_m is not a positive finite float at "):

@@ -364,6 +364,21 @@ class TestLowSnr:
         assert len(refused) <= max_refused, refused
         assert wrong == []
 
+    @pytest.mark.parametrize("points, snr_db", [(2001, 40.0), (20001, 20.0)])
+    def test_long_delay_over_a_wide_span(self, points, snr_db):
+        # an 80 ns cable over a 2.5 GHz span turns an edge's phase by 40 pi,
+        # 2 pi a block of 20: those block means alias, and seeds 0-4 were
+        # each refused, unconverged or off by more than 5 sigma.  The block
+        # count follows the samples' own slope, and every fit converges to
+        # the truth
+        truth = ReflectionModelParams(amplitude=0.5, tau=80e-9, phi=0.3, omega_c=TWO_PI * 6e9,
+                                      kappa_in=TWO_PI * 40e6, kappa_ex=TWO_PI * 85e6, delta=0.01)
+        grid = np.linspace(4.75e9, 7.25e9, points)
+        for seed in range(5):
+            res = fit_reflection(synthesize_trace(lambda w: reflection_model(w, truth), grid, snr_db, seed))
+            assert res.converged, seed
+            assert max(pulls(res, truth).values()) < 5.0, seed
+
 
 OMIT_CAVITY = ReflectionModelParams(
     amplitude=0.2,

@@ -507,21 +507,23 @@ class TestEntanglementWorkflow:
 
     def test_sweep_error_texts(self, reference_tripartite, monkeypatch):
         # the `error` text of each kind of failed row, word for word: a near
-        # pole, a covariance whose determinants overflow and (V faked) an
-        # unphysical one; numpy warns nothing.  Within the magnitude rule no
-        # input gives a V with a non-finite entry (test_non_finite_matrix_rejected)
+        # pole, a covariance that overflows (occupations past the magnitude
+        # rule, which a direct call takes), one whose determinants overflow
+        # and (V faked) an unphysical one; numpy warns nothing
         g_b = {"g_b": TWO_PI * np.array([2e6])}
         p = replace(reference_tripartite, gamma=TWO_PI * 1e-5)
-        warm = replace(reference_tripartite, occupations=Occupations(1e100, 0.0, 1e100, 1e100, 0.0))
+        hot, warm = (replace(reference_tripartite, occupations=Occupations(n, 0.0, n, n, 0.0))
+                     for n in (1.7e308, 1e100))
         V = np.array([[-1.0, 0.5, 0.0, 0.5], [0.5, 2.0, 1.5, 1.5], [0.0, 1.5, 2.0, 1.0], [0.5, 1.5, 1.0, -1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             errors = [sweep(p, {"g_b": np.array([0.0])}, omega=-p.omega_m)["error"][0],
-                      sweep(warm, g_b)["error"][0]]
+                      sweep(hot, g_b)["error"][0], sweep(warm, g_b)["error"][0]]
             monkeypatch.setattr(tripartite, "output_covariance", lambda omega, q, Aq: (V[None], {}))
             errors.append(sweep(reference_tripartite, g_b)["error"][0])
         assert errors == [
             "resolvent nearly singular at omega=-2.513274e+07 rad/s (condition estimate 2.898e+12)",
+            "covariance has non-finite entries",
             "covariance determinants outside the float range: zeta- = nan",
             "covariance not physical: Sigma^2 - 4 det V = -5.188e+00 < 0",
         ]
