@@ -118,11 +118,17 @@ def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
     click.echo(f"wrote {out_path}", err=True)
 
 
-def _grid_hz(f_start_hz, f_stop_hz, points):
-    """The evenly spaced probe grid in Hz; a short or reversed one is a usage error."""
-    if points < 2 or f_stop_hz <= f_start_hz:
+def _grid_hz(f_start_hz, f_stop_hz, points, default=None):
+    """The evenly spaced probe grid in Hz.  A short or reversed grid, or one
+    whose samples do not rise at float resolution, is a usage error naming
+    the options; for a grid whose ends no option gave, the text `default`."""
+    if points < 2 or (f_stop_hz <= f_start_hz and default is None):
         raise click.UsageError("need points >= 2 and f_stop_hz > f_start_hz")
-    return np.linspace(f_start_hz, f_stop_hz, points)
+    grid = np.linspace(f_start_hz, f_stop_hz, points)
+    if not np.all(np.diff(grid) > 0):
+        raise click.UsageError(default or f"--f-start-hz {f_start_hz!r} and --f-stop-hz {f_stop_hz!r} "
+                               f"are too close for {points} points to rise at float resolution")
+    return grid
 
 
 def _omit_spectrum(params, f_hz):
@@ -365,15 +371,18 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
     if cavity.kappa == 0:
         raise DomainError("kappa_in + kappa_ex must be positive (pole)")
     bg = params.background or Background()
+    default = None
     if f_start_hz is None or f_stop_hz is None:
         f_c = cavity.omega_c / TWO_PI
         span = 10.0 * cavity.kappa / TWO_PI
         f_start_hz = f_c - span if f_start_hz is None else f_start_hz
         f_stop_hz = f_c + span if f_stop_hz is None else f_stop_hz
+        default = (f"the default grid f_c +/- 10 kappa (f_c = {f_c!r} Hz, kappa = {cavity.kappa / TWO_PI!r} Hz) "
+                   f"does not rise over {points} points at float resolution; give --f-start-hz and --f-stop-hz")
     model = ReflectionModelParams(
         **asdict(bg), omega_c=cavity.omega_c, kappa_in=cavity.kappa_in, kappa_ex=cavity.kappa_ex
     )
-    trace = synthesize_trace(lambda w: reflection_model(w, model), _grid_hz(f_start_hz, f_stop_hz, points),
+    trace = synthesize_trace(lambda w: reflection_model(w, model), _grid_hz(f_start_hz, f_stop_hz, points, default),
                              snr_db=snr_db, seed=seed)
     save_trace(trace, out_path)
     _write_manifest(out_path, config_sha256, seed)

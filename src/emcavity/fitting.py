@@ -13,10 +13,9 @@ field metadata declares.  A trial step with invalid parameters
 or a non-finite residual is rejected; a fit whose log-fitted rate
 underflowed to 0, or whose sigma is 0 or not finite, is not converged.
 The OMIT model reuses the same prefactor and tilt and adds the mechanical
-self-energy to the kernel.  The driver takes one callback, which
-evaluates the model at a point and returns the residual with a function
-that builds the Jacobian from that evaluation's terms through the kernel's
-partials, so the fit evaluates each model once per point it visits.
+self-energy to the kernel.  Each model, asked for its Jacobian, returns
+with its value a function that yields that evaluation's derivative
+columns, so the fit evaluates each model once per point it visits.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import DataError, DomainError, GuessError, NumericalError
-from .linear_response import mechanical_self_energy, reflection_partials, reflection_terms
+from .linear_response import mechanical_self_energy, reflection_terms
 from .params import NON_NEGATIVE, POSITIVE, Checked, CheckedArrays, key
 from .tables import read_table, write_table
 
@@ -91,32 +90,40 @@ def _background(w, p: ReflectionModelParams):
     return p.amplitude * np.exp(-1j * (w * p.tau + p.phi))
 
 
-def reflection_model(omega, p: ReflectionModelParams, terms=False):
+def _times(pre, d):
+    """pre * d.  d is named: numpy computes pre * (a temporary) in the
+    temporary's buffer, as temporary * pre, and complex products are not
+    bitwise commutative.  The partial d is freed on return."""
+    return pre * d
+
+
+def reflection_model(omega, p: ReflectionModelParams, jacobian=False):
     """Evaluate the extended reflection model at angular frequency omega.
 
-    With terms, return (model, (background, r0, D)): the model with the
-    terms _reflection_columns builds its Jacobian from.
+    With jacobian, return (model, columns): columns() yields the model's
+    complex derivatives w.r.t. (log A, tau, phi, omega_c, log kappa_in,
+    log kappa_ex, delta), one at a time, from this evaluation.  With
+    a = (1 + r0)/D, dr0/dw_c = -i a, dr0/dk_in = -a/2,
+    dr0/dk_ex = (1 - r0)/(2D) and dr0/ddelta = -i/D.
     """
     w = np.asarray(omega)
     pre = _background(w, p)
     r0, den = reflection_terms(w, p.omega_c, p.kappa_in, p.kappa_ex, p.delta)
     m = pre * r0
-    return (m, (pre, r0, den)) if terms else m
+    if not jacobian:
+        return m
 
+    def columns():
+        yield m
+        yield -1j * w * m
+        yield -1j * m
+        a = (1.0 + r0) / den
+        yield _times(pre, -1j * a)
+        yield _times(pre, -0.5 * a) * p.kappa_in
+        yield _times(pre, (1.0 - r0) / (2.0 * den)) * p.kappa_ex
+        yield _times(pre, -1j / den)
 
-def _reflection_columns(w, p: ReflectionModelParams, m, terms):
-    """Complex derivatives of the reflection model, m with `terms` at p,
-    w.r.t. (log A, tau, phi, omega_c, log kappa_in, log kappa_ex, delta),
-    yielded one at a time."""
-    pre, r0, den = terms
-    yield m
-    yield -1j * w * m
-    yield -1j * m
-    d = reflection_partials(pre, r0, den, "center", "kappa_in", "kappa_ex", "tilt")
-    yield next(d)
-    yield next(d) * p.kappa_in
-    yield next(d) * p.kappa_ex
-    yield next(d)
+    return m, columns
 
 
 _MAX_ITER = 500
@@ -222,17 +229,16 @@ def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
     return {name: float(np.sqrt(v) / c) for name, v, c in zip(names, var, scale)}
 
 
-def _fit(trace: ComplexTrace, model, columns, start, names) -> FitResult:
+def _fit(trace: ComplexTrace, model, start, names) -> FitResult:
     """Fit the fields `names` of the dataclass `start` to the real and
     imaginary parts of the trace; every other field keeps its start value.
 
-    model(w, p) returns the complex model with the terms its Jacobian is
-    built from, and columns(w, p, model, terms) yields the model's
-    derivatives with respect to the fitted coordinates, one per name in
-    order; the columns after the last name are never built.  Each field's
-    metadata gives its coordinate.  evaluate(theta) evaluates the model
-    once and returns the residual with a function that builds the Jacobian
-    from that same evaluation's terms, so each point the driver visits
+    model(w, p) returns the complex model with a function columns() that
+    yields its derivatives with respect to the fitted coordinates, one per
+    name in order; the columns after the last name are never built.  Each
+    field's metadata gives its coordinate.  evaluate(theta) evaluates the
+    model once and returns the residual with a function that builds the
+    Jacobian from that same evaluation, so each point the driver visits
     costs one model evaluation, and the sigmas come from the driver's last
     accepted point.
     """
@@ -249,13 +255,13 @@ def _fit(trace: ComplexTrace, model, columns, start, names) -> FitResult:
     def evaluate(theta):
         try:
             p = params(theta)
-            m, terms = model(w, p)
+            m, columns = model(w, p)
         except DomainError:  # e.g. exp(log A) underflowed: reject the step
             return np.full(data.shape, np.inf), None
 
         def jacobian():
             J = np.empty((len(data), len(names)), order="F")  # each column written as it is made
-            for j, (_, col) in enumerate(zip(names, columns(w, p, m, terms))):
+            for j, (_, col) in enumerate(zip(names, columns())):
                 J[: len(w), j], J[len(w) :, j] = col.real, col.imag
             return J
 
@@ -304,9 +310,10 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
        That step is known only modulo 2 pi, so tau only modulo 2 pi / dw,
        dw the distance between the edge means: steps 2-4 run at tau and at
        its aliases tau -/+ 2 pi / dw.  Of the starts found, the one whose
-       full model is nearest the data in the sum of squares wins; an alias
-       counts only if it is nearer than zero, since at an alias a flat
-       trace winds into a circle that explains none of it.
+       full model is nearest the data in the sum of squares wins.  A start
+       counts only if it is nearer than zero: at an alias a flat trace
+       winds into a circle that explains none of it, and so does tau's
+       own circle on a resonance at the trace's edge.
     2. Without the delay the data z = A exp(-i phi) r0 lie on a circle,
        fitted by linear least squares (Kasa): x^2 + y^2 + Dx + Ey + F = 0.
     3. Its point farthest from the origin, P = c (1 + R/|c|), is the
@@ -318,7 +325,7 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
        (1 - cos theta)^2, so the half circle nearest resonance sets it.
 
     GuessError, that of tau itself, when no delay gives a circle with
-    w_c +/- k between the edges.
+    w_c +/- k between the edges, and one that says so when no start counts.
     """
     w, vals = trace.omega, trace.values
     n = len(w)
@@ -336,12 +343,12 @@ def initial_guess(trace: ComplexTrace) -> ReflectionModelParams:
             starts[k] = _circle_start(w, zk, tau + 2.0 * np.pi * k / dw, m)
         except GuessError as exc:
             errors.append(str(exc))
-    if list(starts) == [0]:  # no alias to weigh against the delay itself
-        return starts[0]
-    cost = {k: float(np.sum(np.abs(reflection_model(w, p) - vals) ** 2)) for k, p in starts.items()}
-    kept = [k for k in starts if k == 0 or cost[k] < float(np.sum(np.abs(vals) ** 2))]
-    if not kept:
+    if not starts:
         raise GuessError(errors[0])
+    cost = {k: float(np.sum(np.abs(reflection_model(w, p) - vals) ** 2)) for k, p in starts.items()}
+    kept = [k for k in starts if cost[k] < float(np.sum(np.abs(vals) ** 2))]
+    if not kept:
+        raise GuessError("no start explains the trace better than zero")
     return starts[min(kept, key=cost.get)]
 
 
@@ -392,8 +399,7 @@ def fit_reflection(trace: ComplexTrace) -> FitResult:
     """Fit the extended reflection model, from initial_guess, to the real and imaginary parts."""
     guess = initial_guess(trace)
     names = [f.name for f in fields(guess)]
-    return _fit(trace, lambda w, p: reflection_model(w, p, terms=True), _reflection_columns,
-                guess, names)
+    return _fit(trace, lambda w, p: reflection_model(w, p, jacobian=True), guess, names)
 
 
 @dataclass(frozen=True)
@@ -406,35 +412,36 @@ class OmitModelParams(Checked):
     detuning: float = field(metadata=key("detuning_hz"))
 
 
-def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams, terms=False):
+def omit_model(omega, cavity: ReflectionModelParams, p: OmitModelParams, jacobian=False):
     """OMIT reflection wrapped in the fitted cavity background.
 
     Frequencies are in the frame rotating at the pump: the cavity Lorentzian
-    sits at the detuning, the mechanical feature at Omega.  With terms,
-    return (model, (background, r0, D)) as reflection_model does.
+    sits at the detuning, the mechanical feature at Omega.  With jacobian,
+    return (model, columns) as reflection_model does, the columns w.r.t.
+    (g, gamma, omega_m, detuning): with a = (1 + r0)/D, dr0/dSigma = -a and
+    dr0/dDelta = -i a.
     """
     w = np.asarray(omega)
     pre = _background(w, cavity)
     sigma = mechanical_self_energy(w, p.g, p.gamma, p.omega_m)
     r0, den = reflection_terms(w, p.detuning, cavity.kappa_in, cavity.kappa_ex, cavity.delta, sigma)
     m = pre * r0
-    return (m, (pre, r0, den)) if terms else m
+    if not jacobian:
+        return m
 
+    def columns():
+        # at unit coupling the self-energy is the mechanical susceptibility
+        # chi, and Sigma = g^2 chi stays differentiable through g = 0
+        chi = mechanical_self_energy(w, 1.0, p.gamma, p.omega_m)
+        g2chi2 = p.g * p.g * chi * chi
+        a = (1.0 + r0) / den
+        d_sigma = _times(pre, -a)
+        yield d_sigma * (2.0 * p.g * chi)
+        yield d_sigma * (-0.5 * g2chi2)
+        yield d_sigma * (-1j * g2chi2)
+        yield _times(pre, -1j * a)
 
-def _omit_columns(w, p: OmitModelParams, m, terms):
-    """Complex derivatives of omit_model, m with `terms` at p, w.r.t.
-    (g, gamma, omega_m, detuning), yielded one at a time."""
-    pre, r0, den = terms
-    # at unit coupling the self-energy is the mechanical susceptibility chi,
-    # and Sigma = g^2 chi stays differentiable through g = 0
-    chi = mechanical_self_energy(w, 1.0, p.gamma, p.omega_m)
-    g2chi2 = p.g * p.g * chi * chi
-    d = reflection_partials(pre, r0, den, "self_energy", "center")
-    d_sigma = next(d)
-    yield d_sigma * (2.0 * p.g * chi)
-    yield d_sigma * (-0.5 * g2chi2)
-    yield d_sigma * (-1j * g2chi2)
-    yield next(d)
+    return m, columns
 
 
 def fit_omit(
@@ -449,7 +456,7 @@ def fit_omit(
     fit_reflection first and held fixed here.
     """
     names = ("g", "gamma", "omega_m") + (("detuning",) if fit_detuning else ())
-    res = _fit(trace, lambda w, p: omit_model(w, cavity, p, terms=True), _omit_columns, guess, names)
+    res = _fit(trace, lambda w, p: omit_model(w, cavity, p, jacobian=True), guess, names)
     # the model depends on g only through g^2, so near g = 0 the
     # identifiable quantity is g^2; report its uncertainty too
     sig = res.param_uncertainties

@@ -42,34 +42,6 @@ def reflection(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.0):
     return reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy)[0]
 
 
-def reflection_partials(pre, r0, den, *wrt):
-    """pre times each partial derivative of r0 with respect to the
-    parameters of reflection_terms named in wrt, yielded one at a time in
-    wrt's order; a partial is built only when it is asked for.  r0 and D
-    are those of reflection_terms, and pre is a prefactor that does not
-    depend on its parameters, so these are the partials of pre r0:
-
-    dr0/dcenter = -i(1 + r0)/D,   dr0/dkappa_in = -(1 + r0)/(2D),
-    dr0/dkappa_ex = (1 - r0)/(2D),    dr0/dtilt = -i/D,
-    dr0/dself_energy = -(1 + r0)/D.
-    """
-    a = (1.0 + r0) / den
-    partial = {
-        "center": lambda: -1j * a,
-        "kappa_in": lambda: -0.5 * a,
-        "kappa_ex": lambda: (1.0 - r0) / (2.0 * den),
-        "tilt": lambda: -1j / den,
-        "self_energy": lambda: -a,
-    }
-    for name in wrt:
-        d = partial[name]()
-        # d is named: numpy computes pre * (a temporary) in the temporary's
-        # buffer, as temporary * pre, and complex products are not bitwise
-        # commutative.  Rebinding d frees the partial.
-        d = pre * d
-        yield d
-
-
 def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
     """Optomechanical damping rate at mechanical resonance: what the pump
     adds to the mechanical energy damping rate, so that the mechanical

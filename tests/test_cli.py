@@ -154,6 +154,32 @@ class TestReflect:
         assert "need points >= 2 and f_stop_hz > f_start_hz" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("command, kappa_hz, message", [
+        ("reflect", 1.45e6, "--f-start-hz 1000000000.0 and --f-stop-hz 1000000000.0000002 are too close "
+                            "for 2001 points to rise at float resolution"),
+        ("synth", 1.45e6, "--f-start-hz 1000000000.0 and --f-stop-hz 1000000000.0000002 are too close "
+                          "for 2001 points to rise at float resolution"),
+        ("synth", 1e-8, "the default grid f_c +/- 10 kappa (f_c = 1000000000.0 Hz, kappa = 2e-08 Hz) does not "
+                        "rise over 2001 points at float resolution; give --f-start-hz and --f-stop-hz"),
+        ("synth", 1e-100, "the default grid f_c +/- 10 kappa (f_c = 1000000000.0 Hz, kappa = 2e-100 Hz) does "
+                          "not rise over 2001 points at float resolution; give --f-start-hz and --f-stop-hz"),
+    ], ids=["reflect", "synth", "synth_default", "synth_default_1e-100"])
+    def test_collapsed_grid_is_usage_error(self, tmp_path, capsys, command, kappa_hz, message):
+        # a grid finer than float resolution names the options, or f_c and
+        # kappa for synth's default grid.  It once exited 3 (reflect), 2
+        # (synth) or, at kappa 2e-100 Hz, 1 naming options never given
+        config = tmp_path / "system.json"
+        cavity = {"f_c_hz": 1e9, "kappa_in_hz": kappa_hz, "kappa_ex_hz": kappa_hz}
+        config.write_text(json.dumps({**CAVITY_CONFIG, "cavity": cavity}))
+        args = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
+        if kappa_hz > 1.0:
+            args += ["--f-start-hz", "1e9", "--f-stop-hz", "1.0000000000000002e9"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"Error: {message}" and err.count("Error") == 1
+        assert "Warning" not in err
+        assert not list(tmp_path.glob("out*"))
+
     def test_config_without_cavity_block(self, tmp_path, capsys):
         path = tmp_path / "mech_only.json"
         path.write_text(json.dumps({"mech": CAVITY_CONFIG["mech"]}))
@@ -540,6 +566,19 @@ class TestSynthFitPipeline:
         capfd.readouterr()
         assert run(["fit", "reflect", "--in", str(trace), "--out", str(out)]) == 2
         assert capfd.readouterr() == ("", f"data error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [201, 399])
+    def test_dip_on_edge_is_data_error(self, config_file, tmp_path, capfd, points):
+        # the resonance on the first sample: no start explains the trace
+        # better than zero.  These traces once ran 98 and 182 iterations to
+        # converged: false, with exit 0
+        trace, out = tmp_path / "trace.csv", tmp_path / "f.json"
+        grid = ["--f-start-hz", "10.29184e9", "--f-stop-hz", "10.32904e9", "--points", str(points)]
+        assert run(["synth", "--config", config_file, *grid, "--out", str(trace)]) == 0
+        capfd.readouterr()
+        assert run(["fit", "reflect", "--in", str(trace), "--out", str(out)]) == 2
+        assert capfd.readouterr() == ("", "data error: no start explains the trace better than zero\n")
         assert not out.exists()
 
     def test_non_utf8_input(self, config_file, tmp_path, capsys):
@@ -1381,6 +1420,12 @@ FIT_GOLDEN = {
     "reflect": "5597e12f43b82e2210daa3ee53e810b1380225875db3d724c1f8614831aaf0d5",
     "omit": "952665d746fca8d8438104223e505c05fefaeec6abe183b8570d26f4d9472bfd",
     "omit_fixed_detuning": "a37485d0c68a5731be62fdfa5a92305474abb701d031d81ba727dbafe99a7c64",
+    # 20001-point traces, whose arrays are past numpy's 256 KiB elision
+    # threshold: there the operand order of each Jacobian product sets its
+    # last bits (`synth --points 20001 --snr-db 40 --seed 7`, `--snr-db 3
+    # --seed 4`)
+    "reflect_20001_40db": "0e1337392a2987723fed81bd81e37c5c7478a649572f6e4dac5bfe418a335337",
+    "reflect_20001_3db": "6e2a70f3cc02cd217c6d7ef90e6ea2046c8bb50eea401f4f3d524ecad6c6fe36",
 }
 OMIT_ARGS = ["--f-m-hz", "4.00002e6", "--g-hz", "1.5e3", "--gamma-hz", "130"]
 
@@ -1435,6 +1480,15 @@ class TestFitRecords:
         assert json.loads(out.read_text())["params"]["detuning_hz"] == TWO_PI * 4.00002e6 / TWO_PI
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == FIT_GOLDEN["omit_fixed_detuning"]
+
+    @pytest.mark.parametrize("snr_db, seed", [("40", "7"), ("3", "4")])
+    def test_long_trace_bytes(self, config_file, tmp_path, snr_db, seed):
+        trace, out = tmp_path / "trace.csv", tmp_path / "fit.json"
+        args = ["--points", "20001", "--snr-db", snr_db, "--seed", seed, "--out", str(trace)]
+        assert run(["synth", "--config", config_file, *args]) == 0
+        assert run(["fit", "reflect", "--in", str(trace), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == FIT_GOLDEN[f"reflect_20001_{snr_db}db"]
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -15,8 +15,6 @@ from emcavity.linear_response import (
     mechanical_self_energy,
     optomechanical_damping,
     reflection,
-    reflection_partials,
-    reflection_terms,
     spectrum,
 )
 from emcavity.params import CavityParams, MechParams
@@ -117,40 +115,6 @@ class TestOmit:
         above = mechanical_self_energy(MECH.omega_m + x, g, MECH.gamma, MECH.omega_m)
         below = mechanical_self_energy(MECH.omega_m - x, g, MECH.gamma, MECH.omega_m)
         assert np.allclose(below, np.conj(above), rtol=1e-9)
-
-
-class TestPartials:
-    def test_products_keep_their_operand_order(self):
-        # above 256 KiB numpy computes pre * (a temporary) in the
-        # temporary's buffer, as temporary * pre, and complex products are
-        # not bitwise commutative: each partial is pre * d, bit for bit, at
-        # 20001 points as at 201
-        names = ("center", "kappa_in", "kappa_ex", "tilt", "self_energy")
-        for n in (201, 20001):
-            w = TWO_PI * np.linspace(10.27e9, 10.31e9, n)
-            pre = 0.2 * np.exp(-1j * (w * 6e-8 + 0.8))
-            sigma = mechanical_self_energy(w - w[n // 2], TWO_PI * 2e3, MECH.gamma, MECH.omega_m)
-            r0, den = reflection_terms(w, w[n // 2], TWO_PI * 0.41e6, TWO_PI * 1.45e6, 5e3, sigma)
-            a = (1.0 + r0) / den
-            want = [-1j * a, -0.5 * a, (1.0 - r0) / (2.0 * den), -1j / den, -a]
-            got = list(reflection_partials(pre, r0, den, *names))
-            assert len(got) == len(want)
-            for d, col in zip(want, got):
-                assert col.tobytes() == np.multiply(pre, d).tobytes()
-
-    def test_only_named_partials_are_built(self):
-        # a subset of the names, in any order, yields just those partials
-        w = TWO_PI * np.linspace(10.27e9, 10.31e9, 201)
-        pre = 0.2 * np.exp(-1j * (w * 6e-8 + 0.8))
-        sigma = mechanical_self_energy(w - w[100], TWO_PI * 2e3, MECH.gamma, MECH.omega_m)
-        r0, den = reflection_terms(w, w[100], TWO_PI * 0.41e6, TWO_PI * 1.45e6, 5e3, sigma)
-        names = ("center", "kappa_in", "kappa_ex", "tilt", "self_energy")
-        full = dict(zip(names, reflection_partials(pre, r0, den, *names)))
-        for wrt in (("self_energy", "tilt"), ("kappa_ex",), ()):
-            got = list(reflection_partials(pre, r0, den, *wrt))
-            assert len(got) == len(wrt)
-            for name, col in zip(wrt, got):
-                assert col.tobytes() == full[name].tobytes()
 
 
 class TestDamping:
