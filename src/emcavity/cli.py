@@ -152,19 +152,17 @@ def _write_spectrum_csv(path, f_hz, values):
     write_table(path, b"f_hz,re,im,mag_db,phase_rad\n", table)
 
 
-def _write_sweep_csv(out_path, axes, res):
-    # the requested Hz grids, meshed as `sweep` meshes them, and the floats
-    # as two kernel tables, a line per point each, with the stable flags
-    # spliced between them; zeta- and E_N are NaN, written blank, where
-    # unstable or failed
-    grids = np.meshgrid(*axes.values(), indexing="ij")
-    axis_lines = format_e17(np.stack([g.ravel() for g in grids], axis=1)).tobytes()
+def _write_sweep_csv(out_path, mesh, res):
+    # the Hz mesh and the floats as two kernel tables, a line per point
+    # each, with the stable flags spliced between them; zeta- and E_N are
+    # NaN, written blank, where unstable or failed
+    axis_lines = format_e17(np.stack(list(mesh.values()), axis=1)).tobytes()
     floats = np.stack([res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"]], axis=1)
     float_lines = format_e17(floats).tobytes().replace(b"nan", b"")
     flags = [b",true," if s else b",false," for s in res["stable"].tolist()]
     rows = zip(axis_lines.split(b"\n"), flags, float_lines.split(b"\n"))
     with open(out_path, "wb") as fh:
-        fh.write(",".join(f"{n}_hz" for n in axes).encode())
+        fh.write(",".join(f"{n}_hz" for n in mesh).encode())
         fh.write(b",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
         fh.write(b"".join(a + flag + f + b"\n" for a, flag, f in rows))
 
@@ -242,8 +240,10 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
         if name2 in axes:
             raise click.UsageError("axis2 must differ from axis")
         axes[name2] = grid2
-    res = _sweep(p, {k: TWO_PI * v for k, v in axes.items()}, omega=TWO_PI * omega_hz)
-    _write_sweep_csv(out_path, axes, res)
+    # the one mesh of the grid: its Hz columns are written, 2 pi times them swept
+    mesh = dict(zip(axes, (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))))
+    res = _sweep(p, {n: TWO_PI * c for n, c in mesh.items()}, omega=TWO_PI * omega_hz)
+    _write_sweep_csv(out_path, mesh, res)
     _write_manifest(out_path, config_sha256, None)
     click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)
 

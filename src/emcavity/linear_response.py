@@ -66,14 +66,11 @@ def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
 
 
 def spectrum(omega, cavity: CavityParams, mech: MechParams | None = None, g=0.0, detuning=0.0):
-    """Complex reflection over a non-empty, strictly increasing grid: OMIT
+    """Complex reflection at each probe of omega, element by element: OMIT
     at the detuning, with enhanced coupling g, when mechanical parameters
-    are given; the bare cavity at omega_c otherwise."""
+    are given; the bare cavity at omega_c otherwise.  DomainError for a
+    lossless bare cavity (a pole) and for any non-finite value."""
     w = np.asarray(omega, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise DomainError("omega_grid must be 1-D and non-empty")
-    if not np.all(np.diff(w) > 0):
-        raise DomainError("omega_grid must be strictly increasing")
     if mech is None and cavity.kappa == 0:
         raise DomainError("kappa_in + kappa_ex must be positive (pole)")
     with np.errstate(divide="ignore", invalid="ignore"):  # a pole is refused below

@@ -19,8 +19,8 @@ Every stage runs over a stack of N points and takes what the one before
 returns: `drift_matrices` (one broadcast) -> `stability` (one `eigvals`)
 -> `output_covariance`, over `scattering` (one `solve`) ->
 `symplectic_eigenvalue_min` -> `log_negativity`.  A failed point gets a
-reason and fails alone.  `sweep` chains the stages over a grid, and
-`evaluate_point` is its row for one point.
+reason and fails alone.  `sweep` chains the stages over the points it is
+given, and `evaluate_point` is its row for one point.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ SWEEP_AXES = ("g_b", "g_c", "delta_a", "delta_c")
 def drift_matrices(p: TripartiteParams, grid: dict) -> np.ndarray:
     """(N, 6, 6) real drift matrices in the quadrature basis (X_a, Y_a, X_b,
     Y_b, X_c, Y_c), (X, Y) = u (a, a+); `grid` maps sweepable names to (N,)
-    arrays replacing the values in `p`.  DomainError, naming the field,
-    where the largest entry is over 2**52 times the smallest nonzero half
-    loss rate: `eigvals` would lose that rate to round-off (a lossless mode
-    has none to lose)."""
+    or broadcastable arrays replacing the values in `p`.  DomainError,
+    naming the field, where the largest entry is over 2**52 times the
+    smallest nonzero half loss rate: `eigvals` would lose that rate to
+    round-off (a lossless mode has none to lose)."""
     if not set(grid) <= set(SWEEP_AXES):
         raise ValueError(f"cannot sweep parameter {min(set(grid) - set(SWEEP_AXES))!r}")
     names = ("delta_a", "delta_c", "g_b", "g_c", "omega_m")
@@ -187,17 +187,16 @@ def evaluate_point(omega: float, p: TripartiteParams) -> dict:
     return {k: v[0] for k, v in sweep(p, {}, omega).items()}
 
 
-def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) -> dict:
-    """Grid sweep over any subset of {g_b, g_c, delta_a, delta_c}.
+def sweep(p: TripartiteParams, points: dict[str, np.ndarray], omega: float = 0.0) -> dict:
+    """Evaluate the points whose coordinates `points` maps from any subset of
+    {g_b, g_c, delta_a, delta_c} to equal-length or broadcastable columns,
+    as `drift_matrices` takes them; a grid is meshed by the caller.
 
-    Returns columns: one array per axis, the grid flattened in lexicographic
-    order over the axes as given, then per point `stable`, `max_re`,
-    `zeta_minus` and `log_negativity` (NaN when unstable or failed) and
-    `error` (why a stable point failed, else None).
+    Returns per point, in the order given, `stable`, `max_re`, `zeta_minus`
+    and `log_negativity` (NaN when unstable or failed) and `error` (why a
+    stable point failed, else None).
     """
-    grids = np.meshgrid(*(np.asarray(axes[n], dtype=float) for n in axes), indexing="ij")
-    columns = {n: g.ravel() for n, g in zip(axes, grids)}
-    A = drift_matrices(p, columns)
+    A = drift_matrices(p, points)
     stable, max_re = stability(p, A)
     idx = np.flatnonzero(stable)
     V, poles = output_covariance(omega, p, A[idx])
@@ -208,7 +207,7 @@ def sweep(p: TripartiteParams, axes: dict[str, np.ndarray], omega: float = 0.0) 
     zeta_minus[idx] = zeta
     error = np.full(len(stable), None, dtype=object)
     error[idx[list(errors)]] = list(errors.values())
-    return {**columns, "stable": stable, "max_re": max_re, "zeta_minus": zeta_minus,
+    return {"stable": stable, "max_re": max_re, "zeta_minus": zeta_minus,
             "log_negativity": log_negativity(zeta_minus), "error": error}
 
 

@@ -180,6 +180,22 @@ class TestReflect:
         assert "Warning" not in err
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("model", ["bare", "omit"])
+    def test_grid_that_rises_in_hz_is_evaluated_as_given(self, tmp_path, capsys, model):
+        # 1.63812593e9 Hz and the next float up rise in Hz, but 2 pi f (and
+        # 2 pi f - omega_p) rounds them to one value: both probes are
+        # evaluated there, and their cells agree.  It once exited 3
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "cavity_omit.json")
+        f_hz = [1.63812593e9, 1638125930.0000002]
+        out = tmp_path / "spec.csv"
+        args = ["--f-start-hz", repr(f_hz[0]), "--f-stop-hz", repr(f_hz[1]), "--points", "2"]
+        assert run(["reflect", "--model", model, "--config", config, *args, "--out", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["f_hz"]) for r in rows] == f_hz
+        assert (rows[0]["re"], rows[0]["im"]) == (rows[1]["re"], rows[1]["im"])
+
     def test_config_without_cavity_block(self, tmp_path, capsys):
         path = tmp_path / "mech_only.json"
         path.write_text(json.dumps({"mech": CAVITY_CONFIG["mech"]}))
@@ -351,8 +367,8 @@ class TestTripartite:
     def test_sweep_axis_cells_follow_the_rows(self, tmp_path, axis1, axis2):
         # each axis value is formatted once and repeated: the file must equal
         # a row-by-row %.17e writer over the requested Hz grids, meshed in
-        # sweep's order, and sweep's own columns, so a transposed or
-        # mis-repeated axis column fails
+        # lexicographic order, and sweep's columns at 2 pi times that mesh,
+        # so a transposed or mis-repeated axis column fails
         out = tmp_path / "grid.csv"
         args = ["--config", REFERENCE_CONFIG, "--axis", axis1, "--axis2", axis2, "--out", str(out)]
         assert run(["tripartite", "sweep", *args]) == 0
@@ -361,8 +377,8 @@ class TestTripartite:
             name, grid = spec.split("=")
             start, stop, n = grid.split(":")
             axes[name[: -len("_hz")]] = np.linspace(float(start), float(stop), int(n))
-        res = sweep(load_config(REFERENCE_CONFIG)[0].tripartite, {n: TWO_PI * g for n, g in axes.items()})
         hz = dict(zip(axes, (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))))
+        res = sweep(load_config(REFERENCE_CONFIG)[0].tripartite, {n: TWO_PI * g for n, g in hz.items()})
         lines = [",".join(f"{n}_hz" for n in axes) + ",stable,max_re_eig_hz,zeta_minus,log_negativity"]
         for i in range(len(res["stable"])):
             cells = ["%.17e" % hz[n][i] for n in axes]

@@ -450,15 +450,22 @@ class TestEntanglementWorkflow:
         assert not res["stable"]
         assert np.isnan(res["zeta_minus"]) and np.isnan(res["log_negativity"])
 
-    def test_sweep_order_and_length(self, reference_tripartite):
-        gb = TWO_PI * np.array([0.0, 1e6, 2e6])
-        gc = TWO_PI * np.array([5e6, 6.43e6])
+    def test_sweep_evaluates_the_given_columns_in_order(self, reference_tripartite):
+        # `sweep` meshes nothing: row i is the point (g_b[i], g_c), unsorted
+        # and repeated points included, and the length-1 g_c column
+        # broadcasts; each row is `evaluate_point`'s at its point
+        gb = TWO_PI * np.array([2e6, 0.0, 3.6e6, 1e6, 0.0])
+        gc = TWO_PI * np.array([6.43e6])
         res = sweep(reference_tripartite, {"g_b": gb, "g_c": gc}, omega=0.0)
-        rows = [{"g_b": b, "g_c": c} for b, c in zip(res["g_b"].tolist(), res["g_c"].tolist())]
-        assert len(rows) == 6
-        assert rows[0] == {"g_b": 0.0, "g_c": float(gc[0])}
-        assert rows[1] == {"g_b": 0.0, "g_c": float(gc[1])}
-        assert rows[-1] == {"g_b": float(gb[2]), "g_c": float(gc[1])}
+        assert set(res) == {"stable", "max_re", "zeta_minus", "log_negativity", "error"}
+        assert [len(v) for v in res.values()] == [5] * 5
+        for i, b in enumerate(gb.tolist()):
+            row = evaluate_point(0.0, replace(reference_tripartite, g_b=b, g_c=float(gc[0])))
+            for k in ("stable", "max_re", "error"):
+                assert res[k][i] == row[k]
+            for k in ("zeta_minus", "log_negativity"):
+                assert np.array_equal(res[k][i], row[k], equal_nan=True)
+        assert res["stable"].tolist() == [True, True, False, True, True]
 
     @pytest.mark.parametrize("omega", [0.0, TWO_PI * 0.3e6])
     @pytest.mark.parametrize("thermal", [False, True])
@@ -473,11 +480,12 @@ class TestEntanglementWorkflow:
             "delta_a": TWO_PI * np.linspace(-12e6, 4e6, 13),
             "delta_c": TWO_PI * np.linspace(-12e6, 4e6, 14),
         }
-        res = sweep(p, {a: grids[a] for a in axes}, omega=omega)
+        points = dict(zip(axes, (g.ravel() for g in np.meshgrid(*(grids[a] for a in axes), indexing="ij"))))
+        res = sweep(p, points, omega=omega)
         assert len(res["stable"]) == 13 * 14
         verdicts = set()
         for i in range(13 * 14):
-            point = replace(p, **{a: float(res[a][i]) for a in axes})
+            point = replace(p, **{a: float(points[a][i]) for a in axes})
             stable, max_re, zeta, en, error = reference_point(omega, point)
             verdicts.add(stable)
             assert res["stable"][i] == stable
