@@ -351,7 +351,7 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--snr-db", type=_FLOAT, default=None, help="Omit for a noiseless trace.")
-@click.option("--seed", type=int, default=None, help="Required with --snr-db.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Required with --snr-db.")
 @click.option("--f-start-hz", type=_FLOAT, default=None)
 @click.option("--f-stop-hz", type=_FLOAT, default=None)
 @click.option("--points", type=int, default=2001, show_default=True)

@@ -7,5 +7,3 @@ K_BOLTZMANN = 1.380649e-23  # J/K
 EPSILON_0 = 8.8541878188e-12  # F/m
 
 TWO_PI = 6.283185307179586
-
-__all__ = ["HBAR", "K_BOLTZMANN", "EPSILON_0", "TWO_PI"]

@@ -55,14 +55,19 @@ def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
     resolved-sideband limit; negative at D = -Omega (gain); odd in D.  The
     drift eigenvalues of tripartite give the same rate, and the linewidth
     of the OMIT kernel, which keeps only the red sideband, its limit.
+    DomainError for kappa <= 0 and for any non-finite rate.
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     d = np.asarray(detuning)
     k24 = kappa * kappa / 4.0
-    return (g * g * kappa) * (
-        1.0 / ((omega_m - d) ** 2 + k24) - 1.0 / ((omega_m + d) ** 2 + k24)
-    )
+    with np.errstate(all="ignore"):  # a rate past the float range is refused below
+        rate = (g * g * kappa) * (
+            1.0 / ((omega_m - d) ** 2 + k24) - 1.0 / ((omega_m + d) ** 2 + k24)
+        )
+    if not np.all(np.isfinite(rate)):
+        raise DomainError("damping rate must be finite")
+    return rate
 
 
 def spectrum(omega, cavity: CavityParams, mech: MechParams | None = None, g=0.0, detuning=0.0):

@@ -251,6 +251,17 @@ class TestOmitAndDamping:
         assert run(["damping", "--config", str(lossless), "--detuning-hz", "4e6"]) == 3
         assert capsys.readouterr().err == "numerical error: kappa must be positive\n"
 
+    @pytest.mark.parametrize("detuning_hz", ["4e6", "1e100"])
+    def test_damping_past_the_float_range(self, tmp_path, capsys, detuning_hz):
+        # within the magnitude rule, g0 = n_cavity = 1e100 make g^2 kappa
+        # overflow: the rate, once printed as inf (or, after a numpy warning,
+        # nan) with exit 0, is refused in one line
+        config = tmp_path / "loud.json"
+        coupling = {"g0_hz": 1e100, "n_cavity": 1e100}
+        config.write_text(json.dumps({**CAVITY_CONFIG, "coupling": coupling}), encoding="utf-8")
+        assert run(["damping", "--config", str(config), "--detuning-hz", detuning_hz]) == 3
+        assert capsys.readouterr() == ("", "numerical error: damping rate must be finite\n")
+
     def test_exact_pole_is_numerical_error(self, tmp_path, capsys):
         # lossless cavity, no coupling, probed at f_c: the OMIT reflection
         # divides 0 by 0, which is refused without a numpy warning
@@ -415,6 +426,20 @@ class TestTripartite:
         assert (captured.err, captured.out) == (f"numerical error: {reason}\n", "")
         assert not out.exists()
 
+    def test_hot_occupations_leave_stable_rows_blank(self, tmp_path, capsys):
+        # occupations of 1e100, within the magnitude rule, overflow det V:
+        # exit 0, and each stable row's zeta- and E_N cells are blank
+        reference = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))["tripartite"]
+        occupations = {**reference["occupations"], "n_a_in": 1e100, "n_c_in": 1e100}
+        config, out = tmp_path / "hot.json", tmp_path / "sweep.csv"
+        config.write_text(json.dumps({"tripartite": {**reference, "occupations": occupations}}), encoding="utf-8")
+        args = ["--config", str(config), "--axis", "g_b_hz=0:3e6:4", "--out", str(out)]
+        assert run(["tripartite", "sweep", *args]) == 0
+        assert capsys.readouterr().err == f"wrote {out} (4 rows)\n"
+        with open(out, encoding="utf-8") as fh:
+            stable = [r for r in csv.DictReader(fh) if r["stable"] == "true"]
+        assert len(stable) == 3 and all(r["zeta_minus"] == r["log_negativity"] == "" for r in stable)
+
     def test_non_finite_config_is_config_error(self, tmp_path, capsys):
         # Python's json reads NaN and Infinity; a NaN occupation used to
         # write zeta_minus=nan, log_negativity=0 ("not entangled") and exit 0
@@ -448,14 +473,18 @@ class TestTripartite:
          f"Error: Invalid value for '--axis': expected {RULE}, got '2.8e307'"),
         ({}, ["sweep", "--axis", "delta_a_hz=0:2.8e307:3"],
          f"Error: Invalid value for '--axis': expected {RULE}, got '2.8e307'"),
+        ({}, ["sweep", "--axis", "delta_c_hz=0:1.4e307:3"],
+         f"Error: Invalid value for '--axis': expected {RULE}, got '1.4e307'"),
         ({}, ["critical", "--axis", "g_b", "--bracket-hz", "0,2.8e307"],
          f"Error: Invalid value for '--bracket-hz': expected {RULE}, got '2.8e307'"),
-    ], ids=["config", "config_loss_sum", "axis_g_b", "axis_delta_a", "bracket"])
+        ({"occupations": {"n_a_in": 1e300, "n_c_in": 1e300}}, ["sweep", "--axis", "g_b_hz=0:3e6:4"],
+         f"config error: tripartite.occupations.n_a_in: expected {RULE}, got 1e+300"),
+    ], ids=["config", "config_loss_sum", "axis_g_b", "axis_delta_a", "axis_delta_c", "bracket", "occupations"])
     def test_drift_overflow_is_one_line(self, tmp_path, capsys, edit, args, message):
-        # an input whose drift entry or ladder sum would overflow breaks the
-        # magnitude rule: refused where it enters, naming the field or the
-        # option, with exit 1, one stderr line, and no RuntimeWarning (an
-        # error under this suite's filterwarnings)
+        # an input whose drift entry, ladder sum or covariance would overflow
+        # breaks the magnitude rule: refused where it enters, naming the
+        # field or the option, with exit 1, one stderr line, and no
+        # RuntimeWarning (an error under this suite's filterwarnings)
         config = tmp_path / "config.json"
         reference = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))
         config.write_text(json.dumps({"tripartite": {**reference["tripartite"], **edit}}), encoding="utf-8")
@@ -533,6 +562,14 @@ class TestSynthFitPipeline:
             ]
         )
         assert code == 1
+
+    def test_negative_seed_is_usage_error(self, config_file, tmp_path, capsys):
+        # once an uncaught ValueError from np.random.default_rng
+        out = tmp_path / "x.csv"
+        assert run(["synth", "--config", config_file, "--snr-db", "10", "--seed", "-5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "Error: Invalid value for '--seed': -5 is not in the range x>=0."
+        assert err.count("Error") == 1 and not out.exists()
 
     def test_synth_then_fit_recovers_config(self, config_file, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -803,6 +840,17 @@ class TestDevice:
         assert run(["device", "cap", "--volume", str(vol), "--voltage-v", "0"]) == 3
         assert capsys.readouterr().err == "numerical error: applied voltage must be positive\n"
 
+    def test_meff_and_cap_print_g0s_values(self, device_files, capsys):
+        vol, surf, lumped = device_files
+        volts = ["--voltage-v", "1.5"]
+        args = ["--surface", str(surf), "--lumped", str(lumped), "--f-m-hz", "4e6", *volts]
+        assert run(["device", "g0", "--volume", str(vol), *args]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert run(["device", "meff", "--volume", str(vol)]) == 0
+        assert float(capsys.readouterr().out) == doc["m_eff_kg"]
+        assert run(["device", "cap", "--volume", str(vol), *volts]) == 0
+        assert float(capsys.readouterr().out) == doc["c_m_f"]
+
     def test_g0_pipeline(self, device_files, capsys):
         vol, surf, lumped = device_files
         code = run(
@@ -1017,6 +1065,24 @@ class TestDevice:
             os.close(r)
         assert capsys.readouterr() == want
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("cell, reason", [
+        ("nan", f"qz_m: expected {RULE}, got nan"),
+        ("x", "could not convert string to float: 'x'"),
+    ], ids=["nan", "x"])
+    def test_bad_last_row_of_a_long_set(self, tmp_path, capsys, cell, reason):
+        # the last of 3000 rows, behind two whole blocks of the row walk,
+        # read from the file or from a FIFO: exit 2, naming its line
+        row = "0,0,1e-9,1e-24,1,0,0,1e7,2329,0,0,1e-9\n"
+        vol = tmp_path / "vol.csv"
+        vol.write_text("x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m\n"
+                       + row * 2999 + row.replace("1e-9\n", f"{cell}\n"), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["device", "meff", "--volume", str(vol)]) == 2
+        assert capsys.readouterr() == ("", f"data error: {vol}:3001: {reason}\n")
+        args = ["device", "meff", "--volume", "{fifo}"]
+        assert run_with_fifo(tmp_path, vol.read_bytes(), args) == (2, f"data error: {{fifo}}:3001: {reason}\n")
+
     @pytest.mark.parametrize("name", ["vol", "lumped"])
     def test_non_utf8_file_is_data_error(self, device_files, capsys, name):
         vol, surf, lumped = device_files
@@ -1196,7 +1262,7 @@ class TestMagnitudeRule:
         reference = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))["tripartite"]
         rates = ("kappa_a_in_hz", "kappa_a_ex_hz", "kappa_c_in_hz", "kappa_c_ex_hz", "gamma_hz")
         lossless.write_text(json.dumps({"tripartite": {**reference, **dict.fromkeys(rates, 0.0)}}))
-        args = ["tripartite", "sweep", "--config", str(lossless), "--axis", f"g_b_hz=0:{value}:2",
+        args = ["tripartite", "sweep", "--config", str(lossless), "--axis", f"g_b_hz=0:{value}:3",
                 "--out", str(tmp_path / "sweep.csv")]
         return args, 1, f"Error: Invalid value for '--axis': {rule}{value!r}"
 
@@ -1260,23 +1326,40 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         assert json.load(fh) == want
 
 
-def test_cli_runs_without_scipy(device_files):
+def test_cli_runs_without_scipy(config_file, device_files, fit_inputs, tmp_path):
     # scipy is a test dependency only: with every scipy import made to fail,
-    # the commands still run.  The spectrum formatter's power-of-ten table is
-    # built without the fractions module, which costs ~3 ms to import
+    # each of the 12 subcommands still runs.  The spectrum formatter's
+    # power-of-ten table is built without the fractions module, which costs
+    # ~3 ms to import
     vol, surf, lumped = (str(p) for p in device_files)
+    cavity, omit = fit_inputs
+    trace, fit = str(tmp_path / "synth.csv"), str(tmp_path / "synth.json")
+    grid = ["--f-start-hz", "10.27e9", "--f-stop-hz", "10.31e9", "--points", "11"]
     commands = [
         ["thermal", "--f-hz", "10e9", "--t-k", "4.0"],
+        ["reflect", "--config", config_file, *grid, "--out", str(tmp_path / "spec.csv")],
+        ["omit", "--config", config_file, "--f-hz", "10.29184e9"],
+        ["damping", "--config", config_file, "--detuning-hz", "4e6"],
+        ["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:3e6:4",
+         "--axis2", "g_c_hz=5e6:7e6:3", "--out", str(tmp_path / "sweep.csv")],
         ["tripartite", "critical", "--config", REFERENCE_CONFIG, "--axis", "g_c", "--bracket-hz", "2e6,9e6"],
+        ["synth", "--config", config_file, "--snr-db", "40", "--seed", "7", "--points", "201", "--out", trace],
+        ["fit", "reflect", "--in", trace, "--out", fit],
+        fit_omit_args(omit, cavity, tmp_path / "omit.json"),
+        ["device", "meff", "--volume", vol],
+        ["device", "cap", "--volume", vol],
         ["device", "g0", "--volume", vol, "--surface", surf, "--lumped", lumped, "--f-m-hz", "4e6"],
     ]
+    groups = {n: c.commands for n, c in cli.cli.commands.items() if hasattr(c, "commands")}
+    leaves = {(n,) for n in cli.cli.commands if n not in groups} | {(n, s) for n in groups for s in groups[n]}
+    assert {tuple(c[: 1 + (c[0] in groups)]) for c in commands} == leaves
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from emcavity.cli import main\n"
         "assert 'fractions' not in sys.modules, 'emcavity.cli imported fractions'\n"
         f"codes = [main(argv) for argv in {commands!r}]\n"
-        "sys.exit(0 if codes == [0, 0, 0] else f'exit codes {codes}')\n"
+        f"sys.exit(0 if codes == [0] * {len(commands)} else f'exit codes {{codes}}')\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
