@@ -448,8 +448,6 @@ def main(argv=None) -> int:
     command_line = sys.argv if argv is None else ["emcavity", *argv]  # what manifests record
     try:
         cli.main(args=argv, standalone_mode=False, obj=command_line)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

@@ -160,11 +160,16 @@ class ResonatorLumped(Checked):
 
 @np.errstate(all="ignore")
 def lc_frequency(r: ResonatorLumped, c_m: float) -> float:
-    """omega_c = 1/sqrt(L (C_s + C_m)), the dimensionally consistent form."""
+    """omega_c = 1/sqrt(L (C_s + C_m)), the dimensionally consistent form;
+    NumericalError unless a positive finite float."""
     total_c = r.stray_capacitance + c_m
     if total_c <= 0:
         raise DomainError("total capacitance must be positive")
-    return 1.0 / np.sqrt(r.inductance * total_c)
+    product = r.inductance * total_c
+    omega_c = 1.0 / np.sqrt(product)
+    if not 0 < omega_c < np.inf:
+        raise NumericalError(f"omega_c is not a positive finite float at L (C_s + C_m) = {product:g} s^2")
+    return omega_c
 
 
 @np.errstate(all="ignore")

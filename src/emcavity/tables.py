@@ -2,8 +2,9 @@
 one byte-exact writer of their cells, "%.17e".
 
 Reading takes a numeric body in bulk with `np.loadtxt`, the one parser of
-a cell; a walk over the rows, in blocks, only names the first row it
-refuses, and `read_table` alone turns a data row into `path:line`.
+a cell; where it refuses the body, a walk over the rows reads them in
+blocks and names the first row it refuses, and `read_table` alone turns a
+data row into `path:line`.
 Writing computes every cell's decimal digits exactly in float64 and lays
 them out with array operations; an undecided cell goes through `%`.
 """
@@ -60,9 +61,9 @@ def read_table(path, columns=None, skip=0):
 def _parse(path, fh, columns, skip) -> np.ndarray:
     """read_table's array from `fh`, the text of `path`, or its DataError.
     loadtxt reads a regular file's body in C chunks from its absolute path
-    (never a URL), other text through `fh`.  Where it refuses the body, it
-    reads the lines again without the blank rows, with 4-byte placeholders
-    that hold any text; where it refuses those too, `_refuse` names the row."""
+    (never a URL), other text through `fh`.  Where it refuses the body,
+    `_walk` reads the lines again, with 4-byte placeholders that hold any
+    text, and names the row at fault."""
     ncols = len(columns) if columns else 3
     usecols = None if columns else range(ncols)
 
@@ -83,13 +84,10 @@ def _parse(path, fh, columns, skip) -> np.ndarray:
         arr = load(name if by_path else fh, "S1", reader.line_num if by_path else 0)
     except (ValueError, OSError):  # UnicodeDecodeError too: readlines re-raises it
         fh.seek(0)
-        lines = fh.readlines()
-        try:
-            arr = load(_without_blank_rows(lines))
-        except ValueError as exc:
-            _refuse(lines, load, names, ncols, skip, bool(columns), str(exc))
-    if fault := _range_fault(arr, names[skip:]):
-        raise DataError(fault[1], row=fault[0])
+        arr = _walk(fh.readlines(), load, names, ncols, skip, bool(columns))
+    else:
+        if fault := _range_fault(arr, names[skip:]):
+            raise DataError(fault[1], row=fault[0])
     if not len(arr):
         raise DataError("no data rows")
     return arr
@@ -138,51 +136,46 @@ def _line(fh, row: int) -> int:
     return next(itertools.islice(_data_rows(fh.readlines()), row, None))[0]
 
 
-def _without_blank_rows(lines):
-    """The lines of _data_rows; where no line holds a quote, the lines
-    after the first that hold more than whitespace and commas."""
-    if not any('"' in line for line in lines):
-        return [line for line in lines[1:] if line.replace(",", "").strip()]
-    return [line for first, last, _ in _data_rows(lines) for line in lines[first - 1 : last]]
-
-
-_WALK_BLOCK = 1024  # data rows that _refuse checks with one load
+_WALK_BLOCK = 1024  # data rows that _walk reads with one load
 _RANGE_BLOCK = 4096  # rows per in_range pass: a whole set's |v| and masks would match the parse in size
 
 
-def _refuse(lines, load, names, ncols, skip, exact, reason):
-    """Raise DataError(..., row=k) at the first data row k of the table
-    `lines` that is short (long too, if `exact`) or whose cells `load`
-    refuses or reads outside the magnitude rule (`names` names each cell);
-    if there is none, DataError(reason).
-    The rows are checked a block at a time, and one at a time only in a
-    block that fails; nothing read is kept."""
+def _walk(lines, load, names, ncols, skip, exact):
+    """The cells that `load` reads from the data rows of the table `lines`,
+    a block of rows at a time; DataError(..., row=k) at the first data row
+    k that is short (long too, if `exact`) or whose cells `load` refuses
+    or reads outside the magnitude rule (`names` names each cell).
+    A block is checked one row at a time only where it fails."""
 
-    def fault(rows):
-        """What is wrong with `rows`, or None; for one row, its message."""
+    def read(rows):
+        """(cells, None) of `rows`, or (None, what is wrong with them); for one row, its message."""
         for _, _, cells in rows:
             if len(cells) != ncols and (exact or len(cells) < ncols):
-                return f"expected {ncols} columns" + ("" if exact else f", got {len(cells)}")
+                return None, f"expected {ncols} columns" + ("" if exact else f", got {len(cells)}")
         text = [line for first, last, _ in rows for line in lines[first - 1 : last]]
         try:
-            fault = _range_fault(load(text), names[skip:])
-            return fault and fault[1]
+            arr = load(text)
         except ValueError as exc:  # name the first cell loadtxt refuses in a lone row
             for j, cell in enumerate(rows[0][2][skip:ncols] if len(rows) == 1 else (), skip):
                 try:
                     _loadtxt(text, float, [j])
                 except ValueError:
-                    return f"could not convert string to float: {cell!r}"
-            return str(exc)
+                    return None, f"could not convert string to float: {cell!r}"
+            return None, str(exc)
+        fault = _range_fault(arr, names[skip:])
+        return arr, fault and fault[1]
 
-    rows, start = _data_rows(lines), 0
+    blocks, rows, start = [], _data_rows(lines), 0
     while block := list(itertools.islice(rows, _WALK_BLOCK)):
-        if fault(block):
+        arr, reason = read(block)
+        if reason:
             for k, row in enumerate(block, start):
-                if message := fault([row]):
+                if message := read([row])[1]:
                     raise DataError(message, row=k)
+            raise DataError(reason)
+        blocks.append(arr)
         start += len(block)
-    raise DataError(reason)
+    return np.concatenate(blocks) if blocks else np.empty((0, ncols - skip))
 
 
 def write_table(path, header: bytes, table):
@@ -196,10 +189,6 @@ def write_table(path, header: bytes, table):
 
 
 _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
-# rows (hi, hi's Dekker halves, lo) of 10**k, k = 17 - E for the decades E
-# of [1e-250, 1e250]; hi + lo is good to ~2**-106
-_POW10_K0 = -233
-_POW10 = np.full((502, 4), np.nan)
 
 
 def _split(a):
@@ -209,15 +198,18 @@ def _split(a):
     return hi, a - hi
 
 
-def _pow10(k):
-    """The columns hi, hi's halves and lo of 10**k; a row is built on first use."""
-    for j in range(k.min(), k.max() + 1):
-        if np.isnan(_POW10[j - _POW10_K0, 0]):
-            num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
-            hi = num / den  # int true division rounds correctly
-            m, d = hi.as_integer_ratio()
-            _POW10[j - _POW10_K0] = (hi, *_split(hi), (num * d - m * den) / (den * d))
-    return _POW10.take(k - _POW10_K0, axis=0).T
+def _pow10_row(k):
+    """(hi, hi's Dekker halves, lo) of 10**k; hi + lo is good to ~2**-106."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int true division rounds correctly
+    m, d = hi.as_integer_ratio()
+    return hi, *_split(hi), (num * d - m * den) / (den * d)
+
+
+# the rows of 10**k, k = 17 - E for the decades E of [1e-250, 1e250] and
+# the decade below, where log10 may land
+_POW10_K0 = -233
+_POW10 = np.array([_pow10_row(k) for k in range(_POW10_K0, _POW10_K0 + 502)])
 
 
 def _exact_digits(x):
@@ -237,7 +229,7 @@ def _exact_digits(x):
         regular = (a >= 1e-250) & (a <= 1e250)
         a[~regular] = 1.0
         e10 = np.floor(np.log10(a)).astype(np.int64)
-        hi, h1, h2, lo = _pow10(17 - e10)
+        hi, h1, h2, lo = _POW10.take(17 - e10 - _POW10_K0, axis=0).T
         p = a * hi  # an integer, as y > 1e16 > 2**53
         a1, a2 = _split(a)
         c = ((((a1 * h1 - p) + a1 * h2) + a2 * h1) + a2 * h2) + a * lo  # y - p

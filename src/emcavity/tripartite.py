@@ -212,48 +212,32 @@ def sweep(p: TripartiteParams, points: dict[str, np.ndarray], omega: float = 0.0
 
 
 _CRITICAL_RTOL = 1e-6
-_CRITICAL_MAX_STEPS = 100
 
 
 def critical_coupling(p: TripartiteParams, axis: str, bracket: tuple[float, float]) -> float:
-    """Stability boundary along g_b or g_c, with the bracket in either order,
-    to a bracket width of 2e-12 + _CRITICAL_RTOL |g| (brentq's stopping rule).
-
-    The root of the margin max Re(eig) + 1e-12 `_stability_unit`, which is
-    continuous in the coupling (the unit holds none) and whose sign is the
-    `stability` verdict, is found by an Illinois regula falsi (Dowell &
-    Jarratt, BIT 11, 168, 1971): when the same end is kept twice, its
-    margin is halved.  The margin is small at a stable end (-gamma/2 at
-    g = 0) and large at an unstable one (~1e7 s^-1 at 10 MHz), so plain
-    interpolation lands next to the stable end and crawls; past the first
-    step each trial point keeps (hi - lo)/32 from either end."""
+    """Stability boundary along g_b or g_c, with the bracket in either order:
+    the bracket is bisected on the `stability` verdict, and its midpoint is
+    returned once its width is at most 2e-12 + _CRITICAL_RTOL |g|
+    (brentq's stopping rule)."""
     if axis not in ("g_b", "g_c"):
         raise ValueError(f"axis must be g_b or g_c, got {axis!r}")
 
-    def margin(g: float) -> float:
-        A = drift_matrices(p, {axis: np.array([g])})
-        return float(stability(p, A)[1][0] + 1e-12 * _stability_unit(p, A)[0])
+    def verdict(g: float):
+        stable, max_re = stability(p, drift_matrices(p, {axis: np.array([g])}))
+        return stable[0], max_re[0]
 
     lo, hi = sorted(bracket)
-    f_lo, f_hi = margin(lo), margin(hi)
-    if (f_lo < 0) == (f_hi < 0):
+    (stable_lo, re_lo), (stable_hi, re_hi) = verdict(lo), verdict(hi)
+    if stable_lo == stable_hi:
         raise BracketError(
             f"stability verdict identical at both bracket endpoints "
-            f"({axis}={lo:.6e} -> {f_lo:.3e}, {axis}={hi:.6e} -> {f_hi:.3e})"
+            f"({axis}={lo:.6e} -> {re_lo:.3e}, {axis}={hi:.6e} -> {re_hi:.3e})"
         )
-    kept = 0  # the end kept by the last step: -1 lo, +1 hi
-    for step in range(_CRITICAL_MAX_STEPS):
-        g = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)  # returned once the bracket is narrow
+    while True:
+        g = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 may overflow
         if hi - lo <= 2e-12 + _CRITICAL_RTOL * abs(g):
             return g
-        if step:
-            pad = max((hi - lo) / 32.0, 0.4 * _CRITICAL_RTOL * abs(g))
-            g = min(max(g, lo + pad), hi - pad)
-        f = margin(g)
-        if (f < 0) == (f_lo < 0):
-            lo, f_lo, f_hi = g, f, f_hi / 2.0 if kept == 1 else f_hi
-            kept = 1
+        if verdict(g)[0] == stable_lo:
+            lo = g
         else:
-            hi, f_hi, f_lo = g, f, f_lo / 2.0 if kept == -1 else f_lo
-            kept = -1
-    raise NumericalError(f"no {axis} boundary to rtol {_CRITICAL_RTOL:g} in {_CRITICAL_MAX_STEPS} steps")
+            hi = g

@@ -1020,6 +1020,29 @@ class TestDevice:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "numerical error: g0 is not a finite float\n"
 
+    @pytest.mark.parametrize("row, lumped, volts, product", [
+        ("0,0,5e-8,1e50,1,0,0,1e100,2329,0,0,1e-9", '{"inductance_h": 1e60, "stray_capacitance_f": 1e-14}',
+         "1e-10", "inf"),
+        ("0,0,5e-8,1e-100,1,0,0,1e-20,2329,0,0,1e-9", '{"inductance_h": 1e-100, "stray_capacitance_f": 0}',
+         "1e50", "0"),
+    ], ids=["overflow", "underflow"])
+    def test_omega_c_past_the_float_range(self, device_files, tmp_path, capsys, row, lumped, volts, product):
+        # every cell within the magnitude rule, but L (C_s + C_m) is past the
+        # float range (C_m = 8.9e258 F at 1e60 H) or below it (8.9e-252 F at
+        # 1e-100 H): omega_c is refused by name, not printed as f_c = 0
+        _, surf, _ = device_files
+        vol, lc = tmp_path / "one.csv", tmp_path / "lc.json"
+        vol.write_text(f"x_m,y_m,z_m,w_m3,eps_rel,ex_vpm,ey_vpm,ez_vpm,rho_kgpm3,qx_m,qy_m,qz_m\n{row}\n")
+        lc.write_text(lumped)
+        capsys.readouterr()
+        args = ["--volume", str(vol), "--surface", str(surf), "--lumped", str(lc), "--f-m-hz", "4e6",
+                "--voltage-v", volts]
+        assert run(["device", "g0", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"numerical error: omega_c is not a positive finite float at "
+                                f"L (C_s + C_m) = {product} s^2\n")
+
     def test_zero_point_motion_past_the_float_range(self, device_files, tmp_path, capsys):
         # every cell within the magnitude rule, but m_eff is a computed
         # 1e-300 kg (row 1 sets |Q| = 1 with no mass; row 2 has w = rho =
@@ -1472,10 +1495,10 @@ STDOUT_GOLDEN = {
     # the red sideband, as in Aspelmeyer et al., RMP 86, 1391 (2014)
     "damping": (["damping", "--config", "{config}", "--detuning-hz", "4e6"],
                 "0b1a91a0da4fafc53cad5563c2c060bd55376dede5ff47cee608e6e2482e63ff"),
-    # 6.41022346545011178e+06; brentq at the same rtol gave 6.41022340200626943e+06
+    # 6.41022276878357027e+06; brentq at the same rtol gave 6.41022340200626943e+06
     "tripartite_critical": (["tripartite", "critical", "--config", REFERENCE_CONFIG,
                              "--axis", "g_c", "--bracket-hz", "2e6,9e6"],
-                            "18592c86732aec499af6052d0604ecec012d1fe2e50510b4867d22a53fb8b384"),
+                            "33da0348c8bff59c0a35c5a84a2321c56cd82409ccf274fbd5a9b78062155e63"),
 }
 # sha256 of `tripartite sweep` CSVs on the reference config
 SWEEP_GOLDEN = {

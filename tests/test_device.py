@@ -150,11 +150,38 @@ class TestCapacitance:
         assert participation_ratio(1.78e-15, 10.97e-15) == pytest.approx(0.1396, rel=4e-3)
         assert participation_ratio(1.51e-15, 10.97e-15) == pytest.approx(0.1210, rel=4e-3)
 
+    @pytest.mark.parametrize("c_m, c_s, message", [
+        (0.0, 1e-14, "C_m must be positive"),
+        (1e-15, -1e-15, "C_s must be non-negative"),
+    ])
+    def test_participation_ratio_refuses_a_bad_capacitance(self, c_m, c_s, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            participation_ratio(c_m, c_s)
+
     def test_lc_frequency(self):
         r = ResonatorLumped(inductance=2e-9, stray_capacitance=10e-15)
         c_m = 2e-15
         expected = 1.0 / np.sqrt(2e-9 * 12e-15)
         assert lc_frequency(r, c_m) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("c_m", [0.0, -1e-15])
+    def test_lc_frequency_refuses_no_total_capacitance(self, c_m):
+        with pytest.raises(DomainError, match="^total capacitance must be positive$"):
+            lc_frequency(ResonatorLumped(inductance=2e-9, stray_capacitance=0.0), c_m)
+
+    @pytest.mark.parametrize("inductance, c_s, c_m, product", [
+        (1e60, 1e-14, 8.8541878188e258, "inf"),  # overflows: omega_c would be 0
+        (1e-100, 0.0, 8.8541878188e-252, "0"),  # underflows: omega_c would be inf
+    ], ids=["overflow", "underflow"])
+    def test_lc_frequency_outside_the_float_range(self, inductance, c_s, c_m, product):
+        # L (C_s + C_m) leaves the float range from inputs within the
+        # magnitude rule: omega_c is refused by name, with no warning
+        r = ResonatorLumped(inductance=inductance, stray_capacitance=c_s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"^omega_c is not a positive finite float at "
+                                                     rf"L \(C_s \+ C_m\) = {product} s\^2$"):
+                lc_frequency(r, c_m)
 
 
 class TestMovingBoundary:
@@ -227,6 +254,11 @@ class TestMovingBoundary:
                      (replace(vol, weight=big, eps_rel=big, e_field=np.where(vol.e_field != 0, 1e100, 0.0)), surf)]:
             with pytest.raises(NumericalError, match=r"^\(1/C_m\) dC_m/dalpha is not a finite float$"):
                 fractional_capacitance_derivative([s], v)
+
+    def test_zero_field_energy_is_refused(self):
+        vol, surf = parallel_plate()
+        with pytest.raises(DomainError, match="^degenerate field: zero stored energy$"):
+            fractional_capacitance_derivative([surf], replace(vol, e_field=0.0 * vol.e_field))
 
 
 class TestLoaders:

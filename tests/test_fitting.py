@@ -207,6 +207,15 @@ class TestInitialGuess:
         with pytest.raises(GuessError):
             initial_guess(flat)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e160], ids=["underflow", "overflow"])
+    def test_circle_past_the_float_range_raises(self, scale):
+        # a finite trace whose squares x^2 + y^2 underflow to 0 or overflow:
+        # the circle fit's squared radius is 0 or NaN, and no circle is found
+        trace = device_trace(n=201)
+        scaled = ComplexTrace(f_hz=trace.f_hz, re=scale * trace.re, im=scale * trace.im)
+        with pytest.raises(GuessError, match="^no resonance circle found in trace$"):
+            initial_guess(scaled)
+
     @pytest.mark.parametrize("snr_db", [None, 40.0])
     @pytest.mark.parametrize("points", [101, 201, 399, 501])
     def test_dip_on_edge_raises(self, points, snr_db):
@@ -308,6 +317,23 @@ class TestReflectionFit:
         theta, r, _, iterations, ok, _, why = _levenberg_marquardt(evaluate, [0.5])
         assert (len(calls) - 1, iterations, ok, why) == (trials, 1, converged, message)
         assert theta.tolist() == [0.5] and r.tolist() == [1.0, 2.0]
+
+    def test_singular_step_falls_back_to_lstsq(self, monkeypatch):
+        # where `solve` refuses the damped normal equations, the step comes
+        # from lstsq, the fit is flagged rank deficient, and it converges
+        solve, refused = np.linalg.solve, []
+
+        def solve_once(*args):
+            if not refused:
+                refused.append(True)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_once)
+        res = fit_reflection(device_trace(n=201))
+        assert refused and res.rank_deficient and res.converged
+        for name in PARAM_NAMES:
+            assert rel_err(getattr(res.params, name), getattr(DEVICE, name)) < 1e-6, name
 
     def test_start_not_finite_stops_at_once(self):
         # a start whose cost is not finite is returned after 0 iterations,
@@ -635,6 +661,10 @@ class TestTraceIO:
                 fh.write(f"{float(fi)!r},{float(20*np.log10(abs(v)))!r},{float(np.angle(v))!r}\n")
         back = load_trace(path, fmt="db_phase")
         assert np.allclose(back.values, vals, rtol=1e-12)
+
+    def test_load_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError, match="^unknown trace format: 'db'$"):
+            load_trace(tmp_path / "trace.csv", fmt="db")
 
     def test_load_reports_bad_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,8 +1,8 @@
 """The one cell writer, format_e17, against `"%.17e" % x` byte for byte,
 traces in the format it replaced, which read back the same, and the one
-cell reader, np.loadtxt: blank rows cost a second loadtxt call, the row
-walk only names the row that loadtxt refuses, a block of rows at a time,
-and read_table alone turns that row into its line."""
+cell reader, np.loadtxt: where it refuses a body, blank rows included,
+the row walk reads it a block of rows at a time and names the first row
+at fault, and read_table alone turns that row into its line."""
 
 import contextlib
 import math
@@ -197,26 +197,23 @@ needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /d
 
 @needs_dev_fd
 class TestOneReader:
-    """np.loadtxt turns every cell into a float.  A blank row costs one more
-    loadtxt call over the lines without it, and the row walk only names the
-    first row loadtxt refuses."""
+    """np.loadtxt turns every cell into a float.  Where it refuses a body, a
+    blank row too, the row walk reads the rows a block at a time and names
+    the first one at fault."""
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     @pytest.mark.parametrize("blank", sorted(BLANK_ROWS))
     @pytest.mark.parametrize("where", [4, 8])  # after the fourth row, after the last
-    def test_blank_rows_read_as_the_clean_file(self, tmp_path, monkeypatch, kind, blank, where):
-        # the row walk is never reached: the data come from loadtxt alone
+    @pytest.mark.parametrize("block", [3, 1024])
+    def test_blank_rows_read_as_the_clean_file(self, tmp_path, monkeypatch, kind, blank, where, block):
+        # the row walk keeps every block it reads
+        monkeypatch.setattr(tables, "_WALK_BLOCK", block)
         header, rows = clean_lines(kind)
         (tmp_path / "clean.csv").write_bytes(table_bytes(header, rows))
         want = loaded(kind, tmp_path / "clean.csv")
         data = table_bytes(header, [*rows[:where], BLANK_ROWS[blank], *rows[where:]])
         path = tmp_path / "blank.csv"
         path.write_bytes(data)
-
-        def walk(*args):
-            raise AssertionError("the row walk ran")
-
-        monkeypatch.setattr(tables, "_refuse", walk)
         assert loaded(kind, path) == want
         assert through_pipe(data, lambda p: loaded(kind, p)) == want
 
@@ -241,16 +238,22 @@ class TestOneReader:
         assert str(info.value).split(":", 1)[1] == message
 
     def test_a_refusal_with_no_row_to_blame_names_the_file(self, tmp_path, monkeypatch):
-        # where the row walk finds no row, the file is refused all the same,
-        # with loadtxt's own message
+        # where loadtxt refuses a block of the row walk but none of its rows
+        # alone, the file is refused all the same, with loadtxt's own message
         header, rows = clean_lines("trace")
-        rows[5] = with_cell(rows[5], 1, "1_0")
         path = tmp_path / "trace.csv"
         path.write_bytes(table_bytes(header, [*rows, BLANK_ROWS["spaces"]]))
-        monkeypatch.setattr(tables, "_data_rows", lambda lines: iter(()))
+        loadtxt = tables._loadtxt
+
+        def refuse_blocks(source, *args):
+            if isinstance(source, list) and len(source) > 1:
+                raise ValueError("could not convert string '1_0' to float64")
+            return loadtxt(source, *args)
+
+        monkeypatch.setattr(tables, "_loadtxt", refuse_blocks)
         with pytest.raises(DataError) as info:
             load_trace(path)
-        assert str(info.value).startswith(f"{path}: could not convert string '1_0' to float64")
+        assert str(info.value) == f"{path}: could not convert string '1_0' to float64"
 
     @pytest.mark.parametrize("blank", [None, *sorted(BLANK_ROWS)])
     def test_padded_cells_and_non_numeric_positions_still_read(self, tmp_path, blank):
@@ -287,30 +290,28 @@ class TestOneReader:
 
     @pytest.mark.parametrize("cell", ["nan", "1e200"])
     @pytest.mark.parametrize("kind", sorted(READERS))
-    def test_a_non_finite_last_row_is_found_in_the_array(self, tmp_path, monkeypatch, kind, cell):
-        # loadtxt reads the body, so the row comes from the array: the row
-        # walk never runs, and the line map names the line below a blank row
+    @pytest.mark.parametrize("blank", [None, "spaces"])
+    def test_a_non_finite_last_row_is_found_in_the_array(self, tmp_path, kind, cell, blank):
+        # loadtxt reads the cell, from the whole body or, below a blank row,
+        # from the walk's block; the magnitude rule finds it in that array,
+        # and the line map names its line
         header, rows = clean_lines(kind)
         rows[-1] = with_cell(rows[-1], -1, cell)
-        rows.insert(2, BLANK_ROWS["spaces"])
+        if blank:
+            rows.insert(2, BLANK_ROWS[blank])
         data = table_bytes(header, rows)
         path = tmp_path / "set.csv"
         path.write_bytes(data)
-
-        def walk(*args):
-            raise AssertionError("the row walk ran")
-
-        monkeypatch.setattr(tables, "_refuse", walk)
-        message = f"{header.split(',')[-1]}: expected {RULE}, got {float(cell)!r}"
+        message = f"{10 if blank else 9}: {header.split(',')[-1]}: expected {RULE}, got {float(cell)!r}"
         with pytest.raises(DataError) as info:
             READERS[kind](path)
-        assert str(info.value) == f"{path}:10: {message}"
+        assert str(info.value) == f"{path}:{message}"
         with pytest.raises(DataError) as info:
             through_pipe(data, READERS[kind])
-        assert str(info.value).split(":", 1)[1] == f"10: {message}"
+        assert str(info.value).split(":", 1)[1] == message
 
     def test_the_row_walk_reads_whole_blocks_up_to_the_bad_one(self, tmp_path, monkeypatch):
-        # a bad last cell of a 10000-row trace: two reads of the whole body,
+        # a bad last cell of a 10000-row trace: one read of the whole body,
         # one per block, one per row of the last block, one per cell of the row
         n = 10_000
         path = tmp_path / "trace.csv"
@@ -326,7 +327,7 @@ class TestOneReader:
         with pytest.raises(DataError) as info:
             load_trace(path)
         assert str(info.value) == f"{path}:{n + 1}: could not convert string to float: 'x'"
-        assert len(calls) <= 2 + -(-n // tables._WALK_BLOCK) + tables._WALK_BLOCK + 3
+        assert len(calls) <= 1 + -(-n // tables._WALK_BLOCK) + tables._WALK_BLOCK + 3
 
     @pytest.mark.parametrize("block", [1, 2, 3, 1024])
     def test_the_block_size_does_not_move_the_row_named(self, tmp_path, monkeypatch, block):
