@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .config import Background, load_config, parse_block, to_record
+from .config import Background, _keyed, hz_scale, load_config, parse_block, to_record
 from .constants import TWO_PI
 from .core import thermal_occupation, zero_point_fluctuation
 from .errors import BracketError, ConfigError, DataError, DomainError, NumericalError
@@ -33,7 +33,7 @@ from .fitting import (
     synthesize_trace,
 )
 from .linear_response import optomechanical_damping, spectrum
-from .params import RULE, in_range
+from .params import RULE, Occupations, TripartiteParams, in_range, meets, violation
 from .tables import format_e17, write_table
 from .tripartite import SWEEP_AXES
 from .tripartite import critical_coupling as _critical_coupling
@@ -69,6 +69,8 @@ class _RuledFloat(click.types.FloatParamType):
 
 
 _FLOAT = _RuledFloat()
+# {config key: field} of each number `tripartite sweep` can put on an axis
+_AXES = {k: f for cls in (TripartiteParams, Occupations) for k, f in _keyed(cls).items() if f.name in SWEEP_AXES}
 
 
 def _require(params, block: str):
@@ -162,7 +164,7 @@ def _write_sweep_csv(out_path, mesh, res):
     flags = [b",true," if s else b",false," for s in res["stable"].tolist()]
     rows = zip(axis_lines.split(b"\n"), flags, float_lines.split(b"\n"))
     with open(out_path, "wb") as fh:
-        fh.write(",".join(f"{n}_hz" for n in mesh).encode())
+        fh.write(",".join(mesh).encode())
         fh.write(b",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
         fh.write(b"".join(a + flag + f + b"\n" for a, flag, f in rows))
 
@@ -202,11 +204,12 @@ def tripartite():
 
 
 def _parse_axis(ctx, param, spec_str):
-    """--axis/--axis2 callback: (name, grid in Hz) from NAME_hz=START:STOP:POINTS."""
+    """--axis/--axis2 callback: (key, grid) from KEY=START:STOP:POINTS, KEY a key of
+    the config's tripartite block or of its occupations, whose bound both ends meet."""
     if spec_str is None:
         return None
     try:
-        name_hz, rng = spec_str.split("=", 1)
+        key, rng = spec_str.split("=", 1)
         start, stop, count = rng.split(":")
         count = int(count)
     except ValueError:
@@ -214,24 +217,25 @@ def _parse_axis(ctx, param, spec_str):
             f"axis must look like g_b_hz=START:STOP:POINTS, got {spec_str!r}"
         )
     start, stop = (_FLOAT.convert(x, param, ctx) for x in (start, stop))
-    if not name_hz.endswith("_hz"):
-        raise click.UsageError(f"axis name must end in _hz, got {name_hz!r}")
-    name = name_hz[: -len("_hz")]
-    if name not in SWEEP_AXES:
-        raise click.UsageError(f"cannot sweep {name!r}")
+    if key not in _AXES:
+        raise click.UsageError(f"cannot sweep {key!r}: not a key of the tripartite block or its occupations")
+    bound = _AXES[key].metadata.get("bound")
+    for end in (start, stop):
+        if not meets(end, bound):
+            raise click.UsageError(violation(key, end, bound))
     if count < 1:
         raise click.UsageError("axis needs at least 1 point")
-    return name, np.linspace(start, stop, count)
+    return key, np.linspace(start, stop, count)
 
 
 @tripartite.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--axis", "axis1", required=True, callback=_parse_axis, help="e.g. g_b_hz=0:5e6:200")
+@click.option("--axis", "axis1", required=True, callback=_parse_axis, help="e.g. g_b_hz=0:5e6:200 or n_b_in=0:200:21")
 @click.option("--axis2", default=None, callback=_parse_axis, help="Optional second axis.")
 @click.option("--omega-hz", type=_FLOAT, default=0.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
-    """Sweep couplings/detunings; per-point stability and entanglement."""
+    """Sweep any number of the tripartite block; per-point stability and entanglement."""
     params, config_sha256 = load_config(config_path)
     p = _require(params, "tripartite")
     axes = dict([axis1])
@@ -240,9 +244,9 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
         if name2 in axes:
             raise click.UsageError("axis2 must differ from axis")
         axes[name2] = grid2
-    # the one mesh of the grid: its Hz columns are written, 2 pi times them swept
+    # the one mesh of the grid: written as given, swept in rad/s where the key is in Hz
     mesh = dict(zip(axes, (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))))
-    res = _sweep(p, {n: TWO_PI * c for n, c in mesh.items()}, omega=TWO_PI * omega_hz)
+    res = _sweep(p, {_AXES[k].name: hz_scale(k) * c for k, c in mesh.items()}, omega=TWO_PI * omega_hz)
     _write_sweep_csv(out_path, mesh, res)
     _write_manifest(out_path, config_sha256, None)
     click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)

@@ -60,6 +60,11 @@ def _keyed(cls) -> dict:
     return {f.metadata.get("key", f.name): f for f in fields(cls)}
 
 
+def hz_scale(key: str) -> float:
+    """A field over the value stored under its JSON key: 2 pi for `_hz`, else 1."""
+    return TWO_PI if key.endswith("_hz") else 1.0
+
+
 def _number(val, path: str, bound) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
@@ -90,8 +95,7 @@ def parse_block(cls, data, name: str):
         if record:
             values[f.name] = parse_block(record, data[k], f"{name}.{k}")
         else:
-            scale = TWO_PI if k.endswith("_hz") else 1.0
-            values[f.name] = scale * _number(data[k], f"{name}.{k}", f.metadata.get("bound"))
+            values[f.name] = hz_scale(k) * _number(data[k], f"{name}.{k}", f.metadata.get("bound"))
     return cls(**values)
 
 

@@ -16,47 +16,64 @@ eigenvalue of the photon-magnon partial transpose, and the logarithmic
 negativity are built.
 
 Every stage runs over a stack of N points and takes what the one before
-returns: `drift_matrices` (one broadcast) -> `stability` (one `eigvals`)
--> `output_covariance`, over `scattering` (one `solve`) ->
-`symplectic_eigenvalue_min` -> `log_negativity`.  A failed point gets a
-reason and fails alone.  `sweep` chains the stages over the points it is
-given, and `evaluate_point` is its row for one point.
+returns: `resolve` (each point's numbers) -> `drift_matrices` (one
+broadcast) -> `stability` (one `eigvals`) -> `output_covariance`, over
+`scattering` (one `solve`) -> `symplectic_eigenvalue_min` -> `log_negativity`.
+A failed point gets a reason and fails alone.  `sweep` chains the stages
+over the points it is given, and `evaluate_point` is its row for one point.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import BracketError, DomainError, NumericalError
-from .params import TripartiteParams
+from .params import Occupations, TripartiteParams, meets, violation
 
-# the parameters `sweep` can put on an axis
-SWEEP_AXES = ("g_b", "g_c", "delta_a", "delta_c")
+# every number of a point, with its field's bound: the parameters `sweep` can put on an axis
+_BOUNDS = {f.name: f.metadata.get("bound") for cls in (TripartiteParams, Occupations)
+           for f in fields(cls) if "record" not in f.metadata}
+SWEEP_AXES = tuple(_BOUNDS)
+_OCCUPATIONS = tuple(f.name for f in fields(Occupations))
+# the drift entries the 2**52 rule compares, the last three the half loss rates
+_TERMS = ("delta_a", "delta_c", "g_b", "g_c", "omega_m", "kappa_a_in + kappa_a_ex", "kappa_c_in + kappa_c_ex", "gamma")
 
 
-def drift_matrices(p: TripartiteParams, grid: dict) -> np.ndarray:
+def resolve(p: TripartiteParams, grid: dict) -> dict:
+    """{name: value} for each of SWEEP_AXES: its `grid` column, all broadcast to
+    one length, or else its value in `p`.  A column must be finite and meet its
+    field's bound, as `Checked` requires (DomainError); another name is a ValueError."""
+    if not grid.keys() <= _BOUNDS.keys():
+        raise ValueError(f"cannot sweep parameter {min(grid.keys() - _BOUNDS.keys())!r}")
+    columns = dict(zip(grid, np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1) for v in grid.values()))))
+    for name, column in columns.items():
+        bad = ~(np.isfinite(column) & meets(column, _BOUNDS[name]))
+        if bad.any():
+            raise DomainError(violation(name, column[bad][0], _BOUNDS[name]))
+    given = {**vars(p), **vars(p.occupations), **columns}
+    return {k: given[k] for k in SWEEP_AXES}
+
+
+def drift_matrices(x: dict) -> np.ndarray:
     """(N, 6, 6) real drift matrices in the quadrature basis (X_a, Y_a, X_b,
-    Y_b, X_c, Y_c), (X, Y) = u (a, a+); `grid` maps sweepable names to (N,)
-    or broadcastable arrays replacing the values in `p`.  DomainError,
-    naming the field, where the largest entry is over 2**52 times the
-    smallest nonzero half loss rate: `eigvals` would lose that rate to
-    round-off (a lossless mode has none to lose)."""
-    if not set(grid) <= set(SWEEP_AXES):
-        raise ValueError(f"cannot sweep parameter {min(set(grid) - set(SWEEP_AXES))!r}")
-    names = ("delta_a", "delta_c", "g_b", "g_c", "omega_m")
-    da, dc, gb, gc, om = (np.asarray(grid.get(k, getattr(p, k))) for k in names)
-    entries = {k: np.abs(grid[k]).max(initial=0.0) if k in grid else abs(getattr(p, k)) for k in names}
-    entries.update({"g_b": 2.0 * entries["g_b"], "kappa_a_in + kappa_a_ex": p.kappa_a / 2.0,
-                    "kappa_c_in + kappa_c_ex": p.kappa_c / 2.0, "gamma": p.gamma / 2.0})
-    top = max(entries, key=entries.get)
-    halves = [rate / 2.0 for rate in (p.kappa_a, p.gamma, p.kappa_c) if rate]
-    if halves and entries[top] * 2.0**-52 > min(halves):
-        raise DomainError(f"{top} must keep every drift entry within 2**52 times the smallest "
+    Y_b, X_c, Y_c), (X, Y) = u (a, a+), of `resolve`'s values `x`, one per
+    point of its columns.  DomainError, naming the field, where the largest
+    entry is over 2**52 times the smallest nonzero half loss rate of the
+    grid: `eigvals` would lose that rate to round-off (a lossless mode has
+    none to lose)."""
+    da, dc, gb, gc, om, gamma = (x[k] for k in ("delta_a", "delta_c", "g_b", "g_c", "omega_m", "gamma"))
+    ka, kc = x["kappa_a_in"] + x["kappa_a_ex"], x["kappa_c_in"] + x["kappa_c_ex"]
+    ones = np.ones(np.broadcast(*x.values()).size)  # a row per point, also where only a bath differs
+    entries = np.abs([v * ones for v in (da, dc, 2.0 * gb, gc, om, ka / 2.0, kc / 2.0, gamma / 2.0)])
+    largest, halves = entries.max(axis=1, initial=0.0), entries[5:]
+    top = int(np.argmax(largest))  # on a tie, the first in _TERMS
+    if largest[top] * 2.0**-52 > np.min(halves, where=halves > 0.0, initial=np.inf):
+        raise DomainError(f"{_TERMS[top]} must keep every drift entry within 2**52 times the smallest "
                           "nonzero half loss rate")
-    A = np.zeros((np.broadcast(da, dc, gb, gc, om).size, 6, 6))
-    for i, (detuning, loss) in enumerate(((da, p.kappa_a), (om, p.gamma), (dc, p.kappa_c))):
+    A = np.zeros((len(ones), 6, 6))
+    for i, (detuning, loss) in enumerate(((da, ka), (om, gamma), (dc, kc))):
         A[:, 2 * i, 2 * i] = A[:, 2 * i + 1, 2 * i + 1] = -loss / 2.0
         A[:, 2 * i, 2 * i + 1], A[:, 2 * i + 1, 2 * i] = detuning, -detuning
     A[:, 1, 2] = A[:, 3, 0] = -2.0 * gb  # X_b pushes Y_a and X_a pushes Y_b
@@ -76,49 +93,42 @@ def _ladder(Aq: np.ndarray) -> np.ndarray:
     return A
 
 
-def input_matrix(p: TripartiteParams) -> np.ndarray:
-    """6x10 noise/drive input matrix with sqrt-rate entries."""
-    rates = np.zeros((3, 5))  # modes a, b, c by baths a_in, a_ex, b_in, c_in, c_ex
-    rates[0, :2] = p.kappa_a_in, p.kappa_a_ex
-    rates[1, 2] = p.gamma
-    rates[2, 3:] = p.kappa_c_in, p.kappa_c_ex
-    return np.kron(np.sqrt(rates), np.eye(2))
+def input_matrix(x: dict) -> np.ndarray:
+    """Noise/drive input matrix with sqrt-rate entries of `resolve`'s values
+    `x`: (6, 10), or (N, 6, 10) where a rate is a column."""
+    names = ("kappa_a_in", "kappa_a_ex", "gamma", "kappa_c_in", "kappa_c_ex")  # baths a_in, a_ex, b_in, c_in, c_ex
+    rates = np.array(np.broadcast_arrays(*(x[k] for k in names))).T
+    B = np.zeros(rates.shape[:-1] + (6, 10))
+    B[..., [0, 1, 0, 1, 2, 3, 4, 5, 4, 5], np.arange(10)] = np.sqrt(np.repeat(rates, 2, axis=-1))  # into its mode
+    return B
 
 
-def _stability_unit(p: TripartiteParams, Aq: np.ndarray):
-    """The unit of `stability`'s threshold, per row of a quadrature drift
-    stack: kappa_a, or for a lossless cavity the largest ladder-basis
-    |diagonal|, |loss/2 + i detuning|."""
-    if p.kappa_a:
-        return np.full(len(Aq), p.kappa_a)
-    i = np.arange(0, 6, 2)
-    return np.abs(Aq[:, i, i] + 1j * Aq[:, i, i + 1]).max(axis=1)
-
-
-def stability(p: TripartiteParams, Aq: np.ndarray):
+def stability(Aq: np.ndarray):
     """Stability verdicts and largest real eigenvalue parts of a quadrature
-    drift stack: stable iff every eigenvalue has real part below -1e-12
-    `_stability_unit`, so a margin within that of zero counts as unstable."""
+    drift stack: stable iff every eigenvalue has real part below -1e-12 times the
+    row's kappa_a, -2 A[0, 0] (if 0, its largest ladder-basis |loss/2 + i detuning|)."""
     try:
         max_re = np.linalg.eigvals(Aq).real.max(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigen-solver failed: {exc}") from exc
-    return max_re < -1e-12 * _stability_unit(p, Aq), max_re
+    i, kappa_a = np.arange(0, 6, 2), -2.0 * Aq[:, 0, 0]
+    unit = np.where(kappa_a > 0.0, kappa_a, np.abs(Aq[:, i, i] + 1j * Aq[:, i, i + 1]).max(axis=1))
+    return max_re < -1e-12 * unit, max_re
 
 
-def scattering(omega: float, p: TripartiteParams, Aq: np.ndarray):
-    """S(w) (N, 4, 10) of a quadrature drift stack in the ladder basis,
-    outputs (a_out, a_out+, c_out, c_out+): the port rows of X = (-i w I -
-    A)^{-1} B times sqrt(kappa_ex), less the reflected drive; and {row:
-    reason} where the resolvent's 1-norm condition number, from the
-    explicit inverse, is above 1e12 or not finite (solved against I)."""
+def scattering(omega: float, Aq: np.ndarray, B: np.ndarray):
+    """S(w) (N, 4, 10) of a quadrature drift stack and its `input_matrix` B in
+    the ladder basis, outputs (a_out, a_out+, c_out, c_out+): the port rows of
+    X = (-i w I - A)^{-1} B times sqrt(kappa_ex), read off B, less the reflected
+    drive; and {row: reason} where the resolvent's 1-norm condition number,
+    from the explicit inverse, is above 1e12 or not finite (solved against I)."""
     M = -1j * omega * np.eye(6) - _ladder(Aq)
     cond = np.linalg.cond(M, 1)
     poles = {int(i): f"resolvent nearly singular at omega={omega:.6e} rad/s (condition estimate {cond[i]:.3e})"
              for i in np.flatnonzero(~(cond <= 1e12))}
     M[list(poles)] = np.eye(6)
-    X = np.linalg.solve(M, input_matrix(p))
-    S = X[:, [0, 1, 4, 5]] * np.sqrt([[p.kappa_a_ex], [p.kappa_a_ex], [p.kappa_c_ex], [p.kappa_c_ex]])
+    X = np.linalg.solve(M, B)
+    S = X[:, [0, 1, 4, 5]] * B[..., [0, 1, 4, 5], [2, 3, 8, 9], None]  # sqrt(kappa_a_ex), sqrt(kappa_c_ex)
     S[:, [0, 1, 2, 3], [2, 3, 8, 9]] -= 1.0  # a_ex, a_ex+, c_ex, c_ex+
     return S, poles
 
@@ -129,17 +139,18 @@ _R2 = np.kron(np.eye(2), _U)
 _R5 = np.kron(np.eye(5), _U)
 
 
-def output_covariance(omega: float, p: TripartiteParams, Aq: np.ndarray):
-    """Real, symmetric output-quadrature covariances V = Re[(S_q W)
-    S_q^dagger] (N, 4, 4) at w in the (X_a, Y_a, X_c, Y_c) basis, W
-    weighting each input quadrature's column of S_q by its bath's n + 1/2,
-    with `scattering`'s near-pole rows.  S is solved in the ladder basis:
-    zeta- magnifies roundoff in V up to 1e8-fold."""
-    s, poles = scattering(omega, p, Aq)
+def output_covariance(omega: float, Aq: np.ndarray, x: dict):
+    """Real, symmetric output-quadrature covariances V = Re[(S_q W) S_q^dagger]
+    (N, 4, 4) at w in the (X_a, Y_a, X_c, Y_c) basis of a drift stack and
+    `resolve`'s values `x` at its points, W weighting each input quadrature's
+    column of S_q by its bath's n + 1/2 (one W, or one per row where an
+    occupation is a column), with `scattering`'s near-pole rows.  S is solved
+    in the ladder basis: zeta- magnifies roundoff in V up to 1e8-fold."""
+    s, poles = scattering(omega, Aq, input_matrix(x))
     sq = _R2 @ s @ _R5.conj().T
-    weight = np.repeat(np.asarray(astuple(p.occupations)) + 0.5, 2)
+    weight = np.repeat(np.array(np.broadcast_arrays(*(x[k] for k in _OCCUPATIONS))).T + 0.5, 2, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # such a row fails in `symplectic_eigenvalue_min`
-        V = np.real((sq * weight) @ sq.conj().transpose(0, 2, 1))
+        V = np.real((sq * weight[..., None, :]) @ sq.conj().transpose(0, 2, 1))
         return 0.5 * (V + V.transpose(0, 2, 1)), poles
 
 
@@ -189,17 +200,18 @@ def evaluate_point(omega: float, p: TripartiteParams) -> dict:
 
 def sweep(p: TripartiteParams, points: dict[str, np.ndarray], omega: float = 0.0) -> dict:
     """Evaluate the points whose coordinates `points` maps from any subset of
-    {g_b, g_c, delta_a, delta_c} to equal-length or broadcastable columns,
-    as `drift_matrices` takes them; a grid is meshed by the caller.
+    SWEEP_AXES to equal-length or broadcastable columns, each checked by
+    `resolve` in place of its field; a grid is meshed by the caller.
 
     Returns per point, in the order given, `stable`, `max_re`, `zeta_minus`
     and `log_negativity` (NaN when unstable or failed) and `error` (why a
     stable point failed, else None).
     """
-    A = drift_matrices(p, points)
-    stable, max_re = stability(p, A)
+    x = resolve(p, points)
+    A = drift_matrices(x)
+    stable, max_re = stability(A)
     idx = np.flatnonzero(stable)
-    V, poles = output_covariance(omega, p, A[idx])
+    V, poles = output_covariance(omega, A[idx], {**x, **{k: x[k][idx] for k in points}})
     zeta, errors = symplectic_eigenvalue_min(V)
     errors.update(poles)  # a near pole is the first failure
     zeta[list(errors)] = np.nan
@@ -223,7 +235,7 @@ def critical_coupling(p: TripartiteParams, axis: str, bracket: tuple[float, floa
         raise ValueError(f"axis must be g_b or g_c, got {axis!r}")
 
     def verdict(g: float):
-        stable, max_re = stability(p, drift_matrices(p, {axis: np.array([g])}))
+        stable, max_re = stability(drift_matrices(resolve(p, {axis: np.array([g])})))
         return stable[0], max_re[0]
 
     lo, hi = sorted(bracket)

@@ -34,6 +34,7 @@ from emcavity.params import CavityParams, MechParams
 from emcavity.tripartite import (
     drift_matrices,
     evaluate_point,
+    resolve,
     stability,
     symplectic_eigenvalue_min,
     sweep,
@@ -163,12 +164,12 @@ def test_criterion_07_stability_dual_check():
         verdicts = set()
         for _ in range(100):
             p = random_tripartite(rng)
-            (ok,), (max_re,) = stability(p, drift_matrices(p, {}))
+            (ok,), (max_re,) = stability(drift_matrices(resolve(p, {})))
             if abs(max_re) < 1e-12 * p.kappa_a:
                 continue  # marginal: the decay verdict is ill-posed here
             horizon = 10.0 / abs(max_re)
             y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            assert mean_dynamics_decay_oracle(drift_matrices(p, {})[0], y0, horizon) == ok
+            assert mean_dynamics_decay_oracle(drift_matrices(resolve(p, {}))[0], y0, horizon) == ok
             verdicts.add(ok)
         assert verdicts == {True, False}
 

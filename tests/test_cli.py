@@ -326,7 +326,7 @@ class TestTripartite:
             "--out", str(tmp_path / "x.csv"),
         ]
         assert run(base + ["--axis", "g_b=0:1e6:5"]) == 1  # missing _hz
-        assert run(base + ["--axis", "gamma_hz=0:1e6:5"]) == 1  # not sweepable
+        assert run(base + ["--axis", "kappa_a_hz=0:1e6:5"]) == 1  # a sum of two keys, not a key
         assert run(base + ["--axis", "g_b_hz=0:1e6"]) == 1  # malformed range
         capsys.readouterr()
         assert run(base + ["--axis", "g_b_hz=0:1e6:0"]) == 1
@@ -334,6 +334,38 @@ class TestTripartite:
         assert run(base + ["--axis", "g_b_hz=0:1e6:3", "--axis2", "g_b_hz=0:1:2"]) == 1
         assert "Error: axis2 must differ from axis\n" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_axis_is_a_config_key(self, tmp_path):
+        # any number of the tripartite block or of its occupations is an axis,
+        # named by its config key: the header holds the keys, the cells the
+        # grid as given, and the rows are `sweep`'s, where only a `_hz` key
+        # is scaled by 2 pi
+        out = tmp_path / "grid.csv"
+        args = ["--axis", "n_b_in=0:200:3", "--axis2", "f_m_hz=3e6:5e6:2", "--out", str(out)]
+        assert run(["tripartite", "sweep", "--config", REFERENCE_CONFIG, *args]) == 0
+        with open(out, encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["n_b_in", "f_m_hz", "stable", "max_re_eig_hz", "zeta_minus", "log_negativity"]
+        n, f = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 200.0, 3), [3e6, 5e6], indexing="ij"))
+        res = sweep(load_config(REFERENCE_CONFIG)[0].tripartite, {"n_b_in": n, "omega_m": TWO_PI * f})
+        assert [[float(r[0]), float(r[1]), r[2], float(r[3])] for r in rows] == [
+            [a, b, "true" if s else "false", m / TWO_PI] for a, b, s, m in zip(n, f, res["stable"], res["max_re"])]
+
+    @pytest.mark.parametrize("axis, message", [
+        ("kappa_a_in_hz=-1:5:3", "kappa_a_in_hz must be finite and >= 0, got -1.0"),
+        ("gamma_hz=0:-5:3", "gamma_hz must be finite and >= 0, got -5.0"),
+        ("n_c_ex=-1e-3:1:2", "n_c_ex must be finite and >= 0, got -0.001"),
+        ("f_m_hz=0:4e6:3", "f_m_hz must be finite and > 0, got 0.0"),
+        ("omega_m=1:2:2", "cannot sweep 'omega_m': not a key of the tripartite block or its occupations"),
+        ("occupations=0:1:2", "cannot sweep 'occupations': not a key of the tripartite block or its occupations"),
+    ])
+    def test_sweep_axis_is_checked_where_it_enters(self, tmp_path, capsys, axis, message):
+        # a field name, a record or an end outside the key's bound is a
+        # usage error naming the key, before any config is read
+        out = tmp_path / "x.csv"
+        assert run(["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", axis, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"Error: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 745. GiB for an array"),
@@ -1364,7 +1396,7 @@ def test_cli_runs_without_scipy(config_file, device_files, fit_inputs, tmp_path)
         ["omit", "--config", config_file, "--f-hz", "10.29184e9"],
         ["damping", "--config", config_file, "--detuning-hz", "4e6"],
         ["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:3e6:4",
-         "--axis2", "g_c_hz=5e6:7e6:3", "--out", str(tmp_path / "sweep.csv")],
+         "--axis2", "n_b_in=0:100:3", "--out", str(tmp_path / "sweep.csv")],
         ["tripartite", "critical", "--config", REFERENCE_CONFIG, "--axis", "g_c", "--bracket-hz", "2e6,9e6"],
         ["synth", "--config", config_file, "--snr-db", "40", "--seed", "7", "--points", "201", "--out", trace],
         ["fit", "reflect", "--in", trace, "--out", fit],

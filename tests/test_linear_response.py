@@ -19,7 +19,7 @@ from emcavity.linear_response import (
     spectrum,
 )
 from emcavity.params import CavityParams, MechParams
-from emcavity.tripartite import drift_matrices
+from emcavity.tripartite import drift_matrices, resolve
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tripartite_sec63.json"
 
@@ -146,7 +146,7 @@ class TestDamping:
         # first order in (g / kappa)^2
         p = replace(load_config(REFERENCE_CONFIG)[0].tripartite, g_c=0.0)
         g, delta = TWO_PI * g_hz, TWO_PI * delta_hz
-        A = drift_matrices(p, {"delta_a": np.array([delta]), "g_b": np.array([g])})[0]
+        A = drift_matrices(resolve(p, {"delta_a": np.array([delta]), "g_b": np.array([g])}))[0]
         drift_rate = -2.0 * np.max(np.linalg.eigvals(A).real) - p.gamma
         rate = optomechanical_damping(delta, g, p.kappa_a, p.omega_m)
         assert abs(drift_rate - rate) < 10.0 * (g / p.kappa_a) ** 2 * abs(rate)

@@ -2,7 +2,7 @@
 
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from emcavity.tripartite import (
     input_matrix,
     log_negativity,
     output_covariance,
+    resolve,
     scattering,
     stability,
     sweep,
@@ -50,6 +51,17 @@ GOLDEN_V = np.array(
     ]
 )
 GOLDEN_ZETA = 0.3341755382405177
+
+
+def drift(p: TripartiteParams, **grid) -> np.ndarray:
+    """The drift stack of `p` with `grid`'s columns in place of their fields."""
+    return drift_matrices(resolve(p, grid))
+
+
+def covariance(omega: float, p: TripartiteParams, **grid):
+    """`output_covariance` at the points of `p` and `grid`."""
+    x = resolve(p, grid)
+    return output_covariance(omega, drift_matrices(x), x)
 
 
 def port_matrices(p: TripartiteParams):
@@ -89,7 +101,7 @@ def tmsv_covariance(r: float) -> np.ndarray:
 
 class TestDriftMatrix:
     def test_conjugation_pair_symmetry(self, reference_tripartite):
-        A = _ladder(drift_matrices(reference_tripartite, {}))[0]
+        A = _ladder(drift(reference_tripartite))[0]
         for i in range(3):
             for j in range(3):
                 blk = A[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
@@ -98,13 +110,13 @@ class TestDriftMatrix:
 
     def test_trace_is_total_dissipation(self, reference_tripartite):
         p = reference_tripartite
-        A = _ladder(drift_matrices(p, {}))[0]
+        A = _ladder(drift(p))[0]
         assert np.trace(A) == pytest.approx(-(p.kappa_a + p.kappa_c + p.gamma), rel=1e-12)
 
     def test_magnon_coupling_is_beam_splitter(self, reference_tripartite):
         # a <-> c exchange: both off-diagonal entries -i g_c, and no
         # cross-conjugate (two-mode-squeezing) entries between a and c
-        A = _ladder(drift_matrices(reference_tripartite, {}))[0]
+        A = _ladder(drift(reference_tripartite))[0]
         gc = reference_tripartite.g_c
         assert A[0, 4] == pytest.approx(-1j * gc)
         assert A[4, 0] == pytest.approx(-1j * gc)
@@ -112,7 +124,7 @@ class TestDriftMatrix:
 
     def test_mechanical_coupling_has_both_terms(self, reference_tripartite):
         # b couples to a + a^+ (position coupling): squeezing terms present
-        A = _ladder(drift_matrices(reference_tripartite, {}))[0]
+        A = _ladder(drift(reference_tripartite))[0]
         gb = reference_tripartite.g_b
         assert A[0, 2] == pytest.approx(-1j * gb)
         assert A[0, 3] == pytest.approx(-1j * gb)
@@ -122,29 +134,29 @@ class TestDriftMatrix:
 
 class TestStability:
     def test_reference_point_is_stable(self, reference_tripartite):
-        (ok,), (max_re,) = stability(reference_tripartite, drift_matrices(reference_tripartite, {}))
+        (ok,), (max_re,) = stability(drift(reference_tripartite))
         assert ok and max_re < 0
 
     def test_strong_coupling_unstable(self, reference_tripartite):
         p = replace(reference_tripartite, g_b=TWO_PI * 3.6e6)
-        (ok,), (max_re,) = stability(p, drift_matrices(p, {}))
+        (ok,), (max_re,) = stability(drift(p))
         assert not ok and max_re > 0
 
     def test_decoupled_is_stable(self, reference_tripartite):
         p = replace(reference_tripartite, g_b=0.0, g_c=0.0)
-        assert stability(p, drift_matrices(p, {}))[0][0]
+        assert stability(drift(p))[0][0]
 
     def test_decay_oracle_agreement_sample(self):
         rng = np.random.default_rng(11)
         verdicts = set()
         for _ in range(10):
             p = random_tripartite(rng)
-            (ok,), (max_re,) = stability(p, drift_matrices(p, {}))
+            (ok,), (max_re,) = stability(drift(p))
             if abs(max_re) < 1e-12 * p.kappa_a:
                 continue
             horizon = 10.0 / abs(max_re)
             y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            assert mean_dynamics_decay_oracle(drift_matrices(p, {})[0], y0, horizon) == ok
+            assert mean_dynamics_decay_oracle(drift(p)[0], y0, horizon) == ok
             verdicts.add(ok)
         assert len(verdicts) == 2
 
@@ -152,14 +164,14 @@ class TestStability:
         # uncoupled mechanics decaying at gamma/2 = 0.5e-12 kappa_a lies in
         # the marginal band, in `stability` and in `sweep` alike
         p = replace(reference_tripartite, g_b=0.0, gamma=1e-12 * reference_tripartite.kappa_a)
-        (ok,), (max_re,) = stability(p, drift_matrices(p, {}))
+        (ok,), (max_re,) = stability(drift(p))
         assert not ok and max_re == pytest.approx(-0.5e-12 * p.kappa_a, rel=1e-2)
         assert not sweep(p, {"g_b": np.array([0.0])})["stable"][0]
 
     def test_marginal_counts_as_unstable(self, reference_tripartite):
         # undamped, uncoupled mechanics oscillates forever
         p = replace(reference_tripartite, g_b=0.0, gamma=0.0)
-        (ok,), _ = stability(p, drift_matrices(p, {}))
+        (ok,), _ = stability(drift(p))
         assert not ok
 
 
@@ -171,7 +183,7 @@ class TestScattering:
         # shift into the lab frame so the cavity center is positive
         shift = TWO_PI * 1e9 - p.delta_a
         for w in [0.0, TWO_PI * 1e6, -TWO_PI * 2.5e6]:
-            (s,), poles = scattering(w, p, drift_matrices(p, {}))
+            (s,), poles = scattering(w, drift(p), input_matrix(resolve(p, {})))
             assert not poles
             bare = reflection(w + shift, TWO_PI * 1e9, p.kappa_a_in, p.kappa_a_ex)
             assert s[0, 2] == pytest.approx(bare, rel=1e-12)
@@ -187,7 +199,7 @@ class TestScattering:
         p = replace(load_config(REFERENCE_CONFIG)[0].tripartite, g_c=0.0,
                     delta_a=TWO_PI * 4e6, g_b=TWO_PI * 1e3)
         w = p.omega_m + np.linspace(-5.0, 5.0, 41) * p.gamma
-        s = np.array([scattering(x, p, drift_matrices(p, {}))[0][0, 0, 2] for x in w])
+        s = np.array([scattering(x, drift(p), input_matrix(resolve(p, {})))[0][0, 0, 2] for x in w])
         sigma = mechanical_self_energy(w, p.g_b, p.gamma, p.omega_m)
         r = reflection(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex, self_energy=sigma)
         feature = np.max(np.abs(r - reflection(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex)))
@@ -209,12 +221,12 @@ class TestScattering:
             gamma=0.0,
             occupations=Occupations(),
         )
-        reason = scattering(-p.omega_m, p, drift_matrices(p, {}))[1][0]
+        reason = scattering(-p.omega_m, drift(p), input_matrix(resolve(p, {})))[1][0]
         assert reason.startswith(f"resolvent nearly singular at omega={-p.omega_m:.6e} rad/s (condition ")
 
     def test_quadrature_map_is_real_for_vacuum_covariance(self, reference_tripartite):
         p = reference_tripartite
-        sq = quadrature_scattering(scattering(0.0, p, drift_matrices(p, {}))[0][0])
+        sq = quadrature_scattering(scattering(0.0, drift(p), input_matrix(resolve(p, {})))[0][0])
         V = sq @ noise_diagonal(p) @ sq.conj().T
         assert np.max(np.abs(V.imag)) < 1e-10 * np.max(np.abs(V.real))
 
@@ -224,11 +236,11 @@ class TestScattering:
         p = replace(reference_tripartite, gamma=0.0)
         g_b = TWO_PI * np.array([0.0, 1e6, 2e6])
         w = -p.omega_m
-        V, poles = output_covariance(w, p, drift_matrices(p, {"g_b": g_b}))
+        V, poles = covariance(w, p, g_b=g_b)
         assert list(poles) == [0] and poles[0].startswith("resolvent nearly singular at omega=")
         for i in (1, 2):
             q = replace(p, g_b=float(g_b[i]))
-            (single,), single_poles = output_covariance(w, q, drift_matrices(q, {}))
+            (single,), single_poles = covariance(w, q)
             assert not single_poles
             assert np.allclose(V[i], single, rtol=1e-12, atol=0.0)
 
@@ -248,10 +260,10 @@ class TestScattering:
         # the screen's 1-norm condition: inf at the exact pole, finite but
         # above 1e12 at the near pole of the two tests above
         p = replace(reference_tripartite, gamma=0.0)
-        _, poles = output_covariance(-p.omega_m, p, drift_matrices(p, {"g_b": np.array([0.0])}))
+        _, poles = covariance(-p.omega_m, p, g_b=np.array([0.0]))
         assert poles[0].endswith("(condition estimate inf)")
         p = replace(reference_tripartite, gamma=TWO_PI * 1e-5)
-        _, poles = output_covariance(-p.omega_m, p, drift_matrices(p, {"g_b": np.array([0.0])}))
+        _, poles = covariance(-p.omega_m, p, g_b=np.array([0.0]))
         condition = float(re.fullmatch(r".*\(condition estimate (\S+)\)", poles[0])[1])
         assert np.isfinite(condition) and condition > 1e12
 
@@ -262,9 +274,9 @@ class TestScattering:
         p = replace(reference_tripartite, g_b=0.0)
         w = -p.omega_m
         gammas = TWO_PI * np.logspace(-8, 0, 33)
-        Aq = np.concatenate([drift_matrices(replace(p, gamma=g), {}) for g in gammas])
+        Aq = np.concatenate([drift(replace(p, gamma=g)) for g in gammas])
         cond2 = np.linalg.cond(-1j * w * np.eye(6) - _ladder(Aq))
-        flagged = np.isin(np.arange(len(Aq)), list(scattering(w, p, Aq)[1]))
+        flagged = np.isin(np.arange(len(Aq)), list(scattering(w, Aq, input_matrix(resolve(p, {})))[1]))
         assert (cond2 < 1e11).sum() > 5 and (cond2 > 1e13).sum() > 5
         assert not flagged[cond2 < 1e11].any()
         assert flagged[cond2 > 1e13].all()
@@ -277,19 +289,25 @@ class TestScattering:
         w, checked = TWO_PI * w_hz, 0
         while checked < 10:
             p = random_tripartite(rng)
-            Aq = drift_matrices(p, {})
-            if not stability(p, Aq)[0][0]:
+            Aq = drift(p)
+            if not stability(Aq)[0][0]:
                 continue
             M = -1j * w * np.eye(6) - _ladder(Aq)[0]
             C, D = port_matrices(p)
-            s = C @ np.linalg.solve(M, input_matrix(p)) - D
-            assert np.array_equal(scattering(w, p, Aq)[0][0], s)
+            B = input_matrix(resolve(p, {}))
+            s = C @ np.linalg.solve(M, B) - D
+            assert np.array_equal(scattering(w, Aq, B)[0][0], s)
             checked += 1
 
     def test_matrix_shapes(self, reference_tripartite):
         p = reference_tripartite
-        assert input_matrix(p).shape == (6, 10)
-        assert scattering(0.0, p, drift_matrices(p, {}))[0].shape == (1, 4, 10)
+        B = input_matrix(resolve(p, {}))
+        assert B.shape == (6, 10)
+        assert scattering(0.0, drift(p), B)[0].shape == (1, 4, 10)
+        # B is stacked only where a rate is a column
+        assert input_matrix(resolve(p, {"g_b": np.zeros(3), "n_b_in": np.ones(3)})).shape == (6, 10)
+        stacked = input_matrix(resolve(p, {"gamma": np.array([0.0, p.gamma, 4.0 * p.gamma])}))
+        assert stacked.shape == (3, 6, 10) and np.array_equal(stacked[1], B)
 
 
 class TestCovariance:
@@ -301,24 +319,24 @@ class TestCovariance:
         w, checked = TWO_PI * w_hz, 0
         while checked < 10:
             p = random_tripartite(rng)
-            Aq = drift_matrices(p, {})
-            if not stability(p, Aq)[0][0]:
+            Aq = drift(p)
+            if not stability(Aq)[0][0]:
                 continue
-            sq = quadrature_scattering(scattering(w, p, Aq)[0])
+            sq = quadrature_scattering(scattering(w, Aq, input_matrix(resolve(p, {})))[0])
             V = np.real(sq @ noise_diagonal(p) @ sq.conj().transpose(0, 2, 1))
-            (got,), poles = output_covariance(w, p, Aq)
+            (got,), poles = output_covariance(w, Aq, resolve(p, {}))
             assert not poles
             assert np.array_equal(got, (0.5 * (V + V.transpose(0, 2, 1)))[0])
             checked += 1
 
     def test_golden_covariance(self, reference_tripartite):
-        (V,), poles = output_covariance(0.0, reference_tripartite, drift_matrices(reference_tripartite, {}))
+        (V,), poles = covariance(0.0, reference_tripartite)
         assert not poles
         assert np.allclose(V, GOLDEN_V, rtol=1e-10)
 
     def test_decoupled_ports_give_vacuum(self, reference_tripartite):
         p = replace(reference_tripartite, g_b=0.0, g_c=0.0)
-        (V,), poles = output_covariance(0.0, p, drift_matrices(p, {}))
+        (V,), poles = covariance(0.0, p)
         assert not poles
         assert np.allclose(V, 0.5 * np.eye(4), atol=1e-12)
 
@@ -343,9 +361,9 @@ class TestCovariance:
         # third of draws are), so no example is filtered out
         rng = np.random.default_rng(seed)
         p = random_tripartite(rng)
-        while not stability(p, drift_matrices(p, {}))[0][0]:
+        while not stability(drift(p))[0][0]:
             p = random_tripartite(rng)
-        (V,), poles = output_covariance(TWO_PI * w_hz, p, drift_matrices(p, {}))
+        (V,), poles = covariance(TWO_PI * w_hz, p)
         assert not poles
         lowest = np.linalg.eigvalsh(V + 0.5j * OMEGA_SYMPLECTIC)[0]
         assert lowest >= -1e-10 * np.max(np.abs(V))
@@ -353,7 +371,7 @@ class TestCovariance:
 
 class TestSymplecticEigenvalue:
     def test_golden_zeta(self, reference_tripartite):
-        V, poles = output_covariance(0.0, reference_tripartite, drift_matrices(reference_tripartite, {}))
+        V, poles = covariance(0.0, reference_tripartite)
         (zeta,), errors = symplectic_eigenvalue_min(V)
         assert not poles and not errors
         assert zeta == pytest.approx(GOLDEN_ZETA, rel=1e-10)
@@ -421,8 +439,8 @@ class TestSymplecticEigenvalue:
         )
         q = replace(p, **{f: scale * getattr(p, f) for f in fields})
         w = TWO_PI * 0.3e6
-        (z1,), errors1 = symplectic_eigenvalue_min(output_covariance(w, p, drift_matrices(p, {}))[0])
-        (z2,), errors2 = symplectic_eigenvalue_min(output_covariance(scale * w, q, drift_matrices(q, {}))[0])
+        (z1,), errors1 = symplectic_eigenvalue_min(covariance(w, p)[0])
+        (z2,), errors2 = symplectic_eigenvalue_min(covariance(scale * w, q)[0])
         assert not errors1 and not errors2
         assert z2 == pytest.approx(z1, rel=1e-8)
 
@@ -527,7 +545,7 @@ class TestEntanglementWorkflow:
             warnings.simplefilter("error")
             errors = [sweep(p, {"g_b": np.array([0.0])}, omega=-p.omega_m)["error"][0],
                       sweep(hot, g_b)["error"][0], sweep(warm, g_b)["error"][0]]
-            monkeypatch.setattr(tripartite, "output_covariance", lambda omega, q, Aq: (V[None], {}))
+            monkeypatch.setattr(tripartite, "output_covariance", lambda omega, Aq, x: (V[None], {}))
             errors.append(sweep(reference_tripartite, g_b)["error"][0])
         assert errors == [
             "resolvent nearly singular at omega=-2.513274e+07 rad/s (condition estimate 2.898e+12)",
@@ -577,7 +595,7 @@ class TestEntanglementWorkflow:
                            kappa_c_ex=0.0, gamma=0.0, occupations=Occupations(*[1e100] * 5))
         top = TWO_PI * 1e100
         axes = {"delta_a": np.array([-top, top]), "g_c": np.array([top]), "g_b": np.array([-top])}
-        A = drift_matrices(lossless, axes)
+        A = drift(lossless, **axes)
         assert np.isfinite(A).all() and np.isfinite(_ladder(A)).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -598,23 +616,74 @@ class TestEntanglementWorkflow:
         limit = half * 2.0**52 / entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            drift_matrices(p, {field: np.array([0.0, -limit])})
+            drift(p, **{field: np.array([0.0, -limit])})
             reason = (f"^{field} must keep every drift entry within "
                       f"2\\*\\*52 times the smallest nonzero half loss rate$")
             with pytest.raises(DomainError, match=reason):
                 sweep(p, {field: np.array([0.0, np.nextafter(limit, np.inf)])})
 
     def test_sweep_rejects_unknown_axis(self, reference_tripartite):
-        with pytest.raises(ValueError):
-            sweep(reference_tripartite, {"gamma": np.array([1.0, 2.0])})
+        # kappa_a is a sum of two fields, not a field
+        with pytest.raises(ValueError, match="^cannot sweep parameter 'kappa_a'$"):
+            sweep(reference_tripartite, {"kappa_a": np.array([1.0, 2.0])})
+
+    @pytest.mark.parametrize("field, column, message", [
+        ("g_b", [0.0, np.nan], "g_b must be finite, got nan"),
+        ("delta_c", [np.inf], "delta_c must be finite, got inf"),
+        ("gamma", [1.0, -1.0], "gamma must be finite and >= 0, got -1.0"),
+        ("omega_m", [1.0, 0.0], "omega_m must be finite and > 0, got 0.0"),
+        ("n_b_in", [-0.5], "n_b_in must be finite and >= 0, got -0.5"),
+    ])
+    def test_a_column_meets_its_fields_bound(self, reference_tripartite, field, column, message):
+        # a coordinate that no record could hold is malformed input, refused
+        # for the whole grid with the message `Checked` gives
+        record = reference_tripartite if hasattr(reference_tripartite, field) else reference_tripartite.occupations
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sweep(reference_tripartite, {field: np.array(column)})
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            replace(record, **{field: column[-1]})
+
+    @pytest.mark.parametrize("field", tripartite.SWEEP_AXES)
+    def test_a_column_equals_the_replaced_field(self, reference_tripartite, field):
+        # every number of a point can be a column: 16 seeded rows of it, with
+        # g_b alongside, equal `sweep` of the point built with
+        # dataclasses.replace, bit for bit and failures included
+        rng = np.random.default_rng(36)
+        p = replace(reference_tripartite, occupations=Occupations(0.2, 0.1, 80.0, 0.3, 0.05))
+        record = p if hasattr(p, field) else p.occupations
+        value = getattr(record, field)
+        column = value * rng.uniform(0.5, 1.5, 16)
+        if tripartite._BOUNDS[field] == ">=":
+            column[0] = 0.0
+        grid = {"g_b": TWO_PI * rng.uniform(0.0, 3.6e6, 16), field: column}
+        omega = TWO_PI * 0.2e6
+        res = sweep(p, grid, omega)
+        for i in range(16):
+            edit = {k: float(v[i]) for k, v in grid.items()}
+            if record is not p:
+                edit = {"g_b": edit["g_b"], "occupations": replace(p.occupations, **{field: edit[field]})}
+            row = sweep(replace(p, **edit), {}, omega)
+            for k, v in res.items():
+                assert np.array_equal(v[i : i + 1], row[k], equal_nan=k != "error"), (k, i)
+        assert res["stable"].any()
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(Occupations)])
+    def test_a_hotter_bath_never_adds_entanglement(self, reference_tripartite, field):
+        # more noise adds a positive semidefinite term to V, and so to its
+        # partial transpose: zeta- cannot fall (Bhatia & Jain, JMP 56,
+        # 112201 (2015)), and E_N cannot rise
+        res = sweep(reference_tripartite, {field: np.linspace(0.0, 200.0, 21)})
+        assert len(res["stable"]) == 21
+        assert res["stable"].all() and all(e is None for e in res["error"])
+        assert (np.diff(res["zeta_minus"]) >= 0.0).all()
+        assert (np.diff(res["log_negativity"]) <= 0.0).all()
 
     def test_critical_coupling_straddles_the_boundary(self, reference_tripartite):
         lo, hi = TWO_PI * 2.0e6, TWO_PI * 5.0e6
         g_star = critical_coupling(reference_tripartite, "g_b", (lo, hi))
         assert lo < g_star < hi
         eps = 1e-5 * g_star
-        sides = drift_matrices(reference_tripartite, {"g_b": g_star + np.array([-eps, eps])})
-        stable, _ = stability(reference_tripartite, sides)
+        stable, _ = stability(drift(reference_tripartite, g_b=g_star + np.array([-eps, eps])))
         assert stable[0] and not stable[1]
 
     @pytest.mark.parametrize("bracket", [(0.0, TWO_PI * 1e6), (TWO_PI * 1e6, 0.0)])
@@ -626,14 +695,14 @@ class TestEntanglementWorkflow:
         # 50 seeded working points like the benchmark's stability_boundary:
         # g_c 1-8 MHz, delta_a -6 to -2 MHz, g_b bracket 0-10 MHz
         calls = []
-        monkeypatch.setattr(tripartite, "stability", lambda q, Aq: calls.append(q) or stability(q, Aq))
+        monkeypatch.setattr(tripartite, "stability", lambda Aq: calls.append(Aq) or stability(Aq))
         rng = np.random.default_rng(11)
         bracket = (0.0, TWO_PI * 10e6)
         ours = []
         while len(ours) < 50:
             p = replace(reference_tripartite, g_c=TWO_PI * rng.uniform(1e6, 8e6),
                         delta_a=TWO_PI * rng.uniform(-6e6, -2e6))
-            ends, _ = stability(p, drift_matrices(p, {"g_b": np.array(bracket)}))
+            ends, _ = stability(drift(p, g_b=np.array(bracket)))
             if not ends[0] or ends[1]:
                 continue
             calls.clear()
@@ -643,17 +712,17 @@ class TestEntanglementWorkflow:
 
             def margin(g):
                 q = replace(p, g_b=g)
-                return tripartite.stability(q, drift_matrices(q, {}))[1][0] + 1e-12 * p.kappa_a
+                return tripartite.stability(drift(q))[1][0] + 1e-12 * p.kappa_a
 
             assert g_star == pytest.approx(brentq(margin, *bracket, rtol=1e-6), rel=1e-6)
-            stable, _ = stability(p, drift_matrices(p, {"g_b": g_star * np.array([1 - 1e-5, 1 + 1e-5])}))
+            stable, _ = stability(drift(p, g_b=g_star * np.array([1 - 1e-5, 1 + 1e-5])))
             assert stable[0] and not stable[1]
             # two ends, then one call per halving down to the width rtol g*
             # (brentq needs a median of 20; this, 30.5)
             assert ours[-1] <= 3 + np.log2(1.001 * bracket[1] / (1e-6 * g_star))
 
     def test_critical_coupling_matches_replace_reference(self, reference_tripartite, monkeypatch):
-        # each margin enters through the drift grid; a reference that builds
+        # each margin enters as a grid column through `resolve`; a reference that builds
         # a new TripartiteParams per trial with dataclasses.replace gives the
         # same root bit for bit, or the same BracketError, on 200 random
         # working points: g_c 0-6 MHz, delta_a -6 to -1 MHz, bracket 0-10 MHz
@@ -671,9 +740,9 @@ class TestEntanglementWorkflow:
 
         def by_replace(p, grid):
             ((axis, (g,)),) = grid.items()
-            return drift_matrices(replace(p, **{axis: float(g)}), {})
+            return resolve(replace(p, **{axis: float(g)}), {})
 
-        monkeypatch.setattr(tripartite, "drift_matrices", by_replace)
+        monkeypatch.setattr(tripartite, "resolve", by_replace)
         assert ours == [search(p) for p in points]
         assert sum(not r.startswith("stability") for r in ours) >= 100
 
@@ -682,10 +751,12 @@ class TestEntanglementWorkflow:
             critical_coupling(reference_tripartite, "delta_a", (0.0, TWO_PI * 5e6))
 
     def test_eigen_solver_failure_is_a_numerical_error(self, reference_tripartite):
-        # a NaN coordinate passes the drift bound (NaN compares False) and
-        # LAPACK refuses the stack
+        # no resolved point holds a NaN, but a stack handed to `stability`
+        # may, and LAPACK refuses it
+        A = drift(reference_tripartite, g_b=np.array([0.0, 1.0]))
+        A[1, 1, 2] = np.nan
         with pytest.raises(NumericalError, match="^eigen-solver failed: Array must not contain infs or NaNs$"):
-            sweep(reference_tripartite, {"g_b": np.array([0.0, np.nan])})
+            stability(A)
 
     def test_critical_coupling_reversed_bracket(self, reference_tripartite):
         lo, hi = TWO_PI * 2.0e6, TWO_PI * 9.0e6
@@ -698,7 +769,7 @@ class TestEntanglementWorkflow:
         # a width test relative to |g| alone would never end here: the
         # verdict turns at g_b = 0, where the fake largest real part
         # `shape` crosses zero
-        def verdict(q, Aq):
+        def verdict(Aq):
             max_re = shape(-Aq[:, 1, 2] / 2 / 1e6)
             return max_re < 0, max_re
 
