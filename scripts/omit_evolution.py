@@ -38,8 +38,8 @@ def main():
     probes = np.array([mech.omega_m, mech.omega_m + 5 * mech.gamma])
 
     g = g0 * np.sqrt(n_bar)
-    mags = [np.abs(spectrum(probes, cavity, mech, gi, mech.omega_m)) for gi in g]
-    write_table(args.out, b"n_bar,g_hz,center_mag,side_mag\n", np.column_stack([n_bar, g / TWO_PI, mags]))
+    center, side = np.abs([spectrum(probes, cavity, mech, gi, mech.omega_m) for gi in g]).T
+    write_table(args.out, ["n_bar", "g_hz", "center_mag", "side_mag"], [n_bar, g / TWO_PI, center, side])
     print(f"wrote {args.out} ({args.points} rows)")
 
 

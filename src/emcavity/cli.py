@@ -34,7 +34,7 @@ from .fitting import (
 )
 from .linear_response import optomechanical_damping, spectrum
 from .params import RULE, Occupations, TripartiteParams, in_range, meets, violation
-from .tables import format_e17, write_table
+from .tables import write_table
 from .tripartite import SWEEP_AXES
 from .tripartite import critical_coupling as _critical_coupling
 from .tripartite import sweep as _sweep
@@ -150,23 +150,8 @@ def _mag_db_phase(values):
 
 
 def _write_spectrum_csv(path, f_hz, values):
-    table = np.stack([f_hz, values.real, values.imag, *_mag_db_phase(values)], axis=1)
-    write_table(path, b"f_hz,re,im,mag_db,phase_rad\n", table)
-
-
-def _write_sweep_csv(out_path, mesh, res):
-    # the Hz mesh and the floats as two kernel tables, a line per point
-    # each, with the stable flags spliced between them; zeta- and E_N are
-    # NaN, written blank, where unstable or failed
-    axis_lines = format_e17(np.stack(list(mesh.values()), axis=1)).tobytes()
-    floats = np.stack([res["max_re"] / TWO_PI, res["zeta_minus"], res["log_negativity"]], axis=1)
-    float_lines = format_e17(floats).tobytes().replace(b"nan", b"")
-    flags = [b",true," if s else b",false," for s in res["stable"].tolist()]
-    rows = zip(axis_lines.split(b"\n"), flags, float_lines.split(b"\n"))
-    with open(out_path, "wb") as fh:
-        fh.write(",".join(mesh).encode())
-        fh.write(b",stable,max_re_eig_hz,zeta_minus,log_negativity\n")
-        fh.write(b"".join(a + flag + f + b"\n" for a, flag, f in rows))
+    write_table(path, ["f_hz", "re", "im", "mag_db", "phase_rad"],
+                [f_hz, values.real, values.imag, *_mag_db_phase(values)])
 
 
 @cli.command()
@@ -247,7 +232,9 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
     # the one mesh of the grid: written as given, swept in rad/s where the key is in Hz
     mesh = dict(zip(axes, (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))))
     res = _sweep(p, {_AXES[k].name: hz_scale(k) * c for k, c in mesh.items()}, omega=TWO_PI * omega_hz)
-    _write_sweep_csv(out_path, mesh, res)
+    res["max_re"] /= TWO_PI  # in Hz, in place; zeta- and E_N are NaN, written blank, where unstable or failed
+    write_table(out_path, [*mesh, "stable", "max_re_eig_hz", "zeta_minus", "log_negativity"],
+                [*mesh.values(), res["stable"], res["max_re"], res["zeta_minus"], res["log_negativity"]])
     _write_manifest(out_path, config_sha256, None)
     click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)
 
@@ -355,7 +342,7 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--snr-db", type=_FLOAT, default=None, help="Omit for a noiseless trace.")
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="Required with --snr-db.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Required with --snr-db; refused without it.")
 @click.option("--f-start-hz", type=_FLOAT, default=None)
 @click.option("--f-stop-hz", type=_FLOAT, default=None)
 @click.option("--points", type=int, default=2001, show_default=True)
@@ -368,6 +355,8 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
     """
     if snr_db is not None and seed is None:
         raise click.UsageError("--seed is required when --snr-db is given")
+    if seed is not None and snr_db is None:
+        raise click.UsageError("--seed needs --snr-db: a noiseless trace draws no noise")
     if points < 7:
         raise click.UsageError(f"--points must be at least 7 (7-parameter model), got {points}")
     params, config_sha256 = load_config(config_path)

@@ -485,8 +485,7 @@ def load_trace(path, fmt: str = "re_im") -> ComplexTrace:
 def save_trace(trace: ComplexTrace, path) -> None:
     """Write a trace as re_im CSV: "%.17e" cells, which read back bit for
     bit, and LF line ends."""
-    table = np.stack([trace.f_hz, trace.re, trace.im], axis=1)
-    write_table(path, b"f_hz,re,im\n", table)
+    write_table(path, ["f_hz", "re", "im"], [trace.f_hz, trace.re, trace.im])
 
 
 def synthesize_trace(

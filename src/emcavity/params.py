@@ -160,11 +160,3 @@ class TripartiteParams(Checked):
     kappa_c_ex: float = field(metadata=key("kappa_c_ex_hz", **NON_NEGATIVE))
     gamma: float = field(metadata=key("gamma_hz", **NON_NEGATIVE))
     occupations: Occupations = field(default_factory=Occupations, metadata={"record": Occupations})
-
-    @property
-    def kappa_a(self) -> float:
-        return self.kappa_a_in + self.kappa_a_ex
-
-    @property
-    def kappa_c(self) -> float:
-        return self.kappa_c_in + self.kappa_c_ex

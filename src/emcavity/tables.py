@@ -1,12 +1,12 @@
 """Numeric CSV tables: the one reader of sample sets and traces, and the
-one byte-exact writer of their cells, "%.17e".
+one writer of every table, its float cells byte-exact "%.17e".
 
 Reading takes a numeric body in bulk with `np.loadtxt`, the one parser of
 a cell; where it refuses the body, a walk over the rows reads them in
 blocks and names the first row it refuses, and `read_table` alone turns a
 data row into `path:line`.
-Writing computes every cell's decimal digits exactly in float64 and lays
-them out with array operations; an undecided cell goes through `%`.
+Writing computes every float cell's decimal digits exactly in float64
+and lays them out with array operations; an undecided cell goes through `%`.
 """
 
 from __future__ import annotations
@@ -178,14 +178,28 @@ def _walk(lines, load, names, ncols, skip, exact):
     return np.concatenate(blocks) if blocks else np.empty((0, ncols - skip))
 
 
-def write_table(path, header: bytes, table):
-    """Write `header`, then the rows of the 2-D float table as format_e17
-    cells, 2048 rows at a time: the formatter's temporaries then stay in
-    cache."""
+_WRITE_BLOCK = 2048  # rows per block: the formatter's temporaries then stay in cache
+_FLAG_CELLS = np.frombuffer(b"falsetrue ", dtype=np.uint8).reshape(2, 5)
+
+
+def write_table(path, header, columns):
+    """Write the CSV of `columns`, equal-length 1-D arrays, under the
+    column names `header`.  A bool column is written true/false, any other
+    as the format_e17 cells of its floats, NaN as an empty cell.  Rows go
+    out a block at a time, each laid into one slot buffer."""
+    flags = [j for j, c in enumerate(columns) if c.dtype == bool]
     with open(path, "wb") as fh:
-        fh.write(header)
-        for start in range(0, len(table), 2048):
-            fh.write(format_e17(table[start : start + 2048]))
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(columns[0]), _WRITE_BLOCK):
+            block = np.column_stack([c[start : start + _WRITE_BLOCK] for c in columns])
+            slots, keep = format_e17(block)
+            keep[np.isnan(block), :-1] = False
+            for j in flags:
+                true = block[:, j].astype(np.intp)
+                slots[:, j, :5] = _FLAG_CELLS[true]
+                keep[:, j, :-1] = np.arange(len(_E17_CELL)) < 5 - true[:, None]
+            fh.write(slots[keep])
+            del slots, keep  # before the next block's are made: the peak is one block's
 
 
 _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
@@ -216,11 +230,12 @@ def _exact_digits(x):
     """The 18-digit value y = |x| 10**(17 - E), E = floor(log10|x|), of
     each float of the flat array x, for |x| in [1e-250, 1e250].
 
-    Returns (E, q, frac, lo, regular): y = q + frac with q = floor(y) an
-    int64 and 0 <= frac < 1; lo is the low part of 10**(17 - E) in
-    double-double.  y is Dekker's exact product of |x| and the high part,
-    plus |x| lo, good to ~1e-13; it is exact where lo = 0.  Next to a power
-    of ten log10 may miss the decade, and then q lies outside [1e17, 1e18).
+    Returns (E, q, frac, inexact, regular): y = q + frac with q = floor(y)
+    an int64 and 0 <= frac < 1.  y is Dekker's exact product of |x| and
+    the high part of 10**(17 - E) in double-double, plus |x| times its low
+    part lo, good to ~1e-13; it is exact where lo = 0 (`inexact` False).
+    Next to a power of ten log10 may miss the decade, and then q lies
+    outside [1e17, 1e18).
     Cells outside the range (0, nan, inf and the extremes, `regular`
     False) are computed as x = 1.
     """
@@ -236,19 +251,18 @@ def _exact_digits(x):
         floor_c = np.floor(c)
         # y ~ 1e19 where log10 is a decade low, too large for int64
         q = np.minimum(p, 2e18).astype(np.int64) + floor_c.astype(np.int64)
-    return e10, q, c - floor_c, lo, regular
+    return e10, q, c - floor_c, lo != 0, regular
 
 
 def _put_digits(buf, q):
     """Write the 18 decimal digits of each q in [0, 1e18) into the rows of
     buf, an (n, 18) byte array whose rows are contiguous."""
-    pairs = np.empty((9, len(q)), dtype=np.intp)  # q's 18 digits, two at a time
+    pairs = buf.view(np.uint16)  # q's 18 digits, two at a time
     for j in range(8, 0, -1):
         rest = q // 100
-        pairs[j] = q - rest * 100
+        pairs[:, j] = _DIGIT_PAIRS.take(q - rest * 100)
         q = rest
-    pairs[0] = q
-    buf.view(np.uint16)[:] = _DIGIT_PAIRS.take(pairs).T
+    pairs[:, 0] = _DIGIT_PAIRS.take(q)
 
 
 # format_e17 writes each cell as "%.17e" does, in a 26-byte slot: sign,
@@ -260,8 +274,9 @@ _NAN, _INF = (np.frombuffer(word, dtype=np.uint8) for word in (b"nan", b"inf"))
 
 
 def format_e17(table):
-    """The bytes of `"%.17e" % x` for each float of the 2-D table, comma
-    separated, each row ended by a line feed.
+    """`"%.17e" % x` of each float of the 2-D (n, k) table as (slots, keep):
+    the (n, k, 26) byte slots of the cells, each then "," or a row's line
+    feed, and the mask of their bytes; slots[keep] is the table's CSV body.
 
     The 18 digits are y rounded half to even (see _exact_digits).  A cell
     goes through "%" instead where y's error could decide the rounding,
@@ -270,8 +285,8 @@ def format_e17(table):
     """
     n, ncol = table.shape
     x = np.ascontiguousarray(table, dtype=float).ravel()
-    e10, q, frac, lo, regular = _exact_digits(x)
-    fallback = (q < 10**17) | ((np.abs(frac - 0.5) <= 1e-9) & (lo != 0))
+    e10, q, frac, inexact, regular = _exact_digits(x)
+    fallback = (q < 10**17) | ((np.abs(frac - 0.5) <= 1e-9) & inexact)
     q += (frac > 0.5) | ((frac == 0.5) & (q & 1 == 1))
     fallback |= ~regular | (q >= 10**18)
     fallback &= np.isfinite(x) & (x != 0)
@@ -298,4 +313,4 @@ def format_e17(table):
         cell = np.frombuffer(b"%.17e" % float(x[i]), dtype=np.uint8)
         buf[i, : cell.size] = cell
         keep[i, :width] = np.arange(width) < cell.size
-    return buf[keep]
+    return buf.reshape(n, ncol, width + 1), keep.reshape(n, ncol, width + 1)

@@ -38,6 +38,16 @@ def reference_tripartite():
     )
 
 
+def kappa_a(p: TripartiteParams) -> float:
+    """The microwave cavity's total loss rate."""
+    return p.kappa_a_in + p.kappa_a_ex
+
+
+def kappa_c(p: TripartiteParams) -> float:
+    """The magnon mode's total loss rate."""
+    return p.kappa_c_in + p.kappa_c_ex
+
+
 def random_tripartite(rng: np.random.Generator, g_b_max_hz=5e6) -> TripartiteParams:
     """Random draw over the experimentally sensible parameter box."""
     return TripartiteParams(
@@ -93,7 +103,7 @@ def reference_point(omega: float, p: TripartiteParams):
     """(stable, max_re, zeta-, E_N, error) of one point; zeta- and E_N are
     None when unstable or failed, error is the reason a stable point failed."""
     da, dc, om, gb, gc = p.delta_a, p.delta_c, p.omega_m, p.g_b, p.g_c
-    ka2, kc2, g2 = p.kappa_a / 2.0, p.kappa_c / 2.0, p.gamma / 2.0
+    ka2, kc2, g2 = kappa_a(p) / 2.0, kappa_c(p) / 2.0, p.gamma / 2.0
     A = np.array(
         [
             [-1j * da - ka2, 0, -1j * gb, -1j * gb, -1j * gc, 0],
@@ -106,7 +116,7 @@ def reference_point(omega: float, p: TripartiteParams):
         dtype=complex,
     )
     max_re = float(np.max(np.linalg.eigvals(A).real))
-    if not max_re < -1e-12 * (p.kappa_a or float(np.max(np.abs(np.diag(A))))):
+    if not max_re < -1e-12 * (kappa_a(p) or float(np.max(np.abs(np.diag(A))))):
         return False, max_re, None, None, None
     M = -1j * omega * np.eye(6) - A
     cond = np.linalg.cond(M)

@@ -586,14 +586,14 @@ class TestSynthFitPipeline:
         assert capsys.readouterr().err == "numerical error: kappa_in + kappa_ex must be positive (pole)\n"
         assert not out.exists()
 
-    def test_synth_noise_requires_seed(self, config_file, tmp_path):
-        code = run(
-            [
-                "synth", "--config", config_file,
-                "--snr-db", "40", "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == 1
+    def test_synth_noise_requires_seed(self, config_file, tmp_path, capsys):
+        # and a seed requires noise: a noiseless trace draws none
+        out = tmp_path / "x.csv"
+        for noise, message in [(["--snr-db", "40"], "--seed is required when --snr-db is given"),
+                               (["--seed", "7"], "--seed needs --snr-db: a noiseless trace draws no noise")]:
+            assert run(["synth", "--config", config_file, *noise, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == f"Error: {message}"
+            assert not out.exists()
 
     def test_negative_seed_is_usage_error(self, config_file, tmp_path, capsys):
         # once an uncaught ValueError from np.random.default_rng

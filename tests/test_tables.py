@@ -1,4 +1,5 @@
 """The one cell writer, format_e17, against `"%.17e" % x` byte for byte,
+the one table writer, write_table, against a cell-by-cell reference,
 traces in the format it replaced, which read back the same, and the one
 cell reader, np.loadtxt: where it refuses a body, blank rows included,
 the row walk reads it a block of rows at a time and names the first row
@@ -29,6 +30,14 @@ from emcavity.fitting import (
 )
 from emcavity.tables import format_e17, write_table
 
+from conftest import traced_peak
+
+
+def e17(table):
+    """format_e17's CSV body of the 2-D table."""
+    slots, keep = format_e17(table)
+    return slots[keep].tobytes()
+
 
 def percent_table(table):
     return "".join(",".join("%.17e" % x for x in row) + "\n" for row in table.tolist()).encode()
@@ -57,7 +66,7 @@ class TestFormatTable:
     @settings(max_examples=300, deadline=None)
     def test_any_float(self, xs, ncol):
         table = np.array(xs * ncol).reshape(-1, ncol)
-        assert format_e17(table).tobytes() == percent_table(table)
+        assert e17(table) == percent_table(table)
 
     def test_powers_and_neighbours(self):
         # powers of ten, and powers of two, whose ulp halves below them
@@ -65,7 +74,7 @@ class TestFormatTable:
                           + [2.0**k for k in range(-1074, 1024)])
         x = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
         table = np.concatenate([x, -x]).reshape(-1, 2)
-        assert format_e17(table).tobytes() == percent_table(table)
+        assert e17(table) == percent_table(table)
 
     def test_exact_ties(self):
         x, decades = exact_ties(np.random.default_rng(18), 300)
@@ -77,18 +86,18 @@ class TestFormatTable:
             assert twice % d == 0 and twice // d % 2 == 1  # 18 digits end in a half
         assert len(x) > 5000
         table = np.stack([x, -x], axis=1)
-        assert format_e17(table).tobytes() == percent_table(table)
+        assert e17(table) == percent_table(table)
 
     def test_random_bit_patterns(self):
         x = np.random.default_rng(18).integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
         table = x.reshape(-1, 5)
-        assert format_e17(table).tobytes() == percent_table(table)
+        assert e17(table) == percent_table(table)
 
     def test_special_values(self):
         x = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
              1.7976931348623157e308, 1e-250, 1e250, np.nextafter(1e-243, -np.inf), 0.5, 1.0, 1e17]
         table = np.array(x).reshape(-1, 5)
-        assert format_e17(table).tobytes() == percent_table(table)
+        assert e17(table) == percent_table(table)
 
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=60))
     @settings(max_examples=300, deadline=None)
@@ -96,7 +105,7 @@ class TestFormatTable:
         # 17 significant digits name one float: each cell reads back as the
         # float it was written from, -0.0 and subnormals included
         x = np.array(xs + [-0.0, 5e-324, -2.225073858507201e-308])
-        cells = format_e17(x.reshape(-1, 1)).tobytes().split(b"\n")[:-1]
+        cells = e17(x.reshape(-1, 1)).split(b"\n")[:-1]
         assert np.array([float(c) for c in cells]).tobytes() == x.tobytes()
 
 
@@ -105,9 +114,65 @@ def test_write_table(tmp_path):
     # writer's 2048-row blocks
     table = np.random.default_rng(18).standard_normal((5000, 3)) * 1e9
     path = tmp_path / "table.csv"
-    write_table(path, b"a,b,c\n", table)
+    write_table(path, ["a", "b", "c"], list(table.T))
     assert path.read_bytes() == b"a,b,c\n" + percent_table(table)
     assert np.loadtxt(path, delimiter=",", skiprows=1).tobytes() == table.tobytes()
+
+
+def reference_csv(header, columns):
+    """The CSV of the columns a cell at a time: "%.17e" % x, NaN blank,
+    bools true/false."""
+    def cell(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return "" if math.isnan(x) else "%.17e" % x
+
+    rows = zip(*(c.tolist() for c in columns))
+    return (",".join(header) + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)).encode()
+
+
+_SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072009e-308,
+            2.2250738585072014e-308, 1.7976931348623157e308, 1e-250, 1e250, 0.5, 1e17]
+
+
+@given(rows=st.integers(1, 5000) | st.sampled_from([2047, 2048, 2049, 4095, 4096, 4097]),
+       kinds=st.lists(st.sampled_from(["float", "bool"]), min_size=1, max_size=5),
+       drawn=st.lists(st.floats(), max_size=20), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_write_table_cells(tmp_path_factory, rows, kinds, drawn, seed):
+    # each column by its dtype, across the 2048-row blocks: floats (NaN,
+    # +-inf, +-0.0 and subnormals among them) as "%.17e" % x with NaN
+    # blank, bools as true/false
+    rng = np.random.default_rng(seed)
+
+    def floats():
+        x = np.where(rng.random(rows) < 0.5, rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+                     rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64))
+        special = rng.random(rows) < 0.2
+        x[special] = rng.choice(_SPECIAL + drawn, special.sum())
+        return x
+
+    columns = [rng.random(rows) < 0.5 if kind == "bool" else floats() for kind in kinds]
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("write") / "table.csv"
+    write_table(path, header, columns)
+    assert path.read_bytes() == reference_csv(header, columns)
+
+
+def test_write_table_peak_is_bounded(tmp_path):
+    # a sweep table is written a block at a time: a 201 x 201 map peaks
+    # where a 45 x 45 one, a single block, does
+    def peak(side):
+        rng = np.random.default_rng(side)
+        n = side * side
+        stable = rng.random(n) < 0.7
+        columns = [rng.random(n), rng.random(n), stable, rng.standard_normal(n),
+                   *(np.where(stable, rng.random(n), np.nan) for _ in range(2))]
+        header = ["g_b_hz", "g_c_hz", "stable", "max_re_eig_hz", "zeta_minus", "log_negativity"]
+        return traced_peak(lambda: write_table(tmp_path / "sweep.csv", header, columns))
+
+    small, large = peak(45), peak(201)
+    assert large <= 1.1 * small
 
 
 def old_trace_bytes(trace):

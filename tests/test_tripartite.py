@@ -32,7 +32,14 @@ from emcavity.tripartite import (
     symplectic_eigenvalue_min,
 )
 
-from conftest import mean_dynamics_decay_oracle, quadrature_scattering, random_tripartite, reference_point
+from conftest import (
+    kappa_a,
+    kappa_c,
+    mean_dynamics_decay_oracle,
+    quadrature_scattering,
+    random_tripartite,
+    reference_point,
+)
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tripartite_sec63.json"
 
@@ -111,7 +118,7 @@ class TestDriftMatrix:
     def test_trace_is_total_dissipation(self, reference_tripartite):
         p = reference_tripartite
         A = _ladder(drift(p))[0]
-        assert np.trace(A) == pytest.approx(-(p.kappa_a + p.kappa_c + p.gamma), rel=1e-12)
+        assert np.trace(A) == pytest.approx(-(kappa_a(p) + kappa_c(p) + p.gamma), rel=1e-12)
 
     def test_magnon_coupling_is_beam_splitter(self, reference_tripartite):
         # a <-> c exchange: both off-diagonal entries -i g_c, and no
@@ -152,7 +159,7 @@ class TestStability:
         for _ in range(10):
             p = random_tripartite(rng)
             (ok,), (max_re,) = stability(drift(p))
-            if abs(max_re) < 1e-12 * p.kappa_a:
+            if abs(max_re) < 1e-12 * kappa_a(p):
                 continue
             horizon = 10.0 / abs(max_re)
             y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -163,9 +170,9 @@ class TestStability:
     def test_margin_unit_is_kappa_a(self, reference_tripartite):
         # uncoupled mechanics decaying at gamma/2 = 0.5e-12 kappa_a lies in
         # the marginal band, in `stability` and in `sweep` alike
-        p = replace(reference_tripartite, g_b=0.0, gamma=1e-12 * reference_tripartite.kappa_a)
+        p = replace(reference_tripartite, g_b=0.0, gamma=1e-12 * kappa_a(reference_tripartite))
         (ok,), (max_re,) = stability(drift(p))
-        assert not ok and max_re == pytest.approx(-0.5e-12 * p.kappa_a, rel=1e-2)
+        assert not ok and max_re == pytest.approx(-0.5e-12 * kappa_a(p), rel=1e-2)
         assert not sweep(p, {"g_b": np.array([0.0])})["stable"][0]
 
     def test_marginal_counts_as_unstable(self, reference_tripartite):
@@ -507,7 +514,7 @@ class TestEntanglementWorkflow:
             stable, max_re, zeta, en, error = reference_point(omega, point)
             verdicts.add(stable)
             assert res["stable"][i] == stable
-            assert abs(res["max_re"][i] - max_re) <= 1e-12 * p.kappa_a
+            assert abs(res["max_re"][i] - max_re) <= 1e-12 * kappa_a(p)
             assert res["error"][i] == error
             if zeta is None:
                 assert np.isnan(res["zeta_minus"][i]) and np.isnan(res["log_negativity"][i])
@@ -612,7 +619,7 @@ class TestEntanglementWorkflow:
         # entry passes, one ulp more is a DomainError naming the field, and
         # numpy warns nothing
         p = replace(reference_tripartite, **edit)
-        half = min(rate / 2.0 for rate in (p.kappa_a, p.gamma, p.kappa_c) if rate)
+        half = min(rate / 2.0 for rate in (kappa_a(p), p.gamma, kappa_c(p)) if rate)
         limit = half * 2.0**52 / entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -712,7 +719,7 @@ class TestEntanglementWorkflow:
 
             def margin(g):
                 q = replace(p, g_b=g)
-                return tripartite.stability(drift(q))[1][0] + 1e-12 * p.kappa_a
+                return tripartite.stability(drift(q))[1][0] + 1e-12 * kappa_a(p)
 
             assert g_star == pytest.approx(brentq(margin, *bracket, rtol=1e-6), rel=1e-6)
             stable, _ = stability(drift(p, g_b=g_star * np.array([1 - 1e-5, 1 + 1e-5])))
@@ -782,7 +789,7 @@ class TestEntanglementWorkflow:
         # unstable by `stability`'s rule, so a bracket from there to a
         # positive one straddles no verdict change
         p = replace(reference_tripartite, kappa_a_in=0.0, kappa_a_ex=0.0)
-        unit = max(abs(p.delta_a), np.hypot(p.gamma / 2, p.omega_m), np.hypot(p.kappa_c / 2, p.delta_c))
+        unit = max(abs(p.delta_a), np.hypot(p.gamma / 2, p.omega_m), np.hypot(kappa_c(p) / 2, p.delta_c))
         max_re = {0.0: -0.5e-12 * unit, 1e6: 1.0}
         monkeypatch.setattr(np.linalg, "eigvals", lambda Aq: np.full((1, 6), max_re[-Aq[0, 1, 2] / 2]))
         with pytest.raises(BracketError, match="stability verdict identical"):
