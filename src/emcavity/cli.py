@@ -21,7 +21,7 @@ from . import __version__
 from .config import Background, _keyed, hz_scale, load_config, parse_block, to_record
 from .constants import TWO_PI
 from .core import thermal_occupation, zero_point_fluctuation
-from .errors import BracketError, ConfigError, DataError, DomainError, NumericalError
+from .errors import ConfigError, DataError, DomainError, NumericalError
 from .fitting import (
     OmitModelParams,
     ReflectionModelParams,
@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
-    except (NumericalError, DomainError, BracketError) as exc:
+    except (NumericalError, DomainError) as exc:
         click.echo(f"numerical error: {exc}", err=True)
         return 3
     except MemoryError as exc:  # e.g. an --axis grid too large to allocate

@@ -34,9 +34,9 @@ class VolumeSampleSet(CheckedArrays):
     kept, so a `device g0` request reads each column once."""
 
     weight: np.ndarray = field(metadata=columns("w_m3", **POSITIVE))
-    eps_rel: np.ndarray = field(metadata=columns("eps_rel"))
+    eps_rel: np.ndarray = field(metadata=columns("eps_rel", **POSITIVE))
     e_field: np.ndarray = field(metadata=columns("ex_vpm", "ey_vpm", "ez_vpm"))
-    rho: np.ndarray = field(metadata=columns("rho_kgpm3"))
+    rho: np.ndarray = field(metadata=columns("rho_kgpm3", **NON_NEGATIVE))
     q: np.ndarray = field(metadata=columns("qx_m", "qy_m", "qz_m"))
 
     @cached_property
@@ -74,8 +74,8 @@ class SurfaceSampleSet(CheckedArrays):
     q: np.ndarray = field(metadata=columns("qx_m", "qy_m", "qz_m"))
     e_field: np.ndarray = field(metadata=columns("ex_vpm", "ey_vpm", "ez_vpm"))
     d_field: np.ndarray = field(metadata=columns("dx_cpm2", "dy_cpm2", "dz_cpm2"))
-    eps1_rel: np.ndarray = field(metadata=columns("eps1_rel"))
-    eps2_rel: np.ndarray = field(metadata=columns("eps2_rel"))
+    eps1_rel: np.ndarray = field(metadata=columns("eps1_rel", **POSITIVE))
+    eps2_rel: np.ndarray = field(metadata=columns("eps2_rel", **POSITIVE))
 
     def __post_init__(self):
         super().__post_init__()
@@ -115,18 +115,13 @@ def _rowdot(a, b):
     return out
 
 
-def max_displacement(v: VolumeSampleSet) -> float:
-    """Mode normalization alpha: the largest |Q| over the samples."""
-    return v.mode_sums[0]
-
-
 @np.errstate(all="ignore")
 def effective_mass(v: VolumeSampleSet) -> float:
     """m_eff = integral rho |Q/alpha|^2 dV on the sample quadrature."""
     alpha, mass = v.mode_sums
     m_eff = float(mass / alpha**2)
-    if not np.isfinite(m_eff):
-        raise NumericalError("m_eff is not a finite float")
+    if not 0 < m_eff < np.inf:  # also a set with no moving mass
+        raise NumericalError("m_eff is not a positive finite float")
     return m_eff
 
 
@@ -190,7 +185,7 @@ def fractional_capacitance_derivative(
     surfaces: list[SurfaceSampleSet], volume: VolumeSampleSet
 ) -> float:
     """(1/C_m) dC_m/dalpha from the moving-boundary surface integrals."""
-    alpha = max_displacement(volume)
+    alpha = volume.mode_sums[0]
     denom = volume.field_energy2
     if denom == 0:
         raise DomainError("degenerate field: zero stored energy")

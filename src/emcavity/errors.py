@@ -28,7 +28,3 @@ class GuessError(DataError):
 
 class NumericalError(EmcavityError):
     """A numerical computation failed or is unreliable."""
-
-
-class BracketError(EmcavityError, ValueError):
-    """A root bracket does not straddle a sign change."""

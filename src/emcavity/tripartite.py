@@ -29,7 +29,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import BracketError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .params import Occupations, TripartiteParams, meets, violation
 
 # every number of a point, with its field's bound: the parameters `sweep` can put on an axis
@@ -59,17 +59,18 @@ def resolve(p: TripartiteParams, grid: dict) -> dict:
 def drift_matrices(x: dict) -> np.ndarray:
     """(N, 6, 6) real drift matrices in the quadrature basis (X_a, Y_a, X_b,
     Y_b, X_c, Y_c), (X, Y) = u (a, a+), of `resolve`'s values `x`, one per
-    point of its columns.  DomainError, naming the field, where the largest
-    entry is over 2**52 times the smallest nonzero half loss rate of the
-    grid: `eigvals` would lose that rate to round-off (a lossless mode has
-    none to lose)."""
+    point of its columns.  DomainError, naming the largest term of the first
+    point at fault, where a point's largest entry is over 2**52 times its own
+    smallest nonzero half loss rate: `eigvals` would lose that rate to
+    round-off (a lossless mode has none to lose); no row depends on another."""
     da, dc, gb, gc, om, gamma = (x[k] for k in ("delta_a", "delta_c", "g_b", "g_c", "omega_m", "gamma"))
     ka, kc = x["kappa_a_in"] + x["kappa_a_ex"], x["kappa_c_in"] + x["kappa_c_ex"]
     ones = np.ones(np.broadcast(*x.values()).size)  # a row per point, also where only a bath differs
     entries = np.abs([v * ones for v in (da, dc, 2.0 * gb, gc, om, ka / 2.0, kc / 2.0, gamma / 2.0)])
-    largest, halves = entries.max(axis=1, initial=0.0), entries[5:]
-    top = int(np.argmax(largest))  # on a tie, the first in _TERMS
-    if largest[top] * 2.0**-52 > np.min(halves, where=halves > 0.0, initial=np.inf):
+    halves = entries[5:]
+    bad = entries.max(axis=0) * 2.0**-52 > np.min(halves, axis=0, where=halves > 0.0, initial=np.inf)
+    if bad.any():
+        top = int(np.argmax(entries[:, np.argmax(bad)]))  # on a tie, the first in _TERMS
         raise DomainError(f"{_TERMS[top]} must keep every drift entry within 2**52 times the smallest "
                           "nonzero half loss rate")
     A = np.zeros((len(ones), 6, 6))
@@ -230,26 +231,25 @@ def critical_coupling(p: TripartiteParams, axis: str, bracket: tuple[float, floa
     """Stability boundary along g_b or g_c, with the bracket in either order:
     the bracket is bisected on the `stability` verdict, and its midpoint is
     returned once its width is at most 2e-12 + _CRITICAL_RTOL |g|
-    (brentq's stopping rule)."""
+    (brentq's stopping rule).  DomainError where both ends share a verdict."""
     if axis not in ("g_b", "g_c"):
         raise ValueError(f"axis must be g_b or g_c, got {axis!r}")
 
-    def verdict(g: float):
-        stable, max_re = stability(drift_matrices(resolve(p, {axis: np.array([g])})))
-        return stable[0], max_re[0]
+    def verdicts(*g: float):
+        return stability(drift_matrices(resolve(p, {axis: np.array(g)})))
 
     lo, hi = sorted(bracket)
-    (stable_lo, re_lo), (stable_hi, re_hi) = verdict(lo), verdict(hi)
-    if stable_lo == stable_hi:
-        raise BracketError(
+    stable, max_re = verdicts(lo, hi)  # both ends in one stack
+    if stable[0] == stable[1]:
+        raise DomainError(
             f"stability verdict identical at both bracket endpoints "
-            f"({axis}={lo:.6e} -> {re_lo:.3e}, {axis}={hi:.6e} -> {re_hi:.3e})"
+            f"({axis}={lo:.6e} -> {max_re[0]:.3e}, {axis}={hi:.6e} -> {max_re[1]:.3e})"
         )
     while True:
         g = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 may overflow
         if hi - lo <= 2e-12 + _CRITICAL_RTOL * abs(g):
             return g
-        if verdict(g)[0] == stable_lo:
+        if verdicts(g)[0][0] == stable[0]:
             lo = g
         else:
             hi = g

@@ -980,6 +980,11 @@ class TestDevice:
             ("surf", 2, "a_m2", "0", "{path}:2: area must be finite and > 0, got 0.0"),
             ("surf", 2, "a_m2", "-1e-8", "{path}:2: area must be finite and > 0, got -1e-08"),
             ("surf", 2, "nz", "-0.5", "{path}:2: normals must be unit vectors"),
+            # a density may be 0 (no moving mass there), a permittivity not
+            ("vol", 3, "rho_kgpm3", "-2329", "{path}:3: rho must be finite and >= 0, got -2329.0"),
+            ("vol", 3, "eps_rel", "-1", "{path}:3: eps_rel must be finite and > 0, got -1.0"),
+            ("surf", 2, "eps1_rel", "0", "{path}:2: eps1_rel must be finite and > 0, got 0.0"),
+            ("surf", 2, "eps2_rel", "-1e12", "{path}:2: eps2_rel must be finite and > 0, got -1000000000000.0"),
         ],
     )
     def test_bad_sample_is_data_error(self, device_files, capsys, name, line, column, cell, message):
@@ -1015,7 +1020,7 @@ class TestDevice:
         [
             ("surf", {"nz": "-1e100"}, "g0", 2, "data error: {path}:2: normals must be unit vectors"),
             ("vol", {"w_m3": "1e100", "rho_kgpm3": "1e100", "qz_m": "1e100"}, "meff", 3,
-             "numerical error: m_eff is not a finite float"),
+             "numerical error: m_eff is not a positive finite float"),
             ("vol", {"w_m3": "1e100", "eps_rel": "1e100", "ez_vpm": "1e100"}, "cap", 3,
              "numerical error: C_m is not a positive finite float at 1.0 V"),
             ("surf", {"a_m2": "1e100", "dz_cpm2": "1e100"}, "g0", 3,
@@ -1036,6 +1041,17 @@ class TestDevice:
         assert run(["device", command, "--volume", str(vol), *args]) == code
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"{message.format(path=path)}\n"
+
+    def test_a_set_with_no_moving_mass_is_refused(self, device_files, capsys):
+        # every density 0 passes its bound, but the mode moves no mass:
+        # m_eff = 0 would divide x_zpf, so `device meff` refuses it, one line
+        vol, _, _ = device_files
+        for line in range(2, len(vol.read_text().splitlines()) + 1):
+            set_cell(vol, line, "rho_kgpm3", "0")
+        capsys.readouterr()
+        assert run(["device", "meff", "--volume", str(vol)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "numerical error: m_eff is not a positive finite float\n")
 
     def test_lc_frequency_past_the_float_range(self, device_files, tmp_path, capsys):
         # within the magnitude rule, omega_c = 1/sqrt(L (C_s + C_m)) reaches

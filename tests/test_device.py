@@ -24,7 +24,6 @@ from emcavity.device import (
     lc_frequency,
     load_surface_csv,
     load_volume_csv,
-    max_displacement,
     participation_ratio,
 )
 from emcavity.errors import DataError, DomainError, NumericalError
@@ -103,7 +102,7 @@ class TestEffectiveMass:
 
     def test_normalization_is_antinode(self):
         vol = sine_string(n=1001)
-        assert max_displacement(vol) == pytest.approx(1.0, rel=1e-5)
+        assert vol.mode_sums[0] == pytest.approx(1.0, rel=1e-5)
 
     def test_zero_mode_rejected(self):
         vol = rigid_block()
@@ -115,7 +114,7 @@ class TestEffectiveMass:
             q=np.zeros_like(vol.q),
         )
         with pytest.raises(DomainError):
-            max_displacement(bad)
+            bad.mode_sums
 
 
 class TestCapacitance:
@@ -490,11 +489,13 @@ CELL_STYLES = st.sampled_from(["{!r}", "{:.17e}", "{:.6g}", " {!r} ", '"{!r}"'])
 @st.composite
 def volume_csv_text(draw):
     """A volume CSV with random cells within the magnitude rule (positive
-    weights), cell styles, blank and whitespace-only lines and line ends."""
+    weights and permittivities, non-negative densities), cell styles, blank
+    and whitespace-only lines and line ends."""
     lines = [VOLUME_HEADER]
     for _ in range(draw(st.integers(1, 12))):
         cells = [draw(RULED) for _ in range(12)]
-        cells[3] = draw(st.floats(1e-100, 1e100))
+        cells[3], cells[4] = draw(st.floats(1e-100, 1e100)), draw(st.floats(1e-100, 1e100))
+        cells[8] = abs(cells[8])
         lines.append(",".join(draw(CELL_STYLES).format(c) for c in cells))
         lines += draw(st.lists(st.sampled_from(["", "  "]), max_size=1))
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
@@ -545,7 +546,7 @@ def test_max_displacement_is_the_largest_norm(pair):
     v = VolumeSampleSet(weight=np.ones(n), eps_rel=np.ones(n), e_field=e_field, rho=np.ones(n), q=q)
     assert v.q is q  # the set holds the view, not a copy
     with np.errstate(over="ignore"):
-        assert np.float64(max_displacement(v)).tobytes() == want.tobytes()
+        assert np.float64(v.mode_sums[0]).tobytes() == want.tobytes()
 
 
 def test_g0_integrals_read_each_volume_column_once():

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from emcavity import tripartite
 from emcavity.constants import TWO_PI
-from emcavity.errors import BracketError, DomainError, NumericalError
+from emcavity.errors import DomainError, NumericalError
 from emcavity.config import load_config
 from emcavity.linear_response import mechanical_self_energy, reflection
 from emcavity.params import Occupations, TripartiteParams
@@ -577,7 +577,7 @@ class TestEntanglementWorkflow:
             monkeypatch.setattr(tripartite, name, counted(name, getattr(tripartite, name)))
         sweep(reference_tripartite, {"g_b": TWO_PI * np.linspace(0.0, 3e6, 4)})
         assert calls == dict.fromkeys(stages, 1)
-        # the bisection asks `stability` alone, once per end and per step
+        # the bisection asks `stability` alone, once for both ends and once per step
         calls.update(dict.fromkeys(stages, 0))
         critical_coupling(reference_tripartite, "g_b", (0.0, TWO_PI * 5e6))
         assert calls == {**dict.fromkeys(stages, 0), "stability": calls["stability"]}
@@ -695,7 +695,7 @@ class TestEntanglementWorkflow:
 
     @pytest.mark.parametrize("bracket", [(0.0, TWO_PI * 1e6), (TWO_PI * 1e6, 0.0)])
     def test_critical_coupling_bad_bracket(self, reference_tripartite, bracket):
-        with pytest.raises(BracketError):
+        with pytest.raises(DomainError, match="^stability verdict identical"):
             critical_coupling(reference_tripartite, "g_b", bracket)
 
     def test_critical_coupling_matches_brentq(self, reference_tripartite, monkeypatch):
@@ -731,7 +731,7 @@ class TestEntanglementWorkflow:
     def test_critical_coupling_matches_replace_reference(self, reference_tripartite, monkeypatch):
         # each margin enters as a grid column through `resolve`; a reference that builds
         # a new TripartiteParams per trial with dataclasses.replace gives the
-        # same root bit for bit, or the same BracketError, on 200 random
+        # same root bit for bit, or the same DomainError, on 200 random
         # working points: g_c 0-6 MHz, delta_a -6 to -1 MHz, bracket 0-10 MHz
         rng = np.random.default_rng(26)
         points = [replace(reference_tripartite, g_c=TWO_PI * rng.uniform(0.0, 6e6),
@@ -740,18 +740,44 @@ class TestEntanglementWorkflow:
         def search(p):
             try:
                 return critical_coupling(p, "g_b", (0.0, TWO_PI * 10e6)).hex()
-            except BracketError as exc:
+            except DomainError as exc:
                 return str(exc)
 
         ours = [search(p) for p in points]
 
         def by_replace(p, grid):
-            ((axis, (g,)),) = grid.items()
-            return resolve(replace(p, **{axis: float(g)}), {})
+            # each point of the stack (both bracket ends, or one midpoint) by
+            # replace, the rows stacked
+            ((axis, column),) = grid.items()
+            rows = [resolve(replace(p, **{axis: float(g)}), {}) for g in column]
+            return {k: np.concatenate([np.atleast_1d(r[k]) for r in rows]) for k in rows[0]}
 
         monkeypatch.setattr(tripartite, "resolve", by_replace)
         assert ours == [search(p) for p in points]
         assert sum(not r.startswith("stability") for r in ours) >= 100
+
+    def test_critical_coupling_judges_both_ends_in_one_call(self, reference_tripartite, monkeypatch):
+        # one `stability` call on the stack (lo, hi), then one per bisection
+        # step on its midpoint: replaying the verdicts gives the root, and
+        # the search ends at the first width within brentq's rule
+        calls = []
+
+        def counted(Aq):
+            stable, max_re = stability(Aq)
+            calls.append((-Aq[:, 1, 2] / 2.0, stable))  # the entry -2 g_b gives g_b exactly
+            return stable, max_re
+
+        monkeypatch.setattr(tripartite, "stability", counted)
+        lo, hi = TWO_PI * 2.0e6, TWO_PI * 5.0e6
+        g_star = critical_coupling(reference_tripartite, "g_b", (hi, lo))
+        (ends, (stable_lo, stable_hi)), *steps = calls
+        assert ends.tolist() == [lo, hi] and stable_lo != stable_hi
+        for g, stable in steps:
+            assert hi - lo > 2e-12 + 1e-6 * abs(g_star)
+            assert g.tolist() == [lo / 2.0 + hi / 2.0]
+            lo, hi = (g[0], hi) if stable[0] == stable_lo else (lo, g[0])
+        assert g_star == lo / 2.0 + hi / 2.0 and hi - lo <= 2e-12 + 1e-6 * abs(g_star)
+        assert len(steps) > 10
 
     def test_critical_coupling_refuses_a_detuning_axis(self, reference_tripartite):
         with pytest.raises(ValueError, match="^axis must be g_b or g_c, got 'delta_a'$"):
@@ -791,8 +817,8 @@ class TestEntanglementWorkflow:
         p = replace(reference_tripartite, kappa_a_in=0.0, kappa_a_ex=0.0)
         unit = max(abs(p.delta_a), np.hypot(p.gamma / 2, p.omega_m), np.hypot(kappa_c(p) / 2, p.delta_c))
         max_re = {0.0: -0.5e-12 * unit, 1e6: 1.0}
-        monkeypatch.setattr(np.linalg, "eigvals", lambda Aq: np.full((1, 6), max_re[-Aq[0, 1, 2] / 2]))
-        with pytest.raises(BracketError, match="stability verdict identical"):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda Aq: np.array([np.full(6, max_re[-a[1, 2] / 2]) for a in Aq]))
+        with pytest.raises(DomainError, match="stability verdict identical"):
             critical_coupling(p, "g_b", (0.0, 1e6))
 
     def test_non_finite_params_rejected(self, reference_tripartite):
@@ -802,3 +828,67 @@ class TestEntanglementWorkflow:
             replace(reference_tripartite, kappa_a_in=float("inf"))
         with pytest.raises(DomainError, match="n_b_in"):
             Occupations(n_b_in=float("nan"))
+
+
+def assert_rows_equal(whole: dict, parts: list[dict]):
+    """`sweep`'s `whole` result is its `parts` concatenated, bit for bit."""
+    for k, v in whole.items():
+        joined = np.concatenate([part[k] for part in parts])
+        assert joined.dtype == v.dtype, k
+        assert joined.tolist() == v.tolist() if k == "error" else joined.tobytes() == v.tobytes(), k
+
+
+class TestPointsAreIndependent:
+    """The 2**52 drift rule, like every stage, judges each point alone: a
+    point's row does not depend on the rest of its grid."""
+
+    def test_a_grid_passes_where_each_point_does(self):
+        # a loss of 1e-8 Hz beside a detuning of 1e18 Hz breaks the rule
+        # against one grid-wide loss scale, yet each point keeps its own
+        # losses above the round-off of its own entries
+        p = load_config(REFERENCE_CONFIG)[0].tripartite
+        grid = {"gamma": TWO_PI * np.array([1e-8, 1e6]), "delta_a": TWO_PI * np.array([-4e6, 1e18])}
+        res = sweep(p, grid)
+        assert res["stable"].all()
+        rows = [sweep(replace(p, gamma=float(gamma), delta_a=float(delta_a)), {})
+                for gamma, delta_a in zip(grid["gamma"], grid["delta_a"])]
+        assert_rows_equal(res, rows)
+
+    @given(data=st.data(), n=st.integers(1, 40), base=st.sampled_from(["lossy", "kappa_a_ex", "lossless"]))
+    @settings(max_examples=150, deadline=None)
+    def test_a_split_grid_sweeps_as_the_whole(self, data, n, base):
+        # random grids over two rates, a detuning and an occupation, zero
+        # rates and rates over 20 decades included, cut at random: the
+        # whole is refused iff a part is, with the first refused part's
+        # message, and otherwise its rows are the parts' rows
+        p = load_config(REFERENCE_CONFIG)[0].tripartite
+        if base != "lossy":
+            p = replace(p, kappa_a_ex=0.0)
+        if base == "lossless":
+            p = replace(p, kappa_c_in=0.0, kappa_c_ex=0.0)
+        decades = st.floats(-6.0, 14.0).map(lambda e: TWO_PI * 10.0**e)
+        rate = st.one_of(st.just(0.0), decades)
+
+        def column(cells):
+            return np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+
+        grid = {"gamma": column(rate), "kappa_a_in": column(rate),
+                "delta_a": column(st.one_of(decades, decades.map(lambda v: -v))),
+                "n_b_in": column(st.floats(0.0, 1e3))}
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else [])
+        bounds = list(zip([0, *cuts], [*cuts, n]))
+
+        def outcome(points):
+            try:
+                return sweep(p, points)
+            except DomainError as exc:
+                return str(exc)
+
+        whole = outcome(grid)
+        parts = [outcome({k: v[a:b] for k, v in grid.items()}) for a, b in bounds]
+        refused = [part for part in parts if isinstance(part, str)]
+        if refused:
+            assert whole == refused[0]
+        else:
+            assert not isinstance(whole, str), whole
+            assert_rows_equal(whole, parts)
