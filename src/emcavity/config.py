@@ -100,9 +100,9 @@ def parse_block(cls, data, name: str):
 
 
 def to_record(obj) -> dict:
-    """The JSON object of a flat record, in field order."""
-    return {k: getattr(obj, f.name) / TWO_PI if k.endswith("_hz") else getattr(obj, f.name)
-            for k, f in _keyed(type(obj)).items()}
+    """The JSON object of a flat record, in field order, each number over `hz_scale`."""
+    values = {k: getattr(obj, f.name) for k, f in _keyed(type(obj)).items()}
+    return {k: v / hz_scale(k) if isinstance(v, (int, float)) else v for k, v in values.items()}
 
 
 def parse_config(data: dict) -> SystemParams:

@@ -7,11 +7,11 @@ The extended one-sided-cavity model
 wraps the reflection kernel r0 of linear_response in a background
 prefactor.  It is fitted to the real and imaginary parts of the data
 jointly, by damped Gauss-Newton with Levenberg-style damping, from the
-closed-form circle-fit start of initial_guess.  The amplitude and damping
-rates are fitted in log space, which keeps them within the bounds their
-field metadata declares.  A trial step with invalid parameters
-or a non-finite residual is rejected; a fit whose log-fitted rate
-underflowed to 0, or whose sigma is 0 or not finite, is not converged.
+closed-form circle-fit start of initial_guess.  Only the reflection model
+fits in log space, its amplitude and damping rates, which keeps them within
+their declared bounds.  A trial step outside a field's bound or with a
+non-finite residual is rejected; a fit whose log-fitted rate underflowed
+to 0, or whose sigma is 0 or not finite, is not converged.
 The OMIT model reuses the same prefactor and tilt and adds the mechanical
 self-energy to the kernel.  Each model, asked for its Jacobian, returns
 with its value a function that yields that evaluation's derivative
@@ -407,8 +407,8 @@ class OmitModelParams(Checked):
     """Mechanical parameters fitted on top of fixed cavity background."""
 
     g: float = field(metadata=key("g_hz"))
-    gamma: float = field(metadata=key("gamma_hz"))
-    omega_m: float = field(metadata=key("f_m_hz"))
+    gamma: float = field(metadata=key("gamma_hz", **NON_NEGATIVE))
+    omega_m: float = field(metadata=key("f_m_hz", **POSITIVE))
     detuning: float = field(metadata=key("detuning_hz"))
 
 

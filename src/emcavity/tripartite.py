@@ -16,7 +16,7 @@ eigenvalue of the photon-magnon partial transpose, and the logarithmic
 negativity are built.
 
 Every stage runs over a stack of N points and takes what the one before
-returns: `resolve` (each point's numbers) -> `drift_matrices` (one
+returns: `resolve` (each point's numbers, w among them) -> `drift_matrices` (one
 broadcast) -> `stability` (one `eigvals`) -> `output_covariance`, over
 `scattering` (one `solve`) -> `symplectic_eigenvalue_min` -> `log_negativity`.
 A failed point gets a reason and fails alone.  `sweep` chains the stages
@@ -32,28 +32,30 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .params import Occupations, TripartiteParams, meets, violation
 
-# every number of a point, with its field's bound: the parameters `sweep` can put on an axis
+# every number of a point with its bound: SWEEP_AXES, the fields an axis can sweep, and omega
 _BOUNDS = {f.name: f.metadata.get("bound") for cls in (TripartiteParams, Occupations)
            for f in fields(cls) if "record" not in f.metadata}
 SWEEP_AXES = tuple(_BOUNDS)
-_OCCUPATIONS = tuple(f.name for f in fields(Occupations))
+_BOUNDS["omega"] = None  # the output frequency (rad/s), 0 unless a grid gives it
 # the drift entries the 2**52 rule compares, the last three the half loss rates
 _TERMS = ("delta_a", "delta_c", "g_b", "g_c", "omega_m", "kappa_a_in + kappa_a_ex", "kappa_c_in + kappa_c_ex", "gamma")
 
 
 def resolve(p: TripartiteParams, grid: dict) -> dict:
-    """{name: value} for each of SWEEP_AXES: its `grid` column, all broadcast to
-    one length, or else its value in `p`.  A column must be finite and meet its
-    field's bound, as `Checked` requires (DomainError); another name is a ValueError."""
+    """{name: (N,) float column} of SWEEP_AXES and `omega`: its `grid` column, or its value in
+    `p` (omega 0), broadcast to the grid's length N (1 if empty).  A column must be finite and
+    meet its field's bound, as `Checked` requires (DomainError); another name is a ValueError."""
     if not grid.keys() <= _BOUNDS.keys():
         raise ValueError(f"cannot sweep parameter {min(grid.keys() - _BOUNDS.keys())!r}")
-    columns = dict(zip(grid, np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1) for v in grid.values()))))
-    for name, column in columns.items():
-        bad = ~(np.isfinite(column) & meets(column, _BOUNDS[name]))
+    given = {**vars(p), **vars(p.occupations), "omega": 0.0, **grid}
+    x = dict(zip(_BOUNDS, np.empty((len(_BOUNDS),) + np.broadcast_shapes((1,), *map(np.shape, grid.values())))))
+    for k, column in x.items():
+        column[...] = given[k]
+    for name in grid:
+        bad = ~(np.isfinite(x[name]) & meets(x[name], _BOUNDS[name]))
         if bad.any():
-            raise DomainError(violation(name, column[bad][0], _BOUNDS[name]))
-    given = {**vars(p), **vars(p.occupations), **columns}
-    return {k: given[k] for k in SWEEP_AXES}
+            raise DomainError(violation(name, x[name][bad][0], _BOUNDS[name]))
+    return x
 
 
 def drift_matrices(x: dict) -> np.ndarray:
@@ -65,15 +67,14 @@ def drift_matrices(x: dict) -> np.ndarray:
     round-off (a lossless mode has none to lose); no row depends on another."""
     da, dc, gb, gc, om, gamma = (x[k] for k in ("delta_a", "delta_c", "g_b", "g_c", "omega_m", "gamma"))
     ka, kc = x["kappa_a_in"] + x["kappa_a_ex"], x["kappa_c_in"] + x["kappa_c_ex"]
-    ones = np.ones(np.broadcast(*x.values()).size)  # a row per point, also where only a bath differs
-    entries = np.abs([v * ones for v in (da, dc, 2.0 * gb, gc, om, ka / 2.0, kc / 2.0, gamma / 2.0)])
+    entries = np.abs([da, dc, 2.0 * gb, gc, om, ka / 2.0, kc / 2.0, gamma / 2.0])
     halves = entries[5:]
     bad = entries.max(axis=0) * 2.0**-52 > np.min(halves, axis=0, where=halves > 0.0, initial=np.inf)
     if bad.any():
         top = int(np.argmax(entries[:, np.argmax(bad)]))  # on a tie, the first in _TERMS
         raise DomainError(f"{_TERMS[top]} must keep every drift entry within 2**52 times the smallest "
                           "nonzero half loss rate")
-    A = np.zeros((len(ones), 6, 6))
+    A = np.zeros((len(da), 6, 6))
     for i, (detuning, loss) in enumerate(((da, ka), (om, gamma), (dc, kc))):
         A[:, 2 * i, 2 * i] = A[:, 2 * i + 1, 2 * i + 1] = -loss / 2.0
         A[:, 2 * i, 2 * i + 1], A[:, 2 * i + 1, 2 * i] = detuning, -detuning
@@ -95,12 +96,12 @@ def _ladder(Aq: np.ndarray) -> np.ndarray:
 
 
 def input_matrix(x: dict) -> np.ndarray:
-    """Noise/drive input matrix with sqrt-rate entries of `resolve`'s values
-    `x`: (6, 10), or (N, 6, 10) where a rate is a column."""
+    """(N, 6, 10) noise/drive input matrices with sqrt-rate entries of
+    `resolve`'s values `x`, one per point."""
     names = ("kappa_a_in", "kappa_a_ex", "gamma", "kappa_c_in", "kappa_c_ex")  # baths a_in, a_ex, b_in, c_in, c_ex
-    rates = np.array(np.broadcast_arrays(*(x[k] for k in names))).T
-    B = np.zeros(rates.shape[:-1] + (6, 10))
-    B[..., [0, 1, 0, 1, 2, 3, 4, 5, 4, 5], np.arange(10)] = np.sqrt(np.repeat(rates, 2, axis=-1))  # into its mode
+    rates = np.array([x[k] for k in names]).T
+    B = np.zeros((len(rates), 6, 10))
+    B[:, [0, 1, 0, 1, 2, 3, 4, 5, 4, 5], np.arange(10)] = np.sqrt(np.repeat(rates, 2, axis=-1))  # into its mode
     return B
 
 
@@ -117,15 +118,17 @@ def stability(Aq: np.ndarray):
     return max_re < -1e-12 * unit, max_re
 
 
-def scattering(omega: float, Aq: np.ndarray, B: np.ndarray):
-    """S(w) (N, 4, 10) of a quadrature drift stack and its `input_matrix` B in
-    the ladder basis, outputs (a_out, a_out+, c_out, c_out+): the port rows of
-    X = (-i w I - A)^{-1} B times sqrt(kappa_ex), read off B, less the reflected
-    drive; and {row: reason} where the resolvent's 1-norm condition number,
-    from the explicit inverse, is above 1e12 or not finite (solved against I)."""
-    M = -1j * omega * np.eye(6) - _ladder(Aq)
+def scattering(Aq: np.ndarray, x: dict):
+    """S(w) (N, 4, 10) of a quadrature drift stack and `resolve`'s values `x` at
+    its points, each at its w, in the ladder basis, outputs (a_out, a_out+,
+    c_out, c_out+): the port rows of X = (-i w I - A)^{-1} B (`input_matrix`)
+    times sqrt(kappa_ex), read off B, less the reflected drive; and {row:
+    reason} where the resolvent's 1-norm condition number, from the explicit
+    inverse, is above 1e12 or not finite (solved against I)."""
+    w, B = x["omega"], input_matrix(x)
+    M = -1j * w[:, None, None] * np.eye(6) - _ladder(Aq)
     cond = np.linalg.cond(M, 1)
-    poles = {int(i): f"resolvent nearly singular at omega={omega:.6e} rad/s (condition estimate {cond[i]:.3e})"
+    poles = {int(i): f"resolvent nearly singular at omega={w[i]:.6e} rad/s (condition estimate {cond[i]:.3e})"
              for i in np.flatnonzero(~(cond <= 1e12))}
     M[list(poles)] = np.eye(6)
     X = np.linalg.solve(M, B)
@@ -140,18 +143,18 @@ _R2 = np.kron(np.eye(2), _U)
 _R5 = np.kron(np.eye(5), _U)
 
 
-def output_covariance(omega: float, Aq: np.ndarray, x: dict):
+def output_covariance(Aq: np.ndarray, x: dict):
     """Real, symmetric output-quadrature covariances V = Re[(S_q W) S_q^dagger]
-    (N, 4, 4) at w in the (X_a, Y_a, X_c, Y_c) basis of a drift stack and
-    `resolve`'s values `x` at its points, W weighting each input quadrature's
-    column of S_q by its bath's n + 1/2 (one W, or one per row where an
-    occupation is a column), with `scattering`'s near-pole rows.  S is solved
-    in the ladder basis: zeta- magnifies roundoff in V up to 1e8-fold."""
-    s, poles = scattering(omega, Aq, input_matrix(x))
+    (N, 4, 4) in the (X_a, Y_a, X_c, Y_c) basis of a drift stack and
+    `resolve`'s values `x` at its points, each at its w, W (N, 10) weighting
+    each input quadrature's column of S_q by its bath's n + 1/2, with
+    `scattering`'s near-pole rows.  S is solved in the ladder basis: zeta-
+    magnifies roundoff in V up to 1e8-fold."""
+    s, poles = scattering(Aq, x)
     sq = _R2 @ s @ _R5.conj().T
-    weight = np.repeat(np.array(np.broadcast_arrays(*(x[k] for k in _OCCUPATIONS))).T + 0.5, 2, axis=-1)
+    weight = np.repeat(np.array([x[f.name] for f in fields(Occupations)]).T + 0.5, 2, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # such a row fails in `symplectic_eigenvalue_min`
-        V = np.real((sq * weight[..., None, :]) @ sq.conj().transpose(0, 2, 1))
+        V = np.real((sq * weight[:, None, :]) @ sq.conj().transpose(0, 2, 1))
         return 0.5 * (V + V.transpose(0, 2, 1)), poles
 
 
@@ -193,16 +196,15 @@ def log_negativity(zeta):
 
 
 def evaluate_point(omega: float, p: TripartiteParams) -> dict:
-    """`sweep`'s row for the point `p` at frequency omega: `stable`,
-    `max_re`, `zeta_minus` and `log_negativity` (NaN when unstable or
-    failed) and `error`."""
-    return {k: v[0] for k, v in sweep(p, {}, omega).items()}
+    """`sweep`'s row for the point `p` at the finite frequency omega: `stable`,
+    `max_re`, `zeta_minus`, `log_negativity` and `error`."""
+    return {k: v[0] for k, v in sweep(p, {"omega": omega}).items()}
 
 
-def sweep(p: TripartiteParams, points: dict[str, np.ndarray], omega: float = 0.0) -> dict:
+def sweep(p: TripartiteParams, points: dict[str, np.ndarray]) -> dict:
     """Evaluate the points whose coordinates `points` maps from any subset of
-    SWEEP_AXES to equal-length or broadcastable columns, each checked by
-    `resolve` in place of its field; a grid is meshed by the caller.
+    SWEEP_AXES and `omega` to equal-length or broadcastable columns, each
+    checked by `resolve` in place of its field; a grid is meshed by the caller.
 
     Returns per point, in the order given, `stable`, `max_re`, `zeta_minus`
     and `log_negativity` (NaN when unstable or failed) and `error` (why a
@@ -212,7 +214,7 @@ def sweep(p: TripartiteParams, points: dict[str, np.ndarray], omega: float = 0.0
     A = drift_matrices(x)
     stable, max_re = stability(A)
     idx = np.flatnonzero(stable)
-    V, poles = output_covariance(omega, A[idx], {**x, **{k: x[k][idx] for k in points}})
+    V, poles = output_covariance(A[idx], {k: v[idx] for k, v in x.items()})
     zeta, errors = symplectic_eigenvalue_min(V)
     errors.update(poles)  # a near pole is the first failure
     zeta[list(errors)] = np.nan

@@ -181,7 +181,7 @@ def test_criterion_08_qualitative_reproduction():
         assert p.delta_c == pytest.approx(-p.omega_m)
         assert p.g_c == pytest.approx(TWO_PI * 6.43e6)
         g_grid = TWO_PI * np.linspace(0.0, 5e6, 51)
-        res = sweep(p, {"g_b": g_grid}, omega=0.0)
+        res = sweep(p, {"omega": 0.0, "g_b": g_grid})
         en = np.where(res["stable"], res["log_negativity"], np.nan)
         assert en[0] <= 1e-8  # no entanglement without the mechanical link
         assert np.nanmax(en) > 0.1  # entangled window at intermediate g_b

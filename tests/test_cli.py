@@ -1709,6 +1709,20 @@ class TestFitRecords:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("guess, message", [
+        (["--f-m-hz", "-4e6", "--g-hz", "1.5e3"], f"omega_m must be finite and > 0, got {TWO_PI * -4e6}"),
+        (["--f-m-hz", "4e6", "--gamma-hz", "-100"], f"gamma must be finite and >= 0, got {TWO_PI * -100.0}"),
+    ], ids=["f_m_hz", "gamma_hz"])
+    def test_unphysical_guess_is_numerical_error(self, fit_inputs, tmp_path, capsys, guess, message):
+        # the OMIT record keeps the signs `MechParams` declares: a negative
+        # mechanical frequency or damping guess is refused, not fitted
+        cavity, omit = fit_inputs
+        out = tmp_path / "omit.json"
+        capsys.readouterr()
+        assert run(["fit", "omit", "--in", str(omit), "--cavity", str(cavity), *guess, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerical error: {message}\n"
+        assert not out.exists()
+
     def test_non_utf8_cavity_record_is_data_error(self, fit_inputs, tmp_path, capsys):
         cavity, omit = fit_inputs
         cavity.write_bytes(cavity.read_bytes().replace(b"params", b"p\xfframs"))

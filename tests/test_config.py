@@ -209,6 +209,7 @@ BOUNDS = {
     **{f"tripartite.{k}_hz": ">=" for k in ("kappa_a_in", "kappa_a_ex", "kappa_c_in", "kappa_c_ex", "gamma")},
     **{f"tripartite.occupations.{k}": ">=" for k in OCCUPATION_KEYS},
     "params.amplitude": ">", "params.kappa_in_hz": ">=", "params.kappa_ex_hz": ">=",
+    "params.gamma_hz": ">=", "params.f_m_hz": ">",
     "lumped.inductance_h": ">", "lumped.stray_capacitance_f": ">=",
 }
 

@@ -67,8 +67,8 @@ def drift(p: TripartiteParams, **grid) -> np.ndarray:
 
 def covariance(omega: float, p: TripartiteParams, **grid):
     """`output_covariance` at the points of `p` and `grid`."""
-    x = resolve(p, grid)
-    return output_covariance(omega, drift_matrices(x), x)
+    x = resolve(p, {"omega": omega, **grid})
+    return output_covariance(drift_matrices(x), x)
 
 
 def port_matrices(p: TripartiteParams):
@@ -190,7 +190,7 @@ class TestScattering:
         # shift into the lab frame so the cavity center is positive
         shift = TWO_PI * 1e9 - p.delta_a
         for w in [0.0, TWO_PI * 1e6, -TWO_PI * 2.5e6]:
-            (s,), poles = scattering(w, drift(p), input_matrix(resolve(p, {})))
+            (s,), poles = scattering(drift(p), resolve(p, {"omega": w}))
             assert not poles
             bare = reflection(w + shift, TWO_PI * 1e9, p.kappa_a_in, p.kappa_a_ex)
             assert s[0, 2] == pytest.approx(bare, rel=1e-12)
@@ -206,7 +206,7 @@ class TestScattering:
         p = replace(load_config(REFERENCE_CONFIG)[0].tripartite, g_c=0.0,
                     delta_a=TWO_PI * 4e6, g_b=TWO_PI * 1e3)
         w = p.omega_m + np.linspace(-5.0, 5.0, 41) * p.gamma
-        s = np.array([scattering(x, drift(p), input_matrix(resolve(p, {})))[0][0, 0, 2] for x in w])
+        s = np.array([scattering(drift(p), resolve(p, {"omega": x}))[0][0, 0, 2] for x in w])
         sigma = mechanical_self_energy(w, p.g_b, p.gamma, p.omega_m)
         r = reflection(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex, self_energy=sigma)
         feature = np.max(np.abs(r - reflection(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex)))
@@ -228,12 +228,12 @@ class TestScattering:
             gamma=0.0,
             occupations=Occupations(),
         )
-        reason = scattering(-p.omega_m, drift(p), input_matrix(resolve(p, {})))[1][0]
+        reason = scattering(drift(p), resolve(p, {"omega": -p.omega_m}))[1][0]
         assert reason.startswith(f"resolvent nearly singular at omega={-p.omega_m:.6e} rad/s (condition ")
 
     def test_quadrature_map_is_real_for_vacuum_covariance(self, reference_tripartite):
         p = reference_tripartite
-        sq = quadrature_scattering(scattering(0.0, drift(p), input_matrix(resolve(p, {})))[0][0])
+        sq = quadrature_scattering(scattering(drift(p), resolve(p, {}))[0][0])
         V = sq @ noise_diagonal(p) @ sq.conj().T
         assert np.max(np.abs(V.imag)) < 1e-10 * np.max(np.abs(V.real))
 
@@ -256,12 +256,30 @@ class TestScattering:
         # its pole; the coupled points around it are ordinary
         p = replace(reference_tripartite, gamma=TWO_PI * 1e-5)
         w = -p.omega_m
-        res = sweep(p, {"g_b": TWO_PI * np.array([0.0, 0.5e6, 1e6, 2e6])}, omega=w)
+        res = sweep(p, {"omega": w, "g_b": TWO_PI * np.array([0.0, 0.5e6, 1e6, 2e6])})
         assert res["stable"].all()
         assert res["error"][0].startswith("resolvent nearly singular")
         assert np.isnan(res["zeta_minus"][0]) and np.isnan(res["log_negativity"][0])
         assert all(e is None for e in res["error"][1:])
         assert np.isfinite(res["zeta_minus"][1:]).all()
+
+    def test_an_omega_column_equals_scalar_omega_sweeps(self, reference_tripartite):
+        # w is one more column of the point: a mesh of K values of it by the
+        # g_b column above, the near pole w = -Omega_m among them, equals K
+        # sweeps of that g_b column each at one w, bit for bit, `error`
+        # texts included; thermal baths put every weight in play
+        p = replace(reference_tripartite, gamma=TWO_PI * 1e-5, occupations=Occupations(0.2, 0.1, 80.0, 0.3, 0.05))
+        g_b = TWO_PI * np.array([0.0, 0.5e6, 1e6, 2e6, 3.6e6])
+        omegas = [-p.omega_m, 0.0, TWO_PI * 0.3e6, -TWO_PI * 2.5e6]
+        res = sweep(p, {"omega": np.repeat(omegas, len(g_b)), "g_b": np.tile(g_b, len(omegas))})
+        for k, w in enumerate(omegas):
+            rows = slice(k * len(g_b), (k + 1) * len(g_b))
+            one = sweep(p, {"omega": w, "g_b": g_b})
+            for name, column in res.items():
+                assert np.array_equal(column[rows], one[name], equal_nan=name != "error"), (name, w)
+        assert res["error"][0].startswith("resolvent nearly singular at omega=-2.513274e+07 rad/s")
+        assert sum(e is not None for e in res["error"]) == 1
+        assert not res["stable"].all() and res["stable"].any()
 
     def test_pole_conditions(self, reference_tripartite):
         # the screen's 1-norm condition: inf at the exact pole, finite but
@@ -280,10 +298,10 @@ class TestScattering:
         # one well above stays flagged
         p = replace(reference_tripartite, g_b=0.0)
         w = -p.omega_m
-        gammas = TWO_PI * np.logspace(-8, 0, 33)
-        Aq = np.concatenate([drift(replace(p, gamma=g)) for g in gammas])
+        x = resolve(p, {"omega": w, "gamma": TWO_PI * np.logspace(-8, 0, 33)})
+        Aq = drift_matrices(x)
         cond2 = np.linalg.cond(-1j * w * np.eye(6) - _ladder(Aq))
-        flagged = np.isin(np.arange(len(Aq)), list(scattering(w, Aq, input_matrix(resolve(p, {})))[1]))
+        flagged = np.isin(np.arange(len(Aq)), list(scattering(Aq, x)[1]))
         assert (cond2 < 1e11).sum() > 5 and (cond2 > 1e13).sum() > 5
         assert not flagged[cond2 < 1e11].any()
         assert flagged[cond2 > 1e13].all()
@@ -301,20 +319,25 @@ class TestScattering:
                 continue
             M = -1j * w * np.eye(6) - _ladder(Aq)[0]
             C, D = port_matrices(p)
-            B = input_matrix(resolve(p, {}))
-            s = C @ np.linalg.solve(M, B) - D
-            assert np.array_equal(scattering(w, Aq, B)[0][0], s)
+            x = resolve(p, {"omega": w})
+            s = C @ np.linalg.solve(M, input_matrix(x)[0]) - D
+            assert np.array_equal(scattering(Aq, x)[0][0], s)
             checked += 1
 
     def test_matrix_shapes(self, reference_tripartite):
+        # every number of a point, w included, is an (N,) column, so every
+        # stage is a stack of N rows, also where no rate is a column
         p = reference_tripartite
-        B = input_matrix(resolve(p, {}))
-        assert B.shape == (6, 10)
-        assert scattering(0.0, drift(p), B)[0].shape == (1, 4, 10)
-        # B is stacked only where a rate is a column
-        assert input_matrix(resolve(p, {"g_b": np.zeros(3), "n_b_in": np.ones(3)})).shape == (6, 10)
+        x = resolve(p, {})
+        assert list(x) == [*tripartite.SWEEP_AXES, "omega"]
+        assert all(v.shape == (1,) for v in x.values()) and x["omega"][0] == 0.0
+        B = input_matrix(x)
+        assert B.shape == (1, 6, 10)
+        assert scattering(drift(p), x)[0].shape == (1, 4, 10)
+        same = input_matrix(resolve(p, {"g_b": np.zeros(3), "n_b_in": np.ones(3)}))
+        assert same.shape == (3, 6, 10) and (same == B).all()
         stacked = input_matrix(resolve(p, {"gamma": np.array([0.0, p.gamma, 4.0 * p.gamma])}))
-        assert stacked.shape == (3, 6, 10) and np.array_equal(stacked[1], B)
+        assert stacked.shape == (3, 6, 10) and np.array_equal(stacked[1], B[0])
 
 
 class TestCovariance:
@@ -329,9 +352,10 @@ class TestCovariance:
             Aq = drift(p)
             if not stability(Aq)[0][0]:
                 continue
-            sq = quadrature_scattering(scattering(w, Aq, input_matrix(resolve(p, {})))[0])
+            x = resolve(p, {"omega": w})
+            sq = quadrature_scattering(scattering(Aq, x)[0])
             V = np.real(sq @ noise_diagonal(p) @ sq.conj().transpose(0, 2, 1))
-            (got,), poles = output_covariance(w, Aq, resolve(p, {}))
+            (got,), poles = output_covariance(Aq, x)
             assert not poles
             assert np.array_equal(got, (0.5 * (V + V.transpose(0, 2, 1)))[0])
             checked += 1
@@ -481,7 +505,7 @@ class TestEntanglementWorkflow:
         # broadcasts; each row is `evaluate_point`'s at its point
         gb = TWO_PI * np.array([2e6, 0.0, 3.6e6, 1e6, 0.0])
         gc = TWO_PI * np.array([6.43e6])
-        res = sweep(reference_tripartite, {"g_b": gb, "g_c": gc}, omega=0.0)
+        res = sweep(reference_tripartite, {"g_b": gb, "g_c": gc, "omega": 0.0})
         assert set(res) == {"stable", "max_re", "zeta_minus", "log_negativity", "error"}
         assert [len(v) for v in res.values()] == [5] * 5
         for i, b in enumerate(gb.tolist()):
@@ -506,7 +530,7 @@ class TestEntanglementWorkflow:
             "delta_c": TWO_PI * np.linspace(-12e6, 4e6, 14),
         }
         points = dict(zip(axes, (g.ravel() for g in np.meshgrid(*(grids[a] for a in axes), indexing="ij"))))
-        res = sweep(p, points, omega=omega)
+        res = sweep(p, {**points, "omega": omega})
         assert len(res["stable"]) == 13 * 14
         verdicts = set()
         for i in range(13 * 14):
@@ -550,9 +574,9 @@ class TestEntanglementWorkflow:
         V = np.array([[-1.0, 0.5, 0.0, 0.5], [0.5, 2.0, 1.5, 1.5], [0.0, 1.5, 2.0, 1.0], [0.5, 1.5, 1.0, -1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            errors = [sweep(p, {"g_b": np.array([0.0])}, omega=-p.omega_m)["error"][0],
+            errors = [sweep(p, {"g_b": np.array([0.0]), "omega": -p.omega_m})["error"][0],
                       sweep(hot, g_b)["error"][0], sweep(warm, g_b)["error"][0]]
-            monkeypatch.setattr(tripartite, "output_covariance", lambda omega, Aq, x: (V[None], {}))
+            monkeypatch.setattr(tripartite, "output_covariance", lambda Aq, x: (V[None], {}))
             errors.append(sweep(reference_tripartite, g_b)["error"][0])
         assert errors == [
             "resolvent nearly singular at omega=-2.513274e+07 rad/s (condition estimate 2.898e+12)",
@@ -606,7 +630,7 @@ class TestEntanglementWorkflow:
         assert np.isfinite(A).all() and np.isfinite(_ladder(A)).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(sweep(lossless, axes, omega=top)["stable"]) == 2
+            assert len(sweep(lossless, {**axes, "omega": top})["stable"]) == 2
 
     @pytest.mark.parametrize("field, entry, edit", [
         ("delta_c", 1.0, {}),
@@ -650,6 +674,16 @@ class TestEntanglementWorkflow:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             replace(record, **{field: column[-1]})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_omega_is_refused(self, reference_tripartite, value):
+        # w has no record field and no bound but finiteness: `resolve`
+        # refuses it for the whole grid, so `evaluate_point` raises too
+        message = f"^omega must be finite, got {value}$"
+        with pytest.raises(DomainError, match=message):
+            resolve(reference_tripartite, {"g_b": np.zeros(2), "omega": np.array([0.0, value])})
+        with pytest.raises(DomainError, match=message):
+            evaluate_point(value, reference_tripartite)
+
     @pytest.mark.parametrize("field", tripartite.SWEEP_AXES)
     def test_a_column_equals_the_replaced_field(self, reference_tripartite, field):
         # every number of a point can be a column: 16 seeded rows of it, with
@@ -664,12 +698,12 @@ class TestEntanglementWorkflow:
             column[0] = 0.0
         grid = {"g_b": TWO_PI * rng.uniform(0.0, 3.6e6, 16), field: column}
         omega = TWO_PI * 0.2e6
-        res = sweep(p, grid, omega)
+        res = sweep(p, {**grid, "omega": omega})
         for i in range(16):
             edit = {k: float(v[i]) for k, v in grid.items()}
             if record is not p:
                 edit = {"g_b": edit["g_b"], "occupations": replace(p.occupations, **{field: edit[field]})}
-            row = sweep(replace(p, **edit), {}, omega)
+            row = sweep(replace(p, **edit), {"omega": omega})
             for k, v in res.items():
                 assert np.array_equal(v[i : i + 1], row[k], equal_nan=k != "error"), (k, i)
         assert res["stable"].any()
