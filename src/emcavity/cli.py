@@ -217,10 +217,8 @@ def _parse_axis(ctx, param, spec_str):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--axis", "axis1", required=True, callback=_parse_axis, help="e.g. g_b_hz=0:5e6:200 or n_b_in=0:200:21")
 @click.option("--axis2", default=None, callback=_parse_axis, help="Optional second axis.")
-@click.option("--omega-hz", type=_FLOAT, default=0.0, show_default=True,
-              help="w/2pi of the output modes, in the frame rotating at the pumps.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
+def tripartite_sweep(config_path, axis1, axis2, out_path):
     """Sweep any number of the tripartite block; per-point stability and entanglement."""
     params, config_sha256 = load_config(config_path)
     p = _require(params, "tripartite")
@@ -229,12 +227,14 @@ def tripartite_sweep(config_path, axis1, axis2, omega_hz, out_path):
     axes = dict(a for a in (axis1, axis2) if a is not None)
     # the one mesh of the grid: written as given, swept in rad/s where the key is in Hz
     mesh = dict(zip(axes, (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))))
-    res = _sweep(p, {"omega": TWO_PI * omega_hz, **{_AXES[k].name: hz_scale(k) * c for k, c in mesh.items()}})
+    res = _sweep(p, {_AXES[k].name: hz_scale(k) * c for k, c in mesh.items()})
     res["max_re"] /= TWO_PI  # in Hz, in place; zeta- and E_N are NaN, written blank, where unstable or failed
     write_table(out_path, [*mesh, "stable", "max_re_eig_hz", "zeta_minus", "log_negativity"],
                 [*mesh.values(), res["stable"], res["max_re"], res["zeta_minus"], res["log_negativity"]])
     _write_manifest(out_path, config_sha256, None)
-    click.echo(f"wrote {out_path} ({len(res['stable'])} rows)", err=True)
+    failed = [f"line {i + 2}: {e}" for i, e in enumerate(res["error"]) if e]  # each stable row written blank
+    blank = f"; {len(failed)} stable row{'s' * (len(failed) > 1)} blank, first at {failed[0]}" if failed else ""
+    click.echo(f"wrote {out_path} ({len(res['stable'])} rows){blank}", err=True)
 
 
 def _parse_bracket(ctx, param, value):

@@ -159,4 +159,5 @@ class TripartiteParams(Checked):
     kappa_c_in: float = field(metadata=key("kappa_c_in_hz", **NON_NEGATIVE))
     kappa_c_ex: float = field(metadata=key("kappa_c_ex_hz", **NON_NEGATIVE))
     gamma: float = field(metadata=key("gamma_hz", **NON_NEGATIVE))
+    omega: float = field(default=0.0, metadata=key("omega_hz"))  # output frequency, signed in this frame
     occupations: Occupations = field(default_factory=Occupations, metadata={"record": Occupations})

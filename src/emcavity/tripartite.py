@@ -32,22 +32,21 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .params import Occupations, TripartiteParams, meets, violation
 
-# every number of a point with its bound: SWEEP_AXES, the fields an axis can sweep, and omega
+# every number of a point, each a field an axis can sweep, with its bound
 _BOUNDS = {f.name: f.metadata.get("bound") for cls in (TripartiteParams, Occupations)
            for f in fields(cls) if "record" not in f.metadata}
 SWEEP_AXES = tuple(_BOUNDS)
-_BOUNDS["omega"] = None  # the output frequency (rad/s), 0 unless a grid gives it
 # the drift entries the 2**52 rule compares, the last three the half loss rates
 _TERMS = ("delta_a", "delta_c", "g_b", "g_c", "omega_m", "kappa_a_in + kappa_a_ex", "kappa_c_in + kappa_c_ex", "gamma")
 
 
 def resolve(p: TripartiteParams, grid: dict) -> dict:
-    """{name: (N,) float column} of SWEEP_AXES and `omega`: its `grid` column, or its value in
-    `p` (omega 0), broadcast to the grid's length N (1 if empty).  A column must be finite and
+    """{name: (N,) float column} of SWEEP_AXES: its `grid` column, or its value in `p`,
+    broadcast to the grid's length N (1 if empty).  A column must be finite and
     meet its field's bound, as `Checked` requires (DomainError); another name is a ValueError."""
     if not grid.keys() <= _BOUNDS.keys():
         raise ValueError(f"cannot sweep parameter {min(grid.keys() - _BOUNDS.keys())!r}")
-    given = {**vars(p), **vars(p.occupations), "omega": 0.0, **grid}
+    given = {**vars(p), **vars(p.occupations), **grid}
     x = dict(zip(_BOUNDS, np.empty((len(_BOUNDS),) + np.broadcast_shapes((1,), *map(np.shape, grid.values())))))
     for k, column in x.items():
         column[...] = given[k]
@@ -195,16 +194,16 @@ def log_negativity(zeta):
     return np.maximum(-np.log(2.0 * zeta), 0.0)
 
 
-def evaluate_point(omega: float, p: TripartiteParams) -> dict:
-    """`sweep`'s row for the point `p` at the finite frequency omega: `stable`,
+def evaluate_point(p: TripartiteParams) -> dict:
+    """`sweep`'s row for the point `p`, at its output frequency `p.omega`: `stable`,
     `max_re`, `zeta_minus`, `log_negativity` and `error`."""
-    return {k: v[0] for k, v in sweep(p, {"omega": omega}).items()}
+    return {k: v[0] for k, v in sweep(p, {}).items()}
 
 
 def sweep(p: TripartiteParams, points: dict[str, np.ndarray]) -> dict:
     """Evaluate the points whose coordinates `points` maps from any subset of
-    SWEEP_AXES and `omega` to equal-length or broadcastable columns, each
-    checked by `resolve` in place of its field; a grid is meshed by the caller.
+    SWEEP_AXES to equal-length or broadcastable columns, each checked by
+    `resolve` in place of its field; a grid is meshed by the caller.
 
     Returns per point, in the order given, `stable`, `max_re`, `zeta_minus`
     and `log_negativity` (NaN when unstable or failed) and `error` (why a

@@ -135,7 +135,7 @@ def test_criterion_05_entanglement_null():
         rng = np.random.default_rng(42)
         for _ in range(100):
             p = random_tripartite(rng, g_b_max_hz=0.0)
-            res = evaluate_point(0.0, p)
+            res = evaluate_point(p)
             assert res["stable"]
             assert res["zeta_minus"] >= 0.5 - 1e-9
             assert res["log_negativity"] <= 1e-8

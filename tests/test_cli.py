@@ -54,6 +54,13 @@ def run(args):
     return main(list(args))
 
 
+def tripartite_config(path, **edit):
+    """Write the reference config with `edit` applied to its tripartite block; its path."""
+    block = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))["tripartite"]
+    path.write_text(json.dumps({"tripartite": {**block, **edit}}), encoding="utf-8")
+    return str(path)
+
+
 class TestThermal:
     def test_value_and_exit_code(self, capsys):
         assert run(["thermal", "--f-hz", "10e9", "--t-k", "4.0"]) == 0
@@ -305,8 +312,8 @@ class TestTripartite:
         rows = {}
         for f_hz in ("0", "3e5"):
             out = tmp_path / f"w{f_hz}.csv"
-            args = ["--axis", "g_b_hz=0:4e6:9", "--omega-hz", f_hz, "--out", str(out)]
-            assert run(["tripartite", "sweep", "--config", REFERENCE_CONFIG] + args) == 0
+            config = tripartite_config(tmp_path / f"w{f_hz}.json", omega_hz=float(f_hz))
+            assert run(["tripartite", "sweep", "--config", config, "--axis", "g_b_hz=0:4e6:9", "--out", str(out)]) == 0
             with open(out) as fh:
                 rows[f_hz] = list(csv.DictReader(fh))
         for g_b, r0, r in zip(TWO_PI * np.linspace(0.0, 4e6, 9), rows["0"], rows["3e5"]):
@@ -320,6 +327,38 @@ class TestTripartite:
                 assert float(r["log_negativity"]) == pytest.approx(en, rel=1e-12, abs=0.0)
         assert any(r["zeta_minus"] != r0["zeta_minus"] for r0, r in zip(rows["0"], rows["3e5"]))
 
+    def test_omega_axis_equals_the_config_key(self, tmp_path):
+        # w/2pi is a key of the tripartite block, so it is an axis: each
+        # omega_hz block of an (omega_hz, g_b_hz) map is, byte for byte in
+        # the shared columns, the g_b_hz sweep of a config setting that key
+        out, one = tmp_path / "map.csv", tmp_path / "one.csv"
+        args = ["--axis", "omega_hz=-1e6:1e6:5", "--axis2", "g_b_hz=0:4e6:9", "--out", str(out)]
+        assert run(["tripartite", "sweep", "--config", REFERENCE_CONFIG, *args]) == 0
+        header, *lines = out.read_bytes().split(b"\n")[:-1]
+        assert header == b"omega_hz,g_b_hz,stable,max_re_eig_hz,zeta_minus,log_negativity"
+        for i, f_hz in enumerate(np.linspace(-1e6, 1e6, 5).tolist()):
+            config = tripartite_config(tmp_path / "w.json", omega_hz=f_hz)
+            assert run(["tripartite", "sweep", "--config", config, "--axis", "g_b_hz=0:4e6:9", "--out", str(one)]) == 0
+            block = [line.split(b",", 1) for line in lines[9 * i : 9 * (i + 1)]]
+            assert {cell for cell, _ in block} == {b"%.17e" % f_hz}
+            assert [rest for _, rest in block] == one.read_bytes().split(b"\n")[1:-1]
+        assert len(lines) == 45
+
+    def test_blank_stable_rows_are_named_on_stderr(self, tmp_path, capsys):
+        # a stable row written blank (here at a pole of the resolvent) is
+        # counted on the one stderr line, with the CSV line and reason of the
+        # first; exit 0, and a sweep with none keeps the plain line
+        out = tmp_path / "pole.csv"
+        config = tripartite_config(tmp_path / "pole.json", gamma_hz=1e-5)
+        args = ["--axis", "g_b_hz=0:2e6:5", "--axis2", "omega_hz=-4e6:-4e6:1", "--out", str(out)]
+        assert run(["tripartite", "sweep", "--config", config, *args]) == 0
+        reason = "resolvent nearly singular at omega=-2.513274e+07 rad/s (condition estimate 2.898e+12)"
+        assert capsys.readouterr().err == f"wrote {out} (5 rows); 1 stable row blank, first at line 2: {reason}\n"
+        line = "0.00000000000000000e+00,-4.00000000000000000e+06,true,-5.00000000000000041e-06,,"
+        assert out.read_text(encoding="utf-8").splitlines()[1] == line
+        assert run(["tripartite", "sweep", "--config", config, *args[:2], "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"wrote {out} (5 rows)\n"
+
     def test_sweep_axis_parsing_errors(self, tmp_path, capsys):
         base = [
             "tripartite", "sweep", "--config", REFERENCE_CONFIG,
@@ -329,6 +368,8 @@ class TestTripartite:
         assert run(base + ["--axis", "kappa_a_hz=0:1e6:5"]) == 1  # a sum of two keys, not a key
         assert run(base + ["--axis", "g_b_hz=0:1e6"]) == 1  # malformed range
         capsys.readouterr()
+        assert run(base + ["--axis", "g_b_hz=0:1e6:3", "--omega-hz", "3e5"]) == 1  # w/2pi is a config key
+        assert "No such option" in capsys.readouterr().err
         assert run(base + ["--axis", "g_b_hz=0:1e6:0"]) == 1
         assert "Error: axis needs at least 1 point\n" in capsys.readouterr().err
         assert run(base + ["--axis", "g_b_hz=0:1e6:3", "--axis2", "g_b_hz=0:1:2"]) == 1
@@ -460,14 +501,16 @@ class TestTripartite:
 
     def test_hot_occupations_leave_stable_rows_blank(self, tmp_path, capsys):
         # occupations of 1e100, within the magnitude rule, overflow det V:
-        # exit 0, and each stable row's zeta- and E_N cells are blank
+        # exit 0, each stable row's zeta- and E_N cells are blank, and
+        # stderr counts them and gives the first one's reason
         reference = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))["tripartite"]
         occupations = {**reference["occupations"], "n_a_in": 1e100, "n_c_in": 1e100}
         config, out = tmp_path / "hot.json", tmp_path / "sweep.csv"
         config.write_text(json.dumps({"tripartite": {**reference, "occupations": occupations}}), encoding="utf-8")
         args = ["--config", str(config), "--axis", "g_b_hz=0:3e6:4", "--out", str(out)]
         assert run(["tripartite", "sweep", *args]) == 0
-        assert capsys.readouterr().err == f"wrote {out} (4 rows)\n"
+        reason = "covariance determinants outside the float range: zeta- = nan"
+        assert capsys.readouterr().err == f"wrote {out} (4 rows); 3 stable rows blank, first at line 2: {reason}\n"
         with open(out, encoding="utf-8") as fh:
             stable = [r for r in csv.DictReader(fh) if r["stable"] == "true"]
         assert len(stable) == 3 and all(r["zeta_minus"] == r["log_negativity"] == "" for r in stable)
@@ -480,6 +523,10 @@ class TestTripartite:
             ("tripartite", "tripartite.occupations.n_b_in",
              {"occupations": {"n_b_in": float("nan")}}),
             ("tripartite", "tripartite.g_c_hz", {"g_c_hz": float("inf")}),
+            # w/2pi is signed in the frame of the pumps: no bound beyond the number rule
+            ("tripartite", "tripartite.omega_hz", {"omega_hz": float("nan")}),
+            ("tripartite", "tripartite.omega_hz", {"omega_hz": "x"}),
+            ("tripartite", "tripartite.omega_hz", {"omega_hz": 1e308}),
             ("synth", "background.delta_hz", {"delta_hz": float("nan")}),
             ("synth", "background.tau_s", {"tau_s": True}),
             ("synth", "background.phi_rad", {"phi_rad": "x"}),
@@ -1250,7 +1297,7 @@ OUT_OF_RULE = {
     "reflect_2pi_f": (["reflect", "--model", "omit", "--config", "{config}", "--f-start-hz", "1e307",
                        "--f-stop-hz", "3e307", "--out", "{tmp}/out.csv"], "--f-start-hz"),
     "sweep_omega": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:3e6:4",
-                     "--omega-hz", "1e308", "--out", "{tmp}/out.csv"], "--omega-hz"),
+                     "--axis2", "omega_hz=1e308:1e308:1", "--out", "{tmp}/out.csv"], "--axis2"),
     "sweep_axis": (["tripartite", "sweep", "--config", REFERENCE_CONFIG, "--axis", "g_b_hz=0:1e308:3",
                     "--out", "{tmp}/out.csv"], "--axis"),
     "g0_f_m": (["device", "g0", *DEVICE_ARGS, "--surface", "{tmp}/surf.csv", "--lumped", "{tmp}/lumped.json",
@@ -1548,14 +1595,17 @@ STDOUT_GOLDEN = {
                              "--axis", "g_c", "--bracket-hz", "2e6,9e6"],
                             "33da0348c8bff59c0a35c5a84a2321c56cd82409ccf274fbd5a9b78062155e63"),
 }
-# sha256 of `tripartite sweep` CSVs on the reference config
+# sha256 of `tripartite sweep` CSVs on the reference config, its tripartite
+# block edited as given
 SWEEP_GOLDEN = {
-    "g_b": (["--axis", "g_b_hz=0:4e6:9"],
+    "g_b": ({}, ["--axis", "g_b_hz=0:4e6:9"],
             "0e4e1cfca55692077780d0d6ab6264b00a945b0bfa4a0eab736316dca27fa564"),
-    "g_b_g_c": (["--axis", "g_b_hz=0:3e6:4", "--axis2", "g_c_hz=5e6:7e6:3"],
+    "g_b_g_c": ({}, ["--axis", "g_b_hz=0:3e6:4", "--axis2", "g_c_hz=5e6:7e6:3"],
                 "05a073c6e3b354255d10c7c2ba95b75e4e1d76eb858495c55e423773b24b848e"),
-    "g_b_omega": (["--axis", "g_b_hz=0:4e6:9", "--omega-hz", "3e5"],
+    "g_b_omega": ({"omega_hz": 3e5}, ["--axis", "g_b_hz=0:4e6:9"],
                   "8578d952669e7386fcd2023228bd422ec23e22d9abc47dfd0fe19153e9f155b3"),
+    "omega_g_b": ({}, ["--axis", "omega_hz=-1e6:1e6:5", "--axis2", "g_b_hz=0:4e6:9"],
+                  "e8321ce4c204def1f3617770d717917e1a6179b87fce134c554bc421161d34e7"),
 }
 
 
@@ -1574,9 +1624,9 @@ class TestGoldenStdout:
 
     @pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
     def test_sweep_bytes(self, tmp_path, name):
-        args, digest = SWEEP_GOLDEN[name]
-        out = tmp_path / "sweep.csv"
-        assert run(["tripartite", "sweep", "--config", REFERENCE_CONFIG, *args, "--out", str(out)]) == 0
+        edit, args, digest = SWEEP_GOLDEN[name]
+        out, config = tmp_path / "sweep.csv", tripartite_config(tmp_path / "config.json", **edit)
+        assert run(["tripartite", "sweep", "--config", config, *args, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

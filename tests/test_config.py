@@ -54,6 +54,7 @@ VALID = {
         "kappa_c_in_hz": 0.8e6,
         "kappa_c_ex_hz": 1.2e6,
         "gamma_hz": 100.0,
+        "omega_hz": 3e5,
     },
 }
 
@@ -224,8 +225,7 @@ def test_bounds_agree_between_config_and_construction():
             if "record" in f.metadata:
                 continue
             key, fld, bound = f.metadata.get("key", f.name), f.name, f.metadata.get("bound")
-            if bound:
-                seen[f"{name}.{key}"] = bound
+            seen[f"{name}.{key}"] = bound
             bad = [math.nan, math.inf, -math.inf]
             bad += [-1.0, 0.0] if bound == ">" else [-1.0] if bound == ">=" else []
             for value in bad:
@@ -235,7 +235,8 @@ def test_bounds_agree_between_config_and_construction():
                     replace(obj, **{fld: TWO_PI * value if key.endswith("_hz") else value})
             if bound == ">=":
                 assert getattr(parse_block(cls, {**valid, key: 0.0}, name), fld) == 0.0
-    assert seen == BOUNDS
+    assert {k: bound for k, bound in seen.items() if bound} == BOUNDS
+    assert seen["tripartite.omega_hz"] is None  # signed in the frame of the pumps: finite only
 
 
 # every record's JSON keys in order, declared a second time here: the keys
@@ -247,7 +248,8 @@ KEYS = {
     CouplingParams: ["g0_hz", "n_cavity"],
     Background: ["amplitude", "tau_s", "phi_rad", "delta_hz"],
     TripartiteParams: ["delta_a_hz", "delta_c_hz", "f_m_hz", "g_b_hz", "g_c_hz", "kappa_a_in_hz",
-                       "kappa_a_ex_hz", "kappa_c_in_hz", "kappa_c_ex_hz", "gamma_hz", "occupations"],
+                       "kappa_a_ex_hz", "kappa_c_in_hz", "kappa_c_ex_hz", "gamma_hz", "omega_hz",
+                       "occupations"],
     Occupations: OCCUPATION_KEYS,
     ReflectionModelParams: ["amplitude", "tau_s", "phi_rad", "f_c_hz", "kappa_in_hz",
                             "kappa_ex_hz", "delta_hz"],

@@ -329,7 +329,7 @@ class TestScattering:
         # stage is a stack of N rows, also where no rate is a column
         p = reference_tripartite
         x = resolve(p, {})
-        assert list(x) == [*tripartite.SWEEP_AXES, "omega"]
+        assert list(x) == list(tripartite.SWEEP_AXES) and "omega" in x
         assert all(v.shape == (1,) for v in x.values()) and x["omega"][0] == 0.0
         B = input_matrix(x)
         assert B.shape == (1, 6, 10)
@@ -478,7 +478,7 @@ class TestSymplecticEigenvalue:
 
 class TestEntanglementWorkflow:
     def test_reference_point_is_entangled(self, reference_tripartite):
-        res = evaluate_point(0.0, reference_tripartite)
+        res = evaluate_point(reference_tripartite)
         assert res["stable"]
         assert res["zeta_minus"] == pytest.approx(GOLDEN_ZETA, rel=1e-10)
         assert res["log_negativity"] == pytest.approx(-np.log(2.0 * GOLDEN_ZETA), rel=1e-10)
@@ -488,14 +488,14 @@ class TestEntanglementWorkflow:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = random_tripartite(rng, g_b_max_hz=0.0)
-            res = evaluate_point(0.0, p)
+            res = evaluate_point(p)
             assert res["stable"]
             assert res["zeta_minus"] >= 0.5 - 1e-9
             assert res["log_negativity"] <= 2e-9
 
     def test_unstable_point_reports_none(self, reference_tripartite):
         p = replace(reference_tripartite, g_b=TWO_PI * 3.6e6)
-        res = evaluate_point(0.0, p)
+        res = evaluate_point(p)
         assert not res["stable"]
         assert np.isnan(res["zeta_minus"]) and np.isnan(res["log_negativity"])
 
@@ -509,7 +509,7 @@ class TestEntanglementWorkflow:
         assert set(res) == {"stable", "max_re", "zeta_minus", "log_negativity", "error"}
         assert [len(v) for v in res.values()] == [5] * 5
         for i, b in enumerate(gb.tolist()):
-            row = evaluate_point(0.0, replace(reference_tripartite, g_b=b, g_c=float(gc[0])))
+            row = evaluate_point(replace(reference_tripartite, g_b=b, g_c=float(gc[0])))
             for k in ("stable", "max_re", "error"):
                 assert res[k][i] == row[k]
             for k in ("zeta_minus", "log_negativity"):
@@ -555,7 +555,7 @@ class TestEntanglementWorkflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = sweep(p, {"g_b": TWO_PI * np.linspace(0.0, 3e6, 4)})
-            row = evaluate_point(0.0, p)
+            row = evaluate_point(p)
         assert res["stable"].sum() == 3
         assert all(e == "covariance determinants outside the float range: zeta- = nan"
                    for e in res["error"][res["stable"]])
@@ -676,13 +676,15 @@ class TestEntanglementWorkflow:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_omega_is_refused(self, reference_tripartite, value):
-        # w has no record field and no bound but finiteness: `resolve`
-        # refuses it for the whole grid, so `evaluate_point` raises too
+        # w is a record field whose only bound is finiteness, as it is signed
+        # in the frame of the pumps: `resolve` refuses it for the whole grid,
+        # and the record refuses it on construction
         message = f"^omega must be finite, got {value}$"
         with pytest.raises(DomainError, match=message):
             resolve(reference_tripartite, {"g_b": np.zeros(2), "omega": np.array([0.0, value])})
         with pytest.raises(DomainError, match=message):
-            evaluate_point(value, reference_tripartite)
+            replace(reference_tripartite, omega=value)
+        assert evaluate_point(replace(reference_tripartite, omega=-TWO_PI * 4e6))["stable"]
 
     @pytest.mark.parametrize("field", tripartite.SWEEP_AXES)
     def test_a_column_equals_the_replaced_field(self, reference_tripartite, field):
@@ -690,20 +692,19 @@ class TestEntanglementWorkflow:
         # g_b alongside, equal `sweep` of the point built with
         # dataclasses.replace, bit for bit and failures included
         rng = np.random.default_rng(36)
-        p = replace(reference_tripartite, occupations=Occupations(0.2, 0.1, 80.0, 0.3, 0.05))
+        p = replace(reference_tripartite, omega=TWO_PI * 0.2e6, occupations=Occupations(0.2, 0.1, 80.0, 0.3, 0.05))
         record = p if hasattr(p, field) else p.occupations
         value = getattr(record, field)
         column = value * rng.uniform(0.5, 1.5, 16)
         if tripartite._BOUNDS[field] == ">=":
             column[0] = 0.0
         grid = {"g_b": TWO_PI * rng.uniform(0.0, 3.6e6, 16), field: column}
-        omega = TWO_PI * 0.2e6
-        res = sweep(p, {**grid, "omega": omega})
+        res = sweep(p, grid)
         for i in range(16):
             edit = {k: float(v[i]) for k, v in grid.items()}
             if record is not p:
                 edit = {"g_b": edit["g_b"], "occupations": replace(p.occupations, **{field: edit[field]})}
-            row = sweep(replace(p, **edit), {"omega": omega})
+            row = sweep(replace(p, **edit), {})
             for k, v in res.items():
                 assert np.array_equal(v[i : i + 1], row[k], equal_nan=k != "error"), (k, i)
         assert res["stable"].any()
