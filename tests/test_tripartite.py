@@ -39,6 +39,7 @@ from conftest import (
     quadrature_scattering,
     random_tripartite,
     reference_point,
+    traced_peak,
 )
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tripartite_sec63.json"
@@ -601,6 +602,14 @@ class TestEntanglementWorkflow:
             monkeypatch.setattr(tripartite, name, counted(name, getattr(tripartite, name)))
         sweep(reference_tripartite, {"g_b": TWO_PI * np.linspace(0.0, 3e6, 4)})
         assert calls == dict.fromkeys(stages, 1)
+        # past one output block of stable rows, the output stages run once a
+        # block, and the whole-grid stages still once
+        calls.update(dict.fromkeys(stages, 0))
+        stable = sweep(reference_tripartite, {"g_b": TWO_PI * np.linspace(0.0, 3e6, 768)})["stable"]
+        blocks = -(-int(stable.sum()) // tripartite._OUTPUT_BLOCK)
+        assert blocks > 2
+        assert calls == {"stability": 1, "scattering": blocks, "output_covariance": blocks,
+                         "symplectic_eigenvalue_min": blocks, "log_negativity": 1}
         # the bisection asks `stability` alone, once for both ends and once per step
         calls.update(dict.fromkeys(stages, 0))
         critical_coupling(reference_tripartite, "g_b", (0.0, TWO_PI * 5e6))
@@ -876,6 +885,49 @@ def assert_rows_equal(whole: dict, parts: list[dict]):
 class TestPointsAreIndependent:
     """The 2**52 drift rule, like every stage, judges each point alone: a
     point's row does not depend on the rest of its grid."""
+
+    def test_output_blocks_equal_one_chain_over_every_stable_row(self):
+        # stable rows over three output blocks, unstable rows among them, and
+        # a near pole (barely damped mechanics at g_b = 0, probed at w =
+        # -Omega_m) in the second block and in the last: the sweep's zeta-,
+        # E_N and `error` equal the stage chain run on all stable rows at
+        # once, bit for bit, each reason at its row
+        p = replace(load_config(REFERENCE_CONFIG)[0].tripartite, gamma=TWO_PI * 1e-5)
+        g_b = TWO_PI * np.random.default_rng(3).permutation(np.linspace(0.0, 4e6, 1024))
+        omega = np.full(len(g_b), TWO_PI * 0.3e6)
+        x = resolve(p, {"g_b": g_b, "omega": omega})
+        idx = np.flatnonzero(stability(drift_matrices(x))[0])
+        poles = idx[[tripartite._OUTPUT_BLOCK + 5, -1]]
+        g_b[poles], omega[poles] = 0.0, -p.omega_m
+
+        x = resolve(p, {"g_b": g_b, "omega": omega})
+        A = drift_matrices(x)
+        stable = stability(A)[0]
+        assert np.array_equal(np.flatnonzero(stable), idx) and not stable.all()
+        assert len(idx) > 2 * tripartite._OUTPUT_BLOCK
+        V, pole_reasons = output_covariance(A[idx], {k: v[idx] for k, v in x.items()})
+        zeta, errors = symplectic_eigenvalue_min(V)
+        errors.update(pole_reasons)
+        zeta[list(errors)] = np.nan
+
+        res = sweep(p, {"g_b": g_b, "omega": omega})
+        assert res["zeta_minus"][idx].tobytes() == zeta.tobytes()
+        assert res["log_negativity"][idx].tobytes() == log_negativity(zeta).tobytes()
+        assert np.isnan(res["zeta_minus"][~stable]).all() and np.isnan(res["log_negativity"][~stable]).all()
+        assert {int(i): e for i, e in enumerate(res["error"]) if e is not None} == {
+            int(idx[i]): e for i, e in errors.items()}
+        assert sorted(errors) == [tripartite._OUTPUT_BLOCK + 5, len(idx) - 1]
+        assert all(e.startswith("resolvent nearly singular at omega=-2.513274e+07 rad/s") for e in errors.values())
+
+    def test_sweep_memory_stops_growing_with_the_grid(self):
+        # only the whole-grid stages (the columns, the drift stack and its
+        # eigenvalues) grow with a 100x101 (g_b, delta_a) map, 0.56 KB a
+        # point; the output stage on every stable row at once would hold 3.9 KB
+        p = load_config(REFERENCE_CONFIG)[0].tripartite
+        g_b, delta_a = np.meshgrid(TWO_PI * np.linspace(0.0, 3e6, 100), TWO_PI * np.linspace(-6e6, -2e6, 101),
+                                   indexing="ij")
+        points = {"g_b": g_b.ravel(), "delta_a": delta_a.ravel()}
+        assert traced_peak(lambda: sweep(p, points)) / g_b.size < 800.0
 
     def test_a_grid_passes_where_each_point_does(self):
         # a loss of 1e-8 Hz beside a detuning of 1e18 Hz breaks the rule
