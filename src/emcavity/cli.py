@@ -28,6 +28,7 @@ from .fitting import (
     fit_omit,
     fit_reflection,
     load_trace,
+    omit_model,
     reflection_model,
     save_trace,
     synthesize_trace,
@@ -106,41 +107,50 @@ def thermal(f_hz, t_k):
 def reflect(config_path, f_start_hz, f_stop_hz, points, model, out_path):
     """Reflection spectrum over a lab-frame frequency grid.
 
-    The bare model is evaluated at the absolute frequency; the omit model
-    is evaluated in the frame rotating at the pump (grid minus f_p).
+    The spectrum is the fit model of `fit reflect` (bare) or `fit omit`
+    (omit) at the unit background, with no cable delay or tilt: the bare
+    model is evaluated at the absolute frequency, the omit model in the
+    frame rotating at the pump (grid minus f_p).
     """
     f_grid = _grid_hz(f_start_hz, f_stop_hz, points)
     params, config_sha256 = load_config(config_path)
-    if model == "omit":
-        values = _omit_spectrum(params, f_grid)
-    else:
-        values = spectrum(TWO_PI * f_grid, _require(params, "cavity"))
+    values = spectrum(_model(params, model), TWO_PI * f_grid)
     _write_spectrum_csv(out_path, f_grid, values)
     _write_manifest(out_path, config_sha256, None)
     click.echo(f"wrote {out_path}", err=True)
 
 
-def _grid_hz(f_start_hz, f_stop_hz, points, default=None):
+def _grid_hz(f_start_hz, f_stop_hz, points, start=None, stop=None, default=None):
     """The evenly spaced probe grid in Hz.  A short or reversed grid, or one
     whose samples do not rise at float resolution, is a usage error naming
-    the options; for a grid whose ends no option gave, the text `default`."""
+    each end by its option, or by the text `start` or `stop` for an end no
+    option gave; for a grid whose ends no option gave, the text `default`."""
+    ends = start or f"--f-start-hz {f_start_hz!r}", stop or f"--f-stop-hz {f_stop_hz!r}"
     if points < 2 or (f_stop_hz <= f_start_hz and default is None):
-        raise click.UsageError("need points >= 2 and f_stop_hz > f_start_hz")
+        raise click.UsageError("%s is not below %s" % ends if start or stop
+                               else "need points >= 2 and f_stop_hz > f_start_hz")
     grid = np.linspace(f_start_hz, f_stop_hz, points)
     if not np.all(np.diff(grid) > 0):
-        raise click.UsageError(default or f"--f-start-hz {f_start_hz!r} and --f-stop-hz {f_stop_hz!r} "
-                               f"are too close for {points} points to rise at float resolution")
+        raise click.UsageError(default or "%s and %s are too close for %d points to rise at float resolution"
+                               % (*ends, points))
     return grid
 
 
-def _omit_spectrum(params, f_hz):
-    """OMIT reflection at the lab-frame probes f_hz, evaluated in the frame
-    rotating at the pump."""
+def _model(params, name: str, background=Background()):
+    """The fit model of a config as a function of lab-frame angular
+    frequency: `bare`, reflection_model at omega_c, or `omit`, omit_model
+    in the frame rotating at the pump, each in the given background.  A
+    lossless bare cavity is a pole: DomainError."""
     cavity = _require(params, "cavity")
-    mech = _require(params, "mech")
-    pump = _require(params, "pump")
-    g = _require(params, "coupling").g
-    return spectrum(TWO_PI * f_hz - pump.omega_p, cavity, mech, g, pump.detuning(cavity))
+    bare = ReflectionModelParams(**asdict(background), omega_c=cavity.omega_c,
+                                 kappa_in=cavity.kappa_in, kappa_ex=cavity.kappa_ex)
+    if name == "bare":
+        if cavity.kappa == 0:
+            raise DomainError("kappa_in + kappa_ex must be positive (pole)")
+        return lambda w: reflection_model(w, bare)
+    mech, pump, coupling = (_require(params, block) for block in ("mech", "pump", "coupling"))
+    omit = OmitModelParams(g=coupling.g, gamma=mech.gamma, omega_m=mech.omega_m, detuning=pump.detuning(cavity))
+    return lambda w: omit_model(w - pump.omega_p, bare, omit)
 
 
 def _mag_db_phase(values):
@@ -159,7 +169,7 @@ def _write_spectrum_csv(path, f_hz, values):
 @click.option("--f-hz", type=_FLOAT, required=True, help="Probe frequency in Hz (lab frame).")
 def omit(config_path, f_hz):
     """OMIT reflection at a single probe frequency."""
-    r = _omit_spectrum(load_config(config_path)[0], np.array([f_hz]))
+    r = spectrum(_model(load_config(config_path)[0], "omit"), TWO_PI * np.array([f_hz]))
     re, im, mag_db, phase = (_fmt(x[0]) for x in (r.real, r.imag, *_mag_db_phase(r)))
     click.echo(f"re={re} im={im} mag_db={mag_db} phase_rad={phase}")
 
@@ -346,7 +356,7 @@ def fit_omit_cmd(in_path, fmt, cavity_path, f_m_hz, g_hz, gamma_hz, detuning_hz,
 @click.option("--points", type=int, default=2001, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
-    """Synthesize a reflection trace (cavity + background model).
+    """Synthesize a reflection trace: the bare model of `fit reflect` at the config's background.
 
     The default grid spans omega_c +/- 10 kappa with 2001 points; a trace
     needs at least 7, as many as the reflection model has parameters.
@@ -358,23 +368,21 @@ def synth(config_path, snr_db, seed, f_start_hz, f_stop_hz, points, out_path):
     if points < 7:
         raise click.UsageError(f"--points must be at least 7 (7-parameter model), got {points}")
     params, config_sha256 = load_config(config_path)
-    cavity = _require(params, "cavity")
-    if cavity.kappa == 0:
-        raise DomainError("kappa_in + kappa_ex must be positive (pole)")
-    bg = params.background or Background()
-    default = None
-    if f_start_hz is None or f_stop_hz is None:
-        f_c = cavity.omega_c / TWO_PI
-        span = 10.0 * cavity.kappa / TWO_PI
-        f_start_hz = f_c - span if f_start_hz is None else f_start_hz
-        f_stop_hz = f_c + span if f_stop_hz is None else f_stop_hz
-        default = (f"the default grid f_c +/- 10 kappa (f_c = {f_c!r} Hz, kappa = {cavity.kappa / TWO_PI!r} Hz) "
-                   f"does not rise over {points} points at float resolution; give --f-start-hz and --f-stop-hz")
-    model = ReflectionModelParams(
-        **asdict(bg), omega_c=cavity.omega_c, kappa_in=cavity.kappa_in, kappa_ex=cavity.kappa_ex
-    )
-    trace = synthesize_trace(lambda w: reflection_model(w, model), _grid_hz(f_start_hz, f_stop_hz, points, default),
-                             snr_db=snr_db, seed=seed)
+    model = _model(params, "bare", params.background or Background())
+    cavity = params.cavity
+    f_c, span = cavity.omega_c / TWO_PI, 10.0 * cavity.kappa / TWO_PI
+    named = {}  # how a grid error names each end that no option gave
+    if f_start_hz is None:
+        f_start_hz = f_c - span
+        named["start"] = f"the default start f_c - 10 kappa = {f_start_hz!r} Hz"
+    if f_stop_hz is None:
+        f_stop_hz = f_c + span
+        named["stop"] = f"the default stop f_c + 10 kappa = {f_stop_hz!r} Hz"
+    if len(named) == 2:
+        named["default"] = (f"the default grid f_c +/- 10 kappa (f_c = {f_c!r} Hz, kappa = {cavity.kappa / TWO_PI!r} "
+                            f"Hz) does not rise over {points} points at float resolution; give --f-start-hz and "
+                            "--f-stop-hz")
+    trace = synthesize_trace(model, _grid_hz(f_start_hz, f_stop_hz, points, **named), snr_db=snr_db, seed=seed)
     save_trace(trace, out_path)
     _write_manifest(out_path, config_sha256, seed)
     click.echo(f"wrote {out_path}", err=True)

@@ -1,5 +1,6 @@
 """Frequency-domain observables of a single cavity + mechanical mode:
-bare and OMIT reflection from one kernel, optomechanical damping.
+the reflection kernel of the bare and OMIT fit models (fitting.py), the
+checked evaluation of a spectrum, optomechanical damping.
 
 All formulas are complex throughout; magnitude/phase belong to the
 presentation layer.  Frequencies are angular (rad/s).
@@ -10,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .params import CavityParams, MechParams
 
 
 def mechanical_self_energy(omega, g: float, gamma: float, omega_m: float):
@@ -20,8 +20,8 @@ def mechanical_self_energy(omega, g: float, gamma: float, omega_m: float):
 
 
 def reflection_terms(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.0):
-    """Reflection r0 of a one-sided cavity, the kernel of every spectrum
-    and fit model, with its denominator D:
+    """Reflection r0 of a one-sided cavity, the kernel of the two fit models
+    and so of every spectrum, with its denominator D:
 
     r0 = -(d + (k_in - k_ex)/2 + i tilt + Sigma) / D,
     D = d + (k_in + k_ex)/2 + Sigma,   d = -i(w - center).
@@ -35,11 +35,6 @@ def reflection_terms(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.
     num = d + (kappa_in - kappa_ex) / 2.0 + 1j * tilt + self_energy
     den = d + (kappa_in + kappa_ex) / 2.0 + self_energy
     return -num / den, den
-
-
-def reflection(omega, center, kappa_in, kappa_ex, tilt=0.0, self_energy=0.0):
-    """The kernel r0 of reflection_terms alone."""
-    return reflection_terms(omega, center, kappa_in, kappa_ex, tilt, self_energy)[0]
 
 
 def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
@@ -70,20 +65,12 @@ def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
     return rate
 
 
-def spectrum(omega, cavity: CavityParams, mech: MechParams | None = None, g=0.0, detuning=0.0):
-    """Complex reflection at each probe of omega, element by element: OMIT
-    at the detuning, with enhanced coupling g, when mechanical parameters
-    are given; the bare cavity at omega_c otherwise.  DomainError for a
-    lossless bare cavity (a pole) and for any non-finite value."""
-    w = np.asarray(omega, dtype=float)
-    if mech is None and cavity.kappa == 0:
-        raise DomainError("kappa_in + kappa_ex must be positive (pole)")
+def spectrum(model, omega):
+    """The spectrum model(omega) of a fit model, evaluated element by element
+    at probes in any order or shape.  DomainError for any non-finite value,
+    such as one at a pole."""
     with np.errstate(divide="ignore", invalid="ignore"):  # a pole is refused below
-        if mech is None:
-            center, self_energy = cavity.omega_c, 0.0
-        else:
-            center, self_energy = detuning, mechanical_self_energy(w, g, mech.gamma, mech.omega_m)
-        values = reflection(w, center, cavity.kappa_in, cavity.kappa_ex, self_energy=self_energy)
+        values = model(omega)
     if not np.all(np.isfinite(values)):
         raise DomainError("spectrum values must be finite")
     return values

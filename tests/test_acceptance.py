@@ -29,7 +29,7 @@ from emcavity.fitting import (
     reflection_model,
     synthesize_trace,
 )
-from emcavity.linear_response import mechanical_self_energy, optomechanical_damping, reflection
+from emcavity.linear_response import mechanical_self_energy, optomechanical_damping, reflection_terms
 from emcavity.params import CavityParams, MechParams
 from emcavity.tripartite import (
     drift_matrices,
@@ -112,7 +112,7 @@ def test_criterion_04_omit_evolution():
         def magnitude(w, g):
             # pump on the red sideband: the cavity sits at the detuning Omega
             sigma = mechanical_self_energy(w, g, mech.gamma, mech.omega_m)
-            r = reflection(w, mech.omega_m, cavity.kappa_in, cavity.kappa_ex, self_energy=sigma)
+            r = reflection_terms(w, mech.omega_m, cavity.kappa_in, cavity.kappa_ex, self_energy=sigma)[0]
             return np.abs(r)
 
         # photon-number sweep covering 4 decades, starting at the matched

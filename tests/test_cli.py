@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,12 @@ from emcavity.fitting import (
     OmitModelParams,
     ReflectionModelParams,
     omit_model,
+    reflection_model,
     save_trace,
     synthesize_trace,
 )
 from emcavity.params import RULE
+from emcavity.tables import read_table
 from emcavity.tripartite import sweep
 
 from conftest import reference_point
@@ -72,6 +74,10 @@ class TestThermal:
 
     def test_missing_option_is_usage_error(self):
         assert run(["thermal", "--f-hz", "1e9"]) == 1
+
+
+# a grid just one float wide at 1 GHz
+GIVEN = ["--f-start-hz", "1e9", "--f-stop-hz", "1.0000000000000002e9"]
 
 
 class TestReflect:
@@ -160,27 +166,39 @@ class TestReflect:
         assert run(["synth", "--config", config_file, *args]) == 1
         assert "need points >= 2 and f_stop_hz > f_start_hz" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+        # one end given: its option and the default end are named.  Each
+        # once exited 1 calling the grid too fine and asking for the option
+        # that was given
+        for end, message in ((["--f-start-hz", "2e10"], "--f-start-hz 20000000000.0 is not below the default "
+                                                        "stop f_c + 10 kappa = 10310440000.0 Hz"),
+                             (["--f-stop-hz", "1e9"], "the default start f_c - 10 kappa = 10273240000.0 Hz is "
+                                                      "not below --f-stop-hz 1000000000.0")):
+            assert run(["synth", "--config", config_file, *end, "--out", str(tmp_path / "t.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == f"Error: {message}" and err.count("Error") == 1
+            assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("command, kappa_hz, message", [
-        ("reflect", 1.45e6, "--f-start-hz 1000000000.0 and --f-stop-hz 1000000000.0000002 are too close "
-                            "for 2001 points to rise at float resolution"),
-        ("synth", 1.45e6, "--f-start-hz 1000000000.0 and --f-stop-hz 1000000000.0000002 are too close "
-                          "for 2001 points to rise at float resolution"),
-        ("synth", 1e-8, "the default grid f_c +/- 10 kappa (f_c = 1000000000.0 Hz, kappa = 2e-08 Hz) does not "
-                        "rise over 2001 points at float resolution; give --f-start-hz and --f-stop-hz"),
-        ("synth", 1e-100, "the default grid f_c +/- 10 kappa (f_c = 1000000000.0 Hz, kappa = 2e-100 Hz) does "
-                          "not rise over 2001 points at float resolution; give --f-start-hz and --f-stop-hz"),
-    ], ids=["reflect", "synth", "synth_default", "synth_default_1e-100"])
-    def test_collapsed_grid_is_usage_error(self, tmp_path, capsys, command, kappa_hz, message):
-        # a grid finer than float resolution names the options, or f_c and
-        # kappa for synth's default grid.  It once exited 3 (reflect), 2
-        # (synth) or, at kappa 2e-100 Hz, 1 naming options never given
+    @pytest.mark.parametrize("command, kappa_hz, grid, message", [
+        ("reflect", 1.45e6, GIVEN, "--f-start-hz 1000000000.0 and --f-stop-hz 1000000000.0000002 are too close "
+                                   "for 2001 points to rise at float resolution"),
+        ("synth", 1.45e6, GIVEN, "--f-start-hz 1000000000.0 and --f-stop-hz 1000000000.0000002 are too close "
+                                 "for 2001 points to rise at float resolution"),
+        ("synth", 1e-8, [], "the default grid f_c +/- 10 kappa (f_c = 1000000000.0 Hz, kappa = 2e-08 Hz) does not "
+                            "rise over 2001 points at float resolution; give --f-start-hz and --f-stop-hz"),
+        ("synth", 1e-100, [], "the default grid f_c +/- 10 kappa (f_c = 1000000000.0 Hz, kappa = 2e-100 Hz) does "
+                              "not rise over 2001 points at float resolution; give --f-start-hz and --f-stop-hz"),
+        ("synth", 1e-8, GIVEN[:2], "--f-start-hz 1000000000.0 and the default stop f_c + 10 kappa = "
+                                   "1000000000.0000002 Hz are too close for 2001 points to rise at float resolution"),
+    ], ids=["reflect", "synth", "synth_default", "synth_default_1e-100", "synth_default_stop"])
+    def test_collapsed_grid_is_usage_error(self, tmp_path, capsys, command, kappa_hz, grid, message):
+        # a grid finer than float resolution names the options given, and
+        # f_c and kappa for an end of synth's default grid.  It once exited 3
+        # (reflect), 2 (synth) or, at kappa 2e-100 Hz, 1 naming options
+        # never given
         config = tmp_path / "system.json"
         cavity = {"f_c_hz": 1e9, "kappa_in_hz": kappa_hz, "kappa_ex_hz": kappa_hz}
         config.write_text(json.dumps({**CAVITY_CONFIG, "cavity": cavity}))
-        args = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
-        if kappa_hz > 1.0:
-            args += ["--f-start-hz", "1e9", "--f-stop-hz", "1.0000000000000002e9"]
+        args = [command, "--config", str(config), "--out", str(tmp_path / "out.csv"), *grid]
         assert run(args) == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"Error: {message}" and err.count("Error") == 1
@@ -202,6 +220,37 @@ class TestReflect:
             rows = list(csv.DictReader(fh))
         assert [float(r["f_hz"]) for r in rows] == f_hz
         assert (rows[0]["re"], rows[0]["im"]) == (rows[1]["re"], rows[1]["im"])
+
+    def test_spectra_and_traces_are_the_fit_models(self, config_file, tmp_path, capsys):
+        # every spectrum and trace is a fit model, bit for bit: reflect and
+        # omit evaluate it at the unit background, the OMIT one in the frame
+        # rotating at the pump, and synth at the config's background
+        params = load_config(config_file)[0]
+        cavity, mech, pump = params.cavity, params.mech, params.pump
+        rates = dict(omega_c=cavity.omega_c, kappa_in=cavity.kappa_in, kappa_ex=cavity.kappa_ex)
+        unit = ReflectionModelParams(amplitude=1.0, tau=0.0, phi=0.0, delta=0.0, **rates)
+        omit = OmitModelParams(g=params.coupling.g, gamma=mech.gamma, omega_m=mech.omega_m,
+                               detuning=cavity.omega_c - pump.omega_p)
+        background = ReflectionModelParams(**asdict(params.background), **rates)
+        models = {"bare": lambda w: reflection_model(w, unit),
+                  "omit": lambda w: omit_model(w - pump.omega_p, unit, omit),
+                  "synth": lambda w: reflection_model(w, background)}
+        grid = ["--f-start-hz", "10.29182e9", "--f-stop-hz", "10.29186e9", "--points", "2001"]
+        for name, args in (("bare", ["reflect", *grid]), ("omit", ["reflect", "--model", "omit", *grid]),
+                           ("synth", ["synth", *grid])):
+            out = tmp_path / f"{name}.csv"
+            assert run([*args, "--config", config_file, "--out", str(out)]) == 0
+            with read_table(out) as table:
+                f, re, im = table.T
+                want = models[name](TWO_PI * f)
+                assert re.tobytes() == want.real.tobytes() and im.tobytes() == want.imag.tobytes(), name
+        for f_hz in ("10.29184e9", "10.2918401e9", "10.29185e9"):
+            capsys.readouterr()
+            assert run(["omit", "--config", config_file, "--f-hz", f_hz]) == 0
+            cells = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+            want = models["omit"](TWO_PI * np.array([float(f_hz)]))[0]
+            got = np.array([float(cells["re"]), float(cells["im"])])
+            assert got.tobytes() == np.array([want.real, want.imag]).tobytes(), f_hz
 
     def test_config_without_cavity_block(self, tmp_path, capsys):
         path = tmp_path / "mech_only.json"
@@ -622,14 +671,19 @@ class TestSynthFitPipeline:
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         assert manifest["seed"] == 7
 
-    @pytest.mark.parametrize("grid", [[], ["--f-start-hz", "10.2e9", "--f-stop-hz", "10.3e9"]])
-    def test_synth_lossless_cavity_is_numerical_error(self, tmp_path, capsys, grid):
-        # refused as `reflect` refuses it, whether or not the grid is given
+    @pytest.mark.parametrize("command, grid", [
+        ("synth", []),
+        ("synth", ["--f-start-hz", "10.2e9", "--f-stop-hz", "10.3e9"]),
+        ("reflect", ["--f-start-hz", "10.2e9", "--f-stop-hz", "10.3e9"]),
+    ])
+    def test_synth_lossless_cavity_is_numerical_error(self, tmp_path, capsys, command, grid):
+        # the bare model of a lossless cavity is a pole: synth refuses it
+        # whether or not the grid is given, and reflect as synth does
         config = tmp_path / "lossless.json"
         cavity = {**CAVITY_CONFIG["cavity"], "kappa_in_hz": 0.0, "kappa_ex_hz": 0.0}
         config.write_text(json.dumps({"cavity": cavity}))
         out = tmp_path / "t.csv"
-        assert run(["synth", "--config", str(config), *grid, "--out", str(out)]) == 3
+        assert run([command, "--config", str(config), *grid, "--out", str(out)]) == 3
         assert capsys.readouterr().err == "numerical error: kappa_in + kappa_ex must be positive (pole)\n"
         assert not out.exists()
 
@@ -1512,10 +1566,13 @@ GOLDEN = {
         b"f_hz,re,im\n",
         "1f9238c1cdd639c0f3f040a5a497c4e6cdba7297b62b1fdb6f6cc1b10d4a0aa5",
     ),
+    # the spectrum is reflection_model at the unit background 1+0j, and
+    # (1+0j)(a-0j) = a+0j: on f_c the im and phase_rad cells of r0 = a-0j
+    # were written -0.0 and are now 0.0; every other cell is unchanged
     "reflect": (
         ["reflect", "--f-start-hz", "10.27184e9", "--f-stop-hz", "10.31184e9", "--points", "101"],
         b"f_hz,re,im,mag_db,phase_rad\n",
-        "30c0aded7b091e9ea2df14dddec12e5a947b8408f9d0ce4ab2f88f6b2117c65c",
+        "c2cd0ee5a6920e3384d2d39a73459dec1283e711409f879a9ccf5f5f2f59ee5b",
     ),
     "reflect_omit": (
         ["reflect", "--model", "omit", "--f-start-hz", "10.29183e9", "--f-stop-hz", "10.29185e9",

@@ -15,7 +15,7 @@ from emcavity import tripartite
 from emcavity.constants import TWO_PI
 from emcavity.errors import DomainError, NumericalError
 from emcavity.config import load_config
-from emcavity.linear_response import mechanical_self_energy, reflection
+from emcavity.linear_response import mechanical_self_energy, reflection_terms
 from emcavity.params import Occupations, TripartiteParams
 from emcavity.tripartite import (
     _ladder,
@@ -193,7 +193,7 @@ class TestScattering:
         for w in [0.0, TWO_PI * 1e6, -TWO_PI * 2.5e6]:
             (s,), poles = scattering(drift(p), resolve(p, {"omega": w}))
             assert not poles
-            bare = reflection(w + shift, TWO_PI * 1e9, p.kappa_a_in, p.kappa_a_ex)
+            bare = reflection_terms(w + shift, TWO_PI * 1e9, p.kappa_a_in, p.kappa_a_ex)[0]
             assert s[0, 2] == pytest.approx(bare, rel=1e-12)
             # no cross-port leakage
             assert abs(s[0, 8]) < 1e-15
@@ -209,8 +209,8 @@ class TestScattering:
         w = p.omega_m + np.linspace(-5.0, 5.0, 41) * p.gamma
         s = np.array([scattering(drift(p), resolve(p, {"omega": x}))[0][0, 0, 2] for x in w])
         sigma = mechanical_self_energy(w, p.g_b, p.gamma, p.omega_m)
-        r = reflection(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex, self_energy=sigma)
-        feature = np.max(np.abs(r - reflection(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex)))
+        r = reflection_terms(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex, self_energy=sigma)[0]
+        feature = np.max(np.abs(r - reflection_terms(w, p.delta_a, p.kappa_a_in, p.kappa_a_ex)[0]))
         assert feature > 1e-2
         assert np.max(np.abs(s - r)) < 1e-2 * feature
 
