@@ -293,12 +293,7 @@ def _write_fit(result, out_path):
     doc = {
         "params": to_record(result.params),
         "residual_norm": result.residual_norm,
-        "convergence": {
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "rank_deficient": result.rank_deficient,
-            "message": result.message,
-        },
+        "convergence": result.convergence,
         "param_uncertainties": {
             name: sigma if np.isfinite(sigma) else None
             for name, sigma in result.param_uncertainties.items()

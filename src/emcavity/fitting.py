@@ -76,13 +76,12 @@ class ReflectionModelParams(Checked):
 
 @dataclass(frozen=True)
 class FitResult:
+    """The fit JSON's members in its order; convergence is the driver's record with _fit's faults added."""
+
     params: object
     residual_norm: float
-    iterations: int
-    converged: bool
+    convergence: dict
     param_uncertainties: dict
-    rank_deficient: bool
-    message: str
 
 
 def _background(w, p: ReflectionModelParams):
@@ -154,34 +153,34 @@ def _levenberg_marquardt(evaluate, theta0: np.ndarray):
     damping would only retry the noise.  A trial whose cost is not finite
     is never taken.  A start whose cost is not finite is returned at once,
     after 0 iterations.  Returns the last accepted point with its r and
-    jacobian.
+    jacobian, and the fit JSON's convergence record.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r, jacobian = evaluate(theta)
     cost = _sum_squares(r)
     lam = _LAM0
-    rank_deficient = False
-    converged = False
-    message = "max iterations reached"
-    it = 0
+    convergence = {"converged": False, "iterations": 0, "rank_deficient": False,
+                   "message": "max iterations reached"}
     if not np.isfinite(cost):
-        return theta, r, jacobian, it, converged, rank_deficient, "start not finite"
+        convergence["message"] = "start not finite"
+        return theta, r, jacobian, convergence
     for it in range(1, _MAX_ITER + 1):
+        convergence["iterations"] = it
         J = jacobian()
         g, JtJ = J.T @ r, J.T @ J
         del J  # the next Jacobian is built without this one alive
         if np.linalg.norm(g) <= 1e-12 * max(np.sqrt(cost), 1e-300):
-            converged, message = True, "gradient below tolerance"
+            convergence.update(converged=True, message="gradient below tolerance")
             break
         diag = np.diag(JtJ).copy()
         if np.any(diag <= 0):
-            rank_deficient = True
+            convergence["rank_deficient"] = True
             diag[diag <= 0] = max(diag.max(), 1.0) * 1e-14
         for _ in range(60):
             try:
                 step = np.linalg.solve(JtJ + lam * np.diag(diag), -g)
             except np.linalg.LinAlgError:
-                rank_deficient = True
+                convergence["rank_deficient"] = True
                 step = np.linalg.lstsq(JtJ + lam * np.diag(diag), -g, rcond=None)[0]
             trial = theta + step
             r_new, jacobian_new = evaluate(trial)
@@ -190,19 +189,19 @@ def _levenberg_marquardt(evaluate, theta0: np.ndarray):
                 break
             lam *= 10.0
         else:
-            message = "no acceptable step found"
+            convergence["message"] = "no acceptable step found"
             break
         if cost_new > cost:  # a rise at round-off
-            converged, message = True, "cost rise at round-off"
+            convergence.update(converged=True, message="cost rise at round-off")
             break
         scale = np.sqrt(diag)
         rel_step = np.linalg.norm(scale * step) / max(np.linalg.norm(scale * theta), 1e-300)
         theta, r, jacobian, cost = trial, r_new, jacobian_new, cost_new
         lam = max(lam / 10.0, 1e-15)
         if rel_step < _XTOL:
-            converged, message = True, "relative step below tolerance"
+            convergence.update(converged=True, message="relative step below tolerance")
             break
-    return theta, r, jacobian, it, converged, rank_deficient, message
+    return theta, r, jacobian, convergence
 
 
 def _uncertainties(J: np.ndarray, r: np.ndarray, names) -> dict:
@@ -272,7 +271,7 @@ def _fit(trace: ComplexTrace, model, start, names) -> FitResult:
     # trial steps and a degenerate end point may overflow: a non-finite
     # residual rejects a step, a non-finite sigma fails the check below
     with np.errstate(all="ignore"):
-        theta, r, jacobian, iters, converged, rankdef, message = _levenberg_marquardt(evaluate, theta0)
+        theta, r, jacobian, convergence = _levenberg_marquardt(evaluate, theta0)
         rnorm = np.sqrt(_sum_squares(r))
         # a start at a pole of the model, or one so far off that the cost
         # overflows, has no descent direction: the driver stops at once
@@ -294,8 +293,8 @@ def _fit(trace: ComplexTrace, model, start, names) -> FitResult:
     faults = [f"{', '.join(floor)} underflowed to 0"] if floor else []
     faults += [f"sigma of {', '.join(flat)} is 0 or not finite"] if flat else []
     if faults:
-        converged, message = False, "; ".join([message, *faults])
-    return FitResult(p, rnorm, iters, converged, sig, rankdef, message)
+        convergence.update(converged=False, message="; ".join([convergence["message"], *faults]))
+    return FitResult(p, rnorm, convergence, sig)
 
 
 # a degenerate trace divides by zero on the way; the GuessError checks refuse it

@@ -43,9 +43,13 @@ def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
     linewidth is gamma + gamma_opt.
 
     gamma_opt(D) = g^2 k * (1/((O - D)^2 + k^2/4) - 1/((O + D)^2 + k^2/4))
+                 = g^2 k * 4 O D / (((O - D)^2 + k^2/4) ((O + D)^2 + k^2/4))
 
     with D = omega_c - omega_p and g the enhanced coupling (Aspelmeyer,
     Kippenberg & Marquardt, RMP 86, 1391 (2014), whose detuning is -D).
+    The one fraction is exact to rounding at any detuning; 4 O D over the
+    larger denominator is at most 1 in size, so no partial overflows where
+    the two-term form's do not.
     Positive at D = +Omega (cooling), where it tends to 4 g^2 / k in the
     resolved-sideband limit; negative at D = -Omega (gain); odd in D.  The
     drift eigenvalues of tripartite give the same rate, and the linewidth
@@ -57,9 +61,8 @@ def optomechanical_damping(detuning, g: float, kappa: float, omega_m: float):
     d = np.asarray(detuning)
     k24 = kappa * kappa / 4.0
     with np.errstate(all="ignore"):  # a rate past the float range is refused below
-        rate = (g * g * kappa) * (
-            1.0 / ((omega_m - d) ** 2 + k24) - 1.0 / ((omega_m + d) ** 2 + k24)
-        )
+        a, b = (omega_m - d) ** 2 + k24, (omega_m + d) ** 2 + k24
+        rate = (g * g * kappa) * (4.0 * omega_m / np.maximum(a, b) * d / np.minimum(a, b))
     if not np.all(np.isfinite(rate)):
         raise DomainError("damping rate must be finite")
     return rate

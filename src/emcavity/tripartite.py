@@ -257,7 +257,8 @@ def critical_coupling(p: TripartiteParams, axis: str, bracket: tuple[float, floa
     if stable[0] == stable[1]:
         raise DomainError(
             f"stability verdict identical at both bracket endpoints "
-            f"({axis}={lo:.6e} -> {max_re[0]:.3e}, {axis}={hi:.6e} -> {max_re[1]:.3e})"
+            f"({axis}={lo:.6e} rad/s -> max Re lambda {max_re[0]:.3e} rad/s, "
+            f"{axis}={hi:.6e} rad/s -> max Re lambda {max_re[1]:.3e} rad/s)"
         )
     while True:
         g = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 may overflow

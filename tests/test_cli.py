@@ -653,6 +653,17 @@ class TestTripartite:
         assert run(["tripartite", "critical", *args]) == 1
         assert "Error: --bracket-hz must be two comma-separated numbers\n" in capsys.readouterr().err
 
+    def test_critical_refusal_names_rad_per_s(self, capsys):
+        # --bracket-hz is in Hz; the refusal gives each end and its largest
+        # eigenvalue real part in rad/s, and says so
+        args = ["--config", REFERENCE_CONFIG, "--axis", "g_b", "--bracket-hz", "-5e6,5e6"]
+        assert run(["tripartite", "critical", *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: stability verdict identical at both bracket endpoints (")
+        assert "g_b=-3.141593e+07 rad/s -> max Re lambda " in err
+        assert "g_b=3.141593e+07 rad/s -> max Re lambda " in err
+        assert err.count(" rad/s") == 4
+
 
 class TestSynthFitPipeline:
     def test_synth_deterministic(self, config_file, tmp_path):
@@ -716,6 +727,29 @@ class TestSynthFitPipeline:
         assert p["kappa_in_hz"] == pytest.approx(CAVITY_CONFIG["cavity"]["kappa_in_hz"], rel=1e-5)
         assert p["kappa_ex_hz"] == pytest.approx(CAVITY_CONFIG["cavity"]["kappa_ex_hz"], rel=1e-5)
         assert p["amplitude"] == pytest.approx(0.2, rel=1e-5)
+
+    def test_fit_json_convergence_is_the_fit_result_record(self, config_file, tmp_path, monkeypatch):
+        # the convergence object is FitResult.convergence as it is, values
+        # and key order: the driver's verdict on a converged reflection fit,
+        # and with _fit's fault appended on an OMIT fit from g = 0, where
+        # every column of J vanishes
+        results = []
+        write_fit = cli._write_fit
+        monkeypatch.setattr(cli, "_write_fit", lambda result, out: (results.append(result), write_fit(result, out)))
+        trace, cavity, omit = (str(tmp_path / n) for n in ("trace.csv", "fit.json", "fit_omit.json"))
+        assert run(["synth", "--config", config_file, "--out", trace]) == 0
+        assert run(["fit", "reflect", "--in", trace, "--out", cavity]) == 0
+        assert run(["fit", "omit", "--in", trace, "--cavity", cavity, "--f-m-hz", "4e6", "--g-hz", "0",
+                    "--out", omit]) == 0
+        docs = [json.loads(Path(path).read_text()) for path in (cavity, omit)]
+        for doc, result in zip(docs, results, strict=True):
+            assert list(doc) == ["params", "residual_norm", "convergence", "param_uncertainties"]
+            assert list(doc["convergence"].items()) == list(result.convergence.items())
+            assert list(doc["convergence"]) == ["converged", "iterations", "rank_deficient", "message"]
+        assert docs[0]["convergence"]["converged"]
+        assert docs[1]["convergence"]["converged"] is False
+        assert docs[1]["convergence"]["message"] == (
+            "gradient below tolerance; sigma of g, gamma, omega_m is 0 or not finite")
 
     def test_fit_on_garbage_is_data_error(self, tmp_path):
         bad = tmp_path / "garbage.csv"
@@ -1643,10 +1677,11 @@ STDOUT_GOLDEN = {
                       "52c3884732af1f7f3794343ce959317f85928a49e7b3717ed4fca27bced7b96f"),
     "omit_zero": (["omit", "--config", "{critical}", "--f-hz", "10.29184e9"],
                   "614f45a6df1f64aa0889da30e3a78837fd1723dc42075dc18075aa8a11c1c6b2"),
-    # 8.48745059976354099e+00: gamma_opt / 2pi with the peak 4 g^2 / kappa at
-    # the red sideband, as in Aspelmeyer et al., RMP 86, 1391 (2014)
+    # 8.48745059976354277e+00: gamma_opt / 2pi with the peak 4 g^2 / kappa at
+    # the red sideband, as in Aspelmeyer et al., RMP 86, 1391 (2014); the
+    # rate is the exact one rounded once
     "damping": (["damping", "--config", "{config}", "--detuning-hz", "4e6"],
-                "0b1a91a0da4fafc53cad5563c2c060bd55376dede5ff47cee608e6e2482e63ff"),
+                "11f4650b520327e7915c3d4e1d62b7dc1ece29832f3c7cdd1f9ace390daf5dc5"),
     # 6.41022276878357027e+06; brentq at the same rtol gave 6.41022340200626943e+06
     "tripartite_critical": (["tripartite", "critical", "--config", REFERENCE_CONFIG,
                              "--axis", "g_c", "--bracket-hz", "2e6,9e6"],

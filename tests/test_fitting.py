@@ -233,7 +233,7 @@ class TestInitialGuess:
 class TestReflectionFit:
     def test_noiseless_round_trip(self):
         res = fit_reflection(device_trace())
-        assert res.converged
+        assert res.convergence["converged"]
         for name in PARAM_NAMES:
             assert rel_err(getattr(res.params, name), getattr(DEVICE, name)) < 1e-6, name
 
@@ -241,7 +241,7 @@ class TestReflectionFit:
         errs = {"omega_c": [], "kappa_in": [], "kappa_ex": []}
         for seed in range(10):
             res = fit_reflection(device_trace(snr_db=40.0, seed=seed))
-            assert res.converged
+            assert res.convergence["converged"]
             for name in errs:
                 errs[name].append(rel_err(getattr(res.params, name), getattr(DEVICE, name)))
         assert np.median(errs["omega_c"]) < 1e-6
@@ -268,7 +268,7 @@ class TestReflectionFit:
         draw = (kappa_hz, ratio, f_c, amplitude, tau, phi, tilt)
         truth, trace = random_box_trace(draw, snr_db, seed)
         res = fit_reflection(trace)
-        assert res.converged
+        assert res.convergence["converged"]
         assert max(pulls(res, truth).values()) < 5.0
 
     def test_frequency_shift_equivariance(self):
@@ -293,9 +293,9 @@ class TestReflectionFit:
             r = np.array([1.0, 2.0]) if len(calls) == 1 else np.full(2, np.inf)
             return r, lambda: np.ones((2, 1))
 
-        theta, r, _, _, converged, _, message = _levenberg_marquardt(evaluate, [0.5])
-        assert not converged
-        assert message == "no acceptable step found"
+        theta, r, _, convergence = _levenberg_marquardt(evaluate, [0.5])
+        assert not convergence["converged"]
+        assert convergence["message"] == "no acceptable step found"
         assert theta.tolist() == [0.5] and r.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("rise, trials, converged, message", [
@@ -314,8 +314,10 @@ class TestReflectionFit:
             r = np.array([1.0, 2.0]) * (1.0 if len(calls) == 1 else np.sqrt(1.0 + rise))
             return r, lambda: np.ones((2, 1))
 
-        theta, r, _, iterations, ok, _, why = _levenberg_marquardt(evaluate, [0.5])
-        assert (len(calls) - 1, iterations, ok, why) == (trials, 1, converged, message)
+        theta, r, _, convergence = _levenberg_marquardt(evaluate, [0.5])
+        assert len(calls) - 1 == trials
+        assert convergence == {"converged": converged, "iterations": 1, "rank_deficient": False,
+                               "message": message}
         assert theta.tolist() == [0.5] and r.tolist() == [1.0, 2.0]
 
     def test_singular_step_falls_back_to_lstsq(self, monkeypatch):
@@ -331,7 +333,7 @@ class TestReflectionFit:
 
         monkeypatch.setattr(np.linalg, "solve", solve_once)
         res = fit_reflection(device_trace(n=201))
-        assert refused and res.rank_deficient and res.converged
+        assert refused and res.convergence["rank_deficient"] and res.convergence["converged"]
         for name in PARAM_NAMES:
             assert rel_err(getattr(res.params, name), getattr(DEVICE, name)) < 1e-6, name
 
@@ -341,8 +343,10 @@ class TestReflectionFit:
         def evaluate(theta):
             return np.array([1.0, np.inf]), None
 
-        theta, r, jacobian, iterations, converged, _, _ = _levenberg_marquardt(evaluate, [0.5])
-        assert theta.tolist() == [0.5] and iterations == 0 and not converged
+        theta, r, jacobian, convergence = _levenberg_marquardt(evaluate, [0.5])
+        assert theta.tolist() == [0.5]
+        assert convergence == {"converged": False, "iterations": 0, "rank_deficient": False,
+                               "message": "start not finite"}
         assert r.tolist() == [1.0, np.inf] and jacobian is None
 
     def test_amplitude_at_floor_gives_no_sigma(self):
@@ -351,8 +355,8 @@ class TestReflectionFit:
         model = functools.partial(reflection_model, jacobian=True)
         start = replace(DEVICE, amplitude=1e-317)
         res = _fit(device_trace(n=201), model, start, PARAM_NAMES)
-        assert not res.converged
-        assert "amplitude underflowed to 0" in res.message
+        assert not res.convergence["converged"]
+        assert "amplitude underflowed to 0" in res.convergence["message"]
         assert not any(np.isfinite(list(res.param_uncertainties.values())))
 
 
@@ -380,13 +384,13 @@ class TestLowSnr:
         # reported them converged
         for i, (truth, res) in enumerate(low_snr_fits(10.0)):
             sig = res.param_uncertainties
-            if res.converged:
+            if res.convergence["converged"]:
                 assert all(0 < sig[n] < np.inf for n in PARAM_NAMES), i
                 assert res.params.kappa_ex > 0 and res.params.kappa_in > 0, i
 
     def test_15_db_within_5_sigma(self):
         for i, (truth, res) in enumerate(low_snr_fits(15.0)):
-            assert res.converged, i
+            assert res.convergence["converged"], i
             assert max(pulls(res, truth).values()) < 5.0, i
 
     @pytest.mark.parametrize("snr_db, points, seeds, max_refused", [
@@ -414,7 +418,7 @@ class TestLowSnr:
             except (GuessError, NumericalError):
                 refused.append(seed)
                 continue
-            if not res.converged:
+            if not res.convergence["converged"]:
                 refused.append(seed)
             elif max(pulls(res, truth).values()) > 5.0:
                 wrong.append(seed)
@@ -433,7 +437,7 @@ class TestLowSnr:
         grid = np.linspace(4.75e9, 7.25e9, points)
         for seed in range(5):
             res = fit_reflection(synthesize_trace(lambda w: reflection_model(w, truth), grid, snr_db, seed))
-            assert res.converged, seed
+            assert res.convergence["converged"], seed
             assert max(pulls(res, truth).values()) < 5.0, seed
 
 
@@ -480,7 +484,7 @@ class TestOmitFit:
             detuning=OMIT_TRUE.detuning,
         )
         res = fit_omit(omit_trace(snr_db=40.0, seed=2), OMIT_CAVITY, guess)
-        assert res.converged
+        assert res.convergence["converged"]
         assert rel_err(res.params.g, OMIT_TRUE.g) < 0.02
         assert rel_err(res.params.gamma, OMIT_TRUE.gamma) < 0.02
         assert rel_err(res.params.omega_m, OMIT_TRUE.omega_m) < 1e-6
@@ -507,7 +511,7 @@ class TestOmitFit:
             detuning=TWO_PI * 3.98e6,
         )
         res = fit_omit(omit_trace(), OMIT_CAVITY, guess, fit_detuning=True)
-        assert res.converged
+        assert res.convergence["converged"]
         assert rel_err(res.params.detuning, OMIT_TRUE.detuning) < 1e-6
         assert rel_err(res.params.g, OMIT_TRUE.g) < 1e-4
 
@@ -599,7 +603,7 @@ class TestSharedEvaluation:
         monkeypatch.setattr(fitting, "omit_model", counting)
         res = fit_omit(omit_trace(snr_db=40.0, seed=2), OMIT_CAVITY, OMIT_GUESS, fit_detuning)
         # one Jacobian at the start, one per accepted step, one for the sigmas
-        assert len(built) == (3 + fit_detuning) * (res.iterations + 1)
+        assert len(built) == (3 + fit_detuning) * (res.convergence["iterations"] + 1)
 
     def test_fit_memory_per_point(self):
         # each Jacobian column is written into J as it is made, the last
@@ -630,7 +634,7 @@ class TestSharedEvaluation:
             snr_db, seed = (40.0, 3) if case == "40 dB" else (3.0, 4)
             res = fit_reflection(device_trace(snr_db=snr_db, seed=seed, n=201))
         fit_calls = calls.count(True)  # initial_guess ranks its starts without a Jacobian
-        assert fit_calls <= res.iterations + rejected_trials(costs) + 1
+        assert fit_calls <= res.convergence["iterations"] + rejected_trials(costs) + 1
         if case == "3 dB":
             assert rejected_trials(costs) > 0
 

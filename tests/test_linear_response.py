@@ -1,6 +1,7 @@
 """Reflection spectra, OMIT feature evolution, optomechanical damping."""
 
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,24 @@ class TestDamping:
 
     def test_zero_at_zero_detuning(self):
         assert optomechanical_damping(0.0, TWO_PI * 1e5, TWO_PI * 1e6, TWO_PI * 4e6) == 0.0
+
+    @pytest.mark.parametrize("detuning, g, kappa, om", [
+        *[(s * TWO_PI * f, TWO_PI * 2e3, TWO_PI * 1.86e6, TWO_PI * 4e6)
+          for f in (0.0, 1e3, 4e6, 1e9, 1e15, 1e50, 1e100) for s in (1.0, -1.0)],
+        # on the red sideband with kappa far below Omega, where a finite rate
+        # has partials past the float range: 4 O D / a / b at the first,
+        # D / ((O - D)^2 + k^2/4) at the other two
+        (TWO_PI * 1e100, TWO_PI * 1e-50, TWO_PI * 1e-100, TWO_PI * 1e100),
+        (TWO_PI * 1e100, TWO_PI * 1e-50, TWO_PI * 1e-105, TWO_PI * 1e100),
+        (1e3, 1.0, 1e-153, 1e3),
+    ])
+    def test_exact_to_rounding(self, detuning, g, kappa, om):
+        # the exact rate of the same floats, in rationals: the two Lorentzians'
+        # difference lost 8 digits at 1e15 Hz and all of them at 1e50 Hz
+        d, g, k, om = (Fraction(x) for x in (detuning, g, kappa, om))
+        exact = g * g * k * (1 / ((om - d) ** 2 + k * k / 4) - 1 / ((om + d) ** 2 + k * k / 4))
+        rate = optomechanical_damping(detuning, float(g), float(k), float(om))
+        assert abs(Fraction(float(rate)) - exact) <= Fraction(4e-16) * abs(exact)
 
 
 def models(cav, g=TWO_PI * 2e3):
